@@ -11,10 +11,10 @@ import random
 
 from w2frob import (
     GF,
+    AffineChartLift,
     apply_lift,
     eta_axioms_check,
     eta_between,
-    make_lift,
     monomial_lemma_check,
     phi_det,
     phi_matrix,
@@ -28,7 +28,7 @@ from w2frob.randgen import random_chart_lift
 F2 = GF(2)
 
 print("=== a lift and its action ===")
-L = make_lift(F2, 1, (False,), (poly_from_str(F2, 1, "x^3"),))
+L = AffineChartLift(F2, 1, (False,), (poly_from_str(F2, 1, "x^3"),))
 ring = L.lift_ring
 print(f"  F(x)   = {poly_to_str(L.image_of_var(0))}")
 x2 = poly_from_str(ring, 1, "x^2")
@@ -46,8 +46,8 @@ print(f"  additivity and twisted Leibniz on (x+1, x^2+x): {'pass' if res.ok else
 
 print()
 print("=== phi matrix and determinant ===")
-swap = make_lift(F2, 2, (False, False),
-                 (poly_from_str(F2, 2, "x2"), poly_from_str(F2, 2, "x1")))
+swap = AffineChartLift(F2, 2, (False, False),
+                       (poly_from_str(F2, 2, "x2"), poly_from_str(F2, 2, "x1")))
 M = phi_matrix(swap)
 for i in range(2):
     print("  [" + ", ".join(poly_to_str(M[i, j]) for j in range(2)) + "]")

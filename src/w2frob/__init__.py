@@ -50,7 +50,6 @@ from .froblift import (
     eta_between,
     lift_from_json,
     lift_to_json,
-    make_lift,
     monomial_lemma_check,
     phi_det,
     phi_matrix,
@@ -61,16 +60,12 @@ from .polyalg import (
     Poly,
     PolyMatrix,
     canonical_lift,
-    coefficient_of,
-    determinant,
     divide_by_p,
     embed_times_p,
     frobenius_substitute,
     invert_unit,
     low_decomposition,
-    partial_derivative,
     poly_from_str,
-    poly_mul,
     poly_to_str,
     reduce_mod_p,
     substitute,
@@ -97,10 +92,7 @@ from .witt2 import (
     WittRing,
     Zp2Elem,
     Zp2Ring,
-    witt_add,
-    witt_frobenius,
     witt_from_str,
-    witt_mul,
     witt_to_residue_ring,
     witt_to_str,
 )

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DescriptorError, SingularCurve, UnsupportedField
+from .errors import DescriptorError, InvariantViolation, SingularCurve, UnsupportedField
 from .polyalg import Poly
 from .witt2 import GF, FqElem, check_prime_char
 
@@ -71,31 +71,42 @@ class SurfaceDescriptor:
     E1_ordinary: bool = None
     omega_pow_p_minus_1_trivial: bool = None
 
+    # JSON key -> (attribute, value type); null stands for an absent flag
     _JSON_KEYS = {
-        "class": "surface_class",
-        "p": "p",
-        "n": "n",
-        "base_genus": "base_genus",
-        "base_is_ordinary": "base_is_ordinary",
-        "is_ordinary": "is_ordinary",
-        "variant": "variant",
-        "type": "hyperelliptic_type",
-        "E0_ordinary": "E0_ordinary",
-        "E1_ordinary": "E1_ordinary",
-        "omega_pow_p_minus_1_trivial": "omega_pow_p_minus_1_trivial",
+        "class": ("surface_class", str),
+        "p": ("p", int),
+        "n": ("n", int),
+        "base_genus": ("base_genus", int),
+        "base_is_ordinary": ("base_is_ordinary", bool),
+        "is_ordinary": ("is_ordinary", bool),
+        "variant": ("variant", str),
+        "type": ("hyperelliptic_type", str),
+        "E0_ordinary": ("E0_ordinary", bool),
+        "E1_ordinary": ("E1_ordinary", bool),
+        "omega_pow_p_minus_1_trivial": ("omega_pow_p_minus_1_trivial", bool),
     }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "SurfaceDescriptor":
+    def from_json_dict(cls, d) -> "SurfaceDescriptor":
+        if not isinstance(d, dict):
+            raise DescriptorError(f"descriptor must be a JSON object, got {type(d).__name__}")
         kwargs = {}
         for key, value in d.items():
             if key not in cls._JSON_KEYS:
                 raise DescriptorError(f"unknown descriptor key {key!r}")
-            kwargs[cls._JSON_KEYS[key]] = value
+            attr, kind = cls._JSON_KEYS[key]
+            # bool is a subclass of int, so true must not pass as an integer
+            if value is not None and (
+                not isinstance(value, kind) or (kind is int and isinstance(value, bool))
+            ):
+                raise DescriptorError(f"descriptor key {key!r} must be of type {kind.__name__}")
+            kwargs[attr] = value
+        if "surface_class" not in kwargs or "p" not in kwargs:
+            raise DescriptorError("descriptor needs the 'class' and 'p' keys")
         return cls(**kwargs)
 
     def to_json_dict(self) -> dict:
-        inv = {v: k for k, v in self._JSON_KEYS.items()}
+        inv = {attr: k for k, (attr, _) in self._JSON_KEYS.items()}
         out = {}
         for attr, key in inv.items():
             value = getattr(self, attr)
@@ -333,11 +344,11 @@ def is_ordinary_curve(E: WeierstrassCurve) -> bool:
     """Trace not divisible by p, by exhaustive point counting.
 
     For p >= 5 short-form curves the verdict must agree with the Hasse
-    invariant; this is asserted on every call.
+    invariant; this is checked on every call.
     """
     ordinary = E.trace() % E.p != 0
-    if E.p >= 5 and E.short:
-        assert (not hasse_invariant(E).is_zero()) == ordinary
+    if E.p >= 5 and E.short and (not hasse_invariant(E).is_zero()) != ordinary:
+        raise InvariantViolation(f"Hasse invariant and point count disagree on {E!r}")
     return ordinary
 
 

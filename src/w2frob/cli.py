@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from . import classify as classify_mod
@@ -23,30 +22,28 @@ from .errors import (
     SingularCurve,
     UnsupportedField,
 )
-from .froblift import (
-    eta_axioms_check,
-    eta_between,
-    monomial_lemma_check,
-    phi_det,
-    top_monomial,
-)
+from .froblift import standard_lift
 from .polyalg import Poly, poly_from_str, poly_to_str
-from .projline import extend_chart, lift_space_dimension
-from .randgen import (
-    random_chart_lift,
-    random_exponent_matrix,
-    random_poly,
-)
+from .projline import extend_chart
 from .ruled import (
     TransitionData,
     base_glue_consistency,
     build_standard_lift,
-    extract_base_lift,
     hirzebruch_transition,
     verify_gluing,
 )
-from .witt2 import GF, W2, witt_to_residue_ring
-from .froblift import standard_lift
+from .sweeps import (
+    _check,
+    sweep_classify,
+    sweep_eta,
+    sweep_hasse,
+    sweep_monomial_lemma,
+    sweep_p1,
+    sweep_phi_det,
+    sweep_ruled,
+    sweep_witt,
+)
+from .witt2 import GF
 
 SCHEMA = 1
 
@@ -54,17 +51,6 @@ SCHEMA = 1
 def _default_seed() -> int:
     env = os.environ.get("FROBCTL_SEED")
     return int(env) if env else 20130902
-
-
-def _check(name: str, citation: str, trials: int, failures: list) -> dict:
-    return {
-        "name": name,
-        "citation": citation,
-        "trials": trials,
-        "passes": trials - len(failures),
-        "failures": failures[:5],
-        "ok": not failures,
-    }
 
 
 def _report(command: str, seed, checks: list, extra: dict = None) -> dict:
@@ -76,251 +62,12 @@ def _report(command: str, seed, checks: list, extra: dict = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# sweeps
-# ---------------------------------------------------------------------------
-
-
-def sweep_witt(p_list, trials, seed) -> list:
-    checks = []
-    for p in p_list:
-        rng = random.Random(f"{seed}|witt|{p}")
-        ring = W2(p)
-        failures = []
-        if p <= 3:
-            pairs = [(u, v) for u in ring.elements() for v in ring.elements()]
-        else:
-            elems = list(ring.elements())
-            pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(trials)]
-        for u, v in pairs:
-            ru, rv = witt_to_residue_ring(u), witt_to_residue_ring(v)
-            if witt_to_residue_ring(u + v) != ru + rv:
-                failures.append({"op": "add", "u": repr(u), "v": repr(v)})
-            if witt_to_residue_ring(u * v) != ru * rv:
-                failures.append({"op": "mul", "u": repr(u), "v": repr(v)})
-        images = {witt_to_residue_ring(u).rep for u in ring.elements()}
-        if len(images) != p * p:
-            failures.append({"op": "bijection", "count": len(images)})
-        checks.append(
-            _check(
-                f"witt-oracle-p{p}",
-                "residue-ring model intertwines the length-2 Witt operations",
-                len(pairs),
-                failures,
-            )
-        )
-    return checks
-
-
-def sweep_phi_det(p_list, n_list, trials, seed) -> list:
-    checks = []
-    for p in p_list:
-        field = GF(p)
-        for n in n_list:
-            rng = random.Random(f"{seed}|phi|{p}|{n}")
-            failures = []
-            for _ in range(trials):
-                lift = random_chart_lift(rng, field, n)
-                det = phi_det(lift)
-                target = top_monomial(lift)
-                if det.is_zero():
-                    failures.append({"corrections": [poly_to_str(f) for f in lift.corrections]})
-                elif det.coefficient_of(target) != field.one:
-                    failures.append(
-                        {
-                            "corrections": [poly_to_str(f) for f in lift.corrections],
-                            "coefficient": field.coeff_to_str(det.coefficient_of(target)),
-                        }
-                    )
-            checks.append(
-                _check(
-                    f"phi-det-p{p}-n{n}",
-                    "generic bijectivity: top-monomial coefficient of det(phi) is 1",
-                    trials,
-                    failures,
-                )
-            )
-    return checks
-
-
-def sweep_monomial_lemma(p, max_n, trials, seed) -> list:
-    rng = random.Random(f"{seed}|lemma|{p}")
-    failures = []
-    for _ in range(trials):
-        n = rng.randint(1, max_n)
-        m = rng.randint(1, n)
-        K = random_exponent_matrix(rng, p, m, n)
-        res = monomial_lemma_check(K, p)
-        if not res.ok:
-            failures.append({"K": K, "failures": res.failures})
-    return [
-        _check(
-            f"monomial-lemma-p{p}",
-            "column-sum lemma: zero top coefficient and the closed determinant form",
-            trials,
-            failures,
-        )
-    ]
-
-
-def sweep_eta(p, lift_pairs, elem_pairs, seed) -> list:
-    field = GF(p)
-    rng = random.Random(f"{seed}|eta|{p}")
-    failures = []
-    total = 0
-    for _ in range(lift_pairs):
-        n = rng.randint(1, 2)
-        f1 = random_chart_lift(rng, field, n)
-        f2 = random_chart_lift(rng, field, n)
-        eta = eta_between(f1, f2)
-        for _ in range(elem_pairs):
-            a = random_poly(rng, field, n, p, 3)
-            b = random_poly(rng, field, n, p, 3)
-            res = eta_axioms_check(eta, a, b)
-            total += 1
-            if not res.ok:
-                failures.append(res.failures[0])
-    return [
-        _check(
-            f"eta-axioms-p{p}",
-            "difference calculus: additivity and the twisted Leibniz rule",
-            total,
-            failures,
-        )
-    ]
-
-
-def sweep_p1(p) -> list:
-    field = GF(p)
-    base = standard_lift(field, 0)
-    failures = []
-    for d in range(3 * p + 1):
-        f = Poly.monomial(field, 1, (d,))
-        try:
-            extend_chart(base, f)
-            extended = True
-        except DegreeTooHigh:
-            extended = False
-        if extended != (d <= 2 * p):
-            failures.append({"degree": d, "extended": extended})
-    dim = lift_space_dimension(p)
-    if dim != 2 * p + 1:
-        failures.append({"dimension": dim})
-    return [
-        _check(
-            f"p1-degree-bound-p{p}",
-            "chart extension exists exactly up to fiber degree 2p; 2p+1 monomials",
-            3 * p + 1,
-            failures,
-        )
-    ]
-
-
-def _ruled_cases(field):
-    u = Poly.variable(field, 1, 0)
-    one = Poly.constant(field, 1, 1)
-    yield "F0", hirzebruch_transition(field, 0)
-    yield "F2", hirzebruch_transition(field, 2)
-    yield "F3", hirzebruch_transition(field, 3)
-    yield "A1-shear", TransitionData("A1", one, u)
-    yield "Gm-shear", TransitionData(
-        "Gm", u, u + Poly.monomial(field, 1, (-1,))
-    )
-
-
-def sweep_ruled(p, seed) -> list:
-    field = GF(p)
-    rng = random.Random(f"{seed}|ruled|{p}")
-    checks = []
-    for name, T in _ruled_cases(field):
-        failures = []
-        lift = build_standard_lift(T)
-        glue = verify_gluing(lift)
-        if not glue.ok:
-            failures.extend(glue.failures)
-        deg_h = lift.h.degree_in(1)
-        if deg_h is not None and deg_h > p:
-            failures.append({"deg_h": deg_h})
-        for key in ("UX", "VY"):
-            extract_base_lift(lift.charts[key])  # raises on violation
-        consistency = base_glue_consistency(lift)
-        if not consistency.ok:
-            failures.extend(consistency.failures)
-        eta = consistency.details["eta"]
-        for _ in range(20):
-            a = random_poly(rng, field, 1, p, 3)
-            b = random_poly(rng, field, 1, p, 3)
-            res = eta_axioms_check(eta, a, b)
-            if not res.ok:
-                failures.extend(res.failures)
-        checks.append(
-            _check(
-                f"ruled-{name}-p{p}",
-                "standard four-chart lift: gluing, degree of h, base-lift extraction",
-                1,
-                failures,
-            )
-        )
-    return checks
-
-
-def sweep_classify() -> list:
-    failures = []
-    rows = classify_mod.golden_table()
-    for desc, expected in rows:
-        got = classify_mod.classify_surface(desc)
-        if got != expected:
-            failures.append(
-                {
-                    "descriptor": desc.to_json_dict(),
-                    "expected": expected.to_json_dict(),
-                    "got": got.to_json_dict(),
-                }
-            )
-    return [
-        _check(
-            "golden-table",
-            "classification theorem and the hyperelliptic liftability table",
-            len(rows),
-            failures,
-        )
-    ]
-
-
-def sweep_hasse(p_list) -> list:
-    checks = []
-    for p in p_list:
-        failures = []
-        total = 0
-        for a in range(p):
-            for b in range(p):
-                try:
-                    E = classify_mod.WeierstrassCurve.short_form(p, a, b)
-                except SingularCurve:
-                    continue
-                total += 1
-                by_hasse = not classify_mod.hasse_invariant(E).is_zero()
-                by_count = E.trace() % p != 0
-                if by_hasse != by_count:
-                    failures.append({"a": a, "b": b})
-        checks.append(
-            _check(
-                f"hasse-vs-count-p{p}",
-                "ordinarity: Hasse invariant nonzero iff trace not divisible by p",
-                total,
-                failures,
-            )
-        )
-    return checks
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_witt_check(args) -> tuple:
-    p_list = _parse_p_list(args.p_list)
-    checks = sweep_witt(p_list, args.trials, args.seed)
+    checks = sweep_witt(args.p_list, args.trials, args.seed)
     return (0 if all(c["ok"] for c in checks) else 1), _report(
         "witt-check", args.seed, checks
     )
@@ -386,11 +133,11 @@ def _cmd_ruled_lift(args) -> tuple:
     glue = verify_gluing(lift)
     consistency = base_glue_consistency(lift)
     checks = [
-        _check("gluing", "pairwise chart overlaps agree", 1, glue.failures),
+        _check("gluing", "pairwise chart overlaps agree", [glue.ok], glue.failures),
         _check(
             "base-consistency",
             "U- and V-side base lifts differ by p*eta",
-            1,
+            [consistency.ok],
             consistency.failures,
         ),
     ]
@@ -455,8 +202,29 @@ def _cmd_sweep_all(args) -> tuple:
     return (0 if report["ok"] else 1), report
 
 
-def _parse_p_list(s: str) -> list:
-    return [int(x) for x in s.split(",") if x.strip()]
+def _bounded_int(lo: int, hi: int = None):
+    """argparse type: an integer in [lo, hi] (no upper bound when hi is None)."""
+
+    def parse(s: str) -> int:
+        n = int(s)
+        if n < lo or (hi is not None and n > hi):
+            bound = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {n}")
+        return n
+
+    parse.__name__ = "integer"
+    return parse
+
+
+def _p_list(s: str) -> list:
+    """argparse type: a nonempty comma-separated list of integers."""
+    try:
+        primes = [int(x) for x in s.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {s!r}") from None
+    if not primes:
+        raise argparse.ArgumentTypeError("empty prime list")
+    return primes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,22 +236,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("witt-check", help="Witt arithmetic against the Z/p^2 oracle")
-    sp.add_argument("--p-list", default="2,3,5,7")
-    sp.add_argument("--trials", type=int, default=10000)
+    sp.add_argument("--p-list", type=_p_list, default="2,3,5,7")
+    sp.add_argument("--trials", type=_bounded_int(1), default=10000)
     sp.add_argument("--seed", type=int, default=_default_seed())
     sp.set_defaults(func=_cmd_witt_check)
 
     sp = sub.add_parser("verify-lemma", help="column-sum lemma on random exponent matrices")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--n", type=_bounded_int(1, 3), default=3)
+    sp.add_argument("--trials", type=_bounded_int(1), default=1000)
     sp.add_argument("--seed", type=int, default=_default_seed())
     sp.set_defaults(func=_cmd_verify_lemma)
 
     sp = sub.add_parser("phi-det", help="determinant core on random chart lifts")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--trials", type=int, default=500)
+    sp.add_argument("--n", type=_bounded_int(1, 4), default=2)
+    sp.add_argument("--trials", type=_bounded_int(1), default=500)
     sp.add_argument("--seed", type=int, default=_default_seed())
     sp.set_defaults(func=_cmd_phi_det)
 
@@ -512,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep-all", help="run every property sweep")
     sp.add_argument("--seed", type=int, default=_default_seed())
-    sp.add_argument("--trials-scale", type=int, default=1, dest="trials_scale")
+    sp.add_argument("--trials-scale", type=_bounded_int(1), default=1, dest="trials_scale")
     sp.set_defaults(func=_cmd_sweep_all)
 
     return parser

@@ -27,11 +27,11 @@ from .polyalg import (
     divide_by_p,
     embed_times_p,
     frobenius_substitute,
-    invert_unit,
     poly_from_str,
     poly_to_str,
+    substitute,
 )
-from .witt2 import GF, W2, FiniteField
+from .witt2 import GF, W2, FiniteField, WittPair
 
 
 @dataclass
@@ -55,7 +55,7 @@ class AffineChartLift:
     corrections[i] is the F_q polynomial f_i with F(x_i) = x_i^p + p*f_i.
     """
 
-    __slots__ = ("field", "nvars", "laurent_mask", "corrections", "_images", "_inv_images")
+    __slots__ = ("field", "nvars", "laurent_mask", "corrections", "_images")
 
     def __init__(self, field: FiniteField, nvars: int, laurent_mask, corrections):
         laurent_mask = tuple(bool(b) for b in laurent_mask)
@@ -74,7 +74,6 @@ class AffineChartLift:
         self.laurent_mask = laurent_mask
         self.corrections = corrections
         self._images = {}
-        self._inv_images = {}
 
     @property
     def lift_ring(self):
@@ -111,25 +110,13 @@ class AffineChartLift:
         return self._images[i]
 
     def image_of_var_power(self, i: int, e: int) -> Poly:
-        if e >= 0:
-            return self.image_of_var(i) ** e
-        if not self.laurent_mask[i]:
+        if e < 0 and not self.laurent_mask[i]:
             raise UnsupportedShape(f"variable x{i + 1} is not inverted on this chart")
-        if i not in self._inv_images:
-            self._inv_images[i] = invert_unit(self.image_of_var(i))
-        return self._inv_images[i] ** (-e)
-
-    def apply(self, a: Poly) -> Poly:
-        return apply_lift(self, a)
+        return self.image_of_var(i) ** e
 
     def __repr__(self):
         cs = ", ".join(poly_to_str(f) for f in self.corrections)
         return f"AffineChartLift(p={self.p}, q={self.field.q}, n={self.nvars}, f=[{cs}])"
-
-
-def make_lift(field: FiniteField, nvars: int, laurent_mask, corrections) -> AffineChartLift:
-    """Construct a chart lift; same validation as the class constructor."""
-    return AffineChartLift(field, nvars, laurent_mask, corrections)
 
 
 def standard_lift(field: FiniteField, nvars: int, laurent_mask=None) -> AffineChartLift:
@@ -152,18 +139,8 @@ def apply_lift(L: AffineChartLift, a: Poly) -> Poly:
         raise ShapeError("argument is not a lift-ring polynomial on this chart")
     if not a.respects_mask(L.laurent_mask):
         raise UnsupportedShape("argument inverts a variable outside the chart")
-    result = Poly.zero(ring, L.nvars)
-    pow_cache: dict = {}
-    for m, c in a.terms.items():
-        term = Poly.constant(ring, L.nvars, ring.one)
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            if (i, e) not in pow_cache:
-                pow_cache[(i, e)] = L.image_of_var_power(i, e)
-            term = term * pow_cache[(i, e)]
-        result = result + term * c.frobenius()
-    return result
+    images = [L.image_of_var(i) for i in range(L.nvars)]
+    return substitute(a, images, coeff_map=WittPair.frobenius, ring=ring, nvars=L.nvars)
 
 
 # ---------------------------------------------------------------------------

@@ -294,18 +294,6 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    return f * g
-
-
-def partial_derivative(f: Poly, j: int) -> Poly:
-    return f.partial_derivative(j)
-
-
-def coefficient_of(f: Poly, mono) -> object:
-    return f.coefficient_of(mono)
-
-
 def substitute(
     f: Poly,
     images: Sequence[Poly],
@@ -510,10 +498,6 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols})"
-
-
-def determinant(M: PolyMatrix) -> Poly:
-    return M.determinant()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ fiber variable last.
 
 from __future__ import annotations
 
-from .errors import DegreeTooHigh, ShapeError, UnsupportedShape
+from .errors import DegreeTooHigh, InvariantViolation, ShapeError, UnsupportedShape
 from .froblift import AffineChartLift, CheckResult, standard_lift
 from .polyalg import Poly, embed_times_p, poly_to_str
 from .witt2 import GF
@@ -159,5 +159,6 @@ def lift_space_dimension(p: int) -> int:
         except DegreeTooHigh:
             continue
         passing.append(d)
-    assert passing == list(range(2 * p + 1))
+    if passing != list(range(2 * p + 1)):
+        raise InvariantViolation(f"extendable degrees {passing} are not 0..2p for p = {p}")
     return len(passing)

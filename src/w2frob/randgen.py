@@ -21,19 +21,6 @@ def random_poly(rng, ring, nvars: int, max_deg: int, max_terms: int) -> Poly:
     return Poly(ring, nvars, terms)
 
 
-def random_laurent_poly(rng, ring, nvars: int, span: int, max_terms: int, mask) -> Poly:
-    """Sparse random polynomial with exponents in [-span, span] on inverted slots."""
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        exps = tuple(
-            rng.randint(-span if mask[i] else 0, span) for i in range(nvars)
-        )
-        c = ring.random(rng)
-        if not c.is_zero():
-            terms[exps] = c
-    return Poly(ring, nvars, terms)
-
-
 def random_chart_lift(
     rng, field: FiniteField, nvars: int, max_deg: int = None, max_terms: int = 4
 ) -> AffineChartLift:

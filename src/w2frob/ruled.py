@@ -37,7 +37,7 @@ from .polyalg import (
     substitute,
 )
 from .projline import extend_chart
-from .witt2 import FiniteField
+from .witt2 import FiniteField, WittPair
 
 BASE_KINDS = ("A1", "Gm", "P1")
 
@@ -185,19 +185,16 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
     a2 = _embed2(canonical_lift(T.a, wring))
     b2 = _embed2(canonical_lift(T.b, wring))
     y_mono = Poly.variable(wring, 2, 1)
-    u_img_overlap = _embed2(baseF.chart_U.image_of_var(0))
-    frob = lambda c: c.frobenius()
-
-    def base_action(g: Poly) -> Poly:
-        # the lift applied to a base-overlap element (no fiber dependence)
-        return substitute(g, [u_img_overlap, y_mono], coeff_map=frob)
-
-    den = base_action(a2)
+    # the lift on fiber-free overlap elements: only the base image matters
+    base_images = [_embed2(baseF.chart_U.image_of_var(0)), y_mono]
+    den = substitute(a2, base_images, coeff_map=WittPair.frobenius)
     try:
         den_inv = invert_unit(den)
     except UnitError as exc:
         raise UnitError(f"base image of a is not a unit: {exc}") from exc
-    numerator = (a2 * y_mono + b2) ** p - base_action(b2)
+    numerator = (a2 * y_mono + b2) ** p - substitute(
+        b2, base_images, coeff_map=WittPair.frobenius
+    )
     y_img = numerator * den_inv
 
     try:
@@ -244,29 +241,12 @@ def _to_v_coords(f: Poly, kind: str) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _frob(c):
-    return c.frobenius()
-
-
-class _OverlapSide:
-    """A chart's lift extended to an overlap, given images of the overlap coords."""
-
-    def __init__(self, u_img: Poly, fiber_img: Poly):
-        self.u_img = u_img
-        self.fiber_img = fiber_img
-
-    def act(self, elem: Poly) -> Poly:
-        return substitute(elem, [self.u_img, self.fiber_img], coeff_map=_frob)
-
-
-def _rewrite(img: Poly, u_to: Poly, fiber_to: Poly) -> Poly:
-    """Plain coordinate change of an image polynomial (coefficients fixed)."""
-    return substitute(img, [u_to, fiber_to])
-
-
 def verify_gluing(L: RuledLift) -> CheckResult:
     """Exact agreement of all chart maps on the pairwise overlaps.
 
+    Each side of an overlap is the list of images of the two overlap
+    coordinates under that chart's lift; the lift acts on an overlap
+    element by substituting them, with the Witt Frobenius on coefficients.
     Overlaps whose transition is not expressible with monomial units
     (the t-side against the V charts when b != 0) are implied by the
     directly checked ones and reported as such.
@@ -274,7 +254,7 @@ def verify_gluing(L: RuledLift) -> CheckResult:
     T = L.transition
     field = L.field
     wring = L.charts["UX"].lift_ring
-    base_mask = _OVERLAP_MASK[T.kind]
+    frob = WittPair.frobenius
     b_zero = T.b.is_zero()
     a2 = _embed2(canonical_lift(T.a, wring))
     b2 = _embed2(canonical_lift(T.b, wring))
@@ -289,11 +269,14 @@ def verify_gluing(L: RuledLift) -> CheckResult:
     def fmono(e=1):
         return Poly.variable(wring, 2, 1, e)
 
+    # the V-side base coordinate on the overlap: u itself, or 1/u over P1
+    v_coord = umono() if T.kind != "P1" else Poly.variable(wring, 2, 0, -1)
+
     def compare(name, coords, side_a, side_b):
         checked.append(name)
         for cname, elem in coords.items():
-            lhs = side_a.act(elem)
-            rhs = side_b.act(elem)
+            lhs = substitute(elem, side_a, coeff_map=frob)
+            rhs = substitute(elem, side_b, coeff_map=frob)
             if lhs != rhs:
                 failures.append(
                     {
@@ -312,8 +295,7 @@ def verify_gluing(L: RuledLift) -> CheckResult:
         if T.kind != "P1":
             return base_img(chart_key)
         # v = 1/u: rewrite and invert
-        rew = substitute(base_img(chart_key), [Poly.variable(wring, 2, 0, -1), fmono()])
-        return invert_unit(rew)
+        return invert_unit(substitute(base_img(chart_key), [v_coord, fmono()]))
 
     # mod-p sanity: every chart map lifts the Frobenius
     for key, chart in L.charts.items():
@@ -331,89 +313,78 @@ def verify_gluing(L: RuledLift) -> CheckResult:
 
     # UX meets UT: fiber coordinate x, t = 1/x
     img_x = L.charts["UX"].image_of_var(1)
-    img_t_in_x = _rewrite(L.charts["UT"].image_of_var(1), umono(), fmono(-1))
-    ux = _OverlapSide(base_img("UX"), img_x)
-    ut = _OverlapSide(base_img("UT"), invert_unit(img_t_in_x))
+    img_t_in_x = substitute(L.charts["UT"].image_of_var(1), [umono(), fmono(-1)])
     compare(
         "UX/UT",
         {"u": umono(), "x": fmono(), "t": fmono(-1)},
-        ux,
-        ut,
+        [base_img("UX"), img_x],
+        [base_img("UT"), invert_unit(img_t_in_x)],
     )
 
     # VY meets VS: fiber coordinate y, s = 1/y (V-side base coordinate w kept)
     img_y = L.charts["VY"].image_of_var(1)
-    img_s_in_y = _rewrite(L.charts["VS"].image_of_var(1), umono(), fmono(-1))
-    vy_w = _OverlapSide(base_img("VY"), img_y)
-    vs_w = _OverlapSide(base_img("VS"), invert_unit(img_s_in_y))
+    img_s_in_y = substitute(L.charts["VS"].image_of_var(1), [umono(), fmono(-1)])
     compare(
         "VY/VS",
         {"w": umono(), "y": fmono(), "s": fmono(-1)},
-        vy_w,
-        vs_w,
+        [base_img("VY"), img_y],
+        [base_img("VS"), invert_unit(img_s_in_y)],
     )
+
+    # the U-side lift on fiber-free overlap elements: F(a) and F(b)
+    ux_u = base_img("UX")
+    ux_a = substitute(a2, [ux_u, fmono()], coeff_map=frob)
+    ux_b = substitute(b2, [ux_u, fmono()], coeff_map=frob)
+    ux_a_inv = invert_unit(ux_a)
 
     # UX meets VY: overlap coords (u, y); x = a*y + b
     xelem = a2 * fmono() + b2
-    ux_u = base_img("UX")
-    ux_base = _OverlapSide(ux_u, fmono())  # for base-only elements
-    x_img_omega = _rewrite(img_x, umono(), xelem)
-    y_img_ux = (x_img_omega - ux_base.act(b2)) * invert_unit(ux_base.act(a2))
-    side_ux = _OverlapSide(ux_u, y_img_ux)
-
-    vy_u = v_side_u_image("VY")
-    y_img_vy = _rewrite(img_y, umono() if T.kind != "P1" else Poly.variable(wring, 2, 0, -1), fmono())
-    side_vy = _OverlapSide(vy_u, y_img_vy)
+    y_img_ux = (substitute(img_x, [umono(), xelem]) - ux_b) * ux_a_inv
+    side_vy = [v_side_u_image("VY"), substitute(img_y, [v_coord, fmono()])]
     compare(
         "UX/VY",
         {"u": umono(), "x": xelem, "y": fmono()},
-        side_ux,
+        [ux_u, y_img_ux],
         side_vy,
     )
 
-    # UX와 VS: overlap coords (u, s); x = a/s + b, y = 1/s
+    # UX meets VS: overlap coords (u, s); x = a/s + b, y = 1/s
     xelem_s = a2 * fmono(-1) + b2
-    x_img_omega_s = _rewrite(img_x, umono(), xelem_s)
-    y_img_ux_s = (x_img_omega_s - ux_base.act(b2)) * invert_unit(ux_base.act(a2))
-    side_ux_s = _OverlapSide(ux_u, invert_unit(y_img_ux_s))
-    vs_u = v_side_u_image("VS")
-    s_img_vs = _rewrite(
-        L.charts["VS"].image_of_var(1),
-        umono() if T.kind != "P1" else Poly.variable(wring, 2, 0, -1),
-        fmono(),
-    )
-    side_vs = _OverlapSide(vs_u, s_img_vs)
+    y_img_ux_s = (substitute(img_x, [umono(), xelem_s]) - ux_b) * ux_a_inv
+    s_img_vs = substitute(L.charts["VS"].image_of_var(1), [v_coord, fmono()])
+    side_vs = [v_side_u_image("VS"), s_img_vs]
     compare(
         "UX/VS",
         {"u": umono(), "x": xelem_s, "y": fmono(-1), "s": fmono()},
-        side_ux_s,
+        [ux_u, invert_unit(y_img_ux_s)],
         side_vs,
     )
 
     if b_zero:
-        # UT meets VY: overlap coords (u, y); t = 1/(a*y)
+        img_t = L.charts["UT"].image_of_var(1)
         ut_u = base_img("UT")
+
+        # UT meets VY: overlap coords (u, y); t = 1/(a*y)
         telem = a2_inv * fmono(-1)
-        t_img_omega = _rewrite(L.charts["UT"].image_of_var(1), umono(), telem)
-        ut_base = _OverlapSide(ut_u, fmono())
-        y_img_ut = ut_base.act(a2_inv) * invert_unit(t_img_omega)
-        side_ut = _OverlapSide(ut_u, y_img_ut)
+        y_img_ut = substitute(a2_inv, [ut_u, fmono()], coeff_map=frob) * invert_unit(
+            substitute(img_t, [umono(), telem])
+        )
         compare(
             "UT/VY",
             {"u": umono(), "t": telem, "y": fmono()},
-            side_ut,
+            [ut_u, y_img_ut],
             side_vy,
         )
 
         # UT meets VS: overlap coords (u, s); t = s/a
         telem_s = a2_inv * fmono()
-        t_img_omega_s = _rewrite(L.charts["UT"].image_of_var(1), umono(), telem_s)
-        s_img_ut = ut_base.act(a2) * t_img_omega_s
-        side_ut_s = _OverlapSide(ut_u, s_img_ut)
+        s_img_ut = substitute(a2, [ut_u, fmono()], coeff_map=frob) * substitute(
+            img_t, [umono(), telem_s]
+        )
         compare(
             "UT/VS",
             {"u": umono(), "t": telem_s, "s": fmono()},
-            side_ut_s,
+            [ut_u, s_img_ut],
             side_vs,
         )
     else:

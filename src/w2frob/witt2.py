@@ -605,27 +605,6 @@ def _zp2(p: int) -> Zp2Ring:
     return Zp2Ring(p)
 
 
-# ---------------------------------------------------------------------------
-# operation-style wrappers
-# ---------------------------------------------------------------------------
-
-
-def witt_add(u: WittPair, v: WittPair) -> WittPair:
-    if u.ring != v.ring:
-        raise CharMismatch("witt_add over mismatched rings")
-    return u.ring.add(u, v)
-
-
-def witt_mul(u: WittPair, v: WittPair) -> WittPair:
-    if u.ring != v.ring:
-        raise CharMismatch("witt_mul over mismatched rings")
-    return u.ring.mul(u, v)
-
-
-def witt_frobenius(u: WittPair) -> WittPair:
-    return u.frobenius()
-
-
 def witt_to_residue_ring(u: WittPair) -> Zp2Elem:
     """Independent model of W2(F_p): (a0, a1) -> a0^p + p*a1 in Z/p^2.
 

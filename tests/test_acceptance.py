@@ -1,240 +1,101 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
-Every criterion is exact (zero tolerance on values); the time budgets
-are asserted as stated.
+Every criterion is exact (zero tolerance on values) and runs the same
+sweeps as ``frobctl``, each from its own seed; the time budgets are
+asserted as stated.
 """
 
-import random
 import time
 
-from w2frob import (
-    GF,
-    W2,
-    DegreeTooHigh,
-    Poly,
-    SingularCurve,
-    WeierstrassCurve,
-    base_glue_consistency,
-    build_standard_lift,
-    classify_surface,
-    eta_axioms_check,
-    eta_between,
-    extend_chart,
-    extract_base_lift,
-    golden_table,
-    hasse_invariant,
-    hirzebruch_transition,
-    lift_space_dimension,
-    monomial_lemma_check,
-    phi_det,
-    standard_lift,
-    top_monomial,
-    TransitionData,
-    verify_gluing,
-    witt_to_residue_ring,
+from w2frob import golden_table
+from w2frob.sweeps import (
+    sweep_classify,
+    sweep_eta,
+    sweep_hasse,
+    sweep_monomial_lemma,
+    sweep_p1,
+    sweep_phi_det,
+    sweep_ruled,
+    sweep_witt,
 )
-from w2frob.randgen import random_chart_lift, random_exponent_matrix, random_poly
 
 
 def _report(n, label, detail, elapsed, budget):
     print(f"ACCEPTANCE {n}: PASS  {label}  ({detail}; {elapsed:.2f}s < {budget}s)")
 
 
+def _trials(checks):
+    """Total trials; fails with the failing checks unless every check passed."""
+    bad = [c for c in checks if not c["ok"] or c["passes"] != c["trials"]]
+    assert not bad, bad
+    return sum(c["trials"] for c in checks)
+
+
 def test_criterion_1_witt_oracle_equivalence():
     start = time.time()
-    rng = random.Random(1201)
-    mismatches = 0
-    pairs_checked = 0
-    for p in (2, 3):
-        ring = W2(p)
-        elems = list(ring.elements())
-        images = {witt_to_residue_ring(u).rep for u in elems}
-        assert len(images) == p * p
-        for u in elems:
-            for v in elems:
-                pairs_checked += 1
-                if witt_to_residue_ring(u + v) != witt_to_residue_ring(u) + witt_to_residue_ring(v):
-                    mismatches += 1
-                if witt_to_residue_ring(u * v) != witt_to_residue_ring(u) * witt_to_residue_ring(v):
-                    mismatches += 1
-    for p in (5, 7):
-        ring = W2(p)
-        elems = list(ring.elements())
-        images = {witt_to_residue_ring(u).rep for u in elems}
-        assert len(images) == p * p
-        for _ in range(10_000):
-            u, v = rng.choice(elems), rng.choice(elems)
-            pairs_checked += 1
-            if witt_to_residue_ring(u + v) != witt_to_residue_ring(u) + witt_to_residue_ring(v):
-                mismatches += 1
-            if witt_to_residue_ring(u * v) != witt_to_residue_ring(u) * witt_to_residue_ring(v):
-                mismatches += 1
+    # 10^4 >= p^4 for p <= 7: every pair of W2(F_p) is checked
+    pairs_checked = _trials(sweep_witt([2, 3, 5, 7], 10_000, 1201))
     elapsed = time.time() - start
-    assert mismatches == 0
+    assert pairs_checked == sum(p ** 4 for p in (2, 3, 5, 7))
     assert elapsed < 2.0
     _report(1, "Witt-ring oracle equivalence", f"{pairs_checked} pairs, 0 mismatches", elapsed, 2)
 
 
 def test_criterion_2_determinant_core():
     start = time.time()
-    rng = random.Random(1202)
-    failures = 0
-    trials = 0
-    for p in (2, 3, 5):
-        field = GF(p)
-        for n in (1, 2, 3):
-            for _ in range(500):
-                trials += 1
-                lift = random_chart_lift(rng, field, n)  # deg f_i <= p
-                det = phi_det(lift)
-                if det.is_zero() or det.coefficient_of(top_monomial(lift)) != field.one:
-                    failures += 1
+    trials = _trials(sweep_phi_det([2, 3, 5], [1, 2, 3], 500, 1202))
     elapsed = time.time() - start
-    assert failures == 0
+    assert trials == 4500
     assert elapsed < 60.0
     _report(2, "determinant core (coefficient 1, nonzero)", f"{trials} lifts", elapsed, 60)
 
 
 def test_criterion_3_monomial_lemma():
     start = time.time()
-    rng = random.Random(1203)
-    failures = 0
-    trials = 0
-    for p in (2, 3, 5):
-        for _ in range(1000):
-            trials += 1
-            n = rng.randint(1, 3)
-            m = rng.randint(1, n)
-            K = random_exponent_matrix(rng, p, m, n)
-            if not monomial_lemma_check(K, p).ok:
-                failures += 1
+    trials = _trials([c for p in (2, 3, 5) for c in sweep_monomial_lemma(p, 3, 1000, 1203)])
     elapsed = time.time() - start
-    assert failures == 0
+    assert trials == 3000
     assert elapsed < 60.0
     _report(3, "monomial lemma (brute force + closed form)", f"{trials} matrices", elapsed, 60)
 
 
 def test_criterion_4_eta_calculus():
     start = time.time()
-    rng = random.Random(1204)
-    failures = 0
-    pair_count = 0
-    for p in (2, 3):
-        field = GF(p)
-        for _ in range(50):
-            n = rng.randint(1, 2)
-            f1 = random_chart_lift(rng, field, n)
-            f2 = random_chart_lift(rng, field, n)
-            eta = eta_between(f1, f2)
-            for _ in range(100):
-                pair_count += 1
-                a = random_poly(rng, field, n, p, 3)
-                b = random_poly(rng, field, n, p, 3)
-                if not eta_axioms_check(eta, a, b).ok:
-                    failures += 1
+    pair_count = _trials([c for p in (2, 3) for c in sweep_eta(p, 50, 100, 1204)])
     elapsed = time.time() - start
     assert pair_count >= 100 * 100
-    assert failures == 0
     _report(4, "eta additivity + twisted Leibniz", f"{pair_count} element pairs", elapsed, 60)
 
 
 def test_criterion_5_degree_bound_both_directions():
     start = time.time()
-    mismatches = 0
-    checked = 0
-    for p in (2, 3, 5):
-        field = GF(p)
-        base = standard_lift(field, 0)
-        for d in range(3 * p + 1):
-            checked += 1
-            f = Poly.monomial(field, 1, (d,))
-            try:
-                extend_chart(base, f)
-                extended = True
-            except DegreeTooHigh:
-                extended = False
-            if extended != (d <= 2 * p):
-                mismatches += 1
-        if lift_space_dimension(p) != 2 * p + 1:
-            mismatches += 1
+    checked = _trials([c for p in (2, 3, 5) for c in sweep_p1(p)])
     elapsed = time.time() - start
-    assert mismatches == 0
+    assert checked == sum(3 * p + 1 for p in (2, 3, 5))
     _report(5, "degree bound 2p, both directions", f"{checked} monomials", elapsed, 60)
 
 
 def test_criterion_6_ruled_lifts():
     start = time.time()
-    rng = random.Random(1206)
-    failures = []
-    for p in (2, 3):
-        field = GF(p)
-        u = Poly.variable(field, 1, 0)
-        cases = [hirzebruch_transition(field, n) for n in (0, 2, 3)]
-        cases.append(TransitionData("A1", Poly.constant(field, 1, 1), u))
-        cases.append(TransitionData("Gm", u, u + Poly.monomial(field, 1, (-1,))))
-        for T in cases:
-            lift = build_standard_lift(T)
-            if not verify_gluing(lift).ok:
-                failures.append((p, T, "gluing"))
-            d = lift.h.degree_in(1)
-            if d is not None and d > p:
-                failures.append((p, T, "deg h"))
-            for key in ("UX", "UT", "VY", "VS"):
-                ext = extract_base_lift(lift.charts[key])
-                for tail in ext.tails.values():
-                    if not (tail * lift.charts[key].lift_ring.p_elem).is_zero():
-                        failures.append((p, T, "tail"))
-            consistency = base_glue_consistency(lift)
-            if not consistency.ok:
-                failures.append((p, T, "base consistency"))
-            eta = consistency.details["eta"]
-            for _ in range(25):
-                a = random_poly(rng, field, 1, p, 3)
-                b = random_poly(rng, field, 1, p, 3)
-                if not eta_axioms_check(eta, a, b).ok:
-                    failures.append((p, T, "eta axioms"))
+    surfaces = _trials([c for p in (2, 3) for c in sweep_ruled(p, 1206)])
     elapsed = time.time() - start
-    assert not failures, failures
+    assert surfaces == 10
     assert elapsed < 30.0
     _report(6, "ruled-surface standard lifts", "F_0/F_2/F_3, A1 and Gm shears, p in {2,3}", elapsed, 30)
 
 
 def test_criterion_7_classification_fidelity():
     start = time.time()
-    rows = golden_table()
-    assert len(rows) >= 16
-    mismatches = [
-        (d, e, classify_surface(d)) for d, e in rows if classify_surface(d) != e
-    ]
+    rows = _trials(sweep_classify())
     elapsed = time.time() - start
-    assert not mismatches, mismatches
-    _report(7, "classification theorem / table fidelity", f"{len(rows)} descriptors", elapsed, 60)
+    assert rows == len(golden_table()) >= 16
+    _report(7, "classification theorem / table fidelity", f"{rows} descriptors", elapsed, 60)
 
 
 def test_criterion_8_ordinarity_ground_truth():
     start = time.time()
-    mismatches = 0
-    curves = 0
-    for p in (5, 7, 11, 13):
-        ss_by_hasse = 0
-        ss_by_count = 0
-        for a in range(p):
-            for b in range(p):
-                try:
-                    E = WeierstrassCurve.short_form(p, a, b)
-                except SingularCurve:
-                    continue
-                curves += 1
-                by_hasse = not hasse_invariant(E).is_zero()
-                by_count = E.trace() % p != 0
-                if by_hasse != by_count:
-                    mismatches += 1
-                ss_by_hasse += not by_hasse
-                ss_by_count += not by_count
-        if ss_by_hasse != ss_by_count:
-            mismatches += 1
+    curves = _trials(sweep_hasse([5, 7, 11, 13]))
     elapsed = time.time() - start
-    assert mismatches == 0
     assert elapsed < 30.0
     _report(8, "Hasse invariant vs point counting", f"{curves} curves over 4 primes", elapsed, 30)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+from w2frob import sweeps
 from w2frob.cli import run_command
 
 
@@ -77,6 +79,19 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     code = run_command(["p1-lift", "--p", "2", "--f", "x1^^"])
     assert code == 2
+    for argv in (
+        ["witt-check", "--p-list", "5", "--trials", "-5"],
+        ["verify-lemma", "--p", "2", "--trials", "0"],
+        ["sweep-all", "--trials-scale", "0"],
+        ["witt-check", "--p-list", "a"],
+        ["phi-det", "--p", "2", "--n", "0"],
+        ["phi-det", "--p", "2", "--n", "5"],
+        ["verify-lemma", "--p", "2", "--n", "4"],
+        ["classify", "--json", "[1]"],
+        ["classify", "--json", '{"class":"rational_Fn","p":5,"n":"x"}'],
+    ):
+        capsys.readouterr()
+        assert run_command(argv) == 2, argv
 
 
 def test_reports_are_deterministic(capsys):
@@ -102,3 +117,21 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(target.read_text())
     assert data["ok"]
+
+
+def test_sweep_all_report_is_pinned(capsys):
+    # the report bytes are part of the contract; a change to them must be deliberate
+    assert run_command(["sweep-all", "--seed", "42"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "d52781c4767bc653cf3d855624e7c0837e8ad177c3d01b67907081e0c3ad5148"
+
+
+def test_passes_count_trials_without_failure(monkeypatch):
+    # a shifted model breaks add on every pair and mul on most, so many
+    # trials carry two failures; passes still counts trials, not failures
+    real = sweeps.witt_to_residue_ring
+    monkeypatch.setattr(sweeps, "witt_to_residue_ring", lambda u: real(u) + 1)
+    for check in sweeps.sweep_witt([2, 3], 10, 1):
+        assert 0 <= check["passes"] <= check["trials"]
+        assert not check["ok"]
+    assert not sweeps.sweep_phi_det([2], [1], 0, 1)[0]["ok"]  # zero trials

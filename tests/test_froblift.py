@@ -3,27 +3,25 @@ import pytest
 from w2frob import (
     GF,
     W2,
+    AffineChartLift,
     EtaFunction,
     Poly,
     RangeError,
     ShapeError,
     UnsupportedShape,
     apply_lift,
-    coefficient_of,
     divide_by_p,
     eta_axioms_check,
     eta_between,
     lift_from_json,
     lift_to_json,
     low_decomposition,
-    make_lift,
     monomial_lemma_check,
     phi_det,
     phi_matrix,
     poly_from_str,
     standard_lift,
     top_monomial,
-    witt_frobenius,
     witt_to_residue_ring,
 )
 from w2frob.randgen import random_chart_lift, random_poly
@@ -36,7 +34,7 @@ def P(ring, nvars, s):
 # -- construction -------------------------------------------------------------
 
 
-def test_make_lift_standard():
+def test_standard_lift_images():
     F3 = GF(3)
     L = standard_lift(F3, 2)
     for i in range(2):
@@ -44,24 +42,24 @@ def test_make_lift_standard():
         assert img == Poly.variable(L.lift_ring, 2, i, 3)
 
 
-def test_make_lift_examples():
+def test_chart_lift_examples():
     F2 = GF(2)
-    L = make_lift(F2, 1, (False,), (P(F2, 1, "x^3"),))
+    L = AffineChartLift(F2, 1, (False,), (P(F2, 1, "x^3"),))
     ring = L.lift_ring
     assert L.image_of_var(0) == Poly.variable(ring, 1, 0, 2) + Poly.monomial(
         ring, 1, (3,), ring.p_elem
     )
     # Laurent correction on an inverted chart
-    make_lift(F2, 1, (True,), (P(F2, 1, "x^-1"),))
+    AffineChartLift(F2, 1, (True,), (P(F2, 1, "x^-1"),))
     with pytest.raises(UnsupportedShape):
-        make_lift(F2, 1, (False,), (P(F2, 1, "x^-1"),))
+        AffineChartLift(F2, 1, (False,), (P(F2, 1, "x^-1"),))
     with pytest.raises(ShapeError):
-        make_lift(F2, 2, (False, False), (Poly.zero(F2, 2),))
+        AffineChartLift(F2, 2, (False, False), (Poly.zero(F2, 2),))
 
 
 def test_laurent_image_is_unit():
     F2 = GF(2)
-    L = make_lift(F2, 1, (True,), (P(F2, 1, "x^-1"),))
+    L = AffineChartLift(F2, 1, (True,), (P(F2, 1, "x^-1"),))
     img = L.image_of_var(0)
     inv = L.image_of_var_power(0, -1)
     assert img * inv == Poly.constant(L.lift_ring, 1, 1)
@@ -80,25 +78,49 @@ def test_apply_standard_sends_x_to_xp():
 def test_apply_lift_square_example():
     # F(x) = x^2 + 2x^3 over Z/4-like ring: F(x^2) = x^4 exactly
     F2 = GF(2)
-    L = make_lift(F2, 1, (False,), (P(F2, 1, "x^3"),))
+    L = AffineChartLift(F2, 1, (False,), (P(F2, 1, "x^3"),))
     ring = L.lift_ring
     assert apply_lift(L, Poly.variable(ring, 1, 0, 2)) == Poly.variable(ring, 1, 0, 4)
 
 
-def test_apply_lift_constants_follow_witt_frobenius():
+def test_apply_lift_constants_follow_frobenius():
     for q in [(2, 1), (3, 1), (2, 2)]:
         ring = W2(*q)
         F = GF(*q)
         L = standard_lift(F, 1)
         for c in list(ring.elements())[: 9]:
             got = apply_lift(L, Poly.constant(ring, 1, c))
-            assert got == Poly.constant(ring, 1, witt_frobenius(c))
+            assert got == Poly.constant(ring, 1, c.frobenius())
     # over the prime field the action is the identity of Z/p^2
     ring = W2(3)
     L = standard_lift(GF(3), 1)
     for c in ring.elements():
         got = apply_lift(L, Poly.constant(ring, 1, c)).constant_term()
         assert witt_to_residue_ring(got) == witt_to_residue_ring(c)
+
+
+def test_apply_lift_on_laurent_chart(rng):
+    F3 = GF(3)
+    L = AffineChartLift(F3, 2, (True, False), (P(F3, 2, "x1^-1+x2"), P(F3, 2, "2*x1^-2*x2")))
+    ring = L.lift_ring
+    x, x_inv = Poly.variable(ring, 2, 0), Poly.variable(ring, 2, 0, -1)
+    assert apply_lift(L, x_inv) * apply_lift(L, x) == Poly.constant(ring, 2, 1)
+
+    def laurent():
+        return Poly(ring, 2, {(rng.randint(-2, 2), rng.randint(0, 2)): ring.random(rng) for _ in range(3)})
+
+    for _ in range(20):
+        a, b = laurent(), laurent()
+        assert apply_lift(L, a + b) == apply_lift(L, a) + apply_lift(L, b)
+        assert apply_lift(L, a * b) == apply_lift(L, a) * apply_lift(L, b)
+
+
+def test_apply_lift_on_zero_variable_chart():
+    for q in [(2, 1), (3, 1), (2, 2)]:
+        L = standard_lift(GF(*q), 0)
+        for c in L.lift_ring.elements():
+            got = apply_lift(L, Poly.constant(L.lift_ring, 0, c))
+            assert got == Poly.constant(L.lift_ring, 0, c.frobenius())
 
 
 def test_apply_lift_is_ring_homomorphism(rng):
@@ -118,7 +140,7 @@ def test_apply_lift_is_ring_homomorphism(rng):
 
 def test_eta_zero_for_equal_lifts():
     F2 = GF(2)
-    L = make_lift(F2, 1, (False,), (P(F2, 1, "x^3"),))
+    L = AffineChartLift(F2, 1, (False,), (P(F2, 1, "x^3"),))
     eta = eta_between(L, L)
     assert eta.is_zero()
 
@@ -126,7 +148,7 @@ def test_eta_zero_for_equal_lifts():
 def test_eta_between_definition():
     F2 = GF(2)
     L0 = standard_lift(F2, 1)
-    L1 = make_lift(F2, 1, (False,), (P(F2, 1, "x^3"),))
+    L1 = AffineChartLift(F2, 1, (False,), (P(F2, 1, "x^3"),))
     eta = eta_between(L0, L1)
     assert eta.values[0] == P(F2, 1, "x^3")
     # both evaluation paths on x^2: closed form and the lift difference
@@ -157,7 +179,7 @@ def test_eta_axioms_on_random_pairs(rng):
 def test_corrupted_eta_fails():
     F2 = GF(2)
     L0 = standard_lift(F2, 1)
-    L1 = make_lift(F2, 1, (False,), (P(F2, 1, "x^3"),))
+    L1 = AffineChartLift(F2, 1, (False,), (P(F2, 1, "x^3"),))
     eta = eta_between(L0, L1)
     bad = EtaFunction(
         F2, 1, (False,), (eta.values[0] + Poly.constant(F2, 1, 1),), sources=eta.sources
@@ -182,13 +204,13 @@ def test_phi_matrix_standard_is_diagonal():
 
 def test_phi_matrix_univariate_example():
     F2 = GF(2)
-    L = make_lift(F2, 1, (False,), (P(F2, 1, "x^3"),))
+    L = AffineChartLift(F2, 1, (False,), (P(F2, 1, "x^3"),))
     assert phi_matrix(L)[0, 0] == P(F2, 1, "x^2+x")
 
 
 def test_phi_matrix_swap_example():
     F2 = GF(2)
-    L = make_lift(F2, 2, (False, False), (P(F2, 2, "x2"), P(F2, 2, "x1")))
+    L = AffineChartLift(F2, 2, (False, False), (P(F2, 2, "x2"), P(F2, 2, "x1")))
     M = phi_matrix(L)
     assert M[0, 0] == Poly.variable(F2, 2, 0)
     assert M[0, 1] == Poly.constant(F2, 2, 1)
@@ -197,7 +219,7 @@ def test_phi_matrix_swap_example():
     det = phi_det(L)
     assert det == P(F2, 2, "x1*x2+1")
     assert not det.is_zero()
-    assert coefficient_of(det, (1, 1)) == F2.one
+    assert det.coefficient_of((1, 1)) == F2.one
 
 
 def test_phi_det_invariant_under_transpose(rng):
@@ -237,7 +259,7 @@ def test_low_decomposition_terms_do_not_touch_top_coefficient(rng):
             for f in L.corrections:
                 f_low, _ = low_decomposition(f, p)
                 lows.append(f_low)
-            L_low = make_lift(F, n, (False,) * n, lows)
+            L_low = AffineChartLift(F, n, (False,) * n, lows)
             target = top_monomial(L)
             assert phi_det(L).coefficient_of(target) == phi_det(L_low).coefficient_of(target)
 

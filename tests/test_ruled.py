@@ -14,7 +14,6 @@ from w2frob import (
     eta_axioms_check,
     extract_base_lift,
     hirzebruch_transition,
-    make_lift,
     poly_from_str,
     verify_gluing,
 )
@@ -148,7 +147,7 @@ def test_extract_synthetic_fiber_dependence():
     # F(u) = u^p + p*x on k[u][x]: degree-0 part is the standard base lift,
     # the tail coefficient is p*1 and is killed by p
     F2 = GF(2)
-    chart = make_lift(F2, 2, (False, False), (P(F2, 2, "x2"), Poly.zero(F2, 2)))
+    chart = AffineChartLift(F2, 2, (False, False), (P(F2, 2, "x2"), Poly.zero(F2, 2)))
     ext = extract_base_lift(chart)
     assert ext.f0.corrections[0].is_zero()
     ring = chart.lift_ring
@@ -165,7 +164,7 @@ def test_extract_random_chart_lifts(rng):
         for _ in range(120):
             g_base = random_poly(rng, F, 2, p, 3)  # may involve the fiber
             g_fiber = random_poly(rng, F, 2, p, 3)
-            chart = make_lift(F, 2, (False, False), (g_base, g_fiber))
+            chart = AffineChartLift(F, 2, (False, False), (g_base, g_fiber))
             ext = extract_base_lift(chart)  # raises InvariantViolation on failure
             for (i, k), tail in ext.tails.items():
                 assert k >= 1
