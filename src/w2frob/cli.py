@@ -20,7 +20,9 @@ from .errors import (
     DescriptorError,
     ParseError,
     SingularCurve,
+    UnitError,
     UnsupportedField,
+    UnsupportedShape,
 )
 from .froblift import standard_lift
 from .polyalg import Poly, poly_from_str, poly_to_str
@@ -43,9 +45,13 @@ from .sweeps import (
     sweep_ruled,
     sweep_witt,
 )
-from .witt2 import GF
+from .witt2 import GF, check_prime_char
 
 SCHEMA = 1
+
+
+class UsageError(AlgebraError):
+    """Arguments that parse but do not describe a valid input of the command."""
 
 
 def _default_seed() -> int:
@@ -93,6 +99,8 @@ def _cmd_p1_lift(args) -> tuple:
     f = poly_from_str(field, 1, args.f)
     try:
         g = extend_chart(base, f)
+    except UnsupportedShape as exc:  # f is not a polynomial in x
+        raise UsageError(str(exc)) from exc
     except DegreeTooHigh as exc:
         report = _report(
             "p1-lift",
@@ -123,12 +131,15 @@ def _cmd_p1_lift(args) -> tuple:
 
 def _cmd_ruled_lift(args) -> tuple:
     field = GF(args.p)
-    if args.base == "P1":
-        T = hirzebruch_transition(field, args.n)
-    else:
-        a = Poly.monomial(field, 1, (args.n,), field.from_int(args.a_const))
-        b = poly_from_str(field, 1, args.b)
-        T = TransitionData(args.base, a, b)
+    try:
+        if args.base == "P1":
+            T = hirzebruch_transition(field, args.n)
+        else:
+            a = Poly.monomial(field, 1, (args.n,), field.from_int(args.a_const))
+            b = poly_from_str(field, 1, args.b)
+            T = TransitionData(args.base, a, b)
+    except (UnitError, UnsupportedShape) as exc:
+        raise UsageError(str(exc)) from exc
     lift = build_standard_lift(T)
     glue = verify_gluing(lift)
     consistency = base_glue_consistency(lift)
@@ -216,6 +227,14 @@ def _bounded_int(lo: int, hi: int = None):
     return parse
 
 
+def _prime(s: str) -> int:
+    """argparse type: a characteristic the package supports."""
+    try:
+        return check_prime_char(int(s))
+    except UnsupportedField as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _p_list(s: str) -> list:
     """argparse type: a nonempty comma-separated list of integers."""
     try:
@@ -242,21 +261,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_witt_check)
 
     sp = sub.add_parser("verify-lemma", help="column-sum lemma on random exponent matrices")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_prime, required=True)
     sp.add_argument("--n", type=_bounded_int(1, 3), default=3)
     sp.add_argument("--trials", type=_bounded_int(1), default=1000)
     sp.add_argument("--seed", type=int, default=_default_seed())
     sp.set_defaults(func=_cmd_verify_lemma)
 
     sp = sub.add_parser("phi-det", help="determinant core on random chart lifts")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_prime, required=True)
     sp.add_argument("--n", type=_bounded_int(1, 4), default=2)
     sp.add_argument("--trials", type=_bounded_int(1), default=500)
     sp.add_argument("--seed", type=int, default=_default_seed())
     sp.set_defaults(func=_cmd_phi_det)
 
     sp = sub.add_parser("p1-lift", help="extend a correction across the two charts")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_prime, required=True)
     sp.add_argument("--f", required=True, help="correction polynomial in x")
     sp.set_defaults(func=_cmd_p1_lift)
 
@@ -265,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=0, help="monomial exponent of a")
     sp.add_argument("--a-const", type=int, default=1, dest="a_const")
     sp.add_argument("--b", default="0", help="transition offset b as a polynomial in x1")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_prime, required=True)
     sp.set_defaults(func=_cmd_ruled_lift)
 
     sp = sub.add_parser("classify", help="liftability verdict for a surface descriptor")
@@ -273,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("hasse", help="Hasse invariant and ordinarity of a curve")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_prime, required=True)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.set_defaults(func=_cmd_hasse)
@@ -300,6 +319,7 @@ def run_command(argv) -> int:
         DescriptorError,
         SingularCurve,
         UnsupportedField,
+        UsageError,
         json.JSONDecodeError,
     ) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc), "ok": False}, indent=2))

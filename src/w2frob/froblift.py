@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .errors import RangeError, ShapeError, UnsupportedShape
+from .errors import ParseError, RangeError, ShapeError, UnsupportedShape
 from .polyalg import (
     Poly,
     PolyMatrix,
@@ -41,12 +41,6 @@ class CheckResult:
     ok: bool
     failures: list = dc_field(default_factory=list)
     details: dict = dc_field(default_factory=dict)
-
-    def merge(self, other: "CheckResult") -> "CheckResult":
-        return CheckResult(
-            self.ok and other.ok, self.failures + other.failures,
-            {**self.details, **other.details},
-        )
 
 
 class AffineChartLift:
@@ -215,8 +209,9 @@ def eta_axioms_check(eta: EtaFunction, a: Poly, b: Poly) -> CheckResult:
     lhs_eval = eta.via_lifts if eta.sources is not None else eta
     failures = []
 
+    eta_a, eta_b = eta(a), eta(b)
     lhs = lhs_eval(a + b)
-    rhs = eta(a) + eta(b)
+    rhs = eta_a + eta_b
     if lhs != rhs:
         failures.append(
             {
@@ -229,7 +224,7 @@ def eta_axioms_check(eta: EtaFunction, a: Poly, b: Poly) -> CheckResult:
         )
 
     lhs = lhs_eval(a * b)
-    rhs = frobenius_substitute(a) * eta(b) + frobenius_substitute(b) * eta(a)
+    rhs = frobenius_substitute(a) * eta_b + frobenius_substitute(b) * eta_a
     if lhs != rhs:
         failures.append(
             {
@@ -372,8 +367,10 @@ def lift_from_json(s: str) -> AffineChartLift:
     d = json.loads(s)
     p, q = d["p"], d["q"]
     m = 1
-    while p ** m < q:
+    while p > 1 and p ** m < q:
         m += 1
+    if p ** m != q:
+        raise ParseError(f"q = {q} is not a power of p = {p}")
     field = GF(p, m)
     nvars = d["nvars"]
     corrections = [poly_from_str(field, nvars, c) for c in d["corrections"]]

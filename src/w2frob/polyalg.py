@@ -200,12 +200,6 @@ class Poly:
     def constant_term(self):
         return self.coefficient_of((0,) * self.nvars)
 
-    def total_degree(self):
-        """Max over terms of the exponent sum; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(m) for m in self.terms)
-
     def degree_in(self, i: int):
         """Largest exponent of variable i; None for the zero polynomial."""
         if not self.terms:
@@ -332,6 +326,12 @@ def substitute(
         mapped = coeff_map(c) if coeff_map is not None else c
         result = result + term * mapped
     return result
+
+
+def flip_variable(f: Poly, i: int) -> Poly:
+    """x_i -> 1/x_i: the substitution by monomial images, as an exponent negation."""
+    terms = {m[:i] + (-m[i],) + m[i + 1:]: c for m, c in f.terms.items()}
+    return Poly(f.ring, f.nvars, terms)
 
 
 def frobenius_substitute(f: Poly) -> Poly:

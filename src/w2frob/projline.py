@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import DegreeTooHigh, InvariantViolation, ShapeError, UnsupportedShape
 from .froblift import AffineChartLift, CheckResult, standard_lift
-from .polyalg import Poly, embed_times_p, poly_to_str
+from .polyalg import Poly, embed_times_p, flip_variable, poly_to_str
 from .witt2 import GF
 
 
@@ -42,9 +42,6 @@ class P1Lift:
     def x_chart(self) -> AffineChartLift:
         """The full (base + fiber) chart lift on A[x]."""
         return _fiber_chart(self.base, self.f)
-
-    def y_chart(self) -> AffineChartLift:
-        return _fiber_chart(self.base, extend_chart(self.base, self.f))
 
     def __repr__(self):
         return f"P1Lift(p={self.base.p}, f={poly_to_str(self.f)})"
@@ -124,7 +121,7 @@ def verify_p1_lift(L: P1Lift) -> CheckResult:
     n = L.nvars
     fx = Poly.variable(ring, n, fiber, base.p) + embed_times_p(L.f, ring)
     fy_sub = Poly.variable(ring, n, fiber, -base.p) + embed_times_p(
-        _flip_fiber(g, fiber), ring
+        flip_variable(g, fiber), ring
     )
     prod = fx * fy_sub
     if prod != Poly.constant(ring, n, ring.one):
@@ -136,11 +133,6 @@ def verify_p1_lift(L: P1Lift) -> CheckResult:
             }
         )
     return CheckResult(not failures, failures, {"y_correction": poly_to_str(g)})
-
-
-def _flip_fiber(f: Poly, fiber: int) -> Poly:
-    terms = {m[:fiber] + (-m[fiber],) + m[fiber + 1:]: c for m, c in f.terms.items()}
-    return Poly(f.ring, f.nvars, terms)
 
 
 def lift_space_dimension(p: int) -> int:

@@ -31,6 +31,7 @@ from .polyalg import (
     Poly,
     canonical_lift,
     divide_by_p,
+    flip_variable,
     invert_unit,
     poly_to_str,
     reduce_mod_p,
@@ -113,8 +114,7 @@ class BaseLift:
 
 def standard_base_lift(field: FiniteField, kind: str) -> BaseLift:
     """u -> u^p on every base chart."""
-    mask = (_CHART_MASK[kind],) if kind != "P1" else (False,)
-    return BaseLift(kind, standard_lift(field, 1, mask))
+    return BaseLift(kind, standard_lift(field, 1, (_CHART_MASK[kind],)))
 
 
 @dataclass
@@ -141,22 +141,9 @@ class RuledLift:
         return out
 
 
-def _embed2(f: Poly, slot: int = 0) -> Poly:
-    """One-variable polynomial into two variables, occupying the given slot."""
-    if slot == 0:
-        terms = {m + (0,): c for m, c in f.terms.items()}
-    else:
-        terms = {(0,) + m: c for m, c in f.terms.items()}
-    return Poly(f.ring, 2, terms)
-
-
-def _drop_fiber(f: Poly) -> Poly:
-    terms = {}
-    for m, c in f.terms.items():
-        if m[1] != 0:
-            raise ShapeError("polynomial still depends on the fiber variable")
-        terms[(m[0],)] = c
-    return Poly(f.ring, 1, terms)
+def _embed2(f: Poly) -> Poly:
+    """One-variable polynomial into two variables, occupying the base slot."""
+    return Poly(f.ring, 2, {m + (0,): c for m, c in f.terms.items()})
 
 
 def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
@@ -172,13 +159,12 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
     fu = baseF.chart_U.corrections[0]
     fv = baseF.chart_V.corrections[0]
 
-    chart_mask_U = (_CHART_MASK[T.kind] if T.kind != "P1" else False, False)
-    chart_mask_V = (_CHART_MASK[T.kind] if T.kind != "P1" else False, False)
+    chart_mask = (_CHART_MASK[T.kind], False)
 
     # U-side charts: x -> x^p exactly, t-chart forced by the extension
     zero2 = Poly.zero(field, 2)
-    chart_ux = AffineChartLift(field, 2, chart_mask_U, (_embed2(fu), zero2))
-    chart_ut = AffineChartLift(field, 2, chart_mask_U, (_embed2(fu), zero2))
+    chart_ux = AffineChartLift(field, 2, chart_mask, (_embed2(fu), zero2))
+    chart_ut = AffineChartLift(field, 2, chart_mask, (_embed2(fu), zero2))
 
     # V-side fiber image, computed on the overlap:
     #   F(y) = ((a~*y + b~)^p - F(b~)) * F(a~)^(-1)
@@ -206,10 +192,10 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
         raise InvariantViolation(f"fiber degree of h is {deg_h} > p = {p}")
 
     h_chart = _to_v_coords(h_overlap, T.kind)
-    chart_vy = AffineChartLift(field, 2, chart_mask_V, (_embed2(fv), h_chart))
+    chart_vy = AffineChartLift(field, 2, chart_mask, (_embed2(fv), h_chart))
     # s-chart via the degree-bound extension (deg_y h <= p <= 2p always holds)
     g_s = extend_chart(baseF.chart_V, h_chart)
-    chart_vs = AffineChartLift(field, 2, chart_mask_V, (_embed2(fv), g_s))
+    chart_vs = AffineChartLift(field, 2, chart_mask, (_embed2(fv), g_s))
 
     return RuledLift(
         transition=T,
@@ -244,39 +230,37 @@ def _to_v_coords(f: Poly, kind: str) -> Poly:
 def verify_gluing(L: RuledLift) -> CheckResult:
     """Exact agreement of all chart maps on the pairwise overlaps.
 
-    Each side of an overlap is the list of images of the two overlap
-    coordinates under that chart's lift; the lift acts on an overlap
-    element by substituting them, with the Witt Frobenius on coefficients.
-    Overlaps whose transition is not expressible with monomial units
-    (the t-side against the V charts when b != 0) are implied by the
-    directly checked ones and reported as such.
+    Each overlap ring is generated by two coordinates, the base
+    coordinate and one fiber coordinate, together with inverses of units.
+    A chart lift acts on it as the ring map that sends those two
+    coordinates to their images and the coefficients through the Witt
+    Frobenius, so two chart lifts agree on the overlap exactly when the
+    two coordinate images agree; every other overlap function (x = a*y + b,
+    t = 1/x, ...) then agrees as well.  Each checked overlap compares the
+    two images computed from either side, with one witness per image that
+    differs.  An overlap related to another by a monomial change of
+    coordinates (y = 1/s, v = 1/u) takes its images from the other's by
+    flipping that variable.  Overlaps whose transition is not expressible
+    with monomial units (the t-side against the V charts when b != 0) are
+    implied by the directly checked ones and reported as such.
     """
     T = L.transition
     field = L.field
     wring = L.charts["UX"].lift_ring
     frob = WittPair.frobenius
     b_zero = T.b.is_zero()
+    on_p1 = T.kind == "P1"
     a2 = _embed2(canonical_lift(T.a, wring))
     b2 = _embed2(canonical_lift(T.b, wring))
-    a2_inv = invert_unit(a2)
+    u = Poly.variable(wring, 2, 0)
+    y = Poly.variable(wring, 2, 1)
 
     failures = []
     checked, implied = [], []
 
-    def umono():
-        return Poly.variable(wring, 2, 0)
-
-    def fmono(e=1):
-        return Poly.variable(wring, 2, 1, e)
-
-    # the V-side base coordinate on the overlap: u itself, or 1/u over P1
-    v_coord = umono() if T.kind != "P1" else Poly.variable(wring, 2, 0, -1)
-
     def compare(name, coords, side_a, side_b):
         checked.append(name)
-        for cname, elem in coords.items():
-            lhs = substitute(elem, side_a, coeff_map=frob)
-            rhs = substitute(elem, side_b, coeff_map=frob)
+        for cname, lhs, rhs in zip(coords, side_a, side_b):
             if lhs != rhs:
                 failures.append(
                     {
@@ -289,13 +273,15 @@ def verify_gluing(L: RuledLift) -> CheckResult:
 
     def base_img(chart_key):
         # base images are fiber-free; reinterpret them on the overlap
-        return _embed2(_drop_fiber(L.charts[chart_key].image_of_var(0)))
+        return _embed2(_strip_var(L.charts[chart_key].image_of_var(0), 1))
+
+    def v_side(img):
+        # a V-chart polynomial on the overlap, whose base coordinate is 1/u over P1
+        return flip_variable(img, 0) if on_p1 else img
 
     def v_side_u_image(chart_key):
-        if T.kind != "P1":
-            return base_img(chart_key)
-        # v = 1/u: rewrite and invert
-        return invert_unit(substitute(base_img(chart_key), [v_coord, fmono()]))
+        img = v_side(base_img(chart_key))
+        return invert_unit(img) if on_p1 else img
 
     # mod-p sanity: every chart map lifts the Frobenius
     for key, chart in L.charts.items():
@@ -311,82 +297,43 @@ def verify_gluing(L: RuledLift) -> CheckResult:
                     }
                 )
 
-    # UX meets UT: fiber coordinate x, t = 1/x
+    # UX meets UT: overlap coords (u, x); t = 1/x
     img_x = L.charts["UX"].image_of_var(1)
-    img_t_in_x = substitute(L.charts["UT"].image_of_var(1), [umono(), fmono(-1)])
-    compare(
-        "UX/UT",
-        {"u": umono(), "x": fmono(), "t": fmono(-1)},
-        [base_img("UX"), img_x],
-        [base_img("UT"), invert_unit(img_t_in_x)],
-    )
+    x_img_ut = invert_unit(flip_variable(L.charts["UT"].image_of_var(1), 1))
+    compare("UX/UT", ("u", "x"), [base_img("UX"), img_x], [base_img("UT"), x_img_ut])
 
-    # VY meets VS: fiber coordinate y, s = 1/y (V-side base coordinate w kept)
+    # VY meets VS: overlap coords (w, y); s = 1/y (V-side base coordinate w kept)
     img_y = L.charts["VY"].image_of_var(1)
-    img_s_in_y = substitute(L.charts["VS"].image_of_var(1), [umono(), fmono(-1)])
-    compare(
-        "VY/VS",
-        {"w": umono(), "y": fmono(), "s": fmono(-1)},
-        [base_img("VY"), img_y],
-        [base_img("VS"), invert_unit(img_s_in_y)],
-    )
+    y_img_vs = invert_unit(flip_variable(L.charts["VS"].image_of_var(1), 1))
+    compare("VY/VS", ("w", "y"), [base_img("VY"), img_y], [base_img("VS"), y_img_vs])
 
     # the U-side lift on fiber-free overlap elements: F(a) and F(b)
     ux_u = base_img("UX")
-    ux_a = substitute(a2, [ux_u, fmono()], coeff_map=frob)
-    ux_b = substitute(b2, [ux_u, fmono()], coeff_map=frob)
-    ux_a_inv = invert_unit(ux_a)
+    ux_a = substitute(a2, [ux_u, y], coeff_map=frob)
+    ux_b = substitute(b2, [ux_u, y], coeff_map=frob)
 
     # UX meets VY: overlap coords (u, y); x = a*y + b
-    xelem = a2 * fmono() + b2
-    y_img_ux = (substitute(img_x, [umono(), xelem]) - ux_b) * ux_a_inv
-    side_vy = [v_side_u_image("VY"), substitute(img_y, [v_coord, fmono()])]
-    compare(
-        "UX/VY",
-        {"u": umono(), "x": xelem, "y": fmono()},
-        [ux_u, y_img_ux],
-        side_vy,
-    )
+    y_img_ux = (substitute(img_x, [u, a2 * y + b2]) - ux_b) * invert_unit(ux_a)
+    side_vy = [v_side_u_image("VY"), v_side(img_y)]
+    compare("UX/VY", ("u", "y"), [ux_u, y_img_ux], side_vy)
 
-    # UX meets VS: overlap coords (u, s); x = a/s + b, y = 1/s
-    xelem_s = a2 * fmono(-1) + b2
-    y_img_ux_s = (substitute(img_x, [umono(), xelem_s]) - ux_b) * ux_a_inv
-    s_img_vs = substitute(L.charts["VS"].image_of_var(1), [v_coord, fmono()])
-    side_vs = [v_side_u_image("VS"), s_img_vs]
-    compare(
-        "UX/VS",
-        {"u": umono(), "x": xelem_s, "y": fmono(-1), "s": fmono()},
-        [ux_u, invert_unit(y_img_ux_s)],
-        side_vs,
-    )
+    # UX meets VS: overlap coords (u, s); y = 1/s
+    side_vs = [v_side_u_image("VS"), v_side(L.charts["VS"].image_of_var(1))]
+    compare("UX/VS", ("u", "s"), [ux_u, invert_unit(flip_variable(y_img_ux, 1))], side_vs)
 
     if b_zero:
-        img_t = L.charts["UT"].image_of_var(1)
         ut_u = base_img("UT")
+        a2_inv = invert_unit(a2)
 
         # UT meets VY: overlap coords (u, y); t = 1/(a*y)
-        telem = a2_inv * fmono(-1)
-        y_img_ut = substitute(a2_inv, [ut_u, fmono()], coeff_map=frob) * invert_unit(
-            substitute(img_t, [umono(), telem])
-        )
-        compare(
-            "UT/VY",
-            {"u": umono(), "t": telem, "y": fmono()},
-            [ut_u, y_img_ut],
-            side_vy,
-        )
+        t_in_y = a2_inv * Poly.variable(wring, 2, 1, -1)
+        img_t = substitute(L.charts["UT"].image_of_var(1), [u, t_in_y])
+        y_img_ut = substitute(a2_inv, [ut_u, y], coeff_map=frob) * invert_unit(img_t)
+        compare("UT/VY", ("u", "y"), [ut_u, y_img_ut], side_vy)
 
-        # UT meets VS: overlap coords (u, s); t = s/a
-        telem_s = a2_inv * fmono()
-        s_img_ut = substitute(a2, [ut_u, fmono()], coeff_map=frob) * substitute(
-            img_t, [umono(), telem_s]
-        )
-        compare(
-            "UT/VS",
-            {"u": umono(), "t": telem_s, "s": fmono()},
-            [ut_u, s_img_ut],
-            side_vs,
-        )
+        # UT meets VS: overlap coords (u, s); y = 1/s
+        s_img_ut = invert_unit(flip_variable(y_img_ut, 1))
+        compare("UT/VS", ("u", "s"), [ut_u, s_img_ut], side_vs)
     else:
         implied = ["UT/VY", "UT/VS"]
 
@@ -460,6 +407,11 @@ def _strip_var(f: Poly, i: int) -> Poly:
     return Poly(f.ring, f.nvars - 1, terms)
 
 
+def _fiber_degree_0(f: Poly) -> Poly:
+    """The fiber-degree-0 part of a two-variable polynomial, as a base polynomial."""
+    return _strip_var(f.collect_by_var(1).get(0, Poly.zero(f.ring, 2)), 1)
+
+
 def base_glue_consistency(L: RuledLift) -> CheckResult:
     """The two base lifts read off the U and V sides differ by p*eta.
 
@@ -476,22 +428,15 @@ def base_glue_consistency(L: RuledLift) -> CheckResult:
     b2 = _embed2(canonical_lift(T.b, wring))
 
     img_u = L.charts["UX"].image_of_var(0)
-    f0_poly = _strip_var(
-        img_u.collect_by_var(1).get(0, Poly.zero(wring, 2)), 1
-    )
+    f0_poly = _fiber_degree_0(img_u)
 
     xelem = a2 * Poly.variable(wring, 2, 1) + b2
-    pushed = substitute(img_u, [Poly.variable(wring, 2, 0), xelem])
-    lhs0 = _strip_var(pushed.collect_by_var(1).get(0, Poly.zero(wring, 2)), 1)
+    lhs0 = _fiber_degree_0(substitute(img_u, [Poly.variable(wring, 2, 0), xelem]))
 
+    g0_poly = _strip_var(L.charts["VY"].image_of_var(0), 1)
     if T.kind == "P1":
-        img_w = _drop_fiber(L.charts["VY"].image_of_var(0))
-        rew = substitute(
-            _embed2(img_w), [Poly.variable(wring, 2, 0, -1), Poly.variable(wring, 2, 1)]
-        )
-        g0_poly = _strip_var(invert_unit(rew).collect_by_var(1).get(0, Poly.zero(wring, 2)), 1)
-    else:
-        g0_poly = _drop_fiber(L.charts["VY"].image_of_var(0))
+        # the V-side base coordinate is v = 1/u, so F(u) = 1/F(v)
+        g0_poly = invert_unit(flip_variable(g0_poly, 0))
 
     failures = []
     if lhs0 != g0_poly:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from . import classify as classify_mod
-from .errors import DegreeTooHigh, InvariantViolation, SingularCurve
+from .errors import DegreeTooHigh, SingularCurve
 from .froblift import (
     eta_axioms_check,
     eta_between,
@@ -23,7 +23,7 @@ from .froblift import (
     top_monomial,
 )
 from .polyalg import Poly, poly_to_str
-from .projline import extend_chart, lift_space_dimension
+from .projline import extend_chart
 from .randgen import random_chart_lift, random_exponent_matrix, random_poly
 from .ruled import (
     TransitionData,
@@ -182,10 +182,6 @@ def sweep_p1(p) -> list:
         verdicts.append(ok)
         if not ok:
             failures.append({"degree": d, "extended": extended})
-    try:
-        lift_space_dimension(p)
-    except InvariantViolation as exc:
-        failures.append({"dimension": str(exc)})
     return [
         _check(
             f"p1-degree-bound-p{p}",

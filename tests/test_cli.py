@@ -1,7 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from w2frob import sweeps
+from w2frob.classify import SURFACE_CLASSES
 from w2frob.cli import run_command
 
 
@@ -89,6 +95,12 @@ def test_usage_errors_exit_2(capsys):
         ["verify-lemma", "--p", "2", "--n", "4"],
         ["classify", "--json", "[1]"],
         ["classify", "--json", '{"class":"rational_Fn","p":5,"n":"x"}'],
+        ["ruled-lift", "--base", "A1", "--n", "2", "--p", "2"],
+        ["ruled-lift", "--base", "A1", "--a-const", "0", "--p", "3"],
+        ["ruled-lift", "--base", "A1", "--b", "x^-1", "--p", "3"],
+        ["ruled-lift", "--base", "P1", "--n", "-1", "--p", "2"],
+        ["p1-lift", "--p", "2", "--f", "x^-1"],
+        ["verify-lemma", "--p", "0"],
     ):
         capsys.readouterr()
         assert run_command(argv) == 2, argv
@@ -135,3 +147,73 @@ def test_passes_count_trials_without_failure(monkeypatch):
         assert 0 <= check["passes"] <= check["trials"]
         assert not check["ok"]
     assert not sweeps.sweep_phi_det([2], [1], 0, 1)[0]["ok"]  # zero trials
+
+
+_PRIME = st.sampled_from(["-3", "0", "1", "2", "3", "4", "5", "17", "19"])
+_SMALL = st.integers(-3, 20).map(str)
+_TRIALS = st.integers(-2, 20).map(str)
+_N = st.integers(-2, 6).map(str)
+_POLY = st.lists(
+    st.sampled_from(["x", "x1", "x2", "^", "2", "-1", "+", "-", "*", "(", "3"]), max_size=6
+).map("".join)
+_JSON = st.one_of(
+    st.text(max_size=8),
+    st.dictionaries(
+        st.sampled_from(["class", "p", "n", "base_genus", "is_ordinary", "type", "bogus"]),
+        st.one_of(
+            st.integers(-3, 20),
+            st.booleans(),
+            st.none(),
+            st.sampled_from(SURFACE_CLASSES + ("a", "")),
+        ),
+        max_size=4,
+    ).map(json.dumps),
+)
+_OPTIONS = {
+    "witt-check": {
+        "--p-list": st.lists(_PRIME, max_size=3).map(",".join),
+        "--trials": _TRIALS,
+        "--seed": _SMALL,
+    },
+    "verify-lemma": {"--p": _PRIME, "--n": _N, "--trials": _TRIALS, "--seed": _SMALL},
+    "phi-det": {"--p": _PRIME, "--n": _N, "--trials": _TRIALS, "--seed": _SMALL},
+    "p1-lift": {"--p": _PRIME, "--f": _POLY},
+    "ruled-lift": {
+        "--base": st.sampled_from(["A1", "Gm", "P1", "P2"]),
+        "--n": _N,
+        "--a-const": st.integers(-2, 4).map(str),
+        "--b": _POLY,
+        "--p": _PRIME,
+    },
+    "classify": {"--json": _JSON},
+    "hasse": {"--p": _PRIME, "--a": _SMALL, "--b": _SMALL},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for flag, values in _OPTIONS[command].items():
+        # --trials is always drawn: the defaults run hundreds to thousands of trials
+        if flag == "--trials" or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+def test_contract_holds_for_any_argv(argv):
+    # exit 2 with nothing on stdout when argparse rejects the argv;
+    # otherwise exactly one JSON report whose ok flag matches the exit code
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = run_command(argv)
+    out = stdout.getvalue()
+    assert code in (0, 1, 2), argv
+    if not out:
+        assert code == 2, argv
+        return
+    report = json.loads(out)
+    assert isinstance(report, dict) and "schema" in report, argv
+    assert report["ok"] == (code == 0), (argv, report)

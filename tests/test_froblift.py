@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from w2frob import (
@@ -5,6 +7,7 @@ from w2frob import (
     W2,
     AffineChartLift,
     EtaFunction,
+    ParseError,
     Poly,
     RangeError,
     ShapeError,
@@ -304,3 +307,10 @@ def test_lift_json_roundtrip(rng):
         L = random_chart_lift(rng, F, 2)
         L2 = lift_from_json(lift_to_json(L))
         assert L2 == L
+
+
+def test_lift_json_rejects_q_not_a_power_of_p():
+    chart = {"nvars": 1, "laurent_mask": [False], "corrections": ["0"]}
+    for p, q in ((2, 6), (3, 4), (2, 1), (1, 2)):
+        with pytest.raises(ParseError):
+            lift_from_json(json.dumps({"p": p, "q": q, **chart}))

@@ -17,7 +17,9 @@ from w2frob import (
     poly_from_str,
     poly_to_str,
     reduce_mod_p,
+    substitute,
 )
+from w2frob.polyalg import flip_variable
 
 
 def P(ring, nvars, s):
@@ -303,6 +305,20 @@ def test_invert_unit_lift_ring(rng):
         u = Poly.variable(ring, 1, 0, rng.randint(-3, 3)) + junk
         inv = invert_unit(u)
         assert u * inv == Poly.constant(ring, 1, 1)
+
+
+def test_flip_variable_is_the_monomial_substitution(rng):
+    for ring in (GF(3), W2(2), W2(3, 2)):
+        for _ in range(30):
+            f = Poly(
+                ring,
+                2,
+                {(rng.randint(-4, 4), rng.randint(-4, 4)): ring.random(rng) for _ in range(5)},
+            )
+            for i in range(2):
+                images = [Poly.variable(ring, 2, j, -1 if j == i else 1) for j in range(2)]
+                assert flip_variable(f, i) == substitute(f, images)
+                assert flip_variable(flip_variable(f, i), i) == f
 
 
 # -- text grammar ---------------------------------------------------------------

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import pytest
 
 from w2frob import (
@@ -5,6 +8,7 @@ from w2frob import (
     AffineChartLift,
     BaseLift,
     Poly,
+    ShapeError,
     TransitionData,
     UnitError,
     UnsupportedShape,
@@ -17,6 +21,7 @@ from w2frob import (
     poly_from_str,
     verify_gluing,
 )
+from w2frob import sweeps
 from w2frob.randgen import random_poly
 
 
@@ -115,21 +120,44 @@ def test_verify_gluing_shears(p):
         assert res.details["implied"] == ["UT/VY", "UT/VS"]
 
 
+# Overlaps that fail once one chart's correction is bumped by a polynomial:
+# the directly checked overlaps that contain the chart.  With b != 0 the
+# overlaps UT/VY and UT/VS are implied rather than checked.
+_CORRUPTED_OVERLAPS = {
+    ("UX", True): {"UX/UT", "UX/VY", "UX/VS"},
+    ("UT", True): {"UX/UT", "UT/VY", "UT/VS"},
+    ("VY", True): {"VY/VS", "UX/VY", "UT/VY"},
+    ("VS", True): {"VY/VS", "UX/VS", "UT/VS"},
+    ("UX", False): {"UX/UT", "UX/VY", "UX/VS"},
+    ("UT", False): {"UX/UT"},
+    ("VY", False): {"VY/VS", "UX/VY"},
+    ("VS", False): {"VY/VS", "UX/VS"},
+}
+
+
 def test_corrupted_chart_fails_on_overlap():
-    F2 = GF(2)
-    lift = build_standard_lift(shear_A1(F2))
-    vy = lift.charts["VY"]
-    # bump F(y) by p: the UX/VY overlap must notice
-    corrupted = AffineChartLift(
-        vy.field,
-        2,
-        vy.laurent_mask,
-        (vy.corrections[0], vy.corrections[1] + Poly.constant(F2, 2, 1)),
-    )
-    lift.charts["VY"] = corrupted
-    res = verify_gluing(lift)
-    assert not res.ok
-    assert any(f.get("overlap") in ("UX/VY", "VY/VS") for f in res.failures)
+    # bump one correction of one chart by 1, x1 or x2, i.e. its image by p times that
+    for p in (2, 3):
+        field = GF(p)
+        for name, T in sweeps._ruled_cases(field):
+            lift = build_standard_lift(T)
+            for key, chart in lift.charts.items():
+                for slot, bump in itertools.product((0, 1), ("1", "x1", "x2")):
+                    corrections = list(chart.corrections)
+                    corrections[slot] = corrections[slot] + P(field, 2, bump)
+                    corrupted = AffineChartLift(field, 2, chart.laurent_mask, corrections)
+                    case = dataclasses.replace(lift, charts={**lift.charts, key: corrupted})
+                    where = (p, name, key, slot, bump)
+                    if slot == 0 and bump == "x2":
+                        # a base image that depends on the fiber is rejected outright
+                        with pytest.raises(ShapeError):
+                            verify_gluing(case)
+                        continue
+                    res = verify_gluing(case)
+                    failing = {f["overlap"] for f in res.failures}
+                    assert failing == _CORRUPTED_OVERLAPS[key, T.b.is_zero()], where
+                    for f in res.failures:
+                        assert f["coordinate"] in ("u", "w", "x", "y", "s"), where
 
 
 # -- base-lift extraction -----------------------------------------------------------
