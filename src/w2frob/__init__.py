@@ -2,7 +2,8 @@
 
 Layers, bottom up:
 
-* ``witt2``: F_q, Z/p^2 and W2(F_q) with the division-by-p isomorphism.
+* ``witt2``: F_q, Z/p^2 and W2(F_q) as Galois rings on one integer
+  kernel, with the division-by-p isomorphism.
 * ``polyalg``: sparse exact multivariate Laurent polynomials, matrices,
   cofactor determinants, the low-exponent decomposition.
 * ``froblift``: Frobenius lifts on affine charts, the eta difference

@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default=None, help="write the JSON report to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("witt-check", help="Witt arithmetic against the Z/p^2 oracle")
+    sp = sub.add_parser("witt-check", help="Witt arithmetic against the component formulas")
     sp.add_argument("--p-list", type=_p_list, default="2,3,5,7")
     sp.add_argument("--trials", type=_bounded_int(1), default=10000)
     sp.add_argument("--seed", type=int, default=_default_seed())

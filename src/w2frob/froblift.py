@@ -49,7 +49,7 @@ class AffineChartLift:
     corrections[i] is the F_q polynomial f_i with F(x_i) = x_i^p + p*f_i.
     """
 
-    __slots__ = ("field", "nvars", "laurent_mask", "corrections", "_images")
+    __slots__ = ("field", "nvars", "laurent_mask", "corrections", "_images", "_powers")
 
     def __init__(self, field: FiniteField, nvars: int, laurent_mask, corrections):
         laurent_mask = tuple(bool(b) for b in laurent_mask)
@@ -68,6 +68,7 @@ class AffineChartLift:
         self.laurent_mask = laurent_mask
         self.corrections = corrections
         self._images = {}
+        self._powers = {}
 
     @property
     def lift_ring(self):
@@ -104,9 +105,13 @@ class AffineChartLift:
         return self._images[i]
 
     def image_of_var_power(self, i: int, e: int) -> Poly:
+        """F(x_i)^e, computed once per lift; e < 0 only for inverted variables."""
         if e < 0 and not self.laurent_mask[i]:
             raise UnsupportedShape(f"variable x{i + 1} is not inverted on this chart")
-        return self.image_of_var(i) ** e
+        power = self._powers.get((i, e))
+        if power is None:
+            power = self._powers[i, e] = self.image_of_var(i) ** e
+        return power
 
     def __repr__(self):
         cs = ", ".join(poly_to_str(f) for f in self.corrections)
@@ -134,7 +139,14 @@ def apply_lift(L: AffineChartLift, a: Poly) -> Poly:
     if not a.respects_mask(L.laurent_mask):
         raise UnsupportedShape("argument inverts a variable outside the chart")
     images = [L.image_of_var(i) for i in range(L.nvars)]
-    return substitute(a, images, coeff_map=WittPair.frobenius, ring=ring, nvars=L.nvars)
+    return substitute(
+        a,
+        images,
+        coeff_map=WittPair.frobenius,
+        ring=ring,
+        nvars=L.nvars,
+        powers=L.image_of_var_power,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +376,30 @@ def lift_to_json(L: AffineChartLift) -> str:
 
 
 def lift_from_json(s: str) -> AffineChartLift:
-    d = json.loads(s)
-    p, q = d["p"], d["q"]
+    """Parse the format of :func:`lift_to_json`; a malformed document raises ParseError."""
+    try:
+        d = json.loads(s)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"lift is not valid JSON: {exc}") from exc
+    if not isinstance(d, dict):
+        raise ParseError("a lift must be a JSON object")
+    try:
+        p, q, nvars, mask, corrections = (
+            d[key] for key in ("p", "q", "nvars", "laurent_mask", "corrections")
+        )
+    except KeyError as exc:
+        raise ParseError(f"lift lacks the key {exc}") from exc
+    if not all(type(v) is int for v in (p, q, nvars)):
+        raise ParseError("p, q and nvars must be integers")
+    if not (isinstance(mask, list) and isinstance(corrections, list)) or not all(
+        isinstance(c, str) for c in corrections
+    ):
+        raise ParseError("laurent_mask must be a list and corrections a list of strings")
     m = 1
     while p > 1 and p ** m < q:
         m += 1
     if p ** m != q:
         raise ParseError(f"q = {q} is not a power of p = {p}")
     field = GF(p, m)
-    nvars = d["nvars"]
-    corrections = [poly_from_str(field, nvars, c) for c in d["corrections"]]
-    return AffineChartLift(field, nvars, d["laurent_mask"], corrections)
+    corrections = [poly_from_str(field, nvars, c) for c in corrections]
+    return AffineChartLift(field, nvars, mask, corrections)

@@ -5,12 +5,14 @@ charts); a polynomial is a dict mapping monomials to nonzero ring
 elements plus the ring tag.  All arithmetic is exact; nothing here ever
 floats or truncates.
 
-The ring object is duck-typed: anything providing ``zero``, ``one``,
-``from_int`` and element operators works as a coefficient ring.  Rings
-that additionally carry the mod-p interface (``residue_field``,
-``reduce_p``, ``divide_p``, ``times_p_embed``, ``from_residue``) support
-the reduction and division-by-p maps between a lift ring and its residue
-field.
+The coefficient rings are the Galois rings of ``witt2``: every element
+carries one canonical int ``n``, and the ring's ``fold`` maps any sum of
+products of such ints to the canonical int.  Products, sums, derivatives
+and substitutions therefore accumulate plain ints per monomial and build
+one element per resulting term.  Rings that carry the mod-p interface
+(``residue_field``, ``reduce_p``, ``divide_p``, ``times_p_embed``,
+``from_residue``) support the reduction and division-by-p maps between a
+lift ring and its residue field.
 
 Text grammar: '+'-separated terms of the shape ``c*x1^e1*x2^-3``.
 ``poly_to_str`` and ``poly_from_str`` round-trip bit-exactly.
@@ -19,9 +21,11 @@ Text grammar: '+'-separated terms of the shape ``c*x1^e1*x2^-3``.
 from __future__ import annotations
 
 import re
+from operator import add
 from typing import Callable, Sequence
 
 from .errors import (
+    CharMismatch,
     NotDivisible,
     ParseError,
     RingMismatch,
@@ -35,6 +39,17 @@ Monomial = tuple  # exponent tuple, one entry per variable
 
 def _is_lift_ring(ring) -> bool:
     return hasattr(ring, "residue_field")
+
+
+def _folded(ring, nvars: int, acc: dict) -> "Poly":
+    """The polynomial with coefficient ``ring.fold(acc[m])`` at each monomial m."""
+    fold, wrap = ring.fold, ring.wrap
+    terms = {}
+    for mono, n in acc.items():
+        n = fold(n)
+        if n:
+            terms[mono] = wrap(n)
+    return Poly._make(ring, nvars, terms)
 
 
 class Poly:
@@ -53,6 +68,13 @@ class Poly:
                 if not c.is_zero():
                     clean[tuple(mono)] = c
         self.terms = clean
+
+    @staticmethod
+    def _make(ring, nvars: int, terms: dict) -> "Poly":
+        """Wrap terms that are already clean (tuple monomials, nonzero coefficients)."""
+        out = Poly.__new__(Poly)
+        out.ring, out.nvars, out.terms = ring, nvars, terms
+        return out
 
     # -- constructors --------------------------------------------------
 
@@ -86,33 +108,43 @@ class Poly:
                 f"and {other.ring!r}/{other.nvars} vars"
             )
 
+    def _scalar(self, c):
+        """The int of a scalar coefficient in this ring; None if c is no scalar."""
+        if isinstance(c, int):
+            return self.ring.from_int(c).n
+        ring = getattr(c, "ring", None)
+        if ring is None:
+            return None
+        if ring is not self.ring and ring != self.ring:
+            raise CharMismatch(f"scalar from {ring!r} applied to a polynomial over {self.ring!r}")
+        return c.n
+
     def __add__(self, other):
         if isinstance(other, int):
             other = Poly.constant(self.ring, self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
         self._compat(other)
+        ring = self.ring
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            if mono in terms:
-                s = terms[mono] + c
-                if s.is_zero():
-                    del terms[mono]
-                else:
-                    terms[mono] = s
-            else:
+            d = terms.get(mono)
+            if d is None:
                 terms[mono] = c
-        out = Poly.__new__(Poly)
-        out.ring, out.nvars, out.terms = self.ring, self.nvars, terms
-        return out
+                continue
+            n = ring.fold(d.n + c.n)
+            if n:
+                terms[mono] = ring.wrap(n)
+            else:
+                del terms[mono]
+        return Poly._make(ring, self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.ring, out.nvars = self.ring, self.nvars
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        ring = self.ring
+        terms = {m: ring.wrap(ring.neg_int(c.n)) for m, c in self.terms.items()}
+        return Poly._make(ring, self.nvars, terms)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -125,54 +157,34 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
         if not isinstance(other, Poly):
-            # scalar from the coefficient ring
-            try:
-                if other.is_zero():
-                    return Poly.zero(self.ring, self.nvars)
-            except AttributeError:
+            n = self._scalar(other)
+            if n is None:
                 return NotImplemented
-            terms = {}
-            for m, c in self.terms.items():
-                v = c * other
-                if not v.is_zero():
-                    terms[m] = v
-            out = Poly.__new__(Poly)
-            out.ring, out.nvars, out.terms = self.ring, self.nvars, terms
-            return out
+            return _folded(self.ring, self.nvars, {m: c.n * n for m, c in self.terms.items()})
         self._compat(other)
         acc = {}
+        get = acc.get
         for m1, c1 in self.terms.items():
+            n1 = c1.n
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                prod = c1 * c2
-                if mono in acc:
-                    s = acc[mono] + prod
-                    if s.is_zero():
-                        del acc[mono]
-                    else:
-                        acc[mono] = s
-                elif not prod.is_zero():
-                    acc[mono] = prod
-        out = Poly.__new__(Poly)
-        out.ring, out.nvars, out.terms = self.ring, self.nvars, acc
-        return out
+                mono = tuple(map(add, m1, m2))
+                acc[mono] = get(mono, 0) + n1 * c2.n
+        return _folded(self.ring, self.nvars, acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             return invert_unit(self) ** (-e)
-        result = Poly.constant(self.ring, self.nvars, self.ring.one)
-        base = self
+        result, base = None, self
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return Poly.constant(self.ring, self.nvars, self.ring.one) if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -233,26 +245,14 @@ class Poly:
         """Formal d/dx_j; exponents divisible by the characteristic die."""
         if not 0 <= j < self.nvars:
             raise ShapeError(f"variable index {j} out of range")
-        terms = {}
-        for m, c in self.terms.items():
-            e = m[j]
-            if e == 0:
-                continue
-            v = c * self.ring.from_int(e)
-            if v.is_zero():
-                continue
-            mono = m[:j] + (e - 1,) + m[j + 1:]
-            if mono in terms:
-                s = terms[mono] + v
-                if s.is_zero():
-                    del terms[mono]
-                else:
-                    terms[mono] = s
-            else:
-                terms[mono] = v
-        out = Poly.__new__(Poly)
-        out.ring, out.nvars, out.terms = self.ring, self.nvars, terms
-        return out
+        # distinct monomials with e_j != 0 stay distinct after lowering e_j
+        pk = self.ring.pk
+        acc = {
+            m[:j] + (m[j] - 1,) + m[j + 1:]: c.n * (m[j] % pk)
+            for m, c in self.terms.items()
+            if m[j]
+        }
+        return _folded(self.ring, self.nvars, acc)
 
     def map_coefficients(self, fn: Callable, target_ring) -> "Poly":
         terms = {}
@@ -260,9 +260,7 @@ class Poly:
             v = fn(c)
             if not v.is_zero():
                 terms[m] = v
-        out = Poly.__new__(Poly)
-        out.ring, out.nvars, out.terms = target_ring, self.nvars, terms
-        return out
+        return Poly._make(target_ring, self.nvars, terms)
 
     def collect_by_var(self, i: int) -> dict:
         """Split into {exponent of x_i: polynomial in the remaining slots}.
@@ -295,13 +293,17 @@ def substitute(
     *,
     ring=None,
     nvars: int | None = None,
+    powers: Callable | None = None,
 ) -> Poly:
     """Evaluate f at the given variable images (a substitution homomorphism).
 
     All images must share one ring and variable count, which become the
     target; ``ring``/``nvars`` are only needed when f has no variables.
     Negative source exponents invert the corresponding image, so images
-    standing in for inverted variables must be units.
+    standing in for inverted variables must be units.  ``powers(i, e)``,
+    when given, must return ``images[i] ** e``: a caller that keeps those
+    powers (a chart lift does) passes its cache; otherwise each power is
+    computed once per call.
     """
     if len(images) != f.nvars:
         raise ShapeError(f"need {f.nvars} images, got {len(images)}")
@@ -312,20 +314,27 @@ def substitute(
             images[0]._compat(img)
     elif ring is None or nvars is None:
         raise ShapeError("substituting into a constant needs an explicit target ring")
-    result = Poly.zero(ring, nvars)
-    pow_cache: dict = {}
+    if powers is None:
+        cache: dict = {}
+
+        def powers(i, e):
+            if (i, e) not in cache:
+                cache[i, e] = images[i] ** e
+            return cache[i, e]
+
+    one = Poly.constant(ring, nvars, ring.one)
+    acc: dict = {}
+    get = acc.get
     for m, c in f.terms.items():
-        term = Poly.constant(ring, nvars, ring.one)
+        term = one
         for i, e in enumerate(m):
-            if e == 0:
-                continue
-            key = (i, e)
-            if key not in pow_cache:
-                pow_cache[key] = images[i] ** e
-            term = term * pow_cache[key]
-        mapped = coeff_map(c) if coeff_map is not None else c
-        result = result + term * mapped
-    return result
+            if e:
+                power = powers(i, e)
+                term = power if term is one else term * power
+        n = one._scalar(coeff_map(c) if coeff_map is not None else c)
+        for mono, t in term.terms.items():
+            acc[mono] = get(mono, 0) + n * t.n
+    return _folded(ring, nvars, acc)
 
 
 def flip_variable(f: Poly, i: int) -> Poly:

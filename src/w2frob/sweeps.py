@@ -10,6 +10,7 @@ enumerated instead of sampled.
 
 from __future__ import annotations
 
+import math
 import random
 
 from . import classify as classify_mod
@@ -53,12 +54,29 @@ def _check(name: str, citation: str, verdicts: list, failures: list) -> dict:
     }
 
 
+def _witt_sum(p: int, a: tuple, b: tuple) -> tuple:
+    """Length-2 Witt sum over F_p on plain-int coordinates: the model sweep_witt checks."""
+    (a0, a1), (b0, b1) = a, b
+    carry = sum(math.comb(p, i) // p * a0 ** i * b0 ** (p - i) for i in range(1, p))
+    return (a0 + b0) % p, (a1 + b1 - carry) % p
+
+
+def _witt_product(p: int, a: tuple, b: tuple) -> tuple:
+    """Length-2 Witt product over F_p; its p*a1*b1 term vanishes in characteristic p."""
+    (a0, a1), (b0, b1) = a, b
+    return a0 * b0 % p, (a0 ** p * b1 + b0 ** p * a1) % p
+
+
 def sweep_witt(p_list, trials, seed) -> list:
-    """Witt arithmetic against Z/p^2; every pair when p <= 3 or p^4 <= trials."""
+    """W2(F_p) against the component formulas; every pair when p <= 3 or p^4 <= trials."""
     checks = []
     for p in p_list:
         rng = random.Random(f"{seed}|witt|{p}")
         ring = W2(p)
+
+        def coords(u):
+            return tuple(c.as_int() for c in ring.witt_coords(u))
+
         elems = list(ring.elements())
         if p <= 3 or p ** 4 <= trials:
             pairs = [(u, v) for u in elems for v in elems]
@@ -66,12 +84,12 @@ def sweep_witt(p_list, trials, seed) -> list:
             pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(trials)]
         verdicts, failures = [], []
         for u, v in pairs:
-            ru, rv = witt_to_residue_ring(u), witt_to_residue_ring(v)
+            a, b = coords(u), coords(v)
             bad = [
                 {"op": op, "u": repr(u), "v": repr(v)}
                 for op, holds in (
-                    ("add", witt_to_residue_ring(u + v) == ru + rv),
-                    ("mul", witt_to_residue_ring(u * v) == ru * rv),
+                    ("add", coords(u + v) == _witt_sum(p, a, b)),
+                    ("mul", coords(u * v) == _witt_product(p, a, b)),
                 )
                 if not holds
             ]

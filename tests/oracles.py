@@ -4,7 +4,8 @@ Everything here works with plain ints and dicts on purpose: these
 implementations must not share any code path with the package.
 """
 
-from itertools import permutations
+from itertools import permutations, product
+from math import comb
 
 
 def naive_poly_mul(f: dict, g: dict, p: int) -> dict:
@@ -73,3 +74,124 @@ def count_affine_points(p: int, a1: int, a2: int, a3: int, a4: int, a6: int) -> 
             if lhs == rhs:
                 n += 1
     return n
+
+
+# ---------------------------------------------------------------------------
+# W2(F_q) by the length-2 component formulas
+# ---------------------------------------------------------------------------
+
+
+class FqModel:
+    """F_q on coefficient tuples: F_p, or F_p[x]/(x^m - x - 1) for q in {4, 8, 9}.
+
+    x^m - x - 1 is x^2+x+1 over F_2, x^3+x+1 over F_2 and x^2+2x+2 over F_3.
+    """
+
+    def __init__(self, p: int, m: int):
+        self.p, self.m, self.q = p, m, p ** m
+        self.zero = (0,) * m
+        self.one = (1,) + (0,) * (m - 1)
+
+    def elements(self):
+        return list(product(range(self.p), repeat=self.m))
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
+    def scale(self, k: int, a):
+        return tuple(k * x % self.p for x in a)
+
+    def mul(self, a, b):
+        m = self.m
+        raw = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                raw[i + j] += x * y
+        for k in range(2 * m - 2, m - 1, -1):  # x^k = x^(k-m+1) + x^(k-m)
+            raw[k - m + 1] += raw[k]
+            raw[k - m] += raw[k]
+        return tuple(c % self.p for c in raw[:m])
+
+    def pow(self, a, e: int):
+        out = self.one
+        for _ in range(e):
+            out = self.mul(out, a)
+        return out
+
+    def root_p(self, a):
+        """The unique b with b^p = a, found by search."""
+        (b,) = [b for b in self.elements() if self.pow(b, self.p) == a]
+        return b
+
+
+class WittModel:
+    """W2(F_q) on Witt coordinates (a0, a1) by the length-2 component formulas."""
+
+    def __init__(self, p: int, m: int):
+        self.p = p
+        self.F = FqModel(p, m)
+
+    def elements(self):
+        return [(a0, a1) for a0 in self.F.elements() for a1 in self.F.elements()]
+
+    def _carry(self, a0, b0):
+        """sum over 0 < i < p of (C(p, i) / p) a0^i b0^(p-i)."""
+        F, p = self.F, self.p
+        total = F.zero
+        for i in range(1, p):
+            term = F.mul(F.pow(a0, i), F.pow(b0, p - i))
+            total = F.add(total, F.scale(comb(p, i) // p, term))
+        return total
+
+    def add(self, a, b):
+        F = self.F
+        s1 = F.add(F.add(a[1], b[1]), F.neg(self._carry(a[0], b[0])))
+        return F.add(a[0], b[0]), s1
+
+    def neg(self, a):
+        # the b with a + b = 0: b0 = -a0, then b1 = carry(a0, b0) - a1
+        F = self.F
+        b0 = F.neg(a[0])
+        return b0, F.add(self._carry(a[0], b0), F.neg(a[1]))
+
+    def mul(self, a, b):
+        F, p = self.F, self.p
+        t1 = F.add(F.mul(F.pow(a[0], p), b[1]), F.mul(F.pow(b[0], p), a[1]))
+        return F.mul(a[0], b[0]), t1
+
+    def frobenius(self, a):
+        return self.F.pow(a[0], self.p), self.F.pow(a[1], self.p)
+
+    def reduce_p(self, a):
+        return a[0]
+
+    def divide_p(self, a):
+        """c with p*(c, 0) = (0, c^p) equal to a; None unless a0 = 0."""
+        return self.F.root_p(a[1]) if a[0] == self.F.zero else None
+
+    def times_p_embed(self, c):
+        return self.F.zero, self.F.pow(c, self.p)
+
+    def from_residue(self, c):
+        return c, self.F.zero
+
+
+def monic_lifts_dividing(p: int, low: tuple, q: int) -> list:
+    """Monic lifts to Z/p^2 of x^m + low (low = (c_0..c_(m-1)) mod p) that divide x^q - x."""
+    m, N = len(low), p * p
+    found = []
+    for shift in product(range(p), repeat=m):
+        g = [c + p * s for c, s in zip(low, shift)]
+        rem = [0] * (q + 1)
+        rem[q], rem[1] = 1, -1
+        for k in range(q, m - 1, -1):  # subtract rem[k] x^(k-m) g
+            c = rem[k]
+            rem[k] = 0
+            for i, gi in enumerate(g):
+                rem[k - m + i] -= c * gi
+        if all(c % N == 0 for c in rem):
+            found.append(tuple(c % N for c in g))
+    return found

@@ -3,10 +3,10 @@ import hashlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from w2frob import sweeps
+from w2frob import errors, sweeps
 from w2frob.classify import SURFACE_CLASSES
 from w2frob.cli import run_command
 
@@ -139,22 +139,30 @@ def test_sweep_all_report_is_pinned(capsys):
 
 
 def test_passes_count_trials_without_failure(monkeypatch):
-    # a shifted model breaks add on every pair and mul on most, so many
-    # trials carry two failures; passes still counts trials, not failures
-    real = sweeps.witt_to_residue_ring
-    monkeypatch.setattr(sweeps, "witt_to_residue_ring", lambda u: real(u) + 1)
+    # a shifted model breaks add and mul on every pair, so every trial
+    # carries two failures; passes still counts trials, not failures
+    for name in ("_witt_sum", "_witt_product"):
+        real = getattr(sweeps, name)
+        monkeypatch.setattr(
+            sweeps, name, lambda p, a, b, real=real: (real(p, a, b)[0], (real(p, a, b)[1] + 1) % p)
+        )
     for check in sweeps.sweep_witt([2, 3], 10, 1):
-        assert 0 <= check["passes"] <= check["trials"]
+        assert check["passes"] == 0 < check["trials"]
         assert not check["ok"]
     assert not sweeps.sweep_phi_det([2], [1], 0, 1)[0]["ok"]  # zero trials
 
 
+_ERROR_KINDS = {
+    cls.__name__
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.AlgebraError)
+}
 _PRIME = st.sampled_from(["-3", "0", "1", "2", "3", "4", "5", "17", "19"])
 _SMALL = st.integers(-3, 20).map(str)
 _TRIALS = st.integers(-2, 20).map(str)
 _N = st.integers(-2, 6).map(str)
 _POLY = st.lists(
-    st.sampled_from(["x", "x1", "x2", "^", "2", "-1", "+", "-", "*", "(", "3"]), max_size=6
+    st.sampled_from(["x", "x1", "x2", "^", "2", "-1", "+", "-", "*", "(", "3", "7"]), max_size=6
 ).map("".join)
 _JSON = st.one_of(
     st.text(max_size=8),
@@ -201,11 +209,14 @@ def _argv(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None)
-@given(argv=_argv())
-def test_contract_holds_for_any_argv(argv):
-    # exit 2 with nothing on stdout when argparse rejects the argv;
-    # otherwise exactly one JSON report whose ok flag matches the exit code
+def _assert_contract(argv) -> int:
+    """Run argv and check the frobctl contract on what it prints; returns the exit code.
+
+    Exit 2 with nothing on stdout when argparse rejects the argv; otherwise
+    exactly one JSON report whose ok flag matches the exit code, and an
+    exit 1 report names the violated property: a failing check, or the
+    error kind that stopped the command.
+    """
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = run_command(argv)
@@ -213,7 +224,24 @@ def test_contract_holds_for_any_argv(argv):
     assert code in (0, 1, 2), argv
     if not out:
         assert code == 2, argv
-        return
+        return code
     report = json.loads(out)
     assert isinstance(report, dict) and "schema" in report, argv
     assert report["ok"] == (code == 0), (argv, report)
+    if code == 1:
+        failing = [c["name"] for c in report.get("checks", ()) if not c["ok"]]
+        assert failing or report.get("kind", report.get("error")) in _ERROR_KINDS, (argv, report)
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+@example(argv=["p1-lift", "--p", "2", "--f", "x^7"])
+def test_contract_holds_for_any_argv(argv):
+    _assert_contract(argv)
+
+
+def test_contract_names_failing_checks(monkeypatch):
+    # a broken Witt model makes witt-check exit 1 through its checks
+    monkeypatch.setattr(sweeps, "_witt_sum", lambda p, a, b: (0, 0))
+    assert _assert_contract(["witt-check", "--p-list", "2,3", "--trials", "5"]) == 1

@@ -314,3 +314,17 @@ def test_lift_json_rejects_q_not_a_power_of_p():
     for p, q in ((2, 6), (3, 4), (2, 1), (1, 2)):
         with pytest.raises(ParseError):
             lift_from_json(json.dumps({"p": p, "q": q, **chart}))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"p": "2", "q": 2, "nvars": 1, "laurent_mask": [False], "corrections": ["0"]},
+        {"p": 2, "q": 2, "nvars": 1, "laurent_mask": [False]},
+        [2, 2, 1, [False], ["0"]],
+    ],
+    ids=["string-p", "no-corrections", "top-level-list"],
+)
+def test_lift_json_malformed_documents_raise_parse_error(doc):
+    with pytest.raises(ParseError):
+        lift_from_json(json.dumps(doc))

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import WittModel, monic_lifts_dividing
 
+from w2frob import witt2
 from w2frob import (
     GF,
     W2,
@@ -89,6 +91,23 @@ def test_char_mismatch():
 # -- oracle equivalence ------------------------------------------------------
 
 
+def _residue(u) -> int:
+    """a0^p + p*a1 mod p^2 in plain ints, from the Witt coordinates of u."""
+    p = u.ring.p
+    return (u.a0.as_int() ** p + p * u.a1.as_int()) % (p * p)
+
+
+def _check_residue_map(u, v):
+    # the map agrees with its formula and carries W2 sums and products to Z/p^2
+    p2 = u.ring.p ** 2
+    ru, rv = _residue(u), _residue(v)
+    assert witt_to_residue_ring(u).rep == ru
+    assert witt_to_residue_ring(u + v) == witt_to_residue_ring(u) + witt_to_residue_ring(v)
+    assert witt_to_residue_ring(u * v) == witt_to_residue_ring(u) * witt_to_residue_ring(v)
+    assert _residue(u + v) == (ru + rv) % p2
+    assert _residue(u * v) == ru * rv % p2
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_oracle_exhaustive(p):
     r = W2(p)
@@ -97,17 +116,57 @@ def test_oracle_exhaustive(p):
     assert len(images) == p * p  # bijection
     for u in elems:
         for v in elems:
-            assert witt_to_residue_ring(u + v) == witt_to_residue_ring(u) + witt_to_residue_ring(v)
-            assert witt_to_residue_ring(u * v) == witt_to_residue_ring(u) * witt_to_residue_ring(v)
+            _check_residue_map(u, v)
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_oracle_random(p, rng):
     r = W2(p)
     for _ in range(2000):
-        u, v = r.random(rng), r.random(rng)
-        assert witt_to_residue_ring(u + v) == witt_to_residue_ring(u) + witt_to_residue_ring(v)
-        assert witt_to_residue_ring(u * v) == witt_to_residue_ring(u) * witt_to_residue_ring(v)
+        _check_residue_map(r.random(rng), r.random(rng))
+
+
+def _field_id(q):
+    return f"F{q[0] ** q[1]}"
+
+
+@pytest.mark.parametrize("q", [(2, 2), (2, 3), (3, 2)], ids=_field_id)
+def test_teichmuller_moduli_are_the_unique_lifts(q):
+    # g = the F_q modulus mod p, and g | x^q - x mod p^2, for exactly one monic lift
+    p, m = q
+    low = tuple(-1 % p if i < 2 else 0 for i in range(m))  # x^m - x - 1
+    assert monic_lifts_dividing(p, low, p ** m) == [witt2._MODULI[q]]
+
+
+@pytest.mark.parametrize(
+    "q", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)], ids=_field_id
+)
+def test_kernel_matches_component_formulas_exhaustively(q):
+    # every pair for add and mul, every element for the unary maps
+    ring, model = W2(*q), WittModel(*q)
+    field = ring.field
+
+    def coords(u):
+        return tuple(c.coeffs for c in ring.witt_coords(u))
+
+    elems = list(ring.elements())
+    assert [coords(u) for u in elems] == model.elements()
+    pairs = list(zip(elems, model.elements()))
+    for u, a in pairs:
+        assert coords(-u) == model.neg(a)
+        assert coords(u.frobenius()) == model.frobenius(a)
+        assert ring.reduce_p(u).coeffs == model.reduce_p(a)
+        if model.divide_p(a) is None:
+            with pytest.raises(NotDivisible):
+                ring.divide_p(u)
+        else:
+            assert ring.divide_p(u).coeffs == model.divide_p(a)
+        for v, b in pairs:
+            assert coords(u + v) == model.add(a, b)
+            assert coords(u * v) == model.mul(a, b)
+    for c in field.elements():
+        assert coords(ring.times_p_embed(c)) == model.times_p_embed(c.coeffs)
+        assert coords(ring.from_residue(c)) == model.from_residue(c.coeffs)
 
 
 # -- ring axioms -------------------------------------------------------------
