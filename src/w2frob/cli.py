@@ -102,18 +102,9 @@ def _cmd_p1_lift(args) -> tuple:
     except UnsupportedShape as exc:  # f is not a polynomial in x
         raise UsageError(str(exc)) from exc
     except DegreeTooHigh as exc:
-        report = _report(
-            "p1-lift",
-            None,
-            [],
-            {
-                "p": args.p,
-                "f": poly_to_str(f),
-                "error": "DegreeTooHigh",
-                "detail": str(exc),
-                "ok": False,
-            },
-        )
+        # the layout of run_command's exit-1 reports: message and error kind
+        extra = {"p": args.p, "f": poly_to_str(f), "error": str(exc), "kind": type(exc).__name__}
+        report = _report("p1-lift", None, [], extra)
         report["ok"] = False
         return 1, report
     return 0, _report(

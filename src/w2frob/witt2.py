@@ -11,11 +11,16 @@ x^3+2x^2+x+3 over Z/4 (F8) and x^2+5x+8 over Z/9 (F9).  F_q itself uses
 g mod p: x^2+x+1, x^3+x+1 and x^2+2x+2.
 
 An element holds its ring and one int ``n``.  For m = 1 that is the
-residue mod p^k.  For m > 1 it packs the coefficients of 1, xi, ...,
-xi^(m-1), each in [0, p^k), ``SHIFT`` bits apart.  A sum of products of
-such ints never carries from one slot into the next, so the ring's
-``fold`` turns it into the canonical int: the polynomial layer adds up
-raw products and folds once per coefficient.
+residue mod p^k, and every operation is integer arithmetic mod p^k.  For
+m > 1 it packs the coefficients of 1, xi, ..., xi^(m-1), each in
+[0, p^k), ``SHIFT`` bits apart.  A sum of up to 2^24 products of such
+ints keeps each of its 2m-1 slots below 2^31 (the bound at ``SHIFT``), so
+the polynomial layer adds up raw products and folds once per coefficient.
+``fold`` works in one pass: it adds (slot mod p^k) * row_j for each high
+slot m+j, where row_j is xi^(m+j) mod g packed once per ring, then takes
+each of the m low slots mod p^k.  Frobenius, its inverse and the p-adic
+split are dict lookups built once per ring, with q entries for F_q and
+q^2 (16, 64 or 81) for W2(F_q).
 
 W2(F_q) is read and written in Witt coordinates (a0, a1), which stand for
 u = [a0] + p*lift(a1^(1/p)) with the Teichmüller lift [a] = lift(a)^q.
@@ -40,14 +45,16 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .errors import CharMismatch, NotDivisible, ParseError, UnsupportedField
+from .errors import CharMismatch, NotDivisible, ParseError, UnitError, UnsupportedField
 
 MAX_PRIME = 17
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17)
 
-# Bits between the packed coefficients of an element with m > 1.  A slot
-# holds any sum of up to 2^24 products of canonical coefficients.
+# Bits between the packed coefficients of an element with m > 1.  A product
+# of canonical elements has slots <= m * (p^k - 1)^2 <= 2^7, so a sum of up
+# to 2^24 products has slots <= 2^31.  ``fold`` cuts each high slot mod p^k
+# before it multiplies its row, adding < 2^7 to a low slot: nothing carries.
 SHIFT = 32
 _MASK = (1 << SHIFT) - 1
 
@@ -73,6 +80,29 @@ def _pack(coeffs) -> int:
 
 def _slots(n: int, count: int) -> list:
     return [(n >> (SHIFT * i)) & _MASK for i in range(count)]
+
+
+def _slot_fold(m: int, pk: int, modulus: tuple):
+    """The fold of GR(p^k, m): n of up to 2m-1 slots -> its canonical int."""
+    low = [-c % pk for c in modulus]  # xi^m = -(g_0 + ... + g_(m-1) xi^(m-1))
+    rows = [low]
+    for _ in range(m - 2):
+        row = rows[-1]
+        rows.append([(a + row[-1] * b) % pk for a, b in zip([0] + row[:-1], low)])
+    low_mask = (1 << (SHIFT * m)) - 1
+    high = [(SHIFT * (m + j), _pack(row)) for j, row in enumerate(rows)]
+    shifts = range(0, SHIFT * m, SHIFT)
+
+    def fold(n: int) -> int:
+        acc = n & low_mask
+        for s, row in high:
+            acc += (n >> s & _MASK) % pk * row
+        out = 0
+        for s in shifts:
+            out |= (acc >> s & _MASK) % pk << s
+        return out
+
+    return fold
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +272,9 @@ class GaloisRing:
     """GR(p^k, m) = (Z/p^k)[xi]/(g) on ints: the kernel of every ring here.
 
     ``fold`` and the methods ending in ``_int`` take and return ints;
-    ``wrap``, ``add``, ``neg`` and ``mul`` return elements.
+    ``wrap``, ``add``, ``neg`` and ``mul`` return elements.  ``fold``,
+    ``pow_int``, ``frob_int``, ``inv_frob_int`` and ``_split_p`` (n div p
+    and n mod p, slot by slot) are bound per ring when it is built.
     """
 
     element = _Elem  # the element class, set by each ring
@@ -260,17 +292,28 @@ class GaloisRing:
         self._pk_slots = _pack([pk] * m)
         if m == 1:
             self.fold = pk.__rmod__  # n -> n % p^k
+            self.pow_int = lambda n, e: pow(n, e, pk)
+            self.frob_int = self.inv_frob_int = lambda n: n
+            self._split_p = p.__rdivmod__  # n -> (n // p, n % p)
         else:
-            # rows[j - m] holds x^j mod g for j = m .. 2m-2
-            low = [-c % pk for c in _MODULI[(p, m)]]
-            self._rows = [low]
-            for _ in range(m - 2):
-                row = self._rows[-1]
-                self._rows.append([(a + row[-1] * b) % pk for a, b in zip([0] + row[:-1], low)])
-            self.fold = self._fold_slots
-            self._frob = [self.pow_int(1 << (SHIFT * i), p) for i in range(m)]
+            self.fold = _slot_fold(m, pk, _MODULI[(p, m)])
+            self.pow_int = self._pow_folded
+            self._build_tables()
         self.zero = self.wrap(0)
         self.one = self.wrap(1)
+
+    def _build_tables(self):
+        """Frobenius, its inverse and the p-adic split, one entry per element."""
+        p, m, fold = self.p, self.m, self.fold
+        elements = [_pack(c) for c in product(range(self.pk), repeat=m)]
+        xi_p = [self.pow_int(1 << (SHIFT * i), p) for i in range(m)]
+        frob = {n: fold(sum(c * img for c, img in zip(_slots(n, m), xi_p))) for n in elements}
+        self.frob_int = frob.__getitem__
+        self.inv_frob_int = {v: n for n, v in frob.items()}.__getitem__
+        self._split_p = {
+            n: (_pack(c // p for c in _slots(n, m)), _pack(c % p for c in _slots(n, m)))
+            for n in elements
+        }.__getitem__
 
     def __eq__(self, other):
         return type(other) is type(self) and (self.p, self.m) == (other.p, other.m)
@@ -280,54 +323,26 @@ class GaloisRing:
 
     # -- integer kernel ----------------------------------------------------
 
-    def _fold_slots(self, n: int) -> int:
-        m, pk = self.m, self.pk
-        d = _slots(n, 2 * m - 1)
-        high = list(zip(d[m:], self._rows))
-        out = 0
-        for i in range(m):
-            c = d[i] + sum(dj * row[i] for dj, row in high)
-            out |= (c % pk) << (SHIFT * i)
-        return out
-
     def neg_int(self, n: int) -> int:
         return self.fold(self._pk_slots - n)
 
-    def pow_int(self, n: int, e: int) -> int:
-        if self.m == 1:
-            return pow(n, e, self.pk)
+    def _pow_folded(self, n: int, e: int) -> int:
+        fold = self.fold
         result = 1
         while e:
             if e & 1:
-                result = self.fold(result * n)
+                result = fold(result * n)
             e >>= 1
             if e:
-                n = self.fold(n * n)
+                n = fold(n * n)
         return result
 
     def inv_int(self, n: int) -> int:
         if self.k > 1:
-            raise ZeroDivisionError(f"{self!r} is not a field; negative powers unsupported")
+            raise UnitError(f"{self!r} is not a field; negative powers unsupported")
         if not n:
-            raise ZeroDivisionError("inverse of zero in a finite field")
+            raise UnitError("inverse of zero in a finite field")
         return self.pow_int(n, self.q - 2)
-
-    def frob_int(self, n: int) -> int:
-        if self.m == 1:
-            return n
-        return self.fold(sum(c * img for c, img in zip(_slots(n, self.m), self._frob)))
-
-    def inv_frob_int(self, n: int) -> int:
-        for _ in range(self.m - 1):
-            n = self.frob_int(n)
-        return n
-
-    def _split_p(self, n: int) -> tuple:
-        """(n mod p, n div p), slot by slot: both digits as residue-field ints."""
-        if self.m == 1:
-            return n % self.p, n // self.p
-        digits = [divmod(c, self.p) for c in _slots(n, self.m)]
-        return _pack(r for _, r in digits), _pack(d for d, _ in digits)
 
     # -- elements ------------------------------------------------------------
 
@@ -418,13 +433,13 @@ class _LiftRing(GaloisRing):
         self.p_elem = self.wrap(field.p)
 
     def reduce_p(self, u) -> FqElem:
-        return self.residue_field.wrap(self._split_p(u.n)[0])
+        return self.residue_field.wrap(self._split_p(u.n)[1])
 
     def divisible_by_p(self, u) -> bool:
-        return not self._split_p(u.n)[0]
+        return not self._split_p(u.n)[1]
 
     def divide_p(self, u) -> FqElem:
-        low, high = self._split_p(u.n)
+        high, low = self._split_p(u.n)
         if low:
             raise NotDivisible(f"{u!r} is not divisible by {self.p}")
         return self.residue_field.wrap(high)
@@ -495,8 +510,8 @@ class WittRing(_LiftRing):
     def witt_coords(self, u: WittPair) -> tuple:
         """(a0, a1) with u = [a0] + p*lift(a1^(1/p))."""
         field = self.field
-        a0 = self._split_p(u.n)[0]
-        b = self._split_p(self.fold(u.n + self.neg_int(self._teich[a0])))[1]
+        a0 = self._split_p(u.n)[1]
+        b = self._split_p(self.fold(u.n + self.neg_int(self._teich[a0])))[0]
         return field.wrap(a0), field.wrap(field.frob_int(b))
 
     def pair(self, a0, a1) -> WittPair:

@@ -195,3 +195,25 @@ def monic_lifts_dividing(p: int, low: tuple, q: int) -> list:
         if all(c % N == 0 for c in rem):
             found.append(tuple(c % N for c in g))
     return found
+
+
+def teichmuller_modulus(p: int, m: int) -> tuple:
+    """The unique monic lift to Z/p^2 of x^m - x - 1 mod p dividing x^q - x."""
+    (g,) = monic_lifts_dividing(p, tuple(-1 % p if i < 2 else 0 for i in range(m)), p ** m)
+    return g
+
+
+def reduce_by_modulus(raw: list, g: tuple, N: int) -> list:
+    """raw (constant first) mod the monic x^m + g_(m-1) x^(m-1) + ... + g_0, then mod N.
+
+    Long division on a plain coefficient list: the reduction model that the
+    kernel's packed fold is checked against.
+    """
+    m = len(g)
+    rem = list(raw) + [0] * m
+    for k in range(len(rem) - 1, m - 1, -1):  # subtract rem[k] x^(k-m) g
+        c = rem[k]
+        rem[k] = 0
+        for i, gi in enumerate(g):
+            rem[k - m + i] -= c * gi
+    return [c % N for c in rem[:m]]

@@ -36,7 +36,7 @@ def test_classify_k3(capsys):
 def test_p1_lift_degree_too_high(capsys):
     code, report = run(capsys, ["p1-lift", "--p", "2", "--f", "x^5"])
     assert code == 1
-    assert report["error"] == "DegreeTooHigh"
+    assert report["kind"] == "DegreeTooHigh"
     assert not report["ok"]
 
 
@@ -230,7 +230,7 @@ def _assert_contract(argv) -> int:
     assert report["ok"] == (code == 0), (argv, report)
     if code == 1:
         failing = [c["name"] for c in report.get("checks", ()) if not c["ok"]]
-        assert failing or report.get("kind", report.get("error")) in _ERROR_KINDS, (argv, report)
+        assert failing or report.get("kind") in _ERROR_KINDS, (argv, report)
     return code
 
 

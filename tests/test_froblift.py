@@ -165,8 +165,8 @@ def test_eta_between_definition():
 
 
 def test_eta_axioms_on_random_pairs(rng):
-    for p in (2, 3, 5):
-        F = GF(p)
+    for F in (GF(2), GF(3), GF(5), GF(2, 2), GF(2, 3), GF(3, 2)):
+        p = F.p
         for _ in range(20):
             n = rng.randint(1, 2)
             L1 = random_chart_lift(rng, F, n)
@@ -180,16 +180,18 @@ def test_eta_axioms_on_random_pairs(rng):
 
 
 def test_corrupted_eta_fails():
-    F2 = GF(2)
-    L0 = standard_lift(F2, 1)
-    L1 = AffineChartLift(F2, 1, (False,), (P(F2, 1, "x^3"),))
-    eta = eta_between(L0, L1)
-    bad = EtaFunction(
-        F2, 1, (False,), (eta.values[0] + Poly.constant(F2, 1, 1),), sources=eta.sources
-    )
-    x = Poly.variable(F2, 1, 0)
-    candidates = [(x, x), (x + 1, x), (x, x * x), (x + 1, x * x + x)]
-    assert any(not eta_axioms_check(bad, a, b).ok for a, b in candidates)
+    F9 = GF(3, 2)
+    for F, correction, bump in [(GF(2), "x^3", 1), (F9, "[0,1]*x^4", F9.gen())]:
+        L0 = standard_lift(F, 1)
+        L1 = AffineChartLift(F, 1, (False,), (P(F, 1, correction),))
+        eta = eta_between(L0, L1)
+        bad = EtaFunction(
+            F, 1, (False,), (eta.values[0] + Poly.constant(F, 1, bump),), sources=eta.sources
+        )
+        x = Poly.variable(F, 1, 0)
+        candidates = [(x, x), (x + 1, x), (x, x * x), (x + 1, x * x + x)]
+        assert all(eta_axioms_check(eta, a, b).ok for a, b in candidates)
+        assert any(not eta_axioms_check(bad, a, b).ok for a, b in candidates)
 
 
 # -- phi matrix and determinant ---------------------------------------------------

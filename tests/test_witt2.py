@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import WittModel, monic_lifts_dividing
+from oracles import WittModel, monic_lifts_dividing, reduce_by_modulus, teichmuller_modulus
 
 from w2frob import witt2
 from w2frob import (
@@ -10,6 +10,7 @@ from w2frob import (
     CharMismatch,
     NotDivisible,
     Poly,
+    UnitError,
     UnsupportedField,
     Zp2Ring,
     divide_by_p,
@@ -167,6 +168,44 @@ def test_kernel_matches_component_formulas_exhaustively(q):
     for c in field.elements():
         assert coords(ring.times_p_embed(c)) == model.times_p_embed(c.coeffs)
         assert coords(ring.from_residue(c)) == model.from_residue(c.coeffs)
+
+
+@pytest.mark.parametrize("q", [(2, 2), (2, 3), (3, 2)], ids=_field_id)
+def test_fold_matches_long_division(q, rng):
+    # fold of sums of 1 to 64 products of canonical elements, and of 2^24
+    # products at the slot bound, against division by g on coefficient lists
+    p, m = q
+    g = teichmuller_modulus(p, m)
+
+    def pack(coeffs):
+        return sum(c << (witt2.SHIFT * i) for i, c in enumerate(coeffs))
+
+    for ring in (GF(p, m), W2(p, m)):
+        pk = ring.pk
+
+        def check(pairs, times=1):
+            n, raw = 0, [0] * (2 * m - 1)
+            for a, b in pairs:
+                n += pack(a) * pack(b) * times
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        raw[i + j] += x * y * times
+            assert ring.fold(n) == pack(reduce_by_modulus(raw, g, pk)), (ring, pairs, times)
+
+        def canonical():
+            return [rng.randrange(pk) for _ in range(m)]
+
+        for _ in range(200):
+            check([(canonical(), canonical()) for _ in range(rng.randint(1, 64))])
+        top = [pk - 1] * m
+        check([(top, top)], times=1 << 24)
+
+
+def test_non_units_raise_unit_error():
+    with pytest.raises(UnitError):
+        GF(5).zero.inverse()
+    with pytest.raises(UnitError):
+        W2(3).one ** -1
 
 
 # -- ring axioms -------------------------------------------------------------
