@@ -5,11 +5,12 @@ Layers, bottom up:
 * ``witt2``: F_q, Z/p^2 and W2(F_q) as Galois rings on one integer
   kernel, with the division-by-p isomorphism.
 * ``polyalg``: sparse exact multivariate Laurent polynomials, matrices,
-  cofactor determinants, the low-exponent decomposition.
+  cofactor determinants.
 * ``froblift``: Frobenius lifts on affine charts, the eta difference
   calculus, the phi matrix / determinant and the column-sum lemma.
 * ``projline``: the two-chart degree-bound criterion on the projective
-  line over a base.
+  line over a base, and its one check (extension, round trip and
+  F(x)*F(y) = 1), which ``sweeps.sweep_p1`` runs.
 * ``ruled``: four-chart standard lifts on ruled surfaces over toric
   bases, gluing verification and base-lift extraction.
 * ``classify``: the surface classification theorem as a decision
@@ -65,13 +66,12 @@ from .polyalg import (
     embed_times_p,
     frobenius_substitute,
     invert_unit,
-    low_decomposition,
     poly_from_str,
     poly_to_str,
     reduce_mod_p,
     substitute,
 )
-from .projline import P1Lift, extend_chart, lift_space_dimension, verify_p1_lift
+from .projline import extend_chart, verify_p1_lift
 from .ruled import (
     BaseLift,
     BaseLiftExtraction,

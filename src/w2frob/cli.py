@@ -63,7 +63,7 @@ def _report(command: str, seed, checks: list, extra: dict = None) -> dict:
     rep = {"schema": SCHEMA, "command": command, "seed": seed, "checks": checks}
     if extra:
         rep.update(extra)
-    rep["ok"] = all(c.get("ok", True) for c in checks)
+    rep["ok"] = all(c["ok"] for c in checks)
     return rep
 
 
@@ -72,28 +72,21 @@ def _report(command: str, seed, checks: list, extra: dict = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_witt_check(args) -> tuple:
-    checks = sweep_witt(args.p_list, args.trials, args.seed)
-    return (0 if all(c["ok"] for c in checks) else 1), _report(
-        "witt-check", args.seed, checks
-    )
+def _cmd_witt_check(args) -> dict:
+    return _report("witt-check", args.seed, sweep_witt(args.p_list, args.trials, args.seed))
 
 
-def _cmd_verify_lemma(args) -> tuple:
+def _cmd_verify_lemma(args) -> dict:
     checks = sweep_monomial_lemma(args.p, args.n, args.trials, args.seed)
-    return (0 if all(c["ok"] for c in checks) else 1), _report(
-        "verify-lemma", args.seed, checks
-    )
+    return _report("verify-lemma", args.seed, checks)
 
 
-def _cmd_phi_det(args) -> tuple:
+def _cmd_phi_det(args) -> dict:
     checks = sweep_phi_det([args.p], [args.n], args.trials, args.seed)
-    return (0 if all(c["ok"] for c in checks) else 1), _report(
-        "phi-det", args.seed, checks
-    )
+    return _report("phi-det", args.seed, checks)
 
 
-def _cmd_p1_lift(args) -> tuple:
+def _cmd_p1_lift(args) -> dict:
     field = GF(args.p)
     base = standard_lift(field, 0)
     f = poly_from_str(field, 1, args.f)
@@ -106,8 +99,8 @@ def _cmd_p1_lift(args) -> tuple:
         extra = {"p": args.p, "f": poly_to_str(f), "error": str(exc), "kind": type(exc).__name__}
         report = _report("p1-lift", None, [], extra)
         report["ok"] = False
-        return 1, report
-    return 0, _report(
+        return report
+    return _report(
         "p1-lift",
         None,
         [],
@@ -120,7 +113,7 @@ def _cmd_p1_lift(args) -> tuple:
     )
 
 
-def _cmd_ruled_lift(args) -> tuple:
+def _cmd_ruled_lift(args) -> dict:
     field = GF(args.p)
     try:
         if args.base == "P1":
@@ -143,7 +136,7 @@ def _cmd_ruled_lift(args) -> tuple:
             consistency.failures,
         ),
     ]
-    report = _report(
+    return _report(
         "ruled-lift",
         None,
         checks,
@@ -156,21 +149,17 @@ def _cmd_ruled_lift(args) -> tuple:
             "overlaps_implied": glue.details["implied"],
         },
     )
-    return (0 if report["ok"] else 1), report
 
 
-def _cmd_classify(args) -> tuple:
+def _cmd_classify(args) -> dict:
     desc = classify_mod.SurfaceDescriptor.from_json_dict(json.loads(args.json))
-    verdict = classify_mod.classify_surface(desc)
-    report = _report("classify", None, [], verdict.to_json_dict())
-    report["ok"] = True
-    return 0, report
+    return _report("classify", None, [], classify_mod.classify_surface(desc).to_json_dict())
 
 
-def _cmd_hasse(args) -> tuple:
+def _cmd_hasse(args) -> dict:
     E = classify_mod.WeierstrassCurve.short_form(args.p, args.a, args.b)
     inv = classify_mod.hasse_invariant(E)
-    report = _report(
+    return _report(
         "hasse",
         None,
         [],
@@ -183,10 +172,9 @@ def _cmd_hasse(args) -> tuple:
             "points": E.count_points(),
         },
     )
-    return 0, report
 
 
-def _cmd_sweep_all(args) -> tuple:
+def _cmd_sweep_all(args) -> dict:
     scale = args.trials_scale
     checks = []
     checks += sweep_witt([2, 3, 5, 7], 100 * scale, args.seed)
@@ -200,8 +188,7 @@ def _cmd_sweep_all(args) -> tuple:
         checks += sweep_ruled(p, args.seed)
     checks += sweep_classify()
     checks += sweep_hasse([5, 7, 11, 13])
-    report = _report("sweep-all", args.seed, checks)
-    return (0 if report["ok"] else 1), report
+    return _report("sweep-all", args.seed, checks)
 
 
 def _bounded_int(lo: int, hi: int = None):
@@ -304,7 +291,7 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        code, report = args.func(args)
+        report = args.func(args)
     except (
         ParseError,
         DescriptorError,
@@ -328,7 +315,7 @@ def run_command(argv) -> int:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     print(text)
-    return code
+    return 0 if report["ok"] else 1
 
 
 def main():

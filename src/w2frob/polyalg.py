@@ -31,7 +31,6 @@ from .errors import (
     RingMismatch,
     ShapeError,
     UnitError,
-    UnsupportedShape,
 )
 
 Monomial = tuple  # exponent tuple, one entry per variable
@@ -223,9 +222,6 @@ class Poly:
             return None
         return min(m[i] for m in self.terms)
 
-    def is_laurent_free(self) -> bool:
-        return all(all(e >= 0 for e in m) for m in self.terms)
-
     def respects_mask(self, laurent_mask: Sequence[bool]) -> bool:
         """Negative exponents only occur in variables flagged as inverted."""
         for m in self.terms:
@@ -415,29 +411,6 @@ def invert_unit(f: Poly) -> Poly:
     g0 = Poly.monomial(ring, f.nvars, tuple(-e for e in mono), ring.from_residue(c.inverse()))
     r = divide_by_p(f * g0 - Poly.constant(ring, f.nvars, ring.one))
     return g0 - g0 * embed_times_p(r, ring)
-
-
-def low_decomposition(f: Poly, p: int):
-    """Split f = f_low + sum_s x_s^p * g_s with all exponents of f_low below p.
-
-    A monomial divisible by several p-th powers goes to the lowest
-    variable index.  Laurent input is rejected.
-    """
-    if not f.is_laurent_free():
-        raise UnsupportedShape("low decomposition needs an ordinary polynomial")
-    low_terms: dict = {}
-    g_terms: list = [dict() for _ in range(f.nvars)]
-    for m, c in f.terms.items():
-        for s, e in enumerate(m):
-            if e >= p:
-                mono = m[:s] + (e - p,) + m[s + 1:]
-                g_terms[s][mono] = c
-                break
-        else:
-            low_terms[m] = c
-    f_low = Poly(f.ring, f.nvars, low_terms)
-    gs = tuple(Poly(f.ring, f.nvars, t) for t in g_terms)
-    return f_low, gs
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,11 @@ def base_glue_consistency(L: RuledLift) -> CheckResult:
     at fiber degree 0, must equal the V-side image of u on the overlap;
     the difference from the plain U-side degree-0 part is p times an eta
     that obeys the difference-calculus axioms.
+
+    For every lift that ``build_standard_lift`` returns, the UX image of
+    u is fiber-free by construction, so the transition leaves it as it is
+    and ``eta_u`` is 0.  Checks on this eta can then fail only where the
+    degree-0 comparison has already failed.
     """
     T = L.transition
     field = L.field

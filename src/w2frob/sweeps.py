@@ -14,7 +14,7 @@ import math
 import random
 
 from . import classify as classify_mod
-from .errors import DegreeTooHigh, SingularCurve
+from .errors import SingularCurve
 from .froblift import (
     eta_axioms_check,
     eta_between,
@@ -24,7 +24,7 @@ from .froblift import (
     top_monomial,
 )
 from .polyalg import Poly, poly_to_str
-from .projline import extend_chart
+from .projline import verify_p1_lift
 from .randgen import random_chart_lift, random_exponent_matrix, random_poly
 from .ruled import (
     TransitionData,
@@ -68,7 +68,11 @@ def _witt_product(p: int, a: tuple, b: tuple) -> tuple:
 
 
 def sweep_witt(p_list, trials, seed) -> list:
-    """W2(F_p) against the component formulas; every pair when p <= 3 or p^4 <= trials."""
+    """W2(F_p) and its map to Z/p^2 against the component formulas.
+
+    Every pair is checked when p <= 3 or p^4 <= trials, and every element
+    against (a0, a1) -> a0^p + p*a1.
+    """
     checks = []
     for p in p_list:
         rng = random.Random(f"{seed}|witt|{p}")
@@ -95,9 +99,10 @@ def sweep_witt(p_list, trials, seed) -> list:
             ]
             verdicts.append(not bad)
             failures.extend(bad)
-        images = {witt_to_residue_ring(u).rep for u in elems}
-        if len(images) != p * p:
-            failures.append({"op": "bijection", "count": len(images)})
+        for u in elems:
+            a0, a1 = coords(u)
+            if witt_to_residue_ring(u).rep != (a0 ** p + p * a1) % (p * p):
+                failures.append({"op": "residue", "u": repr(u)})
         checks.append(
             _check(
                 f"witt-oracle-p{p}",
@@ -186,20 +191,16 @@ def sweep_eta(p, lift_pairs, elem_pairs, seed) -> list:
 
 
 def sweep_p1(p) -> list:
+    """verify_p1_lift on x^d over a point, d in 0..3p: it holds exactly when d <= 2p."""
     field = GF(p)
     base = standard_lift(field, 0)
     verdicts, failures = [], []
     for d in range(3 * p + 1):
-        f = Poly.monomial(field, 1, (d,))
-        try:
-            extend_chart(base, f)
-            extended = True
-        except DegreeTooHigh:
-            extended = False
-        ok = extended == (d <= 2 * p)
+        res = verify_p1_lift(base, Poly.monomial(field, 1, (d,)))
+        ok = res.ok == (d <= 2 * p)
         verdicts.append(ok)
         if not ok:
-            failures.append({"degree": d, "extended": extended})
+            failures.append({"degree": d, "verified": res.ok, "failures": res.failures})
     return [
         _check(
             f"p1-degree-bound-p{p}",

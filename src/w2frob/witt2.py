@@ -212,12 +212,6 @@ class FqElem(_Elem):
     def inverse(self):
         return self.ring.wrap(self.ring.inv_int(self.n))
 
-    def __truediv__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
     def inv_frobenius(self):
         """Unique p-th root, i.e. the inverse of :meth:`frobenius`."""
         return self.ring.wrap(self.ring.inv_frob_int(self.n))

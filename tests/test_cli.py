@@ -152,6 +152,18 @@ def test_passes_count_trials_without_failure(monkeypatch):
     assert not sweeps.sweep_phi_det([2], [1], 0, 1)[0]["ok"]  # zero trials
 
 
+def test_witt_sweep_checks_the_residue_map_itself(monkeypatch):
+    # n -> n + p is a bijection W2(F_p) -> Z/p^2, but not (a0, a1) -> a0^p + p*a1
+    real = sweeps.witt_to_residue_ring
+    monkeypatch.setattr(
+        sweeps, "witt_to_residue_ring", lambda u: real(u) + real(u.ring.pair(0, 1))
+    )
+    for check in sweeps.sweep_witt([2, 3], 10, 1):
+        assert check["passes"] == check["trials"]
+        assert not check["ok"]
+        assert check["failures"][0]["op"] == "residue"
+
+
 _ERROR_KINDS = {
     cls.__name__
     for cls in vars(errors).values()

@@ -9,11 +9,9 @@ from w2frob import (
     RingMismatch,
     ShapeError,
     UnitError,
-    UnsupportedShape,
     Zp2Ring,
     frobenius_substitute,
     invert_unit,
-    low_decomposition,
     poly_from_str,
     poly_to_str,
     reduce_mod_p,
@@ -196,50 +194,6 @@ def test_coefficient_of():
          [Poly.constant(F2, 2, 1), Poly.variable(F2, 2, 1)]]
     )
     assert M.determinant().coefficient_of((1, 1)) == F2.one
-
-
-# -- low decomposition --------------------------------------------------------
-
-
-def test_low_decomposition_examples():
-    F2 = GF(2)
-    f = P(F2, 1, "x^3")
-    f_low, gs = low_decomposition(f, 2)
-    assert f_low.is_zero()
-    assert gs[0] == P(F2, 1, "x")
-
-    g = P(F2, 2, "x1+x2+1")
-    g_low, g_gs = low_decomposition(g, 2)
-    assert g_low == g and all(h.is_zero() for h in g_gs)
-
-    h = P(F2, 2, "x1^2*x2^2")
-    h_low, h_gs = low_decomposition(h, 2)
-    assert h_low.is_zero()
-    assert h_gs[0] == P(F2, 2, "x2^2")  # lowest-index tie break
-    assert h_gs[1].is_zero()
-
-
-def test_low_decomposition_rejects_laurent():
-    F2 = GF(2)
-    with pytest.raises(UnsupportedShape):
-        low_decomposition(Poly.variable(F2, 1, 0, -1), 2)
-
-
-def test_low_decomposition_recombines(rng):
-    for p in (2, 3, 5):
-        Fp = GF(p)
-        for _ in range(400):
-            terms = {
-                (rng.randint(0, 2 * p), rng.randint(0, 2 * p)): Fp.from_int(rng.randint(1, p - 1))
-                for _ in range(5)
-            }
-            f = Poly(Fp, 2, terms)
-            f_low, gs = low_decomposition(f, p)
-            recombined = f_low
-            for s, g in enumerate(gs):
-                recombined = recombined + Poly.variable(Fp, 2, s, p) * g
-            assert recombined == f
-            assert all(all(e <= p - 1 for e in m) for m in f_low.terms)
 
 
 # -- reduction ----------------------------------------------------------------

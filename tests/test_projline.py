@@ -3,18 +3,19 @@ import pytest
 from oracles import naive_laurent_mul_zp2
 from w2frob import (
     GF,
+    AffineChartLift,
     DegreeTooHigh,
-    P1Lift,
     Poly,
     eta_axioms_check,
     eta_between,
     extend_chart,
-    lift_space_dimension,
     poly_from_str,
     standard_lift,
     verify_p1_lift,
 )
+from w2frob import projline
 from w2frob.randgen import random_poly
+from w2frob.sweeps import sweep_p1
 
 
 def P(ring, nvars, s):
@@ -78,8 +79,10 @@ def test_extension_over_affine_base():
 def test_verify_p1_lift_examples():
     F2 = GF(2)
     base = standard_lift(F2, 0)
-    assert verify_p1_lift(P1Lift(base, Poly.zero(F2, 1))).ok
-    assert verify_p1_lift(P1Lift(base, P(F2, 1, "x^4"))).ok
+    assert verify_p1_lift(base, Poly.zero(F2, 1)).ok
+    assert verify_p1_lift(base, P(F2, 1, "x^4")).ok
+    res = verify_p1_lift(base, P(F2, 1, "x^5"))
+    assert not res.ok and res.failures[0]["chart"] == "y"
 
 
 def test_verify_p1_lift_sweep(rng):
@@ -87,14 +90,19 @@ def test_verify_p1_lift_sweep(rng):
     base = standard_lift(F3, 0)
     for _ in range(150):
         f = random_poly(rng, F3, 1, 6, 4)
-        assert verify_p1_lift(P1Lift(base, f)).ok
+        assert verify_p1_lift(base, f).ok
 
 
-def test_p1_lift_constructor_rejects_high_degree():
-    F2 = GF(2)
-    base = standard_lift(F2, 0)
-    with pytest.raises(DegreeTooHigh):
-        P1Lift(base, P(F2, 1, "x^5"))
+def test_sweep_p1_sees_a_dropped_sign(monkeypatch):
+    # g = +y^(2p)*f(1/y) still extends and round-trips, but breaks F(x)*F(y) = 1;
+    # at p = 2 the sign is invisible, since -c = c in F_2
+    real = projline.extend_chart
+    monkeypatch.setattr(projline, "extend_chart", lambda base, f: -real(base, f))
+    assert sweep_p1(2)[0]["ok"]
+    for p in (3, 5):
+        check = sweep_p1(p)[0]
+        assert not check["ok"]
+        assert check["passes"] == p  # only the p degrees above 2p, where failing is expected
 
 
 def test_gluing_identity_against_naive_arithmetic(rng):
@@ -113,12 +121,6 @@ def test_gluing_identity_against_naive_arithmetic(rng):
         assert naive_laurent_mul_zp2(fx, fy_sub, 2) == {0: 1}
 
 
-def test_lift_space_dimension():
-    assert lift_space_dimension(2) == 5
-    assert lift_space_dimension(3) == 7
-    assert lift_space_dimension(5) == 11
-
-
 def test_two_p1_lifts_differ_by_bounded_eta(rng):
     # two lifts over the same base reduction differ by a degree <= 2p correction
     # whose eta satisfies the difference-calculus axioms
@@ -126,8 +128,8 @@ def test_two_p1_lifts_differ_by_bounded_eta(rng):
     for _ in range(25):
         f1 = random_poly(rng, F3, 1, 6, 4)
         f2 = random_poly(rng, F3, 1, 6, 4)
-        c1 = P1Lift(standard_lift(F3, 0), f1).x_chart()
-        c2 = P1Lift(standard_lift(F3, 0), f2).x_chart()
+        c1 = AffineChartLift(F3, 1, (False,), (f1,))
+        c2 = AffineChartLift(F3, 1, (False,), (f2,))
         eta = eta_between(c1, c2)
         assert eta.values[0] == f2 - f1
         d = eta.values[0].degree_in(0)

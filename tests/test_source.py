@@ -39,3 +39,43 @@ def test_traced_names_resolve_in_the_package():
         if not found:
             missing.append(f"{layer}.{owner or ''}.{attr}")
     assert not missing, missing
+
+
+# parsers of formats the library writes: a reader needs them though no command does
+_UNUSED_EXPORTS_ALLOWED = {"lift_from_json", "witt_from_str"}
+
+
+def _used_names(node, enclosing=frozenset()) -> set:
+    """Names and attribute names under ``node``, except inside a definition of the same name."""
+    used = set()
+    for child in ast.iter_child_nodes(node):
+        inner = enclosing
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = enclosing | {child.name}
+        if isinstance(child, ast.Name):
+            name = child.id
+        elif isinstance(child, ast.Attribute):
+            name = child.attr
+        else:
+            name = None
+        if name is not None and name not in enclosing:
+            used.add(name)
+        used |= _used_names(child, inner)
+    return used
+
+
+def test_every_export_is_used_outside_the_tests():
+    package = Path(w2frob.__file__).parent
+    root = package.parent.parent
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += [*(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    used = set().union(*(_used_names(ast.parse(p.read_text())) for p in sources))
+    assert sorted(exported - used - _UNUSED_EXPORTS_ALLOWED) == []
+    assert _UNUSED_EXPORTS_ALLOWED <= exported - used  # the allowlist stays minimal
