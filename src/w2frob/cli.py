@@ -16,7 +16,6 @@ import sys
 from . import classify as classify_mod
 from .errors import (
     AlgebraError,
-    DegreeTooHigh,
     DescriptorError,
     ParseError,
     SingularCurve,
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .froblift import standard_lift
 from .polyalg import Poly, poly_from_str, poly_to_str
-from .projline import extend_chart
+from .projline import verify_p1_lift
 from .ruled import (
     TransitionData,
     base_glue_consistency,
@@ -88,29 +87,24 @@ def _cmd_phi_det(args) -> dict:
 
 def _cmd_p1_lift(args) -> dict:
     field = GF(args.p)
-    base = standard_lift(field, 0)
     f = poly_from_str(field, 1, args.f)
     try:
-        g = extend_chart(base, f)
+        res = verify_p1_lift(standard_lift(field, 0), f)
     except UnsupportedShape as exc:  # f is not a polynomial in x
         raise UsageError(str(exc)) from exc
-    except DegreeTooHigh as exc:
-        # the layout of run_command's exit-1 reports: message and error kind
-        extra = {"p": args.p, "f": poly_to_str(f), "error": str(exc), "kind": type(exc).__name__}
-        report = _report("p1-lift", None, [], extra)
-        report["ok"] = False
-        return report
-    return _report(
-        "p1-lift",
-        None,
-        [],
-        {
-            "p": args.p,
-            "f": poly_to_str(f),
-            "y_correction": poly_to_str(g),
-            "y_image": f"x1^{args.p} + p*({poly_to_str(g)})",
-        },
-    )
+    checks = [
+        _check(
+            "p1-extension",
+            "F(x) = x^p + p*f extends across y = 1/x, round-trips and glues to F(x)*F(y) = 1",
+            [res.ok],
+            res.failures,
+        )
+    ]
+    extra = {"p": args.p, "f": poly_to_str(f)}
+    if res.ok:
+        g = res.details["y_correction"]
+        extra.update(y_correction=g, y_image=f"x1^{args.p} + p*({g})")
+    return _report("p1-lift", None, checks, extra)
 
 
 def _cmd_ruled_lift(args) -> dict:

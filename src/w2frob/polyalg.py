@@ -14,8 +14,10 @@ one element per resulting term.  Rings that carry the mod-p interface
 ``from_residue``) support the reduction and division-by-p maps between a
 lift ring and its residue field.
 
-Text grammar: '+'-separated terms of the shape ``c*x1^e1*x2^-3``.
-``poly_to_str`` and ``poly_from_str`` round-trip bit-exactly.
+Text grammar: terms like ``c*x1^e1*x2^-3``, joined by '+' or '-', and the
+first may carry a sign too.  A factor is a variable power (bare ``x`` is
+``x1``) or a coefficient literal: ``3``, ``[1,0]`` over F_q, ``(a0,a1)``
+over W2(F_q).  ``poly_to_str`` and ``poly_from_str`` round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -486,7 +488,12 @@ class PolyMatrix:
 # text grammar
 # ---------------------------------------------------------------------------
 
-_VAR_RE = re.compile(r"^x(\d*)(?:\^(-?\d+))?$")
+# one token: a sign, '*', a variable power x<i>^<e>, or a coefficient literal
+# (an integer, a slot list [..], or a pair (..) whose entries may be slot lists)
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<sign>[+-])|(?P<star>\*)|x(?P<var>\d*)(?:\^(?P<exp>-?\d+))?"
+    r"|(?P<lit>\d[\d_]*|\[[^\[\]()]*\]|\((?:[^\[\]()]|\[[^\[\]()]*\])*\)))"
+)
 
 
 def poly_to_str(f: Poly) -> str:
@@ -501,78 +508,39 @@ def poly_to_str(f: Poly) -> str:
     return "+".join(parts)
 
 
-def _split_terms(s: str) -> list:
-    """Split into (sign, term) pairs on top-level +/-.
-
-    A '-' directly after ^ * ( [ or , belongs to the token that follows
-    (exponents, coefficient literals); elsewhere it separates terms.
-    """
-    out, depth, start = [], 0, 0
-    sign, prev = 1, ""
-    for k, ch in enumerate(s):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced brackets in {s!r}")
-        elif depth == 0 and ch in "+-":
-            if ch == "-" and prev in "^*([,":
-                prev = ch
-                continue
-            if k > start and s[start:k].strip():
-                out.append((sign, s[start:k]))
-                sign = 1
-            if ch == "-":
-                sign = -sign
-            start = k + 1
-        if not ch.isspace():
-            prev = ch
-    if depth:
-        raise ParseError(f"unbalanced brackets in {s!r}")
-    out.append((sign, s[start:]))
-    return out
-
-
-def _split_factors(s: str) -> list:
-    out, depth, start = [], 0, 0
-    for k, ch in enumerate(s):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif depth == 0 and ch == "*":
-            out.append(s[start:k])
-            start = k + 1
-    out.append(s[start:])
-    return out
-
-
 def poly_from_str(ring, nvars: int, s: str) -> Poly:
-    """Parse the '+'-separated term grammar; bare ``x`` means ``x1``."""
-    s = s.strip()
-    if not s:
-        raise ParseError("empty polynomial string")
-    if s == "0":
-        return Poly.zero(ring, nvars)
+    """Parse the grammar of the module docstring, one token at a time.
+
+    A sign after a factor starts the next term, a sign before a factor
+    negates it, and '*' stands between two factors.
+    """
     result = Poly.zero(ring, nvars)
-    for sign, raw_term in _split_terms(s):
-        term = raw_term.strip()
-        if not term:
-            raise ParseError(f"empty term in {s!r}")
-        coeff = ring.one if sign > 0 else -ring.one
-        exps = [0] * nvars
-        for factor in _split_factors(term):
-            factor = factor.strip()
-            if not factor:
-                raise ParseError(f"empty factor in {term!r}")
-            mv = _VAR_RE.match(factor)
-            if mv:
-                i = int(mv.group(1)) - 1 if mv.group(1) else 0
-                if not 0 <= i < nvars:
-                    raise ParseError(f"variable x{i + 1} out of range in {term!r}")
-                exps[i] += int(mv.group(2)) if mv.group(2) else 1
-            else:
-                coeff = coeff * ring.coeff_from_str(factor)
-        result = result + Poly.monomial(ring, nvars, tuple(exps), coeff)
-    return result
+    coeff, exps, after_factor = ring.one, [0] * nvars, False
+    pos, end = 0, len(s.rstrip())
+    while pos < end:
+        tok = _TOKEN_RE.match(s, pos)
+        if tok is None:
+            raise ParseError(f"unexpected {s[pos:end].strip()!r} in {s!r}")
+        pos = tok.end()
+        if tok["sign"]:
+            if after_factor:
+                result += Poly.monomial(ring, nvars, tuple(exps), coeff)
+                coeff, exps, after_factor = ring.one, [0] * nvars, False
+            if tok["sign"] == "-":
+                coeff = -coeff
+        elif after_factor == (tok["star"] is None):
+            raise ParseError(f"'*' must stand between two factors in {s!r}")
+        elif tok["star"]:
+            after_factor = False
+        elif tok["var"] is not None:
+            i = int(tok["var"]) - 1 if tok["var"] else 0
+            if not 0 <= i < nvars:
+                raise ParseError(f"variable x{i + 1} out of range in {s!r}")
+            exps[i] += int(tok["exp"]) if tok["exp"] else 1
+            after_factor = True
+        else:
+            coeff = coeff * ring.coeff_from_str(tok["lit"])
+            after_factor = True
+    if not after_factor:
+        raise ParseError(f"{s!r} does not end in a factor")
+    return result + Poly.monomial(ring, nvars, tuple(exps), coeff)

@@ -41,6 +41,7 @@ multiplication-by-p isomorphism from the residue field onto the ideal
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import product
 from typing import Iterator
@@ -65,6 +66,9 @@ _MODULI = {
     (2, 3): (3, 1, 2),
     (3, 2): (8, 5),
 }
+
+# "(a0,a1)": a0 runs to the first comma outside a slot list [..]
+_PAIR_RE = re.compile(r"\(((?:\[[^\]]*\]|[^\[,])*),(.*)\)", re.S)
 
 
 def check_prime_char(p: int) -> int:
@@ -408,7 +412,7 @@ class FiniteField(GaloisRing):
                     raise ValueError(s)
                 return self.elem([int(x) for x in s[1:-1].split(",")])
             return self.from_int(int(s))
-        except ValueError as exc:
+        except (ValueError, UnsupportedField) as exc:  # UnsupportedField: wrong slot count
             raise ParseError(f"bad {self} coefficient: {s!r}") from exc
 
 
@@ -532,24 +536,13 @@ class WittRing(_LiftRing):
         return f"({f.coeff_to_str(a0)},{f.coeff_to_str(a1)})"
 
     def coeff_from_str(self, s: str) -> WittPair:
-        s = s.strip()
-        if not (s.startswith("(") and s.endswith(")")):
-            try:
-                return self.from_int(int(s))
-            except ValueError as exc:
-                raise ParseError(f"bad Witt coefficient: {s!r}") from exc
-        body = s[1:-1]
-        depth = 0
-        for k, ch in enumerate(body):
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                a0 = self.field.coeff_from_str(body[:k])
-                a1 = self.field.coeff_from_str(body[k + 1:])
-                return self.from_witt(a0, a1)
-        raise ParseError(f"bad Witt coefficient: {s!r}")
+        pair = _PAIR_RE.fullmatch(s.strip())
+        if pair:
+            return self.from_witt(*map(self.field.coeff_from_str, pair.groups()))
+        try:
+            return self.from_int(int(s))
+        except ValueError as exc:
+            raise ParseError(f"bad Witt coefficient: {s!r}") from exc
 
 
 @lru_cache(maxsize=None)

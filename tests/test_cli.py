@@ -6,7 +6,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from w2frob import errors, sweeps
+from w2frob import errors, projline, sweeps
 from w2frob.classify import SURFACE_CLASSES
 from w2frob.cli import run_command
 
@@ -36,7 +36,10 @@ def test_classify_k3(capsys):
 def test_p1_lift_degree_too_high(capsys):
     code, report = run(capsys, ["p1-lift", "--p", "2", "--f", "x^5"])
     assert code == 1
-    assert report["kind"] == "DegreeTooHigh"
+    [check] = report["checks"]
+    assert check["name"] == "p1-extension" and not check["ok"]
+    assert "fiber degree 5 > 4" in check["failures"][0]["error"]
+    assert "y_correction" not in report
     assert not report["ok"]
 
 
@@ -44,6 +47,22 @@ def test_p1_lift_success(capsys):
     code, report = run(capsys, ["p1-lift", "--p", "2", "--f", "x^4"])
     assert code == 0
     assert report["y_correction"] == "1"
+
+
+def test_p1_lift_reads_a_leading_minus(capsys):
+    # a value that starts with '-' reaches the grammar when attached with '='
+    code, report = run(capsys, ["p1-lift", "--p", "3", "--f=-x^4"])
+    assert code == 0
+    assert (report["f"], report["y_correction"]) == ("2*x1^4", "1*x1^2")
+
+
+def test_p1_lift_checks_the_flip_it_prints(capsys, monkeypatch):
+    real = projline.extend_chart
+    monkeypatch.setattr(projline, "extend_chart", lambda base, f: -real(base, f))
+    code, report = run(capsys, ["p1-lift", "--p", "3", "--f", "x^4"])
+    assert code == 1
+    [check] = report["checks"]
+    assert check["failures"][0]["error"] == "F(x)*F(y) != 1 on the overlap"
 
 
 def test_witt_check(capsys):
@@ -174,7 +193,10 @@ _SMALL = st.integers(-3, 20).map(str)
 _TRIALS = st.integers(-2, 20).map(str)
 _N = st.integers(-2, 6).map(str)
 _POLY = st.lists(
-    st.sampled_from(["x", "x1", "x2", "^", "2", "-1", "+", "-", "*", "(", "3", "7"]), max_size=6
+    st.sampled_from(
+        ["x", "x1", "x2", "^", "2", "-1", "+", "-", "*", "(", "3", "7", "[1,0]", "(1,2)", "[", "]", ",", " "]
+    ),
+    max_size=6,
 ).map("".join)
 _JSON = st.one_of(
     st.text(max_size=8),

@@ -323,8 +323,9 @@ def test_lift_json_rejects_q_not_a_power_of_p():
         {"p": "2", "q": 2, "nvars": 1, "laurent_mask": [False], "corrections": ["0"]},
         {"p": 2, "q": 2, "nvars": 1, "laurent_mask": [False]},
         [2, 2, 1, [False], ["0"]],
+        {"p": 5, "q": 5, "nvars": 1, "laurent_mask": [False], "corrections": ["[0,1]"]},
     ],
-    ids=["string-p", "no-corrections", "top-level-list"],
+    ids=["string-p", "no-corrections", "top-level-list", "two-slots-over-F5"],
 )
 def test_lift_json_malformed_documents_raise_parse_error(doc):
     with pytest.raises(ParseError):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from oracles import from_pkg_poly, naive_det_by_permutations, naive_poly_mul
@@ -5,6 +7,7 @@ from w2frob import (
     GF,
     W2,
     Poly,
+    ParseError,
     PolyMatrix,
     RingMismatch,
     ShapeError,
@@ -287,6 +290,7 @@ def test_poly_text_examples():
 
 def test_poly_text_roundtrip_random(rng):
     rings = [GF(2), GF(5), GF(2, 2), W2(3), W2(2, 2), Zp2Ring(5)]
+    signs = random.Random(1)  # apart from rng, which draws the polynomials
     for ring in rings:
         for _ in range(40):
             terms = {}
@@ -297,6 +301,18 @@ def test_poly_text_roundtrip_random(rng):
                     terms[mono] = c
             f = Poly(ring, 2, terms)
             assert P(ring, 2, poly_to_str(f)) == f
+            assert P(ring, 2, _signed_text(f, signs)) == f
+
+
+def _signed_text(f, rng):
+    """f with a sign before every term, the first included; a '-' negates the coefficient."""
+    parts = []
+    for mono, c in f.terms.items():
+        sign = rng.choice("+-")
+        factors = [f.ring.coeff_to_str(-c if sign == "-" else c)]
+        factors.extend(f"x{i + 1}^{e}" for i, e in enumerate(mono) if e)
+        parts.append(f" {sign} " + "*".join(factors))
+    return "".join(parts) or "-0"
 
 
 def test_poly_text_parser_leniency():
@@ -304,3 +320,41 @@ def test_poly_text_parser_leniency():
     assert P(F5, 1, "x^2") == Poly.variable(F5, 1, 0, 2)
     assert P(F5, 1, "3*x-2") == Poly(F5, 1, {(1,): F5.from_int(3), (0,): F5.from_int(3)})
     assert P(F5, 1, "x*x*x") == Poly.variable(F5, 1, 0, 3)
+
+
+def test_poly_text_leading_sign():
+    F5, F9, W = GF(5), GF(3, 2), W2(3)
+    assert P(F5, 1, "-x^2-1") == Poly.constant(F5, 1, 4) * Poly.variable(F5, 1, 0, 2) + 4
+    assert P(F5, 2, " -x2") == Poly.variable(F5, 2, 1, coeff=F5.from_int(4))
+    assert P(F9, 1, "-[1,2]") == Poly.constant(F9, 1, F9.elem([2, 1]))
+    assert P(W, 1, "-(1,1)*x") == Poly.variable(W, 1, 0, coeff=-W.pair(1, 1))
+    # a sign before a factor negates it wherever the factor stands
+    assert P(F5, 1, "--x") == P(F5, 1, "x*+x^0") == P(F5, 1, "2*-3*x*-1") == P(F5, 1, "x")
+    assert P(W, 1, "x*-(1,1)") == P(W, 1, "-(1,1)*x")
+
+
+@pytest.mark.parametrize(
+    "ring, text",
+    [
+        (GF(5), ""),
+        (GF(5), "x+"),
+        (GF(5), "x*"),
+        (GF(5), "*x"),
+        (GF(5), "x x"),
+        (GF(5), "x^"),
+        (GF(5), "x^2^3"),
+        (GF(5), "x2"),
+        (GF(5), "(x)"),
+        (GF(5), "[0,1]"),
+        (GF(3, 2), "[1]"),
+        (GF(3, 2), "[[1,2]]"),
+        (W2(3), "(1,2"),
+        (W2(3), "(1,2,3)"),
+        (W2(3, 2), "([1,2,0],0)"),
+        (Zp2Ring(3), "[1]"),
+    ],
+    ids=repr,
+)
+def test_poly_text_rejects_malformed_input(ring, text):
+    with pytest.raises(ParseError):
+        P(ring, 1, text)
