@@ -160,14 +160,14 @@ class EtaFunction:
     Stored by its values on the chart variables and extended to every
     polynomial through additivity and the twisted Leibniz rule; the
     closed form is eta(f) = sum_i phi(df/dx_i) * eta(x_i) with phi the
-    p-power substitution.  When the source pair of lifts is recorded,
-    eta can also be evaluated independently through the lift difference,
-    which is what catches corrupted value tables.
+    p-power substitution.  The source pair of lifts is always recorded,
+    so eta can also be evaluated independently through the lift
+    difference, which is what catches corrupted value tables.
     """
 
     __slots__ = ("field", "nvars", "laurent_mask", "values", "sources")
 
-    def __init__(self, field, nvars, laurent_mask, values, sources=None):
+    def __init__(self, field, nvars, laurent_mask, values, sources):
         values = tuple(values)
         if len(values) != nvars:
             raise ShapeError(f"need {nvars} generator values")
@@ -192,8 +192,6 @@ class EtaFunction:
 
     def via_lifts(self, a: Poly) -> Poly:
         """divide_by_p(F2(a~) - F1(a~)) for any lift a~ of a (well defined)."""
-        if self.sources is None:
-            raise UnsupportedShape("this eta carries no source lift pair")
         f1, f2 = self.sources
         a_lift = canonical_lift(a, f1.lift_ring)
         return divide_by_p(apply_lift(f2, a_lift) - apply_lift(f1, a_lift))
@@ -214,39 +212,26 @@ def eta_between(F1: AffineChartLift, F2: AffineChartLift) -> EtaFunction:
 def eta_axioms_check(eta: EtaFunction, a: Poly, b: Poly) -> CheckResult:
     """Exact check of additivity and the twisted Leibniz rule on (a, b).
 
-    With a recorded source pair the left-hand sides are evaluated through
-    the lifts themselves, so a tampered value table fails; without
-    sources both sides use the stored values.
+    The left-hand sides are evaluated through the source lifts and the
+    right-hand sides through the stored values, so a tampered value table
+    fails.
     """
-    lhs_eval = eta.via_lifts if eta.sources is not None else eta
-    failures = []
-
     eta_a, eta_b = eta(a), eta(b)
-    lhs = lhs_eval(a + b)
-    rhs = eta_a + eta_b
-    if lhs != rhs:
-        failures.append(
-            {
-                "law": "additivity",
-                "a": poly_to_str(a),
-                "b": poly_to_str(b),
-                "lhs": poly_to_str(lhs),
-                "rhs": poly_to_str(rhs),
-            }
-        )
-
-    lhs = lhs_eval(a * b)
-    rhs = frobenius_substitute(a) * eta_b + frobenius_substitute(b) * eta_a
-    if lhs != rhs:
-        failures.append(
-            {
-                "law": "twisted-leibniz",
-                "a": poly_to_str(a),
-                "b": poly_to_str(b),
-                "lhs": poly_to_str(lhs),
-                "rhs": poly_to_str(rhs),
-            }
-        )
+    leibniz = frobenius_substitute(a) * eta_b + frobenius_substitute(b) * eta_a
+    failures = []
+    laws = (("additivity", a + b, eta_a + eta_b), ("twisted-leibniz", a * b, leibniz))
+    for law, arg, rhs in laws:
+        lhs = eta.via_lifts(arg)
+        if lhs != rhs:
+            failures.append(
+                {
+                    "law": law,
+                    "a": poly_to_str(a),
+                    "b": poly_to_str(b),
+                    "lhs": poly_to_str(lhs),
+                    "rhs": poly_to_str(rhs),
+                }
+            )
     return CheckResult(not failures, failures)
 
 
@@ -389,12 +374,13 @@ def lift_from_json(s: str) -> AffineChartLift:
         )
     except KeyError as exc:
         raise ParseError(f"lift lacks the key {exc}") from exc
-    if not all(type(v) is int for v in (p, q, nvars)):
-        raise ParseError("p, q and nvars must be integers")
-    if not (isinstance(mask, list) and isinstance(corrections, list)) or not all(
-        isinstance(c, str) for c in corrections
-    ):
-        raise ParseError("laurent_mask must be a list and corrections a list of strings")
+    if not all(type(v) is int for v in (p, q, nvars)) or nvars < 0:
+        raise ParseError("p, q and nvars must be integers, nvars >= 0")
+    # checked before any correction is parsed, which allocates per variable
+    if not all(isinstance(v, list) and len(v) == nvars for v in (mask, corrections)):
+        raise ParseError(f"laurent_mask and corrections must be lists of {nvars} entries")
+    if not all(type(b) is bool for b in mask) or not all(isinstance(c, str) for c in corrections):
+        raise ParseError("laurent_mask entries must be booleans and corrections strings")
     m = 1
     while p > 1 and p ** m < q:
         m += 1

@@ -9,7 +9,10 @@ the projective line (transition a = c*u^n, Laurent b).
 The standard lift fixes a base-chart lift, sends x to x^p, and
 propagates through the transition: F(y) = ((a*y + b)^p - F(b)) / F(a),
 which always lands in y^p + p*h with deg_y h <= p.  The t and s images
-come from the degree-bound chart extension.
+come from the degree-bound chart extension.  Every chart lift acts on
+overlap functions through ``froblift.apply_lift``, and the eta between
+the base lifts read off the U and V sides is ``froblift.eta_between``
+of the two, which is 0 exactly when they agree.
 
 Chart polynomials put the base coordinate in slot 0 and the fiber in
 slot 1.
@@ -26,7 +29,7 @@ from .errors import (
     UnitError,
     UnsupportedShape,
 )
-from .froblift import AffineChartLift, CheckResult, EtaFunction, standard_lift
+from .froblift import AffineChartLift, CheckResult, apply_lift, eta_between, standard_lift
 from .polyalg import (
     Poly,
     canonical_lift,
@@ -38,7 +41,7 @@ from .polyalg import (
     substitute,
 )
 from .projline import extend_chart
-from .witt2 import FiniteField, WittPair
+from .witt2 import FiniteField
 
 BASE_KINDS = ("A1", "Gm", "P1")
 
@@ -122,7 +125,6 @@ class RuledLift:
     """Four-chart lift data; charts keyed UX, UT, VY, VS."""
 
     transition: TransitionData
-    base: BaseLift
     charts: dict
     h: Poly  # fiber correction of the VY chart, over F_q
 
@@ -146,6 +148,22 @@ def _embed2(f: Poly) -> Poly:
     return Poly(f.ring, 2, {m + (0,): c for m, c in f.terms.items()})
 
 
+def _lifted_transition(T: TransitionData, wring) -> tuple:
+    """The canonical lifts a~ and b~ as overlap polynomials over W2(F_q)."""
+    return _embed2(canonical_lift(T.a, wring)), _embed2(canonical_lift(T.b, wring))
+
+
+def _overlap_lift(chart: AffineChartLift, kind: str) -> AffineChartLift:
+    """A U-side chart lift with u inverted, as it acts on the base overlap.
+
+    Over P1, a and b may be Laurent in u, which the chart itself rejects.
+    """
+    mask = (_OVERLAP_MASK[kind], False)
+    if chart.laurent_mask == mask:
+        return chart
+    return AffineChartLift(chart.field, 2, mask, chart.corrections)
+
+
 def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
     """The explicit lift with F(x) = x^p, propagated to the other three charts."""
     field = T.field
@@ -156,32 +174,22 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
         raise ShapeError("base lift does not match the transition data")
 
     wring = baseF.chart_U.lift_ring
-    fu = baseF.chart_U.corrections[0]
-    fv = baseF.chart_V.corrections[0]
-
+    fu = _embed2(baseF.chart_U.corrections[0])
+    fv = _embed2(baseF.chart_V.corrections[0])
     chart_mask = (_CHART_MASK[T.kind], False)
 
-    # U-side charts: x -> x^p exactly, t-chart forced by the extension
-    zero2 = Poly.zero(field, 2)
-    chart_ux = AffineChartLift(field, 2, chart_mask, (_embed2(fu), zero2))
-    chart_ut = AffineChartLift(field, 2, chart_mask, (_embed2(fu), zero2))
+    # U-side charts: x -> x^p exactly; the t-chart (t = 1/x) has the same corrections
+    chart_ux = AffineChartLift(field, 2, chart_mask, (fu, Poly.zero(field, 2)))
 
     # V-side fiber image, computed on the overlap:
     #   F(y) = ((a~*y + b~)^p - F(b~)) * F(a~)^(-1)
-    a2 = _embed2(canonical_lift(T.a, wring))
-    b2 = _embed2(canonical_lift(T.b, wring))
-    y_mono = Poly.variable(wring, 2, 1)
-    # the lift on fiber-free overlap elements: only the base image matters
-    base_images = [_embed2(baseF.chart_U.image_of_var(0)), y_mono]
-    den = substitute(a2, base_images, coeff_map=WittPair.frobenius)
+    a2, b2 = _lifted_transition(T, wring)
+    over_ux = _overlap_lift(chart_ux, T.kind)
     try:
-        den_inv = invert_unit(den)
+        den_inv = invert_unit(apply_lift(over_ux, a2))
     except UnitError as exc:
         raise UnitError(f"base image of a is not a unit: {exc}") from exc
-    numerator = (a2 * y_mono + b2) ** p - substitute(
-        b2, base_images, coeff_map=WittPair.frobenius
-    )
-    y_img = numerator * den_inv
+    y_img = ((a2 * Poly.variable(wring, 2, 1) + b2) ** p - apply_lift(over_ux, b2)) * den_inv
 
     try:
         h_overlap = divide_by_p(y_img - Poly.variable(wring, 2, 1, p))
@@ -192,15 +200,14 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
         raise InvariantViolation(f"fiber degree of h is {deg_h} > p = {p}")
 
     h_chart = _to_v_coords(h_overlap, T.kind)
-    chart_vy = AffineChartLift(field, 2, chart_mask, (_embed2(fv), h_chart))
+    chart_vy = AffineChartLift(field, 2, chart_mask, (fv, h_chart))
     # s-chart via the degree-bound extension (deg_y h <= p <= 2p always holds)
     g_s = extend_chart(baseF.chart_V, h_chart)
-    chart_vs = AffineChartLift(field, 2, chart_mask, (_embed2(fv), g_s))
+    chart_vs = AffineChartLift(field, 2, chart_mask, (fv, g_s))
 
     return RuledLift(
         transition=T,
-        base=baseF,
-        charts={"UX": chart_ux, "UT": chart_ut, "VY": chart_vy, "VS": chart_vs},
+        charts={"UX": chart_ux, "UT": chart_ux, "VY": chart_vy, "VS": chart_vs},
         h=h_chart,
     )
 
@@ -211,15 +218,12 @@ def _to_v_coords(f: Poly, kind: str) -> Poly:
         if kind == "A1" and not f.respects_mask((False, True)):
             raise UnsupportedShape("correction is not regular on the affine-line base")
         return f
-    terms = {}
-    for m, c in f.terms.items():
-        if m[0] > 0:
-            raise UnsupportedShape(
-                "V-side correction involves positive powers of u and does not "
-                "descend to the v-chart; this transition needs a different gluing"
-            )
-        terms[(-m[0], m[1])] = c
-    return Poly(f.ring, 2, terms)
+    if (f.degree_in(0) or 0) > 0:
+        raise UnsupportedShape(
+            "V-side correction involves positive powers of u and does not "
+            "descend to the v-chart; this transition needs a different gluing"
+        )
+    return flip_variable(f, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +251,13 @@ def verify_gluing(L: RuledLift) -> CheckResult:
     T = L.transition
     field = L.field
     wring = L.charts["UX"].lift_ring
-    frob = WittPair.frobenius
     b_zero = T.b.is_zero()
     on_p1 = T.kind == "P1"
-    a2 = _embed2(canonical_lift(T.a, wring))
-    b2 = _embed2(canonical_lift(T.b, wring))
+    a2, b2 = _lifted_transition(T, wring)
     u = Poly.variable(wring, 2, 0)
     y = Poly.variable(wring, 2, 1)
 
-    failures = []
-    checked, implied = [], []
+    failures, checked, implied = [], [], []
 
     def compare(name, coords, side_a, side_b):
         checked.append(name)
@@ -283,6 +284,10 @@ def verify_gluing(L: RuledLift) -> CheckResult:
         img = v_side(base_img(chart_key))
         return invert_unit(img) if on_p1 else img
 
+    def flipped(img):
+        # the image of the inverse fiber coordinate (t = 1/x, s = 1/y)
+        return invert_unit(flip_variable(img, 1))
+
     # mod-p sanity: every chart map lifts the Frobenius
     for key, chart in L.charts.items():
         for i in range(2):
@@ -297,45 +302,35 @@ def verify_gluing(L: RuledLift) -> CheckResult:
                     }
                 )
 
-    # UX meets UT: overlap coords (u, x); t = 1/x
+    # UX meets UT in (u, x), t = 1/x; VY meets VS in (w, y), s = 1/y (V-side base w kept)
     img_x = L.charts["UX"].image_of_var(1)
-    x_img_ut = invert_unit(flip_variable(L.charts["UT"].image_of_var(1), 1))
-    compare("UX/UT", ("u", "x"), [base_img("UX"), img_x], [base_img("UT"), x_img_ut])
-
-    # VY meets VS: overlap coords (w, y); s = 1/y (V-side base coordinate w kept)
     img_y = L.charts["VY"].image_of_var(1)
-    y_img_vs = invert_unit(flip_variable(L.charts["VS"].image_of_var(1), 1))
-    compare("VY/VS", ("w", "y"), [base_img("VY"), img_y], [base_img("VS"), y_img_vs])
+    pairs = (("UX", "UT", ("u", "x"), img_x), ("VY", "VS", ("w", "y"), img_y))
+    for near, far, coords, img in pairs:
+        side_far = [base_img(far), flipped(L.charts[far].image_of_var(1))]
+        compare(f"{near}/{far}", coords, [base_img(near), img], side_far)
 
-    # the U-side lift on fiber-free overlap elements: F(a) and F(b)
-    ux_u = base_img("UX")
-    ux_a = substitute(a2, [ux_u, y], coeff_map=frob)
-    ux_b = substitute(b2, [ux_u, y], coeff_map=frob)
-
-    # UX meets VY: overlap coords (u, y); x = a*y + b
-    y_img_ux = (substitute(img_x, [u, a2 * y + b2]) - ux_b) * invert_unit(ux_a)
-    side_vy = [v_side_u_image("VY"), v_side(img_y)]
-    compare("UX/VY", ("u", "y"), [ux_u, y_img_ux], side_vy)
-
-    # UX meets VS: overlap coords (u, s); y = 1/s
-    side_vs = [v_side_u_image("VS"), v_side(L.charts["VS"].image_of_var(1))]
-    compare("UX/VS", ("u", "s"), [ux_u, invert_unit(flip_variable(y_img_ux, 1))], side_vs)
-
+    # the U-side images of y on the overlap coords (u, y)
+    over_ux = _overlap_lift(L.charts["UX"], T.kind)
+    # UX: x = a*y + b, so F(y) = (F(x) - F(b)) / F(a)
+    ay_img = substitute(img_x, [u, a2 * y + b2]) - apply_lift(over_ux, b2)
+    y_images = {"UX": ay_img * invert_unit(apply_lift(over_ux, a2))}
     if b_zero:
-        ut_u = base_img("UT")
-        a2_inv = invert_unit(a2)
-
-        # UT meets VY: overlap coords (u, y); t = 1/(a*y)
-        t_in_y = a2_inv * Poly.variable(wring, 2, 1, -1)
-        img_t = substitute(L.charts["UT"].image_of_var(1), [u, t_in_y])
-        y_img_ut = substitute(a2_inv, [ut_u, y], coeff_map=frob) * invert_unit(img_t)
-        compare("UT/VY", ("u", "y"), [ut_u, y_img_ut], side_vy)
-
-        # UT meets VS: overlap coords (u, s); y = 1/s
-        s_img_ut = invert_unit(flip_variable(y_img_ut, 1))
-        compare("UT/VS", ("u", "s"), [ut_u, s_img_ut], side_vs)
+        # UT: t = 1/(a*y), so F(y) = 1/(F(a) * F(t))
+        chart_ut = L.charts["UT"]
+        over_ut = over_ux if chart_ut is L.charts["UX"] else _overlap_lift(chart_ut, T.kind)
+        img_t = substitute(chart_ut.image_of_var(1), [u, invert_unit(a2 * y)])
+        y_images["UT"] = invert_unit(apply_lift(over_ut, a2) * img_t)
     else:
         implied = ["UT/VY", "UT/VS"]
+
+    # each meets VY in (u, y) and VS in (u, s); y = 1/s
+    side_vy = [v_side_u_image("VY"), v_side(img_y)]
+    side_vs = [v_side_u_image("VS"), v_side(L.charts["VS"].image_of_var(1))]
+    for key, y_img in y_images.items():
+        u_img = base_img(key)
+        compare(f"{key}/VY", ("u", "y"), [u_img, y_img], side_vy)
+        compare(f"{key}/VS", ("u", "s"), [u_img, flipped(y_img)], side_vs)
 
     return CheckResult(
         not failures,
@@ -413,28 +408,21 @@ def _fiber_degree_0(f: Poly) -> Poly:
 
 
 def base_glue_consistency(L: RuledLift) -> CheckResult:
-    """The two base lifts read off the U and V sides differ by p*eta.
+    """The U- and V-side base lifts agree; eta is the one between them.
 
     The U-side image of u, pushed through the lifted transition and cut
-    at fiber degree 0, must equal the V-side image of u on the overlap;
-    the difference from the plain U-side degree-0 part is p times an eta
-    that obeys the difference-calculus axioms.
-
-    For every lift that ``build_standard_lift`` returns, the UX image of
-    u is fiber-free by construction, so the transition leaves it as it is
-    and ``eta_u`` is 0.  Checks on this eta can then fail only where the
-    degree-0 comparison has already failed.
+    at fiber degree 0, must equal the V-side image of u on the overlap.
+    Their fiber-degree-0 parts are base lifts f0 and g0, and
+    ``eta = eta_between(f0, g0)`` is 0 exactly when the two agree.
     """
     T = L.transition
     field = L.field
     wring = L.charts["UX"].lift_ring
     mask = (_OVERLAP_MASK[T.kind],)
-    a2 = _embed2(canonical_lift(T.a, wring))
-    b2 = _embed2(canonical_lift(T.b, wring))
+    a2, b2 = _lifted_transition(T, wring)
 
     img_u = L.charts["UX"].image_of_var(0)
     f0_poly = _fiber_degree_0(img_u)
-
     xelem = a2 * Poly.variable(wring, 2, 1) + b2
     lhs0 = _fiber_degree_0(substitute(img_u, [Poly.variable(wring, 2, 0), xelem]))
 
@@ -458,13 +446,12 @@ def base_glue_consistency(L: RuledLift) -> CheckResult:
     try:
         f0_lift = AffineChartLift(field, 1, mask, (divide_by_p(f0_poly - up),))
         g0_lift = AffineChartLift(field, 1, mask, (divide_by_p(g0_poly - up),))
-        eta_u = divide_by_p(lhs0 - f0_poly)
     except NotDivisible as exc:
         raise InvariantViolation(f"extracted base parts are not Frobenius lifts: {exc}") from exc
 
-    eta = EtaFunction(field, 1, mask, (eta_u,), sources=(f0_lift, g0_lift))
+    eta = eta_between(f0_lift, g0_lift)
     return CheckResult(
         not failures,
         failures,
-        {"eta": eta, "f0": f0_lift, "g0": g0_lift, "eta_u": poly_to_str(eta_u)},
+        {"eta": eta, "f0": f0_lift, "g0": g0_lift, "eta_u": poly_to_str(eta.values[0])},
     )

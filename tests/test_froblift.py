@@ -324,8 +324,19 @@ def test_lift_json_rejects_q_not_a_power_of_p():
         {"p": 2, "q": 2, "nvars": 1, "laurent_mask": [False]},
         [2, 2, 1, [False], ["0"]],
         {"p": 5, "q": 5, "nvars": 1, "laurent_mask": [False], "corrections": ["[0,1]"]},
+        {"p": 2, "q": 2, "nvars": -1, "laurent_mask": [], "corrections": []},
+        {"p": 2, "q": 2, "nvars": 2, "laurent_mask": [False], "corrections": ["0", "0"]},
+        {"p": 2, "q": 2, "nvars": 1, "laurent_mask": ["yes"], "corrections": ["0"]},
     ],
-    ids=["string-p", "no-corrections", "top-level-list", "two-slots-over-F5"],
+    ids=[
+        "string-p",
+        "no-corrections",
+        "top-level-list",
+        "two-slots-over-F5",
+        "negative-nvars",
+        "short-mask",
+        "string-mask-entry",
+    ],
 )
 def test_lift_json_malformed_documents_raise_parse_error(doc):
     with pytest.raises(ParseError):

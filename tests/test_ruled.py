@@ -19,6 +19,7 @@ from w2frob import (
     extract_base_lift,
     hirzebruch_transition,
     poly_from_str,
+    poly_to_str,
     verify_gluing,
 )
 from w2frob import sweeps
@@ -135,18 +136,24 @@ _CORRUPTED_OVERLAPS = {
 }
 
 
+def _bumped(lift, key, slot, bump):
+    """The lift with one correction of one chart raised by the polynomial ``bump``."""
+    chart = lift.charts[key]
+    corrections = list(chart.corrections)
+    corrections[slot] = corrections[slot] + P(chart.field, 2, bump)
+    corrupted = AffineChartLift(chart.field, 2, chart.laurent_mask, corrections)
+    return dataclasses.replace(lift, charts={**lift.charts, key: corrupted})
+
+
 def test_corrupted_chart_fails_on_overlap():
     # bump one correction of one chart by 1, x1 or x2, i.e. its image by p times that
     for p in (2, 3):
         field = GF(p)
         for name, T in sweeps._ruled_cases(field):
             lift = build_standard_lift(T)
-            for key, chart in lift.charts.items():
+            for key in lift.charts:
                 for slot, bump in itertools.product((0, 1), ("1", "x1", "x2")):
-                    corrections = list(chart.corrections)
-                    corrections[slot] = corrections[slot] + P(field, 2, bump)
-                    corrupted = AffineChartLift(field, 2, chart.laurent_mask, corrections)
-                    case = dataclasses.replace(lift, charts={**lift.charts, key: corrupted})
+                    case = _bumped(lift, key, slot, bump)
                     where = (p, name, key, slot, bump)
                     if slot == 0 and bump == "x2":
                         # a base image that depends on the fiber is rejected outright
@@ -251,3 +258,30 @@ def test_base_consistency_eta_satisfies_axioms(p, rng):
             b = random_poly(rng, field, 1, p, 3)
             res = eta_axioms_check(eta, a, b)
             assert res.ok, res.failures
+
+
+@pytest.mark.parametrize(
+    "T, eta_u",
+    [(shear_A1(GF(2)), "1"), (hirzebruch_transition(GF(2), 2), "x1^4")],
+    ids=["A1-shear", "F2"],
+)
+def test_base_consistency_eta_is_the_difference_of_the_base_lifts(T, eta_u, rng):
+    # F(v) = v^2 + 2 on the V side; over P1 that is F(u) = u^2 + 2u^4 (mod 4), as v = 1/u
+    lift = _bumped(build_standard_lift(T), "VY", 0, "1")
+    res = base_glue_consistency(lift)
+    assert not res.ok
+    eta = res.details["eta"]
+    assert eta.values[0] == P(GF(2), 1, eta_u)
+    assert res.details["eta_u"] == poly_to_str(eta.values[0])
+    for _ in range(20):
+        a, b = (random_poly(rng, GF(2), 1, 2, 3) for _ in range(2))
+        assert eta_axioms_check(eta, a, b).ok
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_base_consistency_compares_fiber_degree_0_only(p):
+    # on F0 (b = 0) a fiber term in the UX base image never reaches fiber degree 0
+    lift = _bumped(build_standard_lift(hirzebruch_transition(GF(p), 0)), "UX", 0, "x2")
+    res = base_glue_consistency(lift)
+    assert res.ok, res.failures
+    assert res.details["eta"].is_zero()

@@ -41,6 +41,21 @@ def test_traced_names_resolve_in_the_package():
     assert not missing, missing
 
 
+def test_only_froblift_applies_the_witt_frobenius_in_a_substitution():
+    # "apply this lift" has one routine, froblift.apply_lift; elsewhere substitute
+    # is a plain change of coordinates and takes no coefficient map
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(w2frob.__file__).parent.glob("*.py"))
+        if path.name != "froblift.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "substitute"
+        and (len(node.args) > 2 or any(k.arg == "coeff_map" for k in node.keywords))
+    ]
+    assert not found, found
+
+
 # parsers of formats the library writes: a reader needs them though no command does
 _UNUSED_EXPORTS_ALLOWED = {"lift_from_json", "witt_from_str"}
 
