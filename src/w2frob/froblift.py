@@ -31,7 +31,7 @@ from .polyalg import (
     poly_to_str,
     substitute,
 )
-from .witt2 import GF, W2, FiniteField, WittPair
+from .witt2 import GF, W2, FiniteField
 
 
 @dataclass
@@ -139,14 +139,8 @@ def apply_lift(L: AffineChartLift, a: Poly) -> Poly:
     if not a.respects_mask(L.laurent_mask):
         raise UnsupportedShape("argument inverts a variable outside the chart")
     images = [L.image_of_var(i) for i in range(L.nvars)]
-    return substitute(
-        a,
-        images,
-        coeff_map=WittPair.frobenius,
-        ring=ring,
-        nvars=L.nvars,
-        powers=L.image_of_var_power,
-    )
+    a = a.map_coefficients(ring.frob_int, ring)
+    return substitute(a, images, powers=L.image_of_var_power)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +309,7 @@ def monomial_lemma_check(K: Sequence[Sequence[int]], p: int) -> CheckResult:
                 {
                     "claim": "top-coefficient-zero",
                     "monomial": list(mono),
-                    "coefficient": field.coeff_to_str(expanded.terms[mono]),
+                    "coefficient": field.coeff_to_str(expanded.coefficient_of(mono)),
                 }
             )
 

@@ -1,18 +1,21 @@
 """Sparse exact multivariate Laurent polynomials over a coefficient ring.
 
 Monomials are exponent tuples (negative entries allowed on Laurent
-charts); a polynomial is a dict mapping monomials to nonzero ring
-elements plus the ring tag.  All arithmetic is exact; nothing here ever
-floats or truncates.
+charts); a polynomial is its ring plus ``terms``, a dict mapping each
+monomial to its nonzero coefficient as the ring's canonical int (the
+``n`` of a ``witt2`` element).  All arithmetic is exact; nothing here
+ever floats or truncates.
 
-The coefficient rings are the Galois rings of ``witt2``: every element
-carries one canonical int ``n``, and the ring's ``fold`` maps any sum of
-products of such ints to the canonical int.  Products, sums, derivatives
-and substitutions therefore accumulate plain ints per monomial and build
-one element per resulting term.  Rings that carry the mod-p interface
-(``residue_field``, ``reduce_p``, ``divide_p``, ``times_p_embed``,
-``from_residue``) support the reduction and division-by-p maps between a
-lift ring and its residue field.
+The coefficient rings are the Galois rings of ``witt2``, whose ``fold``
+maps any sum of products of canonical ints to the canonical int.
+Products, sums, derivatives and substitutions therefore accumulate plain
+ints per monomial and fold once per term.  Element objects appear only
+at the boundary: the constructors read elements (or ints), and
+``coefficient_of``, ``single_term`` and the text format return or print
+them.  Rings that carry the int-form mod-p maps (``residue_field``,
+``split_p``, ``times_p_int``, ``from_residue_int``) support reduction,
+division by p, multiplication by p and the canonical lift between a lift
+ring and its residue field.
 
 Text grammar: terms like ``c*x1^e1*x2^-3``, joined by '+' or '-', and the
 first may carry a sign too.  A factor is a variable power (bare ``x`` is
@@ -44,13 +47,24 @@ def _is_lift_ring(ring) -> bool:
 
 def _folded(ring, nvars: int, acc: dict) -> "Poly":
     """The polynomial with coefficient ``ring.fold(acc[m])`` at each monomial m."""
-    fold, wrap = ring.fold, ring.wrap
+    fold = ring.fold
     terms = {}
     for mono, n in acc.items():
         n = fold(n)
         if n:
-            terms[mono] = wrap(n)
+            terms[mono] = n
     return Poly._make(ring, nvars, terms)
+
+
+def _coeff_int(ring, c):
+    """The canonical int of a coefficient given as an int or an element; None otherwise."""
+    if isinstance(c, int):
+        return ring.from_int(c).n
+    if not hasattr(c, "n"):
+        return None
+    if c.ring is not ring and c.ring != ring:
+        raise CharMismatch(f"coefficient from {c.ring!r} used over {ring!r}")
+    return c.n
 
 
 class Poly:
@@ -66,13 +80,16 @@ class Poly:
             for mono, c in terms.items():
                 if len(mono) != nvars:
                     raise ShapeError(f"monomial {mono} does not have {nvars} exponents")
-                if not c.is_zero():
-                    clean[tuple(mono)] = c
+                n = _coeff_int(ring, c)
+                if n is None:
+                    raise CharMismatch(f"{c!r} is no coefficient over {ring!r}")
+                if n:
+                    clean[tuple(mono)] = n
         self.terms = clean
 
     @staticmethod
     def _make(ring, nvars: int, terms: dict) -> "Poly":
-        """Wrap terms that are already clean (tuple monomials, nonzero coefficients)."""
+        """Wrap terms that are already clean (tuple monomials, nonzero canonical ints)."""
         out = Poly.__new__(Poly)
         out.ring, out.nvars, out.terms = ring, nvars, terms
         return out
@@ -85,8 +102,6 @@ class Poly:
 
     @classmethod
     def constant(cls, ring, nvars: int, c) -> "Poly":
-        if isinstance(c, int):
-            c = ring.from_int(c)
         return cls(ring, nvars, {(0,) * nvars: c})
 
     @classmethod
@@ -94,11 +109,11 @@ class Poly:
         if not 0 <= i < nvars:
             raise ShapeError(f"variable index {i} out of range for {nvars} variables")
         mono = tuple(exp if j == i else 0 for j in range(nvars))
-        return cls(ring, nvars, {mono: ring.one if coeff is None else coeff})
+        return cls(ring, nvars, {mono: 1 if coeff is None else coeff})
 
     @classmethod
     def monomial(cls, ring, nvars: int, exps, coeff=None) -> "Poly":
-        return cls(ring, nvars, {tuple(exps): ring.one if coeff is None else coeff})
+        return cls(ring, nvars, {tuple(exps): 1 if coeff is None else coeff})
 
     # -- ring structure -------------------------------------------------
 
@@ -109,43 +124,31 @@ class Poly:
                 f"and {other.ring!r}/{other.nvars} vars"
             )
 
-    def _scalar(self, c):
-        """The int of a scalar coefficient in this ring; None if c is no scalar."""
-        if isinstance(c, int):
-            return self.ring.from_int(c).n
-        ring = getattr(c, "ring", None)
-        if ring is None:
-            return None
-        if ring is not self.ring and ring != self.ring:
-            raise CharMismatch(f"scalar from {ring!r} applied to a polynomial over {self.ring!r}")
-        return c.n
-
     def __add__(self, other):
         if isinstance(other, int):
             other = Poly.constant(self.ring, self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
         self._compat(other)
-        ring = self.ring
+        fold = self.ring.fold
         terms = dict(self.terms)
         for mono, c in other.terms.items():
             d = terms.get(mono)
             if d is None:
                 terms[mono] = c
                 continue
-            n = ring.fold(d.n + c.n)
+            n = fold(d + c)
             if n:
-                terms[mono] = ring.wrap(n)
+                terms[mono] = n
             else:
                 del terms[mono]
-        return Poly._make(ring, self.nvars, terms)
+        return Poly._make(self.ring, self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        ring = self.ring
-        terms = {m: ring.wrap(ring.neg_int(c.n)) for m, c in self.terms.items()}
-        return Poly._make(ring, self.nvars, terms)
+        neg = self.ring.neg_int
+        return Poly._make(self.ring, self.nvars, {m: neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -159,18 +162,17 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            n = self._scalar(other)
+            n = _coeff_int(self.ring, other)
             if n is None:
                 return NotImplemented
-            return _folded(self.ring, self.nvars, {m: c.n * n for m, c in self.terms.items()})
+            return _folded(self.ring, self.nvars, {m: c * n for m, c in self.terms.items()})
         self._compat(other)
         acc = {}
         get = acc.get
         for m1, c1 in self.terms.items():
-            n1 = c1.n
             for m2, c2 in other.terms.items():
                 mono = tuple(map(add, m1, m2))
-                acc[mono] = get(mono, 0) + n1 * c2.n
+                acc[mono] = get(mono, 0) + c1 * c2
         return _folded(self.ring, self.nvars, acc)
 
     __rmul__ = __mul__
@@ -185,7 +187,7 @@ class Poly:
             e >>= 1
             if e:
                 base = base * base
-        return Poly.constant(self.ring, self.nvars, self.ring.one) if result is None else result
+        return Poly.constant(self.ring, self.nvars, 1) if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -207,11 +209,8 @@ class Poly:
     # -- queries ---------------------------------------------------------
 
     def coefficient_of(self, mono) -> object:
-        """Stored coefficient at the given exponent tuple, or the ring zero."""
-        return self.terms.get(tuple(mono), self.ring.zero)
-
-    def constant_term(self):
-        return self.coefficient_of((0,) * self.nvars)
+        """The coefficient element at the given exponent tuple (the ring zero if absent)."""
+        return self.ring.wrap(self.terms.get(tuple(mono), 0))
 
     def degree_in(self, i: int):
         """Largest exponent of variable i; None for the zero polynomial."""
@@ -233,9 +232,11 @@ class Poly:
         return True
 
     def single_term(self):
+        """(monomial, coefficient element) of a one-term polynomial; None otherwise."""
         if len(self.terms) != 1:
             return None
-        return next(iter(self.terms.items()))
+        ((mono, c),) = self.terms.items()
+        return mono, self.ring.wrap(c)
 
     # -- calculus ----------------------------------------------------------
 
@@ -246,17 +247,18 @@ class Poly:
         # distinct monomials with e_j != 0 stay distinct after lowering e_j
         pk = self.ring.pk
         acc = {
-            m[:j] + (m[j] - 1,) + m[j + 1:]: c.n * (m[j] % pk)
+            m[:j] + (m[j] - 1,) + m[j + 1:]: c * (m[j] % pk)
             for m, c in self.terms.items()
             if m[j]
         }
         return _folded(self.ring, self.nvars, acc)
 
     def map_coefficients(self, fn: Callable, target_ring) -> "Poly":
+        """Apply fn, a map of canonical ints into ``target_ring``'s, to every coefficient."""
         terms = {}
         for m, c in self.terms.items():
             v = fn(c)
-            if not v.is_zero():
+            if v:
                 terms[m] = v
         return Poly._make(target_ring, self.nvars, terms)
 
@@ -272,7 +274,7 @@ class Poly:
             rest = m[:i] + (0,) + m[i + 1:]
             buckets.setdefault(e, {})[rest] = c
         return {
-            e: Poly(self.ring, self.nvars, terms) for e, terms in sorted(buckets.items())
+            e: Poly._make(self.ring, self.nvars, terms) for e, terms in sorted(buckets.items())
         }
 
     def __repr__(self):
@@ -284,34 +286,26 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-def substitute(
-    f: Poly,
-    images: Sequence[Poly],
-    coeff_map: Callable | None = None,
-    *,
-    ring=None,
-    nvars: int | None = None,
-    powers: Callable | None = None,
-) -> Poly:
+def substitute(f: Poly, images: Sequence[Poly], *, powers: Callable | None = None) -> Poly:
     """Evaluate f at the given variable images (a substitution homomorphism).
 
-    All images must share one ring and variable count, which become the
-    target; ``ring``/``nvars`` are only needed when f has no variables.
-    Negative source exponents invert the corresponding image, so images
-    standing in for inverted variables must be units.  ``powers(i, e)``,
-    when given, must return ``images[i] ** e``: a caller that keeps those
-    powers (a chart lift does) passes its cache; otherwise each power is
-    computed once per call.
+    The images must share f's ring and one variable count, which becomes
+    the target's; with no variables f is its own value.  Negative source
+    exponents invert the corresponding image, so images standing in for
+    inverted variables must be units.  ``powers(i, e)``, when given, must
+    return ``images[i] ** e``: a caller that keeps those powers (a chart
+    lift does) passes its cache; otherwise each power is computed once per
+    call.
     """
     if len(images) != f.nvars:
         raise ShapeError(f"need {f.nvars} images, got {len(images)}")
-    if images:
-        ring = images[0].ring
-        nvars = images[0].nvars
-        for img in images[1:]:
-            images[0]._compat(img)
-    elif ring is None or nvars is None:
-        raise ShapeError("substituting into a constant needs an explicit target ring")
+    if not images:
+        return f
+    ring, nvars = images[0].ring, images[0].nvars
+    for img in images[1:]:
+        images[0]._compat(img)
+    if ring != f.ring:
+        raise RingMismatch(f"images over {ring!r} for a polynomial over {f.ring!r}")
     if powers is None:
         cache: dict = {}
 
@@ -320,7 +314,7 @@ def substitute(
                 cache[i, e] = images[i] ** e
             return cache[i, e]
 
-    one = Poly.constant(ring, nvars, ring.one)
+    one = Poly.constant(ring, nvars, 1)
     acc: dict = {}
     get = acc.get
     for m, c in f.terms.items():
@@ -329,23 +323,22 @@ def substitute(
             if e:
                 power = powers(i, e)
                 term = power if term is one else term * power
-        n = one._scalar(coeff_map(c) if coeff_map is not None else c)
         for mono, t in term.terms.items():
-            acc[mono] = get(mono, 0) + n * t.n
+            acc[mono] = get(mono, 0) + c * t
     return _folded(ring, nvars, acc)
 
 
 def flip_variable(f: Poly, i: int) -> Poly:
     """x_i -> 1/x_i: the substitution by monomial images, as an exponent negation."""
     terms = {m[:i] + (-m[i],) + m[i + 1:]: c for m, c in f.terms.items()}
-    return Poly(f.ring, f.nvars, terms)
+    return Poly._make(f.ring, f.nvars, terms)
 
 
 def frobenius_substitute(f: Poly) -> Poly:
     """x_i -> x_i^p and c -> c^p; over F_q this equals f**p, computed directly."""
-    p = f.ring.p
-    terms = {tuple(e * p for e in m): c.frobenius() for m, c in f.terms.items()}
-    return Poly(f.ring, f.nvars, terms)
+    p, frob = f.ring.p, f.ring.frob_int
+    terms = {tuple(e * p for e in m): frob(c) for m, c in f.terms.items()}
+    return Poly._make(f.ring, f.nvars, terms)
 
 
 def reduce_mod_p(f: Poly) -> Poly:
@@ -353,7 +346,8 @@ def reduce_mod_p(f: Poly) -> Poly:
     ring = f.ring
     if not _is_lift_ring(ring):
         raise RingMismatch(f"{ring!r} has no mod-p reduction")
-    return f.map_coefficients(ring.reduce_p, ring.residue_field)
+    split = ring.split_p
+    return f.map_coefficients(lambda n: split(n)[1], ring.residue_field)
 
 
 def divide_by_p(f: Poly) -> Poly:
@@ -365,28 +359,28 @@ def divide_by_p(f: Poly) -> Poly:
     ring = f.ring
     if not _is_lift_ring(ring):
         raise RingMismatch(f"{ring!r} has no division by p")
+    split = ring.split_p
     terms = {}
     for m, c in f.terms.items():
-        if not ring.divisible_by_p(c):
+        high, low = split(c)
+        if low:
             raise NotDivisible(f"coefficient at {m} is not divisible by p")
-        v = ring.divide_p(c)
-        if not v.is_zero():
-            terms[m] = v
-    return Poly(ring.residue_field, f.nvars, terms)
+        terms[m] = high  # nonzero, as c is
+    return Poly._make(ring.residue_field, f.nvars, terms)
 
 
 def embed_times_p(f: Poly, lift_ring) -> Poly:
     """Image of a residue-field polynomial under multiplication by p in the lift."""
     if f.ring != lift_ring.residue_field:
         raise RingMismatch("polynomial is not over the residue field of the target")
-    return f.map_coefficients(lift_ring.times_p_embed, lift_ring)
+    return f.map_coefficients(lift_ring.times_p_int, lift_ring)
 
 
 def canonical_lift(f: Poly, lift_ring) -> Poly:
     """Coefficientwise lift c -> (c, 0); a fixed section, not a ring map."""
     if f.ring != lift_ring.residue_field:
         raise RingMismatch("polynomial is not over the residue field of the target")
-    return f.map_coefficients(lift_ring.from_residue, lift_ring)
+    return f.map_coefficients(lift_ring.from_residue_int, lift_ring)
 
 
 def invert_unit(f: Poly) -> Poly:
@@ -398,20 +392,17 @@ def invert_unit(f: Poly) -> Poly:
     """
     ring = f.ring
     if not _is_lift_ring(ring):
-        st = f.single_term()
-        if st is None:
+        if len(f.terms) != 1:
             raise UnitError("not a unit: more than one term")
-        mono, c = st
-        if c.is_zero():
-            raise UnitError("not a unit: zero")
-        return Poly.monomial(ring, f.nvars, tuple(-e for e in mono), c.inverse())
+        ((mono, c),) = f.terms.items()
+        return Poly._make(ring, f.nvars, {tuple(-e for e in mono): ring.inv_int(c)})
     red = reduce_mod_p(f)
-    st = red.single_term()
-    if st is None:
+    if len(red.terms) != 1:
         raise UnitError("not a unit: reduction mod p is not a monomial")
-    mono, c = st
-    g0 = Poly.monomial(ring, f.nvars, tuple(-e for e in mono), ring.from_residue(c.inverse()))
-    r = divide_by_p(f * g0 - Poly.constant(ring, f.nvars, ring.one))
+    ((mono, c),) = red.terms.items()
+    inv = ring.from_residue_int(ring.residue_field.inv_int(c))
+    g0 = Poly._make(ring, f.nvars, {tuple(-e for e in mono): inv})
+    r = divide_by_p(f * g0 - Poly.constant(ring, f.nvars, 1))
     return g0 - g0 * embed_times_p(r, ring)
 
 
@@ -500,9 +491,9 @@ def poly_to_str(f: Poly) -> str:
     if not f.terms:
         return "0"
     parts = []
+    ring = f.ring
     for mono in sorted(f.terms, reverse=True):
-        c = f.terms[mono]
-        factors = [f.ring.coeff_to_str(c)]
+        factors = [ring.coeff_to_str(ring.wrap(f.terms[mono]))]
         factors.extend(f"x{i + 1}^{e}" for i, e in enumerate(mono) if e)
         parts.append("*".join(factors))
     return "+".join(parts)

@@ -39,15 +39,13 @@ def extend_chart(base: AffineChartLift, f: Poly) -> Poly:
     _validate_fiber_poly(base, f)
     p = base.p
     fiber = base.nvars
-    terms = {}
-    for m, c in f.terms.items():
+    for m in f.terms:
         e = m[fiber]
         if e > 2 * p:
             raise DegreeTooHigh(
                 f"monomial of fiber degree {e} > {2 * p}: no lift extends across the charts"
             )
-        terms[m[:fiber] + (2 * p - e,)] = -c
-    return Poly(f.ring, f.nvars, terms)
+    return -flip_variable(f, fiber) * Poly.variable(f.ring, f.nvars, fiber, 2 * p)
 
 
 def verify_p1_lift(base: AffineChartLift, f: Poly) -> CheckResult:

@@ -145,7 +145,7 @@ class RuledLift:
 
 def _embed2(f: Poly) -> Poly:
     """One-variable polynomial into two variables, occupying the base slot."""
-    return Poly(f.ring, 2, {m + (0,): c for m, c in f.terms.items()})
+    return substitute(f, [Poly.variable(f.ring, 2, 0)])
 
 
 def _lifted_transition(T: TransitionData, wring) -> tuple:
@@ -242,7 +242,9 @@ def verify_gluing(L: RuledLift) -> CheckResult:
     two coordinate images agree; every other overlap function (x = a*y + b,
     t = 1/x, ...) then agrees as well.  Each checked overlap compares the
     two images computed from either side, with one witness per image that
-    differs.  An overlap related to another by a monomial change of
+    differs.  Every image, base images included (they may involve the
+    fiber), is rewritten in the overlap's coordinates first: x = a*y + b,
+    t = 1/(a*y), t = 1/x, s = 1/y.  An overlap related to another by a monomial change of
     coordinates (y = 1/s, v = 1/u) takes its images from the other's by
     flipping that variable.  Overlaps whose transition is not expressible
     with monomial units (the t-side against the V charts when b != 0) are
@@ -273,8 +275,7 @@ def verify_gluing(L: RuledLift) -> CheckResult:
                 )
 
     def base_img(chart_key):
-        # base images are fiber-free; reinterpret them on the overlap
-        return _embed2(_strip_var(L.charts[chart_key].image_of_var(0), 1))
+        return L.charts[chart_key].image_of_var(0)
 
     def v_side(img):
         # a V-chart polynomial on the overlap, whose base coordinate is 1/u over P1
@@ -307,30 +308,36 @@ def verify_gluing(L: RuledLift) -> CheckResult:
     img_y = L.charts["VY"].image_of_var(1)
     pairs = (("UX", "UT", ("u", "x"), img_x), ("VY", "VS", ("w", "y"), img_y))
     for near, far, coords, img in pairs:
-        side_far = [base_img(far), flipped(L.charts[far].image_of_var(1))]
+        side_far = [flip_variable(base_img(far), 1), flipped(L.charts[far].image_of_var(1))]
         compare(f"{near}/{far}", coords, [base_img(near), img], side_far)
 
-    # the U-side images of y on the overlap coords (u, y)
+    # the U-side images of u and y on the overlap coords (u, y)
     over_ux = _overlap_lift(L.charts["UX"], T.kind)
     # UX: x = a*y + b, so F(y) = (F(x) - F(b)) / F(a)
-    ay_img = substitute(img_x, [u, a2 * y + b2]) - apply_lift(over_ux, b2)
-    y_images = {"UX": ay_img * invert_unit(apply_lift(over_ux, a2))}
+    x_of_y = [u, a2 * y + b2]
+    ay_img = substitute(img_x, x_of_y) - apply_lift(over_ux, b2)
+    uy_images = {
+        "UX": (substitute(base_img("UX"), x_of_y), ay_img * invert_unit(apply_lift(over_ux, a2)))
+    }
     if b_zero:
         # UT: t = 1/(a*y), so F(y) = 1/(F(a) * F(t))
         chart_ut = L.charts["UT"]
         over_ut = over_ux if chart_ut is L.charts["UX"] else _overlap_lift(chart_ut, T.kind)
-        img_t = substitute(chart_ut.image_of_var(1), [u, invert_unit(a2 * y)])
-        y_images["UT"] = invert_unit(apply_lift(over_ut, a2) * img_t)
+        t_of_y = [u, invert_unit(a2 * y)]
+        img_t = substitute(chart_ut.image_of_var(1), t_of_y)
+        uy_images["UT"] = (
+            substitute(base_img("UT"), t_of_y),
+            invert_unit(apply_lift(over_ut, a2) * img_t),
+        )
     else:
         implied = ["UT/VY", "UT/VS"]
 
     # each meets VY in (u, y) and VS in (u, s); y = 1/s
     side_vy = [v_side_u_image("VY"), v_side(img_y)]
     side_vs = [v_side_u_image("VS"), v_side(L.charts["VS"].image_of_var(1))]
-    for key, y_img in y_images.items():
-        u_img = base_img(key)
+    for key, (u_img, y_img) in uy_images.items():
         compare(f"{key}/VY", ("u", "y"), [u_img, y_img], side_vy)
-        compare(f"{key}/VS", ("u", "s"), [u_img, flipped(y_img)], side_vs)
+        compare(f"{key}/VS", ("u", "s"), [flip_variable(u_img, 1), flipped(y_img)], side_vs)
 
     return CheckResult(
         not failures,
@@ -378,33 +385,27 @@ def extract_base_lift(chart: AffineChartLift) -> BaseLiftExtraction:
             raise InvariantViolation(
                 f"fiber-free part of F(x{i + 1}) does not lift the Frobenius: {exc}"
             ) from exc
-        g0s.append(_strip_var(g0, fiber))
+        g0s.append(_fiber_degree_0(g0))
         for k, coeff_poly in buckets.items():
             if k == 0:
                 continue
-            for mono, c in coeff_poly.terms.items():
-                if not ring.divisible_by_p(c):
-                    raise InvariantViolation(
-                        f"tail coefficient of x_fiber^{k} in F(x{i + 1}) "
-                        "is not annihilated by p"
-                    )
-            tails[(i, k)] = _strip_var(coeff_poly, fiber)
+            try:
+                divide_by_p(coeff_poly)
+            except NotDivisible as exc:
+                raise InvariantViolation(
+                    f"tail coefficient of x_fiber^{k} in F(x{i + 1}) "
+                    "is not annihilated by p"
+                ) from exc
+            tails[(i, k)] = _fiber_degree_0(coeff_poly)
     f0 = AffineChartLift(chart.field, n_base, base_mask, g0s)
     return BaseLiftExtraction(f0, tails)
 
 
-def _strip_var(f: Poly, i: int) -> Poly:
-    terms = {}
-    for m, c in f.terms.items():
-        if m[i] != 0:
-            raise ShapeError("cannot strip a variable that still occurs")
-        terms[m[:i] + m[i + 1:]] = c
-    return Poly(f.ring, f.nvars - 1, terms)
-
-
 def _fiber_degree_0(f: Poly) -> Poly:
-    """The fiber-degree-0 part of a two-variable polynomial, as a base polynomial."""
-    return _strip_var(f.collect_by_var(1).get(0, Poly.zero(f.ring, 2)), 1)
+    """The fiber-degree-0 part of a chart polynomial (fiber last), on the base variables."""
+    n = f.nvars - 1
+    base = [Poly.variable(f.ring, n, j) for j in range(n)]
+    return substitute(f, base + [Poly.zero(f.ring, n)])
 
 
 def base_glue_consistency(L: RuledLift) -> CheckResult:
@@ -426,7 +427,7 @@ def base_glue_consistency(L: RuledLift) -> CheckResult:
     xelem = a2 * Poly.variable(wring, 2, 1) + b2
     lhs0 = _fiber_degree_0(substitute(img_u, [Poly.variable(wring, 2, 0), xelem]))
 
-    g0_poly = _strip_var(L.charts["VY"].image_of_var(0), 1)
+    g0_poly = _fiber_degree_0(L.charts["VY"].image_of_var(0))
     if T.kind == "P1":
         # the V-side base coordinate is v = 1/u, so F(u) = 1/F(v)
         g0_poly = invert_unit(flip_variable(g0_poly, 0))

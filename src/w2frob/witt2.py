@@ -30,13 +30,18 @@ formulas are kept out of this module on purpose: they are the independent
 models that check the kernel, for q = p in ``sweeps.sweep_witt`` and for
 every q in ``tests/oracles.py``.
 
-Ring protocol used by the polynomial layer: ``zero``, ``one``,
-``from_int``, ``fold``, ``wrap``, ``coeff_to_str`` / ``coeff_from_str``.
-The lift rings (Zp2Ring and WittRing) add the mod-p structure:
-``residue_field``, ``reduce_p``, ``divisible_by_p``, ``divide_p``,
-``times_p_embed`` and ``from_residue``.  ``times_p_embed`` realizes the
-multiplication-by-p isomorphism from the residue field onto the ideal
-(p), and ``divide_p`` is its inverse.
+Ring protocol used by the polynomial layer, whose coefficients are
+canonical ints: ``fold``, ``neg_int``, ``inv_int``, ``frob_int`` and
+``pk`` for arithmetic; ``from_int`` and ``wrap`` to read and build
+elements at the boundary; ``coeff_to_str`` / ``coeff_from_str`` for
+text.  The lift rings (Zp2Ring and WittRing) add the mod-p maps, each in
+its int form only, between themselves and their ``residue_field``:
+``split_p`` (n -> (n div p, n mod p), slot by slot: the second half is
+the reduction, and when it is 0, n is divisible by p with quotient the
+first half), ``times_p_int`` (multiplication by p, an isomorphism from
+the residue field onto the ideal (p), which ``split_p`` inverts) and
+``from_residue_int`` (the canonical lift of a residue, which is the
+Teichmüller lift over W2).
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .errors import CharMismatch, NotDivisible, ParseError, UnitError, UnsupportedField
+from .errors import CharMismatch, ParseError, UnitError, UnsupportedField
 
 MAX_PRIME = 17
 
@@ -271,7 +276,7 @@ class GaloisRing:
 
     ``fold`` and the methods ending in ``_int`` take and return ints;
     ``wrap``, ``add``, ``neg`` and ``mul`` return elements.  ``fold``,
-    ``pow_int``, ``frob_int``, ``inv_frob_int`` and ``_split_p`` (n div p
+    ``pow_int``, ``frob_int``, ``inv_frob_int`` and ``split_p`` (n div p
     and n mod p, slot by slot) are bound per ring when it is built.
     """
 
@@ -292,7 +297,7 @@ class GaloisRing:
             self.fold = pk.__rmod__  # n -> n % p^k
             self.pow_int = lambda n, e: pow(n, e, pk)
             self.frob_int = self.inv_frob_int = lambda n: n
-            self._split_p = p.__rdivmod__  # n -> (n // p, n % p)
+            self.split_p = p.__rdivmod__  # n -> (n // p, n % p)
         else:
             self.fold = _slot_fold(m, pk, _MODULI[(p, m)])
             self.pow_int = self._pow_folded
@@ -308,7 +313,7 @@ class GaloisRing:
         frob = {n: fold(sum(c * img for c, img in zip(_slots(n, m), xi_p))) for n in elements}
         self.frob_int = frob.__getitem__
         self.inv_frob_int = {v: n for n, v in frob.items()}.__getitem__
-        self._split_p = {
+        self.split_p = {
             n: (_pack(c // p for c in _slots(n, m)), _pack(c % p for c in _slots(n, m)))
             for n in elements
         }.__getitem__
@@ -430,25 +435,13 @@ class _LiftRing(GaloisRing):
         self.residue_field = field
         self.p_elem = self.wrap(field.p)
 
-    def reduce_p(self, u) -> FqElem:
-        return self.residue_field.wrap(self._split_p(u.n)[1])
+    def times_p_int(self, c: int) -> int:
+        # every slot of a residue is below p, so p times it stays below p^2
+        return self.p * c
 
-    def divisible_by_p(self, u) -> bool:
-        return not self._split_p(u.n)[1]
-
-    def divide_p(self, u) -> FqElem:
-        high, low = self._split_p(u.n)
-        if low:
-            raise NotDivisible(f"{u!r} is not divisible by {self.p}")
-        return self.residue_field.wrap(high)
-
-    def times_p_embed(self, c: FqElem):
-        # every slot of c is below p, so p times it stays below p^2
-        return self.wrap(self.p * c.n)
-
-    def from_residue(self, c: FqElem):
-        """The lift whose slots are those of c."""
-        return self.wrap(c.n)
+    def from_residue_int(self, c: int) -> int:
+        """The lift whose slots are those of the residue c."""
+        return c
 
 
 class Zp2Ring(_LiftRing):
@@ -492,8 +485,10 @@ class WittRing(_LiftRing):
     def __init__(self, field: FiniteField):
         super().__init__(field)
         self.field = field
-        # Teichmüller lifts [c] = lift(c)^q, one per residue
-        self._teich = {c.n: self.pow_int(c.n, self.q) for c in field.elements()}
+        # the Teichmüller lift [c] = lift(c)^q, one entry per residue
+        self.from_residue_int = {
+            c.n: self.pow_int(c.n, self.q) for c in field.elements()
+        }.__getitem__
 
     def __repr__(self):
         return f"W2({self.field!r})"
@@ -503,13 +498,13 @@ class WittRing(_LiftRing):
         return self.wrap(self._from_witt_int(a0.n, a1.n))
 
     def _from_witt_int(self, a0: int, a1: int) -> int:
-        return self.fold(self._teich[a0] + self.p * self.field.inv_frob_int(a1))
+        return self.fold(self.from_residue_int(a0) + self.p * self.field.inv_frob_int(a1))
 
     def witt_coords(self, u: WittPair) -> tuple:
         """(a0, a1) with u = [a0] + p*lift(a1^(1/p))."""
         field = self.field
-        a0 = self._split_p(u.n)[1]
-        b = self._split_p(self.fold(u.n + self.neg_int(self._teich[a0])))[0]
+        a0 = self.split_p(u.n)[1]
+        b = self.split_p(self.fold(u.n + self.neg_int(self.from_residue_int(a0))))[0]
         return field.wrap(a0), field.wrap(field.frob_int(b))
 
     def pair(self, a0, a1) -> WittPair:
@@ -523,10 +518,6 @@ class WittRing(_LiftRing):
         for a0 in self.field.elements():
             for a1 in self.field.elements():
                 yield self.from_witt(a0, a1)
-
-    def from_residue(self, c: FqElem) -> WittPair:
-        """The Teichmüller lift [c], whose Witt coordinates are (c, 0)."""
-        return self.wrap(self._teich[c.n])
 
     # -- text format ---------------------------------------------------
 

@@ -53,7 +53,7 @@ def _width(rows) -> int:
 
 def from_pkg_poly(f) -> dict:
     """Extract a prime-field package polynomial into plain dict-of-ints form."""
-    return {m: c.as_int() for m, c in f.terms.items()}
+    return {m: f.coefficient_of(m).as_int() for m in f.terms}
 
 
 def naive_laurent_mul_zp2(f: dict, g: dict, p: int) -> dict:

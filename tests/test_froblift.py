@@ -97,7 +97,7 @@ def test_apply_lift_constants_follow_frobenius():
     ring = W2(3)
     L = standard_lift(GF(3), 1)
     for c in ring.elements():
-        got = apply_lift(L, Poly.constant(ring, 1, c)).constant_term()
+        got = apply_lift(L, Poly.constant(ring, 1, c)).coefficient_of((0,))
         assert witt_to_residue_ring(got) == witt_to_residue_ring(c)
 
 
@@ -260,7 +260,7 @@ def test_low_decomposition_terms_do_not_touch_top_coefficient(rng):
             n = rng.randint(1, 3)
             L = random_chart_lift(rng, F, n, max_deg=p + 1)
             lows = [
-                Poly(F, n, {m: c for m, c in f.terms.items() if max(m) < p})
+                Poly(F, n, {m: f.coefficient_of(m) for m in f.terms if max(m) < p})
                 for f in L.corrections
             ]
             L_low = AffineChartLift(F, n, (False,) * n, lows)

@@ -6,6 +6,7 @@ from oracles import from_pkg_poly, naive_det_by_permutations, naive_poly_mul
 from w2frob import (
     GF,
     W2,
+    CharMismatch,
     Poly,
     ParseError,
     PolyMatrix,
@@ -65,6 +66,21 @@ def test_ring_mismatch():
         P(GF(2), 1, "x") * P(GF(3), 1, "x")
     with pytest.raises(RingMismatch):
         P(GF(2), 1, "x") * P(GF(2), 2, "x1")
+
+
+def test_constructor_reads_elements_of_its_ring_and_ints():
+    F5 = GF(5)
+    with pytest.raises(CharMismatch):
+        Poly(GF(3), 1, {(0,): GF(3, 2).gen()})
+    with pytest.raises(CharMismatch):
+        Poly(F5, 1, {(1,): W2(5).from_int(7)})
+    with pytest.raises(CharMismatch):
+        Poly.constant(F5, 1, "2")
+    assert Poly.monomial(F5, 1, (2,), 3) == P(F5, 1, "3*x^2")
+    assert Poly(F5, 1, {(0,): 7, (1,): 5}) == Poly.constant(F5, 1, F5.from_int(2))
+    f = P(W2(2, 2), 2, "([1,1],[0,1])*x1*x2^-1+x2") ** 3
+    assert all(type(c) is int for c in f.terms.values())
+    assert f.coefficient_of((0, 3)) == W2(2, 2).one
 
 
 # -- derivatives -------------------------------------------------------------
@@ -251,13 +267,13 @@ def test_invert_unit_field_monomial():
 def test_invert_unit_lift_ring(rng):
     ring = W2(2)
     x2 = Poly.variable(ring, 1, 0, 2)
-    f = x2 + Poly.monomial(ring, 1, (5,), ring.times_p_embed(GF(2).one))
+    f = x2 + Poly.monomial(ring, 1, (5,), ring.p_elem)
     g = invert_unit(f)
     assert f * g == Poly.constant(ring, 1, 1)
     for _ in range(50):
         # random unit: x^k + p * (junk)
         junk = Poly(
-            ring, 1, {(rng.randint(-3, 3),): ring.times_p_embed(GF(2).random(rng)) for _ in range(3)}
+            ring, 1, {(rng.randint(-3, 3),): ring.p_elem * rng.randrange(2) for _ in range(3)}
         )
         u = Poly.variable(ring, 1, 0, rng.randint(-3, 3)) + junk
         inv = invert_unit(u)
@@ -307,7 +323,8 @@ def test_poly_text_roundtrip_random(rng):
 def _signed_text(f, rng):
     """f with a sign before every term, the first included; a '-' negates the coefficient."""
     parts = []
-    for mono, c in f.terms.items():
+    for mono in f.terms:
+        c = f.coefficient_of(mono)
         sign = rng.choice("+-")
         factors = [f.ring.coeff_to_str(-c if sign == "-" else c)]
         factors.extend(f"x{i + 1}^{e}" for i, e in enumerate(mono) if e)

@@ -113,11 +113,11 @@ def test_gluing_identity_against_naive_arithmetic(rng):
         f = random_poly(rng, F2, 1, 4, 3)
         g = extend_chart(base, f)
         fx = {2: 1}
-        for (e,), c in f.terms.items():
-            fx[e] = (fx.get(e, 0) + 2 * c.as_int()) % 4
+        for (e,) in f.terms:
+            fx[e] = (fx.get(e, 0) + 2 * f.coefficient_of((e,)).as_int()) % 4
         fy_sub = {-2: 1}
-        for (e,), c in g.terms.items():
-            fy_sub[-e] = (fy_sub.get(-e, 0) + 2 * c.as_int()) % 4
+        for (e,) in g.terms:
+            fy_sub[-e] = (fy_sub.get(-e, 0) + 2 * g.coefficient_of((e,)).as_int()) % 4
         assert naive_laurent_mul_zp2(fx, fy_sub, 2) == {0: 1}
 
 

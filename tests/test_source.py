@@ -41,18 +41,40 @@ def test_traced_names_resolve_in_the_package():
     assert not missing, missing
 
 
-def test_only_froblift_applies_the_witt_frobenius_in_a_substitution():
-    # "apply this lift" has one routine, froblift.apply_lift; elsewhere substitute
-    # is a plain change of coordinates and takes no coefficient map
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(Path(w2frob.__file__).parent.glob("*.py"))
-        if path.name != "froblift.py"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "substitute"
-        and (len(node.args) > 2 or any(k.arg == "coeff_map" for k in node.keywords))
-    ]
+# builtins that only see a dict's keys
+_KEY_READERS = {"len", "sorted", "iter", "list", "set", "tuple", "min", "max"}
+
+
+def _reads_coefficients(node, parent) -> bool:
+    """Whether a ``.terms`` node is used for more than its monomials (its keys)."""
+    if isinstance(parent, ast.Attribute):
+        return parent.attr != "keys"
+    if isinstance(parent, ast.Call):
+        return node in parent.args and getattr(parent.func, "id", None) not in _KEY_READERS
+    if isinstance(parent, (ast.For, ast.comprehension)):
+        return parent.iter is not node
+    if isinstance(parent, ast.Compare):
+        return not all(isinstance(op, (ast.In, ast.NotIn)) for op in parent.ops)
+    return True
+
+
+def test_only_polyalg_reads_coefficient_ints():
+    # Poly.terms holds the ring's canonical ints; every other module reads a
+    # coefficient as an element (coefficient_of, single_term) and builds
+    # polynomials through Poly operations, never through Poly._make
+    found = []
+    for path in sorted(Path(w2frob.__file__).parent.glob("*.py")):
+        if path.name == "polyalg.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for parent in ast.walk(tree):
+            for node in ast.iter_child_nodes(parent):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                if node.attr == "terms" and _reads_coefficients(node, parent):
+                    found.append(f"{path.name}:{node.lineno} .terms")
+                elif node.attr == "_make":
+                    found.append(f"{path.name}:{node.lineno} _make")
     assert not found, found
 
 
