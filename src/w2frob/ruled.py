@@ -127,6 +127,7 @@ class RuledLift:
     transition: TransitionData
     charts: dict
     h: Poly  # fiber correction of the VY chart, over F_q
+    lifted_ab: tuple  # canonical lifts a~, b~ of the transition, on the overlap over W2(F_q)
 
     @property
     def field(self):
@@ -146,11 +147,6 @@ class RuledLift:
 def _embed2(f: Poly) -> Poly:
     """One-variable polynomial into two variables, occupying the base slot."""
     return substitute(f, [Poly.variable(f.ring, 2, 0)])
-
-
-def _lifted_transition(T: TransitionData, wring) -> tuple:
-    """The canonical lifts a~ and b~ as overlap polynomials over W2(F_q)."""
-    return _embed2(canonical_lift(T.a, wring)), _embed2(canonical_lift(T.b, wring))
 
 
 def _overlap_lift(chart: AffineChartLift, kind: str) -> AffineChartLift:
@@ -183,7 +179,7 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
 
     # V-side fiber image, computed on the overlap:
     #   F(y) = ((a~*y + b~)^p - F(b~)) * F(a~)^(-1)
-    a2, b2 = _lifted_transition(T, wring)
+    a2, b2 = _embed2(canonical_lift(T.a, wring)), _embed2(canonical_lift(T.b, wring))
     over_ux = _overlap_lift(chart_ux, T.kind)
     try:
         den_inv = invert_unit(apply_lift(over_ux, a2))
@@ -209,6 +205,7 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
         transition=T,
         charts={"UX": chart_ux, "UT": chart_ux, "VY": chart_vy, "VS": chart_vs},
         h=h_chart,
+        lifted_ab=(a2, b2),
     )
 
 
@@ -255,7 +252,7 @@ def verify_gluing(L: RuledLift) -> CheckResult:
     wring = L.charts["UX"].lift_ring
     b_zero = T.b.is_zero()
     on_p1 = T.kind == "P1"
-    a2, b2 = _lifted_transition(T, wring)
+    a2, b2 = L.lifted_ab
     u = Poly.variable(wring, 2, 0)
     y = Poly.variable(wring, 2, 1)
 
@@ -420,7 +417,7 @@ def base_glue_consistency(L: RuledLift) -> CheckResult:
     field = L.field
     wring = L.charts["UX"].lift_ring
     mask = (_OVERLAP_MASK[T.kind],)
-    a2, b2 = _lifted_transition(T, wring)
+    a2, b2 = L.lifted_ab
 
     img_u = L.charts["UX"].image_of_var(0)
     f0_poly = _fiber_degree_0(img_u)

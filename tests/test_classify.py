@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from oracles import count_affine_points
@@ -157,15 +159,20 @@ def test_point_count_examples():
     assert is_ordinary_curve(WeierstrassCurve.short_form(5, 1, 0))
 
 
-def test_point_count_matches_naive(rng):
-    for p in (2, 3, 5, 7):
-        for _ in range(20):
-            coeffs = [rng.randrange(p) for _ in range(5)]
-            try:
-                E = WeierstrassCurve(p, *coeffs)
-            except SingularCurve:
-                continue
-            assert E.count_points() == 1 + count_affine_points(p, *coeffs)
+def test_point_count_matches_naive():
+    # every nonsingular general form at p <= 5 (both branches of count_points),
+    # and every nonsingular short form at the larger desk-scale primes
+    cases = [(p, c) for p in (2, 3, 5) for c in itertools.product(range(p), repeat=5)]
+    cases += [(p, (0, 0, 0, a, b)) for p in (7, 11, 13, 17) for a in range(p) for b in range(p)]
+    checked = 0
+    for p, coeffs in cases:
+        try:
+            E = WeierstrassCurve(p, *coeffs)
+        except SingularCurve:
+            continue
+        assert E.count_points() == 1 + count_affine_points(p, *coeffs), (p, coeffs)
+        checked += 1
+    assert checked == 2678 + sum(p * (p - 1) for p in (7, 11, 13, 17))
 
 
 def test_singular_curves_rejected():
