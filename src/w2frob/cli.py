@@ -27,6 +27,7 @@ from .froblift import standard_lift
 from .polyalg import Poly, poly_from_str, poly_to_str
 from .projline import verify_p1_lift
 from .ruled import (
+    BASES,
     TransitionData,
     base_glue_consistency,
     build_standard_lift,
@@ -111,6 +112,9 @@ def _cmd_ruled_lift(args) -> dict:
     field = GF(args.p)
     try:
         if args.base == "P1":
+            for flag, value, default in (("--a-const", args.a_const, 1), ("--b", args.b, "0")):
+                if value != default:
+                    raise UsageError(f"{flag} does not apply to --base P1, whose a is u^n and b is 0")
             T = hirzebruch_transition(field, args.n)
         else:
             a = Poly.monomial(field, 1, (args.n,), field.from_int(args.a_const))
@@ -252,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_p1_lift)
 
     sp = sub.add_parser("ruled-lift", help="build and verify a standard four-chart lift")
-    sp.add_argument("--base", choices=["A1", "Gm", "P1"], required=True)
+    sp.add_argument("--base", choices=BASES, required=True)
     sp.add_argument("--n", type=int, default=0, help="monomial exponent of a")
     sp.add_argument("--a-const", type=int, default=1, dest="a_const")
     sp.add_argument("--b", default="0", help="transition offset b as a polynomial in x1")

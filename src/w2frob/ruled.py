@@ -3,8 +3,12 @@
 The surface is covered by four affine charts over a base pair (U, V).
 Fiber coordinates x, t on the U side and y, s on the V side glue by
 t*x = s*y = 1 and x = a*y + b, with a a unit and b a function on the
-base overlap.  Supported bases: the affine line, the punctured line and
-the projective line (transition a = c*u^n, Laurent b).
+base overlap.  The base is one of the ``ToricBase`` objects in ``BASES``:
+the affine line A1, the punctured line Gm and the projective line P1
+(transition a = c*u^n, Laurent b).  A base holds two facts: whether u is
+a unit on chart U (Gm), and whether V is a second chart with v = 1/u (P1)
+rather than chart U itself.  The overlap mask and the one rewrite between
+overlap and V-chart coordinates follow from them.
 
 The standard lift fixes a base-chart lift, sends x to x^p, and
 propagates through the transition: F(y) = ((a*y + b)^p - F(b)) / F(a),
@@ -43,40 +47,64 @@ from .polyalg import (
 from .projline import extend_chart
 from .witt2 import FiniteField
 
-BASE_KINDS = ("A1", "Gm", "P1")
 
-# Laurent mask of the base overlap coordinate u
-_OVERLAP_MASK = {"A1": False, "Gm": True, "P1": True}
-# Laurent mask of each base chart's own coordinate
-_CHART_MASK = {"A1": False, "Gm": True, "P1": False}
+class ToricBase:
+    """A one-dimensional toric base, fixed by the two facts of the module docstring."""
+
+    __slots__ = ("name", "u_unit", "v_inverse", "overlap_mask")
+
+    def __init__(self, name: str, u_unit: bool, v_inverse: bool):
+        self.name = name
+        self.u_unit = u_unit  # u is a unit on chart U
+        self.v_inverse = v_inverse  # V is a second chart with v = 1/u
+        self.overlap_mask = u_unit or v_inverse  # u is a unit on the base overlap
+
+    def to_v(self, f: Poly) -> Poly:
+        """Rewrite the base slot between overlap and V-chart coordinates; an involution."""
+        return flip_variable(f, 0) if self.v_inverse else f
+
+    def u_image(self, v_img: Poly) -> Poly:
+        """F(u) on the overlap from a V chart's image of its base coordinate."""
+        return invert_unit(flip_variable(v_img, 0)) if self.v_inverse else v_img
+
+
+BASES = {
+    name: ToricBase(name, u_unit, v_inverse)
+    for name, u_unit, v_inverse in (("A1", False, False), ("Gm", True, False), ("P1", False, True))
+}
+
+
+def _toric_base(name: str) -> ToricBase:
+    base = BASES.get(name)
+    if base is None:
+        raise UnsupportedShape(f"unsupported base {name!r}; expected one of {tuple(BASES)}")
+    return base
 
 
 class TransitionData:
     """Gluing data x = a*y + b over a toric base; a must be a unit monomial."""
 
-    __slots__ = ("kind", "field", "a", "b")
+    __slots__ = ("base", "field", "a", "b")
 
-    def __init__(self, kind: str, a: Poly, b: Poly):
-        if kind not in BASE_KINDS:
-            raise UnsupportedShape(f"unsupported base {kind!r}; expected one of {BASE_KINDS}")
+    def __init__(self, name: str, a: Poly, b: Poly):
+        base = _toric_base(name)
         if a.nvars != 1 or b.nvars != 1 or a.ring != b.ring:
             raise ShapeError("a and b must be one-variable polynomials over one field")
         st = a.single_term()
         if st is None or st[1].is_zero():
             raise UnitError("transition coefficient a must be a unit monomial")
         mono, _ = st
-        mask = (_OVERLAP_MASK[kind],)
-        if not a.respects_mask(mask) or (kind == "A1" and mono[0] != 0):
-            raise UnitError(f"a = {poly_to_str(a)} is not a unit on the {kind} base")
-        if not b.respects_mask(mask):
-            raise UnsupportedShape(f"b = {poly_to_str(b)} is not regular on the {kind} overlap")
-        self.kind = kind
+        if mono[0] != 0 and not base.overlap_mask:
+            raise UnitError(f"a = {poly_to_str(a)} is not a unit on the {name} base")
+        if not b.respects_mask((base.overlap_mask,)):
+            raise UnsupportedShape(f"b = {poly_to_str(b)} is not regular on the {name} overlap")
+        self.base = base
         self.field = a.ring
         self.a = a
         self.b = b
 
     def __repr__(self):
-        return f"TransitionData({self.kind}, a={poly_to_str(self.a)}, b={poly_to_str(self.b)})"
+        return f"TransitionData({self.base.name}, a={poly_to_str(self.a)}, b={poly_to_str(self.b)})"
 
 
 def hirzebruch_transition(field: FiniteField, n: int) -> TransitionData:
@@ -91,33 +119,24 @@ def hirzebruch_transition(field: FiniteField, n: int) -> TransitionData:
 class BaseLift:
     """Frobenius lift on the base charts (one chart, or two glued ones for P1)."""
 
-    __slots__ = ("kind", "chart_U", "chart_V")
+    __slots__ = ("base", "chart_U", "chart_V")
 
-    def __init__(self, kind: str, chart_U: AffineChartLift, chart_V: AffineChartLift = None):
-        if kind not in BASE_KINDS:
-            raise UnsupportedShape(f"unsupported base {kind!r}")
+    def __init__(self, name: str, chart_U: AffineChartLift):
+        base = _toric_base(name)
         if chart_U.nvars != 1:
             raise ShapeError("base chart lifts are one-variable")
-        if kind == "P1":
-            if chart_V is None:
-                # the second chart is forced by the degree-bound extension
-                point = standard_lift(chart_U.field, 0)
-                chart_V = AffineChartLift(
-                    chart_U.field, 1, (False,),
-                    (extend_chart(point, chart_U.corrections[0]),),
-                )
-            if chart_V.nvars != 1:
-                raise ShapeError("base chart lifts are one-variable")
-        else:
-            chart_V = chart_U
-        self.kind = kind
+        chart_V = chart_U
+        if base.v_inverse:  # the second chart is forced by the degree-bound extension
+            g = extend_chart(standard_lift(chart_U.field, 0), chart_U.corrections[0])
+            chart_V = AffineChartLift(chart_U.field, 1, (False,), (g,))
+        self.base = base
         self.chart_U = chart_U
         self.chart_V = chart_V
 
 
-def standard_base_lift(field: FiniteField, kind: str) -> BaseLift:
+def standard_base_lift(field: FiniteField, name: str) -> BaseLift:
     """u -> u^p on every base chart."""
-    return BaseLift(kind, standard_lift(field, 1, (_CHART_MASK[kind],)))
+    return BaseLift(name, standard_lift(field, 1, (_toric_base(name).u_unit,)))
 
 
 @dataclass
@@ -149,12 +168,9 @@ def _embed2(f: Poly) -> Poly:
     return substitute(f, [Poly.variable(f.ring, 2, 0)])
 
 
-def _overlap_lift(chart: AffineChartLift, kind: str) -> AffineChartLift:
-    """A U-side chart lift with u inverted, as it acts on the base overlap.
-
-    Over P1, a and b may be Laurent in u, which the chart itself rejects.
-    """
-    mask = (_OVERLAP_MASK[kind], False)
+def _overlap_lift(chart: AffineChartLift, base: ToricBase) -> AffineChartLift:
+    """A U-side chart lift as it acts on the base overlap, where a and b may be Laurent in u."""
+    mask = (base.overlap_mask, False)
     if chart.laurent_mask == mask:
         return chart
     return AffineChartLift(chart.field, 2, mask, chart.corrections)
@@ -165,14 +181,14 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
     field = T.field
     p = field.p
     if baseF is None:
-        baseF = standard_base_lift(field, T.kind)
-    if baseF.kind != T.kind or baseF.chart_U.field != field:
+        baseF = standard_base_lift(field, T.base.name)
+    if baseF.base is not T.base or baseF.chart_U.field != field:
         raise ShapeError("base lift does not match the transition data")
 
     wring = baseF.chart_U.lift_ring
     fu = _embed2(baseF.chart_U.corrections[0])
     fv = _embed2(baseF.chart_V.corrections[0])
-    chart_mask = (_CHART_MASK[T.kind], False)
+    chart_mask = (T.base.u_unit, False)
 
     # U-side charts: x -> x^p exactly; the t-chart (t = 1/x) has the same corrections
     chart_ux = AffineChartLift(field, 2, chart_mask, (fu, Poly.zero(field, 2)))
@@ -180,7 +196,7 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
     # V-side fiber image, computed on the overlap:
     #   F(y) = ((a~*y + b~)^p - F(b~)) * F(a~)^(-1)
     a2, b2 = _embed2(canonical_lift(T.a, wring)), _embed2(canonical_lift(T.b, wring))
-    over_ux = _overlap_lift(chart_ux, T.kind)
+    over_ux = _overlap_lift(chart_ux, T.base)
     try:
         den_inv = invert_unit(apply_lift(over_ux, a2))
     except UnitError as exc:
@@ -195,7 +211,8 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
     if deg_h is not None and deg_h > p:
         raise InvariantViolation(f"fiber degree of h is {deg_h} > p = {p}")
 
-    h_chart = _to_v_coords(h_overlap, T.kind)
+    # the VY chart's mask rejects a positive power of u, which does not descend to P1's v-chart
+    h_chart = T.base.to_v(h_overlap)
     chart_vy = AffineChartLift(field, 2, chart_mask, (fv, h_chart))
     # s-chart via the degree-bound extension (deg_y h <= p <= 2p always holds)
     g_s = extend_chart(baseF.chart_V, h_chart)
@@ -207,20 +224,6 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
         h=h_chart,
         lifted_ab=(a2, b2),
     )
-
-
-def _to_v_coords(f: Poly, kind: str) -> Poly:
-    """Rewrite an overlap polynomial (coords u, fiber) into the V chart."""
-    if kind != "P1":
-        if kind == "A1" and not f.respects_mask((False, True)):
-            raise UnsupportedShape("correction is not regular on the affine-line base")
-        return f
-    if (f.degree_in(0) or 0) > 0:
-        raise UnsupportedShape(
-            "V-side correction involves positive powers of u and does not "
-            "descend to the v-chart; this transition needs a different gluing"
-        )
-    return flip_variable(f, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +254,7 @@ def verify_gluing(L: RuledLift) -> CheckResult:
     field = L.field
     wring = L.charts["UX"].lift_ring
     b_zero = T.b.is_zero()
-    on_p1 = T.kind == "P1"
+    base = T.base
     a2, b2 = L.lifted_ab
     u = Poly.variable(wring, 2, 0)
     y = Poly.variable(wring, 2, 1)
@@ -273,14 +276,6 @@ def verify_gluing(L: RuledLift) -> CheckResult:
 
     def base_img(chart_key):
         return L.charts[chart_key].image_of_var(0)
-
-    def v_side(img):
-        # a V-chart polynomial on the overlap, whose base coordinate is 1/u over P1
-        return flip_variable(img, 0) if on_p1 else img
-
-    def v_side_u_image(chart_key):
-        img = v_side(base_img(chart_key))
-        return invert_unit(img) if on_p1 else img
 
     def flipped(img):
         # the image of the inverse fiber coordinate (t = 1/x, s = 1/y)
@@ -309,7 +304,7 @@ def verify_gluing(L: RuledLift) -> CheckResult:
         compare(f"{near}/{far}", coords, [base_img(near), img], side_far)
 
     # the U-side images of u and y on the overlap coords (u, y)
-    over_ux = _overlap_lift(L.charts["UX"], T.kind)
+    over_ux = _overlap_lift(L.charts["UX"], base)
     # UX: x = a*y + b, so F(y) = (F(x) - F(b)) / F(a)
     x_of_y = [u, a2 * y + b2]
     ay_img = substitute(img_x, x_of_y) - apply_lift(over_ux, b2)
@@ -319,7 +314,7 @@ def verify_gluing(L: RuledLift) -> CheckResult:
     if b_zero:
         # UT: t = 1/(a*y), so F(y) = 1/(F(a) * F(t))
         chart_ut = L.charts["UT"]
-        over_ut = over_ux if chart_ut is L.charts["UX"] else _overlap_lift(chart_ut, T.kind)
+        over_ut = over_ux if chart_ut is L.charts["UX"] else _overlap_lift(chart_ut, base)
         t_of_y = [u, invert_unit(a2 * y)]
         img_t = substitute(chart_ut.image_of_var(1), t_of_y)
         uy_images["UT"] = (
@@ -330,8 +325,8 @@ def verify_gluing(L: RuledLift) -> CheckResult:
         implied = ["UT/VY", "UT/VS"]
 
     # each meets VY in (u, y) and VS in (u, s); y = 1/s
-    side_vy = [v_side_u_image("VY"), v_side(img_y)]
-    side_vs = [v_side_u_image("VS"), v_side(L.charts["VS"].image_of_var(1))]
+    side_vy = [base.u_image(base_img("VY")), base.to_v(img_y)]
+    side_vs = [base.u_image(base_img("VS")), base.to_v(L.charts["VS"].image_of_var(1))]
     for key, (u_img, y_img) in uy_images.items():
         compare(f"{key}/VY", ("u", "y"), [u_img, y_img], side_vy)
         compare(f"{key}/VS", ("u", "s"), [flip_variable(u_img, 1), flipped(y_img)], side_vs)
@@ -339,7 +334,7 @@ def verify_gluing(L: RuledLift) -> CheckResult:
     return CheckResult(
         not failures,
         failures,
-        {"checked": checked, "implied": implied, "base": T.kind, "b_zero": b_zero},
+        {"checked": checked, "implied": implied, "base": base.name, "b_zero": b_zero},
     )
 
 
@@ -416,7 +411,7 @@ def base_glue_consistency(L: RuledLift) -> CheckResult:
     T = L.transition
     field = L.field
     wring = L.charts["UX"].lift_ring
-    mask = (_OVERLAP_MASK[T.kind],)
+    mask = (T.base.overlap_mask,)
     a2, b2 = L.lifted_ab
 
     img_u = L.charts["UX"].image_of_var(0)
@@ -424,10 +419,7 @@ def base_glue_consistency(L: RuledLift) -> CheckResult:
     xelem = a2 * Poly.variable(wring, 2, 1) + b2
     lhs0 = _fiber_degree_0(substitute(img_u, [Poly.variable(wring, 2, 0), xelem]))
 
-    g0_poly = _fiber_degree_0(L.charts["VY"].image_of_var(0))
-    if T.kind == "P1":
-        # the V-side base coordinate is v = 1/u, so F(u) = 1/F(v)
-        g0_poly = invert_unit(flip_variable(g0_poly, 0))
+    g0_poly = T.base.u_image(_fiber_degree_0(L.charts["VY"].image_of_var(0)))
 
     failures = []
     if lhs0 != g0_poly:

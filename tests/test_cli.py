@@ -118,6 +118,8 @@ def test_usage_errors_exit_2(capsys):
         ["ruled-lift", "--base", "A1", "--a-const", "0", "--p", "3"],
         ["ruled-lift", "--base", "A1", "--b", "x^-1", "--p", "3"],
         ["ruled-lift", "--base", "P1", "--n", "-1", "--p", "2"],
+        ["ruled-lift", "--base", "P1", "--n", "2", "--a-const", "0", "--p", "3"],
+        ["ruled-lift", "--base", "P1", "--n", "2", "--b", "x1", "--p", "3"],
         ["p1-lift", "--p", "2", "--f", "x^-1"],
         ["verify-lemma", "--p", "0"],
     ):
@@ -155,6 +157,37 @@ def test_sweep_all_report_is_pinned(capsys):
     assert run_command(["sweep-all", "--seed", "42"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "d52781c4767bc653cf3d855624e7c0837e8ad177c3d01b67907081e0c3ad5148"
+
+
+# (argv, exit code, sha256 of stdout) of ruled-lift runs over every base
+_RULED_LIFT_REPORTS = [
+    ("--base P1 --n 2 --p 3", 0, "aa229911ac984c011c4f017b8896a645e9cff519f38eaa4da341fc58ff2a5032"),
+    ("--base A1 --b x1 --p 2", 0, "40980eb9cf83e214ced2a1f650922624862186503f386d5c906282fc8d68ee18"),
+    (
+        "--base Gm --n 1 --b x1+x1^-1 --p 5",
+        0,
+        "73892550aad595bb3ec853ef3e29cd0137e12281ac4be63e0cb66a443407875d",
+    ),
+    ("--base P1 --n 3 --p 7", 0, "a9c3cf4776753febba279713f5dda994d1593e0ef195c746c6b44485434aec9e"),
+    (
+        "--base Gm --n -1 --b 2*x1^-1+1 --p 3",
+        0,
+        "deca16f49a412292744e7816e4484a288378f1ca4d27bee1397b67a6ef196d53",
+    ),
+    (
+        "--base A1 --a-const 2 --b x1^2+1 --p 5",
+        0,
+        "fc88acd81433ca82488d4308f77ba990c9628b19dbc6b795547af494dbefc245",
+    ),
+    ("--base P1 --n -1 --p 2", 2, "1213578aef7b622846fc475d280cecb65e015b49ffede9760c08ec2ad3bc93d1"),
+    ("--base A1 --n 2 --p 2", 2, "7b44df84d00714e23af0af7d058a2045f69ebef44c362d1d32b3bd89c9aead4c"),
+]
+
+
+def test_ruled_lift_reports_are_pinned(capsys):
+    for argv, code, digest in _RULED_LIFT_REPORTS:
+        assert run_command(["ruled-lift", *argv.split()]) == code, argv
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
 
 
 def test_passes_count_trials_without_failure(monkeypatch):

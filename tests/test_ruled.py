@@ -19,6 +19,8 @@ from w2frob import (
     hirzebruch_transition,
     poly_from_str,
     poly_to_str,
+    standard_base_lift,
+    standard_lift,
     verify_gluing,
 )
 from w2frob import sweeps
@@ -40,6 +42,12 @@ def shear_Gm(field):
     return TransitionData("Gm", u, u + Poly.monomial(field, 1, (-1,)))
 
 
+def sheared_P1(field):
+    """a = u^2 with b in {u, 1/u, u + 1/u}: P1 transitions with b != 0."""
+    for b in ("x1", "x1^-1", "x1+x1^-1"):
+        yield f"P1-b={b}", TransitionData("P1", Poly.monomial(field, 1, (2,)), P(field, 1, b))
+
+
 # -- transition validation ------------------------------------------------------
 
 
@@ -52,6 +60,20 @@ def test_transition_requires_unit_a():
     with pytest.raises(UnsupportedShape):
         TransitionData("A1", Poly.constant(F2, 1, 1), Poly.monomial(F2, 1, (-1,)))
     TransitionData("Gm", Poly.monomial(F2, 1, (-2,)), Poly.monomial(F2, 1, (-1,)))
+
+
+def test_unknown_base_name_is_rejected_alike():
+    F2 = GF(2)
+    one = Poly.constant(F2, 1, 1)
+    message = "unsupported base 'P2'; expected one of ('A1', 'Gm', 'P1')"
+    for build in (
+        lambda: TransitionData("P2", one, Poly.zero(F2, 1)),
+        lambda: BaseLift("P2", standard_lift(F2, 1)),
+        lambda: standard_base_lift(F2, "P2"),
+    ):
+        with pytest.raises(UnsupportedShape) as info:
+            build()
+        assert str(info.value) == message
 
 
 # -- the standard lift -----------------------------------------------------------
@@ -149,7 +171,7 @@ def test_corrupted_chart_fails_on_overlap():
     # a base image that depends on the fiber (slot 0, bump x2) gets a verdict like any other
     for p in (2, 3):
         field = GF(p)
-        for name, T in sweeps._ruled_cases(field):
+        for name, T in itertools.chain(sweeps._ruled_cases(field), sheared_P1(field)):
             lift = build_standard_lift(T)
             for key in lift.charts:
                 for slot, bump in itertools.product((0, 1), ("1", "x1", "x2")):
@@ -213,6 +235,7 @@ def test_base_consistency_standard(p):
         hirzebruch_transition(field, 3),
         shear_A1(field),
         shear_Gm(field),
+        *(T for _, T in sheared_P1(field)),
     ):
         lift = build_standard_lift(T)
         res = base_glue_consistency(lift)

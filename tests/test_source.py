@@ -41,6 +41,25 @@ def test_traced_names_resolve_in_the_package():
     assert not missing, missing
 
 
+def _is_string_constant(node) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_is_string_constant(elt) for elt in node.elts)
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def test_ruled_dispatches_on_the_base_object():
+    # ruled.py reads how a base behaves from its ToricBase, never from a name
+    # compared with a string constant such as kind == "P1"
+    path = Path(w2frob.__file__).parent / "ruled.py"
+    found = [
+        f"ruled.py:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Compare)
+        and any(_is_string_constant(operand) for operand in [node.left, *node.comparators])
+    ]
+    assert not found, found
+
+
 # builtins that only see a dict's keys
 _KEY_READERS = {"len", "sorted", "iter", "list", "set", "tuple", "min", "max"}
 
