@@ -97,8 +97,7 @@ def _cmd_p1_lift(args) -> dict:
         _check(
             "p1-extension",
             "F(x) = x^p + p*f extends across y = 1/x, round-trips and glues to F(x)*F(y) = 1",
-            [res.ok],
-            res.failures,
+            [res.failures],
         )
     ]
     extra = {"p": args.p, "f": poly_to_str(f)}
@@ -126,13 +125,8 @@ def _cmd_ruled_lift(args) -> dict:
     glue = verify_gluing(lift)
     consistency = base_glue_consistency(lift)
     checks = [
-        _check("gluing", "pairwise chart overlaps agree", [glue.ok], glue.failures),
-        _check(
-            "base-consistency",
-            "U- and V-side base lifts differ by p*eta",
-            [consistency.ok],
-            consistency.failures,
-        ),
+        _check("gluing", "pairwise chart overlaps agree", [glue.failures]),
+        _check("base-consistency", "U- and V-side base lifts differ by p*eta", [consistency.failures]),
     ]
     return _report(
         "ruled-lift",
@@ -183,7 +177,7 @@ def _cmd_sweep_all(args) -> dict:
     checks += sweep_eta(2, 5 * scale, 10, args.seed)
     checks += sweep_eta(3, 5 * scale, 10, args.seed)
     for p in (2, 3):
-        checks += sweep_ruled(p, args.seed)
+        checks += sweep_ruled(p)
     checks += sweep_classify()
     checks += sweep_hasse([5, 7, 11, 13])
     return _report("sweep-all", args.seed, checks)

@@ -36,11 +36,14 @@ from .witt2 import GF, W2, FiniteField
 
 @dataclass
 class CheckResult:
-    """Outcome of a verification, with witnesses for every failure."""
+    """Outcome of a verification: a witness for every failure, and details; ok means none."""
 
-    ok: bool
     failures: list = dc_field(default_factory=list)
     details: dict = dc_field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 class AffineChartLift:
@@ -226,7 +229,7 @@ def eta_axioms_check(eta: EtaFunction, a: Poly, b: Poly) -> CheckResult:
                     "rhs": poly_to_str(rhs),
                 }
             )
-    return CheckResult(not failures, failures)
+    return CheckResult(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +334,6 @@ def monomial_lemma_check(K: Sequence[Sequence[int]], p: int) -> CheckResult:
             }
         )
     return CheckResult(
-        not failures,
         failures,
         {"det_block_mod_p": det_block % p, "expanded": poly_to_str(expanded)},
     )

@@ -105,11 +105,11 @@ class Poly:
         return cls(ring, nvars, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, ring, nvars: int, i: int, exp: int = 1, coeff=None) -> "Poly":
+    def variable(cls, ring, nvars: int, i: int, exp: int = 1) -> "Poly":
         if not 0 <= i < nvars:
             raise ShapeError(f"variable index {i} out of range for {nvars} variables")
         mono = tuple(exp if j == i else 0 for j in range(nvars))
-        return cls(ring, nvars, {mono: 1 if coeff is None else coeff})
+        return cls(ring, nvars, {mono: 1})
 
     @classmethod
     def monomial(cls, ring, nvars: int, exps, coeff=None) -> "Poly":

@@ -55,7 +55,7 @@ def verify_p1_lift(base: AffineChartLift, f: Poly) -> CheckResult:
     try:
         g = extend_chart(base, f)
     except DegreeTooHigh as exc:
-        return CheckResult(False, [{"chart": "y", "error": str(exc)}])
+        return CheckResult([{"chart": "y", "error": str(exc)}])
 
     back = extend_chart(base, g)
     if back != f:
@@ -85,4 +85,4 @@ def verify_p1_lift(base: AffineChartLift, f: Poly) -> CheckResult:
                 "got": poly_to_str(prod),
             }
         )
-    return CheckResult(not failures, failures, {"y_correction": poly_to_str(g)})
+    return CheckResult(failures, {"y_correction": poly_to_str(g)})

@@ -21,15 +21,9 @@ def random_poly(rng, ring, nvars: int, max_deg: int, max_terms: int) -> Poly:
     return Poly(ring, nvars, terms)
 
 
-def random_chart_lift(
-    rng, field: FiniteField, nvars: int, max_deg: int = None, max_terms: int = 4
-) -> AffineChartLift:
-    """Random polynomial-chart lift with correction degrees <= max_deg (default p)."""
-    if max_deg is None:
-        max_deg = field.p
-    corrections = tuple(
-        random_poly(rng, field, nvars, max_deg, max_terms) for _ in range(nvars)
-    )
+def random_chart_lift(rng, field: FiniteField, nvars: int) -> AffineChartLift:
+    """Random polynomial-chart lift: up to 4 correction terms each, degrees <= p."""
+    corrections = tuple(random_poly(rng, field, nvars, field.p, 4) for _ in range(nvars))
     return AffineChartLift(field, nvars, (False,) * nvars, corrections)
 
 

@@ -125,6 +125,10 @@ class BaseLift:
         base = _toric_base(name)
         if chart_U.nvars != 1:
             raise ShapeError("base chart lifts are one-variable")
+        if chart_U.laurent_mask != (base.u_unit,):
+            raise UnsupportedShape(
+                f"a {name} base lift needs chart mask {(base.u_unit,)}, got {chart_U.laurent_mask}"
+            )
         chart_V = chart_U
         if base.v_inverse:  # the second chart is forced by the degree-bound extension
             g = extend_chart(standard_lift(chart_U.field, 0), chart_U.corrections[0])
@@ -332,7 +336,6 @@ def verify_gluing(L: RuledLift) -> CheckResult:
         compare(f"{key}/VS", ("u", "s"), [flip_variable(u_img, 1), flipped(y_img)], side_vs)
 
     return CheckResult(
-        not failures,
         failures,
         {"checked": checked, "implied": implied, "base": base.name, "b_zero": b_zero},
     )
@@ -441,7 +444,6 @@ def base_glue_consistency(L: RuledLift) -> CheckResult:
 
     eta = eta_between(f0_lift, g0_lift)
     return CheckResult(
-        not failures,
         failures,
         {"eta": eta, "f0": f0_lift, "g0": g0_lift, "eta_u": poly_to_str(eta.values[0])},
     )

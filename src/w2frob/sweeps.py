@@ -2,20 +2,24 @@
 
 A sweep returns a list of check dicts (name, citation, trials, passes,
 failures, ok).  ``frobctl`` prints them and the acceptance suite asserts
-on them, so both run the same loops.  Randomness comes from
-``random.Random(f"{seed}|<sweep>|...")``, so a check is deterministic for
-a fixed seed; where the whole case space is small enough it is
-enumerated instead of sampled.
+on them, so both run the same loops.  A sweep keeps one witness list per
+trial and no verdict: a trial passed exactly when its list is empty, and
+``_check`` derives the counts and ``ok`` from the lists.  Randomness
+comes from ``random.Random(f"{seed}|<sweep>|...")``, so a check is
+deterministic for a fixed seed; where the whole case space is small
+enough it is enumerated instead of sampled.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 from . import classify as classify_mod
 from .errors import SingularCurve
 from .froblift import (
+    AffineChartLift,
     eta_axioms_check,
     eta_between,
     monomial_lemma_check,
@@ -37,20 +41,23 @@ from .ruled import (
 from .witt2 import GF, W2, witt_to_residue_ring
 
 
-def _check(name: str, citation: str, verdicts: list, failures: list) -> dict:
-    """One report entry; ``verdicts`` holds True for each trial that passed.
+def _check(name: str, citation: str, trials: list, extra=()) -> dict:
+    """One report entry from one witness list per trial.
 
-    ``failures`` are the witnesses: a trial may contribute several, and a
-    property of the whole check (not tied to one trial) may add its own.
-    A check that ran no trial is not ok.
+    A trial passed when its list is empty.  ``extra`` holds the witnesses
+    of properties of the whole check, tied to no trial.  The verdict is
+    derived here and nowhere else: a check is ok when it ran a trial and
+    has no witness of either kind.  ``failures`` keeps the first five
+    witnesses, trials first; ``trials`` and ``passes`` count every trial.
     """
+    failures = [w for witnesses in trials for w in witnesses] + list(extra)
     return {
         "name": name,
         "citation": citation,
-        "trials": len(verdicts),
-        "passes": sum(verdicts),
+        "trials": len(trials),
+        "passes": sum(not witnesses for witnesses in trials),
         "failures": failures[:5],
-        "ok": bool(verdicts) and not failures,
+        "ok": bool(trials) and not failures,
     }
 
 
@@ -86,29 +93,29 @@ def sweep_witt(p_list, trials, seed) -> list:
             pairs = [(u, v) for u in elems for v in elems]
         else:
             pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(trials)]
-        verdicts, failures = [], []
+        per_trial, residue = [], []
         for u, v in pairs:
             a, b = coords(u), coords(v)
-            bad = [
-                {"op": op, "u": repr(u), "v": repr(v)}
-                for op, holds in (
-                    ("add", coords(u + v) == _witt_sum(p, a, b)),
-                    ("mul", coords(u * v) == _witt_product(p, a, b)),
-                )
-                if not holds
-            ]
-            verdicts.append(not bad)
-            failures.extend(bad)
+            per_trial.append(
+                [
+                    {"op": op, "u": repr(u), "v": repr(v)}
+                    for op, holds in (
+                        ("add", coords(u + v) == _witt_sum(p, a, b)),
+                        ("mul", coords(u * v) == _witt_product(p, a, b)),
+                    )
+                    if not holds
+                ]
+            )
         for u in elems:
             a0, a1 = coords(u)
             if witt_to_residue_ring(u).rep != (a0 ** p + p * a1) % (p * p):
-                failures.append({"op": "residue", "u": repr(u)})
+                residue.append({"op": "residue", "u": repr(u)})
         checks.append(
             _check(
                 f"witt-oracle-p{p}",
                 "residue-ring model intertwines the length-2 Witt operations",
-                verdicts,
-                failures,
+                per_trial,
+                residue,
             )
         )
     return checks
@@ -120,24 +127,22 @@ def sweep_phi_det(p_list, n_list, trials, seed) -> list:
         field = GF(p)
         for n in n_list:
             rng = random.Random(f"{seed}|phi|{p}|{n}")
-            verdicts, failures = [], []
+            per_trial = []
             for _ in range(trials):
                 lift = random_chart_lift(rng, field, n)
                 det = phi_det(lift)
-                top = det.coefficient_of(top_monomial(lift))
-                ok = not det.is_zero() and top == field.one
-                verdicts.append(ok)
-                if not ok:
-                    witness = {"corrections": [poly_to_str(f) for f in lift.corrections]}
+                top = det.coefficient_of(top_monomial(lift))  # 0 when det is 0
+                witnesses = []
+                if top != field.one:
+                    witnesses.append({"corrections": [poly_to_str(f) for f in lift.corrections]})
                     if not det.is_zero():
-                        witness["coefficient"] = field.coeff_to_str(top)
-                    failures.append(witness)
+                        witnesses[0]["coefficient"] = field.coeff_to_str(top)
+                per_trial.append(witnesses)
             checks.append(
                 _check(
                     f"phi-det-p{p}-n{n}",
                     "generic bijectivity: top-monomial coefficient of det(phi) is 1",
-                    verdicts,
-                    failures,
+                    per_trial,
                 )
             )
     return checks
@@ -145,21 +150,18 @@ def sweep_phi_det(p_list, n_list, trials, seed) -> list:
 
 def sweep_monomial_lemma(p, max_n, trials, seed) -> list:
     rng = random.Random(f"{seed}|lemma|{p}")
-    verdicts, failures = [], []
+    per_trial = []
     for _ in range(trials):
         n = rng.randint(1, max_n)
         m = rng.randint(1, n)
         K = random_exponent_matrix(rng, p, m, n)
         res = monomial_lemma_check(K, p)
-        verdicts.append(res.ok)
-        if not res.ok:
-            failures.append({"K": K, "failures": res.failures})
+        per_trial.append([{"K": K, "failures": res.failures}] if res.failures else [])
     return [
         _check(
             f"monomial-lemma-p{p}",
             "column-sum lemma: zero top coefficient and the closed determinant form",
-            verdicts,
-            failures,
+            per_trial,
         )
     ]
 
@@ -167,7 +169,7 @@ def sweep_monomial_lemma(p, max_n, trials, seed) -> list:
 def sweep_eta(p, lift_pairs, elem_pairs, seed) -> list:
     field = GF(p)
     rng = random.Random(f"{seed}|eta|{p}")
-    verdicts, failures = [], []
+    per_trial = []
     for _ in range(lift_pairs):
         n = rng.randint(1, 2)
         f1 = random_chart_lift(rng, field, n)
@@ -176,16 +178,12 @@ def sweep_eta(p, lift_pairs, elem_pairs, seed) -> list:
         for _ in range(elem_pairs):
             a = random_poly(rng, field, n, p, 3)
             b = random_poly(rng, field, n, p, 3)
-            res = eta_axioms_check(eta, a, b)
-            verdicts.append(res.ok)
-            if not res.ok:
-                failures.append(res.failures[0])
+            per_trial.append(eta_axioms_check(eta, a, b).failures[:1])
     return [
         _check(
             f"eta-axioms-p{p}",
             "difference calculus: additivity and the twisted Leibniz rule",
-            verdicts,
-            failures,
+            per_trial,
         )
     ]
 
@@ -194,19 +192,16 @@ def sweep_p1(p) -> list:
     """verify_p1_lift on x^d over a point, d in 0..3p: it holds exactly when d <= 2p."""
     field = GF(p)
     base = standard_lift(field, 0)
-    verdicts, failures = [], []
+    per_trial = []
     for d in range(3 * p + 1):
         res = verify_p1_lift(base, Poly.monomial(field, 1, (d,)))
-        ok = res.ok == (d <= 2 * p)
-        verdicts.append(ok)
-        if not ok:
-            failures.append({"degree": d, "verified": res.ok, "failures": res.failures})
+        witness = {"degree": d, "verified": res.ok, "failures": res.failures}
+        per_trial.append([] if res.ok == (d <= 2 * p) else [witness])
     return [
         _check(
             f"p1-degree-bound-p{p}",
             "chart extension exists exactly up to fiber degree 2p; 2p+1 monomials",
-            verdicts,
-            failures,
+            per_trial,
         )
     ]
 
@@ -218,64 +213,64 @@ def _ruled_cases(field):
     yield "F2", hirzebruch_transition(field, 2)
     yield "F3", hirzebruch_transition(field, 3)
     yield "A1-shear", TransitionData("A1", one, u)
-    yield "Gm-shear", TransitionData(
-        "Gm", u, u + Poly.monomial(field, 1, (-1,))
-    )
+    yield "Gm-shear", TransitionData("Gm", u, u + Poly.monomial(field, 1, (-1,)))
 
 
-def sweep_ruled(p, seed) -> list:
-    """One trial per surface: gluing, deg h, base lifts on all four charts, 25 eta pairs."""
-    field = GF(p)
-    rng = random.Random(f"{seed}|ruled|{p}")
+def sweep_ruled(p) -> list:
+    """One trial per surface: gluing, deg h, base lifts on all four charts, and a control.
+
+    The control raises the VY chart's base correction by 1.  Gluing must
+    then fail, and base consistency must fail with a nonzero eta; a check
+    that misses the bump adds a witness naming it.
+    """
     checks = []
-    for name, T in _ruled_cases(field):
-        failures = []
+    for name, T in _ruled_cases(GF(p)):
         lift = build_standard_lift(T)
-        glue = verify_gluing(lift)
-        failures.extend(glue.failures)
+        witnesses = verify_gluing(lift).failures
         deg_h = lift.h.degree_in(1)
         if deg_h is not None and deg_h > p:
-            failures.append({"deg_h": deg_h})
+            witnesses.append({"deg_h": deg_h})
         for chart in lift.charts.values():
             # raises unless every fiber tail is divisible by p, i.e. killed by p
             extract_base_lift(chart)
-        consistency = base_glue_consistency(lift)
-        failures.extend(consistency.failures)
-        eta = consistency.details["eta"]
-        for _ in range(25):
-            a = random_poly(rng, field, 1, p, 3)
-            b = random_poly(rng, field, 1, p, 3)
-            failures.extend(eta_axioms_check(eta, a, b).failures)
+        witnesses += base_glue_consistency(lift).failures
+        # the control: the VY chart's base image moved by p
+        vy = lift.charts["VY"]
+        fv, h = vy.corrections
+        bumped_vy = AffineChartLift(vy.field, 2, vy.laurent_mask, (fv + 1, h))
+        bumped = dataclasses.replace(lift, charts={**lift.charts, "VY": bumped_vy})
+        consistency = base_glue_consistency(bumped)
+        for missed, caught in (
+            ("gluing", not verify_gluing(bumped).ok),
+            ("base-consistency", not consistency.ok and not consistency.details["eta"].is_zero()),
+        ):
+            if not caught:
+                witnesses.append({"control": "VY base correction + 1", "missed": missed})
         checks.append(
             _check(
                 f"ruled-{name}-p{p}",
                 "standard four-chart lift: gluing, degree of h, base-lift extraction",
-                [not failures],
-                failures,
+                [witnesses],
             )
         )
     return checks
 
 
 def sweep_classify() -> list:
-    verdicts, failures = [], []
+    per_trial = []
     for desc, expected in classify_mod.golden_table():
         got = classify_mod.classify_surface(desc)
-        verdicts.append(got == expected)
-        if got != expected:
-            failures.append(
-                {
-                    "descriptor": desc.to_json_dict(),
-                    "expected": expected.to_json_dict(),
-                    "got": got.to_json_dict(),
-                }
-            )
+        witness = {
+            "descriptor": desc.to_json_dict(),
+            "expected": expected.to_json_dict(),
+            "got": got.to_json_dict(),
+        }
+        per_trial.append([] if got == expected else [witness])
     return [
         _check(
             "golden-table",
             "classification theorem and the hyperelliptic liftability table",
-            verdicts,
-            failures,
+            per_trial,
         )
     ]
 
@@ -283,7 +278,7 @@ def sweep_classify() -> list:
 def sweep_hasse(p_list) -> list:
     checks = []
     for p in p_list:
-        verdicts, failures = [], []
+        per_trial = []
         for a in range(p):
             for b in range(p):
                 try:
@@ -292,15 +287,12 @@ def sweep_hasse(p_list) -> list:
                     continue
                 by_hasse = not classify_mod.hasse_invariant(E).is_zero()
                 by_count = E.trace() % p != 0
-                verdicts.append(by_hasse == by_count)
-                if by_hasse != by_count:
-                    failures.append({"a": a, "b": b})
+                per_trial.append([] if by_hasse == by_count else [{"a": a, "b": b}])
         checks.append(
             _check(
                 f"hasse-vs-count-p{p}",
                 "ordinarity: Hasse invariant nonzero iff trace not divisible by p",
-                verdicts,
-                failures,
+                per_trial,
             )
         )
     return checks

@@ -78,7 +78,7 @@ def test_criterion_5_degree_bound_both_directions():
 
 def test_criterion_6_ruled_lifts():
     start = time.time()
-    surfaces = _trials([c for p in (2, 3) for c in sweep_ruled(p, 1206)])
+    surfaces = _trials([c for p in (2, 3) for c in sweep_ruled(p)])
     elapsed = time.time() - start
     assert surfaces == 10
     assert elapsed < 30.0

@@ -6,7 +6,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from w2frob import errors, projline, sweeps
+from w2frob import CheckResult, errors, eta_between, projline, ruled, sweeps
 from w2frob.classify import SURFACE_CLASSES
 from w2frob.cli import run_command
 
@@ -159,6 +159,49 @@ def test_sweep_all_report_is_pinned(capsys):
     assert digest == "d52781c4767bc653cf3d855624e7c0837e8ad177c3d01b67907081e0c3ad5148"
 
 
+def _verdicts_follow_counts(report) -> bool:
+    return all(
+        c["ok"] == (c["trials"] > 0 and c["passes"] == c["trials"] and not c["failures"])
+        for c in report["checks"]
+    )
+
+
+def test_sweep_all_verdicts_follow_the_counts(capsys):
+    code, report = run(capsys, ["sweep-all", "--seed", "42"])
+    assert code == 0 and _verdicts_follow_counts(report)
+
+
+def test_failing_sweep_all_report_is_pinned(capsys, monkeypatch):
+    # extend_chart without its sign breaks the 2p bound at p in {3, 5} and the p = 3 shears
+    real = projline.extend_chart
+    for module in (projline, ruled):
+        monkeypatch.setattr(module, "extend_chart", lambda base, f: -real(base, f))
+    assert run_command(["sweep-all", "--seed", "42"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3ffa470990b2ecd70af09a6d2e5c67c74694df46acd64996ad4705f8f2c20c05"
+    )
+    report = json.loads(out)
+    assert _verdicts_follow_counts(report)
+    assert sum(not c["ok"] for c in report["checks"]) == 4
+
+
+# (argv, exit code, sha256 of stdout) of reports run with their default seed and trials
+_CHECK_REPORTS = [
+    ("witt-check", 0, "ba029305b0266b2fc13cbc4355ae093e189d2c0924510a6e2cdb94886347a403"),
+    ("verify-lemma --p 3", 0, "3e86ba49362cf128ba29d2dd38a9f28f301450a789265ed71c98fc12a138a3b1"),
+    ("phi-det --p 5 --n 4", 0, "f2c0a6976b371ea8c127f1941752e63abaf416efd38c0d2765502afa4a976c3a"),
+    ("p1-lift --p 2 --f x^5", 1, "f79808f7699c58d83f662706c212946ccf0f5402e556433163ad6656560656ac"),
+]
+
+
+def test_check_reports_are_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("FROBCTL_SEED", raising=False)
+    for argv, code, digest in _CHECK_REPORTS:
+        assert run_command(argv.split()) == code, argv
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
+
+
 # (argv, exit code, sha256 of stdout) of ruled-lift runs over every base
 _RULED_LIFT_REPORTS = [
     ("--base P1 --n 2 --p 3", 0, "aa229911ac984c011c4f017b8896a645e9cff519f38eaa4da341fc58ff2a5032"),
@@ -188,6 +231,53 @@ def test_ruled_lift_reports_are_pinned(capsys):
     for argv, code, digest in _RULED_LIFT_REPORTS:
         assert run_command(["ruled-lift", *argv.split()]) == code, argv
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
+
+
+def test_check_counts_a_trial_with_witnesses_as_failed():
+    check = sweeps._check("c", "cite", [[], [{"w": 1}, {"w": 2}], []])
+    assert (check["trials"], check["passes"], check["ok"]) == (3, 2, False)
+    assert check["failures"] == [{"w": 1}, {"w": 2}]
+    assert sweeps._check("c", "cite", [[], []])["ok"]
+
+
+def test_check_without_trials_is_not_ok():
+    check = sweeps._check("c", "cite", [])
+    assert (check["trials"], check["passes"], check["failures"], check["ok"]) == (0, 0, [], False)
+
+
+def test_check_whole_check_witnesses_fail_passing_trials():
+    check = sweeps._check("c", "cite", [[], []], [{"whole": 1}])
+    assert (check["trials"], check["passes"], check["ok"]) == (2, 2, False)
+    assert check["failures"] == [{"whole": 1}]
+
+
+def test_check_keeps_five_witnesses_and_counts_every_trial():
+    check = sweeps._check("c", "cite", [[{"t": i}] for i in range(7)] + [[]], [{"whole": 1}])
+    assert (check["trials"], check["passes"], check["ok"]) == (8, 1, False)
+    assert check["failures"] == [{"t": i} for i in range(5)]
+
+
+def test_ruled_control_names_a_gluing_check_that_misses_the_bump(monkeypatch):
+    monkeypatch.setattr(sweeps, "verify_gluing", lambda lift: CheckResult())
+    for p in (2, 3):
+        for check in sweeps.sweep_ruled(p):
+            assert not check["ok"], check["name"]
+            assert check["failures"] == [{"control": "VY base correction + 1", "missed": "gluing"}]
+
+
+def test_ruled_control_names_a_consistency_check_that_misses_the_bump(monkeypatch):
+    # the bump must fail base consistency, and with a nonzero eta
+    real = sweeps.base_glue_consistency
+
+    def zero_eta(res):
+        f0 = res.details["f0"]
+        return CheckResult(res.failures, {**res.details, "eta": eta_between(f0, f0)})
+
+    for fake in (lambda res: CheckResult([], res.details), zero_eta):
+        monkeypatch.setattr(sweeps, "base_glue_consistency", lambda lift: fake(real(lift)))
+        for check in sweeps.sweep_ruled(2):
+            [witness] = check["failures"]
+            assert witness["missed"] == "base-consistency", check
 
 
 def test_passes_count_trials_without_failure(monkeypatch):

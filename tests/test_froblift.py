@@ -258,7 +258,8 @@ def test_low_decomposition_terms_do_not_touch_top_coefficient(rng):
         F = GF(p)
         for _ in range(60):
             n = rng.randint(1, 3)
-            L = random_chart_lift(rng, F, n, max_deg=p + 1)
+            corrections = [random_poly(rng, F, n, p + 1, 4) for _ in range(n)]
+            L = AffineChartLift(F, n, (False,) * n, corrections)
             lows = [
                 Poly(F, n, {m: f.coefficient_of(m) for m in f.terms if max(m) < p})
                 for f in L.corrections

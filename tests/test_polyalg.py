@@ -342,9 +342,9 @@ def test_poly_text_parser_leniency():
 def test_poly_text_leading_sign():
     F5, F9, W = GF(5), GF(3, 2), W2(3)
     assert P(F5, 1, "-x^2-1") == Poly.constant(F5, 1, 4) * Poly.variable(F5, 1, 0, 2) + 4
-    assert P(F5, 2, " -x2") == Poly.variable(F5, 2, 1, coeff=F5.from_int(4))
+    assert P(F5, 2, " -x2") == Poly.monomial(F5, 2, (0, 1), F5.from_int(4))
     assert P(F9, 1, "-[1,2]") == Poly.constant(F9, 1, F9.elem([2, 1]))
-    assert P(W, 1, "-(1,1)*x") == Poly.variable(W, 1, 0, coeff=-W.pair(1, 1))
+    assert P(W, 1, "-(1,1)*x") == Poly.monomial(W, 1, (1,), -W.pair(1, 1))
     # a sign before a factor negates it wherever the factor stands
     assert P(F5, 1, "--x") == P(F5, 1, "x*+x^0") == P(F5, 1, "2*-3*x*-1") == P(F5, 1, "x")
     assert P(W, 1, "x*-(1,1)") == P(W, 1, "-(1,1)*x")

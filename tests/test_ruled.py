@@ -76,6 +76,17 @@ def test_unknown_base_name_is_rejected_alike():
         assert str(info.value) == message
 
 
+def test_base_lift_chart_mask_must_match_the_base():
+    # u is a unit on the Gm chart only, so its base lift is the one Laurent in u
+    F3 = GF(3)
+    for name, mask, exp in (("A1", (True,), -1), ("Gm", (False,), 1)):
+        with pytest.raises(UnsupportedShape) as info:
+            BaseLift(name, AffineChartLift(F3, 1, mask, (Poly.monomial(F3, 1, (exp,)),)))
+        assert str(info.value) == f"a {name} base lift needs chart mask {(not mask[0],)}, got {mask}"
+    for name in ("A1", "Gm", "P1"):
+        assert standard_base_lift(F3, name).chart_U.laurent_mask == (name == "Gm",)
+
+
 # -- the standard lift -----------------------------------------------------------
 
 
