@@ -275,6 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message: str, code: int, **extra) -> int:
+    """Print the error report and return the exit code."""
+    print(json.dumps({"schema": SCHEMA, "error": message, "ok": False, **extra}, indent=2))
+    return code
+
+
 def run_command(argv) -> int:
     """Parse argv, run the subcommand, print the JSON report, return the exit code."""
     parser = build_parser()
@@ -292,20 +298,16 @@ def run_command(argv) -> int:
         UsageError,
         json.JSONDecodeError,
     ) as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc), "ok": False}, indent=2))
-        return 2
+        return _error(str(exc), 2)
     except AlgebraError as exc:
-        print(
-            json.dumps(
-                {"schema": SCHEMA, "error": str(exc), "ok": False, "kind": type(exc).__name__},
-                indent=2,
-            )
-        )
-        return 1
+        return _error(str(exc), 1, kind=type(exc).__name__)
     text = json.dumps(report, indent=2)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _error(f"cannot write --output {args.output!r}: {exc.strerror}", 2)
     print(text)
     return 0 if report["ok"] else 1
 

@@ -17,6 +17,16 @@ them.  Rings that carry the int-form mod-p maps (``residue_field``,
 division by p, multiplication by p and the canonical lift between a lift
 ring and its residue field.
 
+Chart changes of toric and ruled surfaces are monomial, so most products
+and substitutions meet monomials, and three fast paths serve them.  A
+product with a one-term factor shifts the other factor's exponents and
+folds each coefficient product once, dropping the products that vanish
+(p*p = 0 in a lift ring).  ``substitute`` whose images are all monomials
+or zero sends each source term to one target monomial and one
+coefficient, with no polynomial powers or products; terms that land on
+one monomial add up before the fold.  ``invert_unit`` over a lift ring is
+one Newton step from the inverse of the leading monomial.
+
 Text grammar: terms like ``c*x1^e1*x2^-3``, joined by '+' or '-', and the
 first may carry a sign too.  A factor is a variable power (bare ``x`` is
 ``x1``) or a coefficient literal: ``3``, ``[1,0]`` over F_q, ``(a0,a1)``
@@ -67,6 +77,13 @@ def _coeff_int(ring, c):
     return c.n
 
 
+def _require_coeff_int(ring, c) -> int:
+    n = _coeff_int(ring, c)
+    if n is None:
+        raise CharMismatch(f"{c!r} is no coefficient over {ring!r}")
+    return n
+
+
 class Poly:
     """Immutable sparse polynomial; do not mutate ``terms`` after creation."""
 
@@ -80,9 +97,7 @@ class Poly:
             for mono, c in terms.items():
                 if len(mono) != nvars:
                     raise ShapeError(f"monomial {mono} does not have {nvars} exponents")
-                n = _coeff_int(ring, c)
-                if n is None:
-                    raise CharMismatch(f"{c!r} is no coefficient over {ring!r}")
+                n = _require_coeff_int(ring, c)
                 if n:
                     clean[tuple(mono)] = n
         self.terms = clean
@@ -102,14 +117,15 @@ class Poly:
 
     @classmethod
     def constant(cls, ring, nvars: int, c) -> "Poly":
-        return cls(ring, nvars, {(0,) * nvars: c})
+        n = _require_coeff_int(ring, c)
+        return cls._make(ring, nvars, {(0,) * nvars: n} if n else {})
 
     @classmethod
     def variable(cls, ring, nvars: int, i: int, exp: int = 1) -> "Poly":
         if not 0 <= i < nvars:
             raise ShapeError(f"variable index {i} out of range for {nvars} variables")
         mono = tuple(exp if j == i else 0 for j in range(nvars))
-        return cls(ring, nvars, {mono: 1})
+        return cls._make(ring, nvars, {mono: 1})
 
     @classmethod
     def monomial(cls, ring, nvars: int, exps, coeff=None) -> "Poly":
@@ -118,7 +134,7 @@ class Poly:
     # -- ring structure -------------------------------------------------
 
     def _compat(self, other: "Poly"):
-        if self.ring != other.ring or self.nvars != other.nvars:
+        if self.nvars != other.nvars or (self.ring is not other.ring and self.ring != other.ring):
             raise RingMismatch(
                 f"cannot combine polynomials over {self.ring!r}/{self.nvars} vars "
                 f"and {other.ring!r}/{other.nvars} vars"
@@ -167,6 +183,17 @@ class Poly:
                 return NotImplemented
             return _folded(self.ring, self.nvars, {m: c * n for m, c in self.terms.items()})
         self._compat(other)
+        big, small = (other, self) if len(self.terms) == 1 else (self, other)
+        if len(small.terms) == 1:
+            # a one-term factor shifts exponents: no two products share a monomial
+            ((m2, c2),) = small.terms.items()
+            fold = self.ring.fold
+            terms = {}
+            for m1, c1 in big.terms.items():
+                n = fold(c1 * c2)
+                if n:  # p * p = 0 over a lift ring
+                    terms[tuple(map(add, m1, m2))] = n
+            return Poly._make(self.ring, self.nvars, terms)
         acc = {}
         get = acc.get
         for m1, c1 in self.terms.items():
@@ -295,7 +322,8 @@ def substitute(f: Poly, images: Sequence[Poly], *, powers: Callable | None = Non
     inverted variables must be units.  ``powers(i, e)``, when given, must
     return ``images[i] ** e``: a caller that keeps those powers (a chart
     lift does) passes its cache; otherwise each power is computed once per
-    call.
+    call.  Monomial or zero images need no powers, and ``powers`` goes
+    unused then.
     """
     if len(images) != f.nvars:
         raise ShapeError(f"need {f.nvars} images, got {len(images)}")
@@ -306,6 +334,8 @@ def substitute(f: Poly, images: Sequence[Poly], *, powers: Callable | None = Non
         images[0]._compat(img)
     if ring != f.ring:
         raise RingMismatch(f"images over {ring!r} for a polynomial over {f.ring!r}")
+    if all(len(img.terms) <= 1 for img in images):
+        return _substitute_monomials(f, images)
     if powers is None:
         cache: dict = {}
 
@@ -325,6 +355,43 @@ def substitute(f: Poly, images: Sequence[Poly], *, powers: Callable | None = Non
                 term = power if term is one else term * power
         for mono, t in term.terms.items():
             acc[mono] = get(mono, 0) + c * t
+    return _folded(ring, nvars, acc)
+
+
+def _substitute_monomials(f: Poly, images: Sequence[Poly]) -> Poly:
+    """``substitute`` when every image is a monomial or zero, on exponents and ints.
+
+    Each source term maps to one target monomial and one coefficient, and
+    terms that land on the same monomial add up before the fold.
+    """
+    ring, nvars = images[0].ring, images[0].nvars
+    fold, pow_int = ring.fold, ring.pow_int
+
+    def power(i, e):
+        """(monomial, coefficient) of images[i] ** e; the coefficient is 0 when that is 0."""
+        img = images[i]
+        if e < 0:
+            img, e = invert_unit(img), -e  # raises for a zero or non-unit image
+        if not img.terms:
+            return None, 0
+        ((mono, c),) = img.terms.items()
+        return tuple(e * a for a in mono), pow_int(c, e)
+
+    cache: dict = {}
+    origin = (0,) * nvars
+    acc: dict = {}
+    get = acc.get
+    for m, c in f.terms.items():
+        mono, n = origin, c
+        for i, e in enumerate(m):
+            if e:
+                pm, pc = cache.get((i, e)) or cache.setdefault((i, e), power(i, e))
+                if pc != 1:
+                    n = fold(n * pc)
+                if n:
+                    mono = tuple(map(add, mono, pm))
+        if n:
+            acc[mono] = get(mono, 0) + n
     return _folded(ring, nvars, acc)
 
 
@@ -387,8 +454,9 @@ def invert_unit(f: Poly) -> Poly:
     """Exact inverse of a unit.
 
     Over a field: f must be a single monomial with nonzero coefficient.
-    Over a lift ring: the reduction mod p must be such a monomial; then
-    f = m*(1 + p*r) and the inverse is m^(-1)*(1 - p*r).
+    Over a lift ring: the reduction mod p must be such a monomial m; then
+    g0 = m^(-1), lifted, has f*g0 = 1 + p*r, and one Newton step
+    g0*(2 - f*g0) = g0*(1 - p*r) is the inverse, as p^2 = 0.
     """
     ring = f.ring
     if not _is_lift_ring(ring):
@@ -402,8 +470,7 @@ def invert_unit(f: Poly) -> Poly:
     ((mono, c),) = red.terms.items()
     inv = ring.from_residue_int(ring.residue_field.inv_int(c))
     g0 = Poly._make(ring, f.nvars, {tuple(-e for e in mono): inv})
-    r = divide_by_p(f * g0 - Poly.constant(ring, f.nvars, 1))
-    return g0 - g0 * embed_times_p(r, ring)
+    return g0 * (2 - f * g0)
 
 
 # ---------------------------------------------------------------------------

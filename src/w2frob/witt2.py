@@ -319,6 +319,8 @@ class GaloisRing:
         }.__getitem__
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return type(other) is type(self) and (self.p, self.m) == (other.p, other.m)
 
     def __hash__(self):

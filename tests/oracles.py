@@ -18,6 +18,16 @@ def naive_poly_mul(f: dict, g: dict, p: int) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
+def naive_poly_mul_fq(f: dict, g: dict, F) -> dict:
+    """Dict-convolution product of {exponent tuple: slot tuple} polynomials over FqModel F."""
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            out[mono] = F.add(out.get(mono, F.zero), F.mul(c1, c2))
+    return {m: c for m, c in out.items() if c != F.zero}
+
+
 def naive_poly_add(f: dict, g: dict, p: int) -> dict:
     out = dict(f)
     for m, c in g.items():

@@ -152,6 +152,17 @@ def test_output_file(tmp_path, capsys):
     assert data["ok"]
 
 
+def test_output_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    # a missing directory, a directory, and a file name too long to create
+    for target in (tmp_path / "missing" / "x.json", tmp_path, tmp_path / ("x" * 300)):
+        code = run_command(["--output", str(target), "hasse", "--p", "5", "--a", "1", "--b", "0"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2, target
+        assert set(report) == {"schema", "error", "ok"} and report["ok"] is False
+        assert "--output" in report["error"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_all_report_is_pinned(capsys):
     # the report bytes are part of the contract; a change to them must be deliberate
     assert run_command(["sweep-all", "--seed", "42"]) == 0

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from oracles import from_pkg_poly, naive_det_by_permutations, naive_poly_mul
+from oracles import (
+    FqModel,
+    from_pkg_poly,
+    naive_det_by_permutations,
+    naive_laurent_mul_zp2,
+    naive_poly_add,
+    naive_poly_mul,
+    naive_poly_mul_fq,
+)
 from w2frob import (
     GF,
     W2,
@@ -20,6 +28,7 @@ from w2frob import (
     poly_to_str,
     reduce_mod_p,
     substitute,
+    witt_to_residue_ring,
 )
 from w2frob.polyalg import flip_variable
 
@@ -47,18 +56,75 @@ def test_mul_identity_and_units():
 
 
 def test_mul_matches_naive_oracle(rng):
+    # sizes 1 and 4 on either side: one-term factors take their own path
     F5 = GF(5)
-    for _ in range(100):
+    for f_size, g_size in [(1, 1), (1, 4), (4, 1), (4, 4)] * 25:
         f_terms = {
-            (rng.randint(0, 3), rng.randint(0, 3)): rng.randint(1, 4) for _ in range(4)
+            (rng.randint(0, 3), rng.randint(0, 3)): rng.randint(1, 4) for _ in range(f_size)
         }
         g_terms = {
-            (rng.randint(0, 3), rng.randint(0, 3)): rng.randint(1, 4) for _ in range(4)
+            (rng.randint(0, 3), rng.randint(0, 3)): rng.randint(1, 4) for _ in range(g_size)
         }
         f = Poly(F5, 2, {m: F5.from_int(c) for m, c in f_terms.items()})
         g = Poly(F5, 2, {m: F5.from_int(c) for m, c in g_terms.items()})
         expected = naive_poly_mul(from_pkg_poly(f), from_pkg_poly(g), 5)
         assert from_pkg_poly(f * g) == expected
+
+
+def _ints(f) -> dict:
+    """{monomial: int} of a polynomial over F_p, Z/p^2 or W2(F_p) (read as Z/p^2)."""
+    out = {}
+    for m in f.terms:
+        c = f.coefficient_of(m)
+        if isinstance(f.ring, Zp2Ring):
+            out[m] = c.rep
+        elif hasattr(f.ring, "residue_field"):
+            out[m] = witt_to_residue_ring(c).rep
+        else:
+            out[m] = c.as_int()
+    return out
+
+
+@pytest.mark.parametrize("ring", [Zp2Ring(2), Zp2Ring(3), W2(2), W2(5)], ids=repr)
+def test_mul_over_lift_rings_matches_naive_oracle(ring, rng):
+    # coefficients in (p) half of the time, so that p*p = 0 kills products
+    p = ring.p
+
+    def draw(size):
+        terms = {}
+        for _ in range(size):
+            c = p * rng.randrange(1, p) if rng.random() < 0.5 else rng.randrange(1, p * p)
+            terms[(rng.randint(-3, 3),)] = ring.from_int(c)
+        return Poly(ring, 1, terms)
+
+    def laurent(h):
+        return {e: c for (e,), c in _ints(h).items()}
+
+    for f_size, g_size in [(1, 1), (1, 3), (3, 1), (3, 3)] * 25:
+        f, g = draw(f_size), draw(g_size)
+        assert laurent(f * g) == naive_laurent_mul_zp2(laurent(f), laurent(g), p)
+    px, py = (Poly.monomial(ring, 2, e, ring.p_elem) for e in [(1, 0), (0, 1)])
+    assert (px * py).is_zero()
+    assert px * (py + Poly.variable(ring, 2, 0)) == Poly.monomial(ring, 2, (2, 0), ring.p_elem)
+
+
+def _slot_tuples(f) -> dict:
+    """{monomial: coefficient tuple} of a polynomial over F_q, as ``FqModel`` reads it."""
+    return {m: f.coefficient_of(m).coeffs for m in f.terms}
+
+
+def test_mul_over_F9_matches_naive_oracle(rng):
+    # the one-term path folds each packed product like the general one
+    F9, model = GF(3, 2), FqModel(3, 2)
+
+    def draw(size):
+        terms = {(rng.randint(-2, 2), rng.randint(0, 2)): F9.random(rng) for _ in range(size)}
+        return Poly(F9, 2, terms)
+
+    for f_size, g_size in [(1, 1), (1, 4), (4, 1), (4, 4)] * 10:
+        f, g = draw(f_size), draw(g_size)
+        expected = naive_poly_mul_fq(_slot_tuples(f), _slot_tuples(g), model)
+        assert _slot_tuples(f * g) == expected
 
 
 def test_ring_mismatch():
@@ -264,20 +330,97 @@ def test_invert_unit_field_monomial():
         invert_unit(P(F3, 1, "x+1"))
 
 
+def _random_unit_coeff(ring, rng):
+    """A random unit: a coefficient whose reduction mod p (over a field: itself) is nonzero."""
+    while True:
+        c = Poly.constant(ring, 1, ring.random(rng))
+        if (reduce_mod_p(c) if hasattr(ring, "residue_field") else c):
+            return c.coefficient_of((0,))
+
+
 def test_invert_unit_lift_ring(rng):
-    ring = W2(2)
-    x2 = Poly.variable(ring, 1, 0, 2)
-    f = x2 + Poly.monomial(ring, 1, (5,), ring.p_elem)
-    g = invert_unit(f)
-    assert f * g == Poly.constant(ring, 1, 1)
-    for _ in range(50):
-        # random unit: x^k + p * (junk)
-        junk = Poly(
-            ring, 1, {(rng.randint(-3, 3),): ring.p_elem * rng.randrange(2) for _ in range(3)}
+    for ring in (W2(2), Zp2Ring(3), Zp2Ring(5), W2(3), W2(2, 2), W2(3, 2)):
+        x2 = Poly.variable(ring, 1, 0, 2)
+        f = x2 + Poly.monomial(ring, 1, (5,), ring.p_elem)
+        g = invert_unit(f)
+        assert f * g == Poly.constant(ring, 1, 1)
+        for _ in range(50):
+            # random unit: c * x^k + p * (junk), with c a unit that need not be 1
+            junk = Poly(
+                ring, 1, {(rng.randint(-3, 3),): ring.p_elem * ring.random(rng) for _ in range(3)}
+            )
+            head = Poly.monomial(ring, 1, (rng.randint(-3, 3),), _random_unit_coeff(ring, rng))
+            u = head + junk
+            inv = invert_unit(u)
+            assert u * inv == Poly.constant(ring, 1, 1), ring
+            assert inv * u == Poly.constant(ring, 1, 1), ring
+        with pytest.raises(UnitError, match="reduction mod p is not a monomial"):
+            invert_unit(Poly.monomial(ring, 1, (1,), ring.p_elem))
+
+
+# -- substitution ------------------------------------------------------------------
+
+
+def _naive_substitute(f: dict, images: list, nvars: int, N: int) -> dict:
+    """Sum over the terms of f of c * prod images[i]^e_i, mod N, on {exponent tuple: int} dicts.
+
+    Each image is a monomial {mono: c} or zero {}; a negative power of a
+    monomial inverts it, which needs c to be a unit mod N.
+    """
+    total: dict = {}
+    for mono, c in f.items():
+        term = {(0,) * nvars: c}
+        for img, e in zip(images, mono):
+            if e < 0:
+                ((m, d),) = img.items()
+                img, e = {tuple(-a for a in m): pow(d, -1, N)}, -e
+            for _ in range(e):
+                term = naive_poly_mul(term, img, N)
+        total = naive_poly_add(total, term, N)
+    return total
+
+
+@pytest.mark.parametrize("ring", [GF(5), Zp2Ring(3), Zp2Ring(5), W2(3)], ids=repr)
+def test_substitute_monomial_images_match_naive_oracle(ring, rng):
+    # images c*x1^a*x2^b with units c that need not be 1, or 0; Laurent source
+    # exponents; on even trials both images are powers of x1, so that many
+    # source terms land on one target monomial
+    for trial in range(60):
+        zero_slot = trial % 3  # image 0 or 1 is zero, or (2) neither is
+        images = []
+        for i in range(2):
+            if i == zero_slot:
+                images.append(Poly.zero(ring, 2))
+            else:
+                mono = (rng.randint(-2, 2), rng.randint(-1, 1)) if trial % 2 else (1, 0)
+                images.append(Poly.monomial(ring, 2, mono, _random_unit_coeff(ring, rng)))
+        # a zero image only meets exponents >= 0, which remove the terms with > 0
+        lows = [0 if i == zero_slot else -3 for i in range(2)]
+        f = Poly(
+            ring,
+            2,
+            {tuple(rng.randint(low, 3) for low in lows): ring.random(rng) for _ in range(6)},
         )
-        u = Poly.variable(ring, 1, 0, rng.randint(-3, 3)) + junk
-        inv = invert_unit(u)
-        assert u * inv == Poly.constant(ring, 1, 1)
+        expected = _naive_substitute(_ints(f), [_ints(img) for img in images], 2, ring.pk)
+        assert _ints(substitute(f, images)) == expected
+
+
+def test_substitute_zero_image_under_a_negative_exponent_raises():
+    for ring, message in [
+        (GF(3), "not a unit: more than one term"),
+        (Zp2Ring(3), "not a unit: reduction mod p is not a monomial"),
+        (W2(2, 2), "not a unit: reduction mod p is not a monomial"),
+    ]:
+        f = P(ring, 2, "x1^2+x1*x2^-1")
+        with pytest.raises(UnitError, match=message):
+            substitute(f, [Poly.variable(ring, 2, 0), Poly.zero(ring, 2)])
+        if ring.pk != ring.p:  # p * x2 is no unit either
+            with pytest.raises(UnitError, match=message):
+                substitute(f, [Poly.variable(ring, 2, 0), P(ring, 2, f"{ring.p}*x2")])
+    # a zero image under positive exponents only removes those terms
+    F3 = GF(3)
+    f = P(F3, 2, "x1^2+2*x1*x2+x2^3")
+    assert substitute(f, [Poly.variable(F3, 2, 1, -1), Poly.zero(F3, 2)]) == P(F3, 2, "x2^-2")
 
 
 def test_flip_variable_is_the_monomial_substitution(rng):

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -193,6 +195,26 @@ def test_corrupted_chart_fails_on_overlap():
                     assert failing == _CORRUPTED_OVERLAPS[key, T.b.is_zero()], where
                     for f in res.failures:
                         assert f["coordinate"] in ("u", "w", "x", "y", "s"), where
+
+
+def test_corrupted_lift_witnesses_are_pinned():
+    # corrupted charts have images that are not monomials, so this pins the general
+    # substitution path: gluing and base-consistency witnesses of 960 bumped lifts
+    digest = hashlib.sha256()
+    for p in (2, 3, 5):
+        field = GF(p)
+        for _, T in itertools.chain(sweeps._ruled_cases(field), sheared_P1(field)):
+            lift = build_standard_lift(T)
+            for key in lift.charts:
+                bumps = ("1", "x1", "x2", "x1^2*x2", "2*x2^2")
+                for slot, bump in itertools.product((0, 1), bumps):
+                    case = _bumped(lift, key, slot, bump)
+                    g, c = verify_gluing(case), base_glue_consistency(case)
+                    record = [g.failures, g.details, c.failures, c.details["eta_u"]]
+                    digest.update(json.dumps(record, sort_keys=True, default=str).encode())
+    assert digest.hexdigest() == (
+        "702a6633bd6a9d14bd45e6f75c40c325372889cac03443a689f729faf0aacf78"
+    )
 
 
 # -- base-lift extraction -----------------------------------------------------------
