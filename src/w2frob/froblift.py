@@ -2,8 +2,10 @@
 
 A chart lift stores only the correction polynomials f_i over F_q, with
 the chart map fixed as x_i -> x_i^p + p*f_i and the coefficient action
-fixed as the canonical Witt Frobenius.  Two lifts on the same chart
-differ by p times an eta-function: an additive map satisfying the
+fixed as the canonical Witt Frobenius.  Only this module converts
+between images and corrections: ``AffineChartLift.image_of_var`` one
+way, ``AffineChartLift.from_images`` the other.  Two lifts on the same
+chart differ by p times an eta-function: an additive map satisfying the
 twisted Leibniz rule eta(ab) = a^p eta(b) + b^p eta(a).
 
 The phi matrix Diag(x_i^(p-1)) + (df_i/dx_j) represents the map induced
@@ -19,7 +21,14 @@ import json
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .errors import ParseError, RangeError, ShapeError, UnsupportedShape
+from .errors import (
+    InvariantViolation,
+    NotDivisible,
+    ParseError,
+    RangeError,
+    ShapeError,
+    UnsupportedShape,
+)
 from .polyalg import (
     Poly,
     PolyMatrix,
@@ -72,6 +81,18 @@ class AffineChartLift:
         self.corrections = corrections
         self._images = {}
         self._powers = {}
+
+    @classmethod
+    def from_images(cls, field: FiniteField, laurent_mask, images) -> "AffineChartLift":
+        """The lift with F(x_i) = images[i]; the inverse of ``image_of_var``."""
+        nvars, ring = len(images), W2(field.p, field.m)
+        corrections = []
+        for i, img in enumerate(images):
+            try:
+                corrections.append(divide_by_p(img - Poly.variable(ring, nvars, i, field.p)))
+            except NotDivisible as exc:
+                raise InvariantViolation(f"F(x{i + 1}) is not x{i + 1}^p mod p: {exc}") from exc
+        return cls(field, nvars, laurent_mask, corrections)
 
     @property
     def lift_ring(self):

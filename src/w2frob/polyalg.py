@@ -464,10 +464,11 @@ def invert_unit(f: Poly) -> Poly:
             raise UnitError("not a unit: more than one term")
         ((mono, c),) = f.terms.items()
         return Poly._make(ring, f.nvars, {tuple(-e for e in mono): ring.inv_int(c)})
-    red = reduce_mod_p(f)
-    if len(red.terms) != 1:
+    split = ring.split_p
+    residues = [(mono, low) for mono, c in f.terms.items() if (low := split(c)[1])]
+    if len(residues) != 1:
         raise UnitError("not a unit: reduction mod p is not a monomial")
-    ((mono, c),) = red.terms.items()
+    ((mono, c),) = residues
     inv = ring.from_residue_int(ring.residue_field.inv_int(c))
     g0 = Poly._make(ring, f.nvars, {tuple(-e for e in mono): inv})
     return g0 * (2 - f * g0)

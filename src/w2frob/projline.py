@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import DegreeTooHigh, ShapeError, UnsupportedShape
 from .froblift import AffineChartLift, CheckResult
-from .polyalg import Poly, embed_times_p, flip_variable, poly_to_str
+from .polyalg import Poly, flip_variable, poly_to_str
 
 
 def _validate_fiber_poly(base: AffineChartLift, f: Poly):
@@ -68,16 +68,16 @@ def verify_p1_lift(base: AffineChartLift, f: Poly) -> CheckResult:
             }
         )
 
-    # gluing identity in the overlap ring (fiber inverted):
-    # (x^p + p f)(y^p + p g)|_{y=1/x} must be exactly 1
-    ring = base.lift_ring
+    # gluing identity in the overlap ring (fiber inverted): F(x) * F(y)|_{y=1/x}
+    # must be exactly 1; only the fiber corrections enter the two images
     n = fiber + 1
-    fx = Poly.variable(ring, n, fiber, base.p) + embed_times_p(f, ring)
-    fy_sub = Poly.variable(ring, n, fiber, -base.p) + embed_times_p(
-        flip_variable(g, fiber), ring
+    zeros = (Poly.zero(base.field, n),) * fiber
+    mask = base.laurent_mask + (False,)
+    fx, fy = (
+        AffineChartLift(base.field, n, mask, zeros + (c,)).image_of_var(fiber) for c in (f, g)
     )
-    prod = fx * fy_sub
-    if prod != Poly.constant(ring, n, ring.one):
+    prod = fx * flip_variable(fy, fiber)
+    if prod != Poly.constant(base.lift_ring, n, 1):
         failures.append(
             {
                 "chart": "overlap",

@@ -7,6 +7,7 @@ from w2frob import (
     W2,
     AffineChartLift,
     EtaFunction,
+    InvariantViolation,
     ParseError,
     Poly,
     RangeError,
@@ -22,6 +23,7 @@ from w2frob import (
     phi_det,
     phi_matrix,
     poly_from_str,
+    reduce_mod_p,
     standard_lift,
     top_monomial,
     witt_to_residue_ring,
@@ -65,6 +67,48 @@ def test_laurent_image_is_unit():
     img = L.image_of_var(0)
     inv = L.image_of_var_power(0, -1)
     assert img * inv == Poly.constant(L.lift_ring, 1, 1)
+
+
+FIELDS = [GF(2), GF(3), GF(5), GF(2, 2), GF(2, 3), GF(3, 2)]
+
+
+def _random_laurent_lift(rng, field, nvars) -> AffineChartLift:
+    """Up to 4 correction terms each; exponents down to -2 on the inverted variables."""
+    mask = tuple(rng.random() < 0.5 for _ in range(nvars))
+    lows = [-2 if inverted else 0 for inverted in mask]
+    corrections = [
+        Poly(
+            field,
+            nvars,
+            {
+                tuple(rng.randint(low, field.p) for low in lows): field.random(rng)
+                for _ in range(rng.randint(0, 4))
+            },
+        )
+        for _ in range(nvars)
+    ]
+    return AffineChartLift(field, nvars, mask, corrections)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_images_are_frobenius_lifts_and_give_back_the_lift(field, rng):
+    # image_of_var and from_images are the two directions of F(x_i) = x_i^p + p*f_i
+    for _ in range(40):
+        L = _random_laurent_lift(rng, field, rng.randint(1, 3))
+        images = [L.image_of_var(i) for i in range(L.nvars)]
+        for i, img in enumerate(images):
+            assert reduce_mod_p(img) == Poly.variable(field, L.nvars, i, field.p)
+        assert AffineChartLift.from_images(L.field, L.laurent_mask, images) == L
+
+
+def test_from_images_rejects_an_image_that_is_not_the_frobenius_mod_p():
+    F3 = GF(3)
+    ring = W2(3)
+    images = [Poly.variable(ring, 2, 0, 3), Poly.variable(ring, 2, 1, 3) + 1]
+    with pytest.raises(InvariantViolation, match=r"F\(x2\) is not x2\^p mod p"):
+        AffineChartLift.from_images(F3, (False, False), images)
+    images[1] = Poly.variable(ring, 2, 1, 3) + Poly.constant(ring, 2, ring.p_elem)
+    assert AffineChartLift.from_images(F3, (False, False), images).corrections[1] == P(F3, 2, "1")
 
 
 # -- apply_lift ---------------------------------------------------------------

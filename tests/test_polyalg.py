@@ -405,6 +405,42 @@ def test_substitute_monomial_images_match_naive_oracle(ring, rng):
         assert _ints(substitute(f, images)) == expected
 
 
+def _substitute_by_products(f: Poly, images: list) -> Poly:
+    """Sum over the terms of f of c * prod images[i]^e_i, one ``Poly`` product per factor."""
+    ring, nvars = images[0].ring, images[0].nvars
+    total = Poly.zero(ring, nvars)
+    for mono in f.terms:
+        term = Poly.constant(ring, nvars, f.coefficient_of(mono))
+        for img, e in zip(images, mono):
+            factor = invert_unit(img) if e < 0 else img
+            for _ in range(abs(e)):
+                term = term * factor
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("ring", [GF(2, 2), W2(2, 2), W2(2, 3), W2(3, 2)], ids=repr)
+def test_substitute_monomial_images_over_extension_rings(ring, rng):
+    # packed coefficients: a source term multiplies up to three image powers
+    # other than 1 into its coefficient, and each product must be folded
+    # before the next, since a fold reduces only the slots of one product
+    one = Poly.constant(ring, 3, 1)
+    for _ in range(40):
+        images = []
+        for _ in range(3):
+            c = _random_unit_coeff(ring, rng)
+            while Poly.constant(ring, 3, c) == one:
+                c = _random_unit_coeff(ring, rng)
+            mono = tuple(rng.randint(-1, 2) for _ in range(3))
+            images.append(Poly.monomial(ring, 3, mono, c))
+        f = Poly(
+            ring,
+            3,
+            {tuple(rng.randint(-2, 3) for _ in range(3)): ring.random(rng) for _ in range(5)},
+        )
+        assert substitute(f, images) == _substitute_by_products(f, images)
+
+
 def test_substitute_zero_image_under_a_negative_exponent_raises():
     for ring, message in [
         (GF(3), "not a unit: more than one term"),

@@ -23,6 +23,7 @@ from w2frob import (
     poly_to_str,
     standard_base_lift,
     standard_lift,
+    substitute,
     verify_gluing,
 )
 from w2frob import sweeps
@@ -243,14 +244,17 @@ def test_extract_synthetic_fiber_dependence():
 
 
 def test_extract_random_chart_lifts(rng):
-    # arbitrary valid chart lifts: every tail coefficient is divisible by p
-    for p in (2, 3):
-        F = GF(p)
+    # arbitrary valid chart lifts: f0 is the base correction at fiber 0, and
+    # every tail coefficient is killed by p, which extract_base_lift does
+    # not check itself
+    for F in (GF(2), GF(3), GF(5), GF(2, 2), GF(2, 3), GF(3, 2)):
         for _ in range(120):
-            g_base = random_poly(rng, F, 2, p, 3)  # may involve the fiber
-            g_fiber = random_poly(rng, F, 2, p, 3)
+            g_base = random_poly(rng, F, 2, F.p, 3)  # may involve the fiber
+            g_fiber = random_poly(rng, F, 2, F.p, 3)
             chart = AffineChartLift(F, 2, (False, False), (g_base, g_fiber))
-            ext = extract_base_lift(chart)  # raises InvariantViolation on failure
+            ext = extract_base_lift(chart)
+            at_fiber_0 = substitute(g_base, [Poly.variable(F, 1, 0), Poly.zero(F, 1)])
+            assert ext.f0.corrections == (at_fiber_0,)
             for (i, k), tail in ext.tails.items():
                 assert k >= 1
                 assert (tail * chart.lift_ring.p_elem).is_zero()
