@@ -9,8 +9,8 @@ Layers, bottom up:
 * ``froblift``: Frobenius lifts on affine charts, the eta difference
   calculus, the phi matrix / determinant and the column-sum lemma.
 * ``projline``: the two-chart degree-bound criterion on the projective
-  line over a base, and its one check (extension, round trip and
-  F(x)*F(y) = 1), which ``sweeps.sweep_p1`` runs.
+  line over a base, and its one check (extension and F(x)*F(y) = 1),
+  which ``sweeps.sweep_p1`` runs.
 * ``ruled``: four-chart standard lifts on ruled surfaces over toric
   bases, gluing verification and base-lift extraction.
 * ``classify``: the surface classification theorem as a decision

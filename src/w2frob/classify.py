@@ -29,7 +29,7 @@ exhaustive point count as the independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DescriptorError, InvariantViolation, SingularCurve, UnsupportedField
 from .polyalg import Poly
@@ -55,8 +55,7 @@ NOT_LIFTABLE = "NotLiftable"
 OUT_OF_SCOPE = "OutOfScope"
 
 
-@dataclass(frozen=True)
-class SurfaceDescriptor:
+class SurfaceDescriptor(NamedTuple):
     """Input of the decision procedure; minimality is assumed throughout."""
 
     surface_class: str
@@ -140,8 +139,7 @@ class SurfaceDescriptor:
                     raise DescriptorError(f"hyperelliptic needs the {flag} flag")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     outcome: str
     citation: str
     note: str = ""

@@ -54,9 +54,7 @@ class UsageError(AlgebraError):
     """Arguments that parse but do not describe a valid input of the command."""
 
 
-def _default_seed() -> int:
-    env = os.environ.get("FROBCTL_SEED")
-    return int(env) if env else 20130902
+DEFAULT_SEED = 20130902
 
 
 def _report(command: str, seed, checks: list, extra: dict = None) -> dict:
@@ -216,7 +214,7 @@ def _p_list(s: str) -> list:
     return primes
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(default_seed: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frobctl",
         description="exact verification of Frobenius lifts over length-2 Witt vectors",
@@ -227,21 +225,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("witt-check", help="Witt arithmetic against the component formulas")
     sp.add_argument("--p-list", type=_p_list, default="2,3,5,7")
     sp.add_argument("--trials", type=_bounded_int(1), default=10000)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=default_seed)
     sp.set_defaults(func=_cmd_witt_check)
 
     sp = sub.add_parser("verify-lemma", help="column-sum lemma on random exponent matrices")
     sp.add_argument("--p", type=_prime, required=True)
     sp.add_argument("--n", type=_bounded_int(1, 3), default=3)
     sp.add_argument("--trials", type=_bounded_int(1), default=1000)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=default_seed)
     sp.set_defaults(func=_cmd_verify_lemma)
 
     sp = sub.add_parser("phi-det", help="determinant core on random chart lifts")
     sp.add_argument("--p", type=_prime, required=True)
     sp.add_argument("--n", type=_bounded_int(1, 4), default=2)
     sp.add_argument("--trials", type=_bounded_int(1), default=500)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=default_seed)
     sp.set_defaults(func=_cmd_phi_det)
 
     sp = sub.add_parser("p1-lift", help="extend a correction across the two charts")
@@ -268,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_hasse)
 
     sp = sub.add_parser("sweep-all", help="run every property sweep")
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=default_seed)
     sp.add_argument("--trials-scale", type=_bounded_int(1), default=1, dest="trials_scale")
     sp.set_defaults(func=_cmd_sweep_all)
 
@@ -283,7 +281,12 @@ def _error(message: str, code: int, **extra) -> int:
 
 def run_command(argv) -> int:
     """Parse argv, run the subcommand, print the JSON report, return the exit code."""
-    parser = build_parser()
+    env = os.environ.get("FROBCTL_SEED")
+    try:
+        default_seed = int(env) if env else DEFAULT_SEED
+    except ValueError:
+        return _error(f"FROBCTL_SEED must be an integer, got {env!r}", 2)
+    parser = build_parser(default_seed)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -18,7 +18,6 @@ of that statement is the column-sum lemma checked by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from .errors import (
@@ -43,12 +42,14 @@ from .polyalg import (
 from .witt2 import GF, W2, FiniteField
 
 
-@dataclass
 class CheckResult:
     """Outcome of a verification: a witness for every failure, and details; ok means none."""
 
-    failures: list = dc_field(default_factory=list)
-    details: dict = dc_field(default_factory=dict)
+    __slots__ = ("failures", "details")
+
+    def __init__(self, failures: list = None, details: dict = None):
+        self.failures = [] if failures is None else failures
+        self.details = {} if details is None else details
 
     @property
     def ok(self) -> bool:

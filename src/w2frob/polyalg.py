@@ -549,7 +549,8 @@ class PolyMatrix:
 
 # one token: a sign, '*', a variable power x<i>^<e>, or a coefficient literal
 # (an integer, a slot list [..], or a pair (..) whose entries may be slot lists)
-_TOKEN_RE = re.compile(
+# (compiled on first parse, not at import; re caches the compiled form)
+_TOKEN_PATTERN = (
     r"\s*(?:(?P<sign>[+-])|(?P<star>\*)|x(?P<var>\d*)(?:\^(?P<exp>-?\d+))?"
     r"|(?P<lit>\d[\d_]*|\[[^\[\]()]*\]|\((?:[^\[\]()]|\[[^\[\]()]*\])*\)))"
 )
@@ -573,11 +574,12 @@ def poly_from_str(ring, nvars: int, s: str) -> Poly:
     A sign after a factor starts the next term, a sign before a factor
     negates it, and '*' stands between two factors.
     """
+    token = re.compile(_TOKEN_PATTERN)
     result = Poly.zero(ring, nvars)
     coeff, exps, after_factor = ring.one, [0] * nvars, False
     pos, end = 0, len(s.rstrip())
     while pos < end:
-        tok = _TOKEN_RE.match(s, pos)
+        tok = token.match(s, pos)
         if tok is None:
             raise ParseError(f"unexpected {s[pos:end].strip()!r} in {s!r}")
         pos = tok.end()

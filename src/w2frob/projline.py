@@ -49,24 +49,17 @@ def extend_chart(base: AffineChartLift, f: Poly) -> Poly:
 
 
 def verify_p1_lift(base: AffineChartLift, f: Poly) -> CheckResult:
-    """Extension, exact round-trip, and the gluing identity F(x)*F(y) = 1."""
+    """Extension, and the gluing identity F(x)*F(y) = 1.
+
+    The round trip needs no run-time check: g = -y^(2p)*f(1/y) is an
+    involution by its formula, with or without the sign, so only the
+    gluing identity can catch a wrong flip.
+    """
     fiber = base.nvars
-    failures = []
     try:
         g = extend_chart(base, f)
     except DegreeTooHigh as exc:
         return CheckResult([{"chart": "y", "error": str(exc)}])
-
-    back = extend_chart(base, g)
-    if back != f:
-        failures.append(
-            {
-                "chart": "x",
-                "error": "round-trip mismatch",
-                "expected": poly_to_str(f),
-                "got": poly_to_str(back),
-            }
-        )
 
     # gluing identity in the overlap ring (fiber inverted): F(x) * F(y)|_{y=1/x}
     # must be exactly 1; only the fiber corrections enter the two images
@@ -77,6 +70,7 @@ def verify_p1_lift(base: AffineChartLift, f: Poly) -> CheckResult:
         AffineChartLift(base.field, n, mask, zeros + (c,)).image_of_var(fiber) for c in (f, g)
     )
     prod = fx * flip_variable(fy, fiber)
+    failures = []
     if prod != Poly.constant(base.lift_ring, n, 1):
         failures.append(
             {

@@ -27,7 +27,7 @@ slot 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantViolation, ShapeError, UnitError, UnsupportedShape
 from .froblift import AffineChartLift, CheckResult, apply_lift, eta_between, standard_lift
@@ -131,8 +131,7 @@ def standard_base_lift(field: FiniteField, name: str) -> BaseLift:
     return BaseLift(name, standard_lift(field, 1, (_toric_base(name).u_unit,)))
 
 
-@dataclass
-class RuledLift:
+class RuledLift(NamedTuple):
     """Four-chart lift data; charts keyed UX, UT, VY, VS."""
 
     transition: TransitionData
@@ -316,8 +315,7 @@ def verify_gluing(L: RuledLift) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BaseLiftExtraction:
+class BaseLiftExtraction(NamedTuple):
     """Fiber-degree-0 part of a chart lift, plus the fiber tails."""
 
     f0: AffineChartLift

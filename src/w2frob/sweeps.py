@@ -12,7 +12,6 @@ enough it is enumerated instead of sampled.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
@@ -234,7 +233,7 @@ def sweep_ruled(p) -> list:
         vy = lift.charts["VY"]
         fv, h = vy.corrections
         bumped_vy = AffineChartLift(vy.field, 2, vy.laurent_mask, (fv + 1, h))
-        bumped = dataclasses.replace(lift, charts={**lift.charts, "VY": bumped_vy})
+        bumped = lift._replace(charts={**lift.charts, "VY": bumped_vy})
         consistency = base_glue_consistency(bumped)
         for missed, caught in (
             ("gluing", not verify_gluing(bumped).ok),

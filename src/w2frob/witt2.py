@@ -72,8 +72,9 @@ _MODULI = {
     (3, 2): (8, 5),
 }
 
-# "(a0,a1)": a0 runs to the first comma outside a slot list [..]
-_PAIR_RE = re.compile(r"\(((?:\[[^\]]*\]|[^\[,])*),(.*)\)", re.S)
+# "(a0,a1)": a0 runs to the first comma outside a slot list [..]; compiled
+# with re.S on first parse, not at import
+_PAIR_PATTERN = r"\(((?:\[[^\]]*\]|[^\[,])*),(.*)\)"
 
 
 def check_prime_char(p: int) -> int:
@@ -529,7 +530,7 @@ class WittRing(_LiftRing):
         return f"({f.coeff_to_str(a0)},{f.coeff_to_str(a1)})"
 
     def coeff_from_str(self, s: str) -> WittPair:
-        pair = _PAIR_RE.fullmatch(s.strip())
+        pair = re.compile(_PAIR_PATTERN, re.S).fullmatch(s.strip())
         if pair:
             return self.from_witt(*map(self.field.coeff_from_str, pair.groups()))
         try:

@@ -8,6 +8,7 @@ from w2frob import (
     SingularCurve,
     SurfaceDescriptor,
     UnsupportedField,
+    Verdict,
     WeierstrassCurve,
     classify_surface,
     golden_table,
@@ -207,3 +208,21 @@ def test_hasse_vs_count_exhaustive_small(p):
             census_hasse += not h_ord
             census_count += not c_ord
     assert census_hasse == census_count
+
+
+def test_descriptors_and_verdicts_compare_and_hash_by_value():
+    # golden-table comparisons need value equality; both records stay hashable and immutable
+    d = D(surface_class="ruled", p=5, base_genus=1, base_is_ordinary=True)
+    same = SurfaceDescriptor.from_json_dict(d.to_json_dict())
+    assert d == same and hash(d) == hash(same) and len({d, same}) == 1
+    assert d != D(surface_class="ruled", p=5, base_genus=1, base_is_ordinary=False)
+    v = classify_surface(d)
+    assert v == Verdict(v.outcome, v.citation) and hash(v) == hash(Verdict(v.outcome, v.citation))
+    assert v != Verdict(v.outcome, v.citation, note="x")
+    table = golden_table()
+    assert all(classify_surface(desc) == expected for desc, expected in table)
+    assert len({desc for desc, _ in table}) == len(table)
+    with pytest.raises(AttributeError):
+        d.p = 7
+    with pytest.raises(AttributeError):
+        v.outcome = "Liftable"

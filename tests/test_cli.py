@@ -6,7 +6,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from w2frob import CheckResult, errors, eta_between, projline, ruled, sweeps
+from w2frob import CheckResult, classify, errors, eta_between, projline, ruled, sweeps
 from w2frob.classify import SURFACE_CLASSES
 from w2frob.cli import run_command
 
@@ -141,6 +141,76 @@ def test_env_seed_default(capsys, monkeypatch):
     code, report = run(capsys, ["witt-check", "--p-list", "2", "--trials", "10"])
     assert code == 0
     assert report["seed"] == 314159
+
+
+_EVERY_COMMAND = [
+    ["witt-check", "--p-list", "2", "--trials", "1"],
+    ["verify-lemma", "--p", "2", "--trials", "1"],
+    ["phi-det", "--p", "2", "--trials", "1"],
+    ["p1-lift", "--p", "2", "--f", "x"],
+    ["ruled-lift", "--base", "P1", "--p", "2"],
+    ["classify", "--json", '{"class":"K3","p":5}'],
+    ["hasse", "--p", "5", "--a", "1", "--b", "1"],
+    ["sweep-all"],
+    ["--help"],
+]
+
+
+def test_malformed_env_seed_is_a_usage_error(capsys, monkeypatch):
+    # read before any subcommand runs, so even one without --seed rejects it
+    for value in ("abc", "1.5", "0x10"):
+        monkeypatch.setenv("FROBCTL_SEED", value)
+        for argv in _EVERY_COMMAND:
+            code, report = run(capsys, argv)
+            assert code == 2, (value, argv)
+            assert not report["ok"]
+            assert "FROBCTL_SEED" in report["error"] and repr(value) in report["error"]
+
+
+def _record_paths(obj, path="report") -> list:
+    """Where a report holds a tuple subclass, such as a NamedTuple record."""
+    if isinstance(obj, tuple) and type(obj) is not tuple:
+        return [f"{path}: {type(obj).__name__}"]
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return []
+    return [found for key, value in items for found in _record_paths(value, f"{path}[{key!r}]")]
+
+
+def test_records_reach_reports_only_through_to_json_dict(capsys, monkeypatch):
+    # json.dumps writes a NamedTuple as a list without complaint, so a
+    # descriptor or verdict must enter a report as its to_json_dict; a
+    # classifier that adds a note misses every golden-table row, so the
+    # sweep's witnesses carry descriptors and verdicts too
+    reports = []
+    real_dumps = json.dumps
+    real_classify = classify.classify_surface
+
+    def spy(obj, **kwargs):
+        reports.append(obj)
+        return real_dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    monkeypatch.setattr(
+        classify, "classify_surface", lambda d: real_classify(d)._replace(note="noted")
+    )
+    argvs = [
+        ["sweep-all", "--seed", "42"],
+        ["classify", "--json", '{"class":"rational_Fn","p":3,"n":1}'],
+        ["ruled-lift", "--base", "Gm", "--n", "1", "--b", "x1", "--p", "3"],
+        ["p1-lift", "--p", "3", "--f", "x^4"],
+        ["hasse", "--p", "5", "--a", "1", "--b", "1"],
+    ]
+    for argv in argvs:
+        run_command(argv)
+    capsys.readouterr()
+    assert len(reports) == len(argvs)
+    [golden] = [c for c in reports[0]["checks"] if c["name"] == "golden-table"]
+    assert golden["failures"]
+    assert [found for report in reports for found in _record_paths(report)] == []
 
 
 def test_output_file(tmp_path, capsys):

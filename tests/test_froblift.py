@@ -6,6 +6,7 @@ from w2frob import (
     GF,
     W2,
     AffineChartLift,
+    CheckResult,
     EtaFunction,
     InvariantViolation,
     ParseError,
@@ -386,3 +387,15 @@ def test_lift_json_rejects_q_not_a_power_of_p():
 def test_lift_json_malformed_documents_raise_parse_error(doc):
     with pytest.raises(ParseError):
         lift_from_json(json.dumps(doc))
+
+
+def test_check_results_never_share_their_witness_lists():
+    # sweeps append to a returned .failures list; a shared default would
+    # carry one surface's witnesses into the next one's verdict
+    first, second = CheckResult(), CheckResult()
+    first.failures.append({"chart": "x"})
+    first.details["checked"] = 1
+    assert second.failures == [] and second.details == {} and second.ok
+    assert not first.ok
+    assert CheckResult().failures is not CheckResult().failures
+    assert CheckResult().details is not CheckResult().details

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -177,7 +176,17 @@ def _bumped(lift, key, slot, bump):
     corrections = list(chart.corrections)
     corrections[slot] = corrections[slot] + P(chart.field, 2, bump)
     corrupted = AffineChartLift(chart.field, 2, chart.laurent_mask, corrections)
-    return dataclasses.replace(lift, charts={**lift.charts, key: corrupted})
+    return lift._replace(charts={**lift.charts, key: corrupted})
+
+
+def test_replacing_a_chart_leaves_the_original_lift_untouched():
+    lift = build_standard_lift(hirzebruch_transition(GF(3), 2))
+    charts = dict(lift.charts)
+    bumped = _bumped(lift, "VY", 0, "1")
+    assert lift.charts == charts and lift.charts["VY"] is charts["VY"]
+    assert bumped.charts["VY"] != lift.charts["VY"]
+    assert bumped.transition is lift.transition and bumped.h is lift.h
+    assert verify_gluing(lift).ok and not verify_gluing(bumped).ok
 
 
 def test_corrupted_chart_fails_on_overlap():

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import w2frob
@@ -151,3 +154,43 @@ def test_every_export_is_used_outside_the_tests():
     used = set().union(*(_used_names(ast.parse(p.read_text())) for p in sources))
     assert sorted(exported - used - _UNUSED_EXPORTS_ALLOWED) == []
     assert _UNUSED_EXPORTS_ALLOWED <= exported - used  # the allowlist stays minimal
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and @dataclass runs
+    # exec at import; records are NamedTuples or __slots__ classes instead
+    found = []
+    for path in sorted(Path(w2frob.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] == "dataclasses" for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site's own imports out; the snapshot keeps out what the
+    # interpreter preloads before the package is imported
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import w2frob, w2frob.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = Path(w2frob.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    added = set(out.stdout.split())
+    assert "w2frob.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
