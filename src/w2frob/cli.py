@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedField,
     UnsupportedShape,
 )
-from .froblift import standard_lift
+from .froblift import _json_loads, standard_lift
 from .polyalg import Poly, poly_from_str, poly_to_str
 from .projline import verify_p1_lift
 from .ruled import (
@@ -94,7 +94,7 @@ def _cmd_p1_lift(args) -> dict:
     checks = [
         _check(
             "p1-extension",
-            "F(x) = x^p + p*f extends across y = 1/x, round-trips and glues to F(x)*F(y) = 1",
+            "F(x) = x^p + p*f extends across y = 1/x and glues to F(x)*F(y) = 1",
             [res.failures],
         )
     ]
@@ -142,7 +142,7 @@ def _cmd_ruled_lift(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
-    desc = classify_mod.SurfaceDescriptor.from_json_dict(json.loads(args.json))
+    desc = classify_mod.SurfaceDescriptor.from_json_dict(_json_loads(args.json, "--json"))
     return _report("classify", None, [], classify_mod.classify_surface(desc).to_json_dict())
 
 
@@ -299,7 +299,6 @@ def run_command(argv) -> int:
         SingularCurve,
         UnsupportedField,
         UsageError,
-        json.JSONDecodeError,
     ) as exc:
         return _error(str(exc), 2)
     except AlgebraError as exc:

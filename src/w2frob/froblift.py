@@ -378,12 +378,17 @@ def lift_to_json(L: AffineChartLift) -> str:
     )
 
 
+def _json_loads(s: str, what: str):
+    """``json.loads(s)``, raising ParseError naming ``what`` for any text it cannot read."""
+    try:
+        return json.loads(s)
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep a nesting
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def lift_from_json(s: str) -> AffineChartLift:
     """Parse the format of :func:`lift_to_json`; a malformed document raises ParseError."""
-    try:
-        d = json.loads(s)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"lift is not valid JSON: {exc}") from exc
+    d = _json_loads(s, "lift")
     if not isinstance(d, dict):
         raise ParseError("a lift must be a JSON object")
     try:

@@ -21,11 +21,13 @@ Chart changes of toric and ruled surfaces are monomial, so most products
 and substitutions meet monomials, and three fast paths serve them.  A
 product with a one-term factor shifts the other factor's exponents and
 folds each coefficient product once, dropping the products that vanish
-(p*p = 0 in a lift ring).  ``substitute`` whose images are all monomials
-or zero sends each source term to one target monomial and one
-coefficient, with no polynomial powers or products; terms that land on
-one monomial add up before the fold.  ``invert_unit`` over a lift ring is
-one Newton step from the inverse of the leading monomial.
+(p*p = 0 in a lift ring).  ``substitute`` turns each monomial or zero
+image into an exponent shift and a coefficient, so only images with more
+terms cost polynomial powers and products, and a source term whose images
+are all monomials lands on one target monomial; terms that land on one
+monomial add up before the fold.  ``invert_unit`` over a lift ring is one
+Newton step from the inverse of the leading monomial, on the coefficient
+alone for a one-term unit.
 
 Text grammar: terms like ``c*x1^e1*x2^-3``, joined by '+' or '-', and the
 first may carry a sign too.  A factor is a variable power (bare ``x`` is
@@ -47,9 +49,6 @@ from .errors import (
     ShapeError,
     UnitError,
 )
-
-Monomial = tuple  # exponent tuple, one entry per variable
-
 
 def _is_lift_ring(ring) -> bool:
     return hasattr(ring, "residue_field")
@@ -322,8 +321,8 @@ def substitute(f: Poly, images: Sequence[Poly], *, powers: Callable | None = Non
     inverted variables must be units.  ``powers(i, e)``, when given, must
     return ``images[i] ** e``: a caller that keeps those powers (a chart
     lift does) passes its cache; otherwise each power is computed once per
-    call.  Monomial or zero images need no powers, and ``powers`` goes
-    unused then.
+    call.  A monomial or zero image needs no powers: it shifts exponents
+    and scales coefficients, and ``powers`` is never asked for it.
     """
     if len(images) != f.nvars:
         raise ShapeError(f"need {f.nvars} images, got {len(images)}")
@@ -334,8 +333,7 @@ def substitute(f: Poly, images: Sequence[Poly], *, powers: Callable | None = Non
         images[0]._compat(img)
     if ring != f.ring:
         raise RingMismatch(f"images over {ring!r} for a polynomial over {f.ring!r}")
-    if all(len(img.terms) <= 1 for img in images):
-        return _substitute_monomials(f, images)
+    fold, pow_int = ring.fold, ring.pow_int
     if powers is None:
         cache: dict = {}
 
@@ -344,31 +342,8 @@ def substitute(f: Poly, images: Sequence[Poly], *, powers: Callable | None = Non
                 cache[i, e] = images[i] ** e
             return cache[i, e]
 
-    one = Poly.constant(ring, nvars, 1)
-    acc: dict = {}
-    get = acc.get
-    for m, c in f.terms.items():
-        term = one
-        for i, e in enumerate(m):
-            if e:
-                power = powers(i, e)
-                term = power if term is one else term * power
-        for mono, t in term.terms.items():
-            acc[mono] = get(mono, 0) + c * t
-    return _folded(ring, nvars, acc)
-
-
-def _substitute_monomials(f: Poly, images: Sequence[Poly]) -> Poly:
-    """``substitute`` when every image is a monomial or zero, on exponents and ints.
-
-    Each source term maps to one target monomial and one coefficient, and
-    terms that land on the same monomial add up before the fold.
-    """
-    ring, nvars = images[0].ring, images[0].nvars
-    fold, pow_int = ring.fold, ring.pow_int
-
-    def power(i, e):
-        """(monomial, coefficient) of images[i] ** e; the coefficient is 0 when that is 0."""
+    def shift(i, e):
+        """(monomial, coefficient) of a one-term images[i] ** e; coefficient 0 if that is 0."""
         img = images[i]
         if e < 0:
             img, e = invert_unit(img), -e  # raises for a zero or non-unit image
@@ -377,21 +352,34 @@ def _substitute_monomials(f: Poly, images: Sequence[Poly]) -> Poly:
         ((mono, c),) = img.terms.items()
         return tuple(e * a for a in mono), pow_int(c, e)
 
-    cache: dict = {}
+    one_term = [len(img.terms) <= 1 for img in images]
+    shifts: dict = {}
     origin = (0,) * nvars
     acc: dict = {}
     get = acc.get
     for m, c in f.terms.items():
-        mono, n = origin, c
+        mono, n, term = origin, c, None
         for i, e in enumerate(m):
-            if e:
-                pm, pc = cache.get((i, e)) or cache.setdefault((i, e), power(i, e))
-                if pc != 1:
-                    n = fold(n * pc)
-                if n:
-                    mono = tuple(map(add, mono, pm))
-        if n:
+            if not e:
+                continue
+            if not one_term[i]:
+                power = powers(i, e)
+                term = power if term is None else term * power
+                continue
+            pm, pc = shifts.get((i, e)) or shifts.setdefault((i, e), shift(i, e))
+            if pc != 1:
+                n = fold(n * pc)
+            if n:
+                mono = tuple(map(add, mono, pm))
+        if not n:
+            continue
+        if term is None:
             acc[mono] = get(mono, 0) + n
+            continue
+        for tm, t in term.terms.items():
+            if mono is not origin:
+                tm = tuple(map(add, tm, mono))
+            acc[tm] = get(tm, 0) + n * t
     return _folded(ring, nvars, acc)
 
 
@@ -470,7 +458,12 @@ def invert_unit(f: Poly) -> Poly:
         raise UnitError("not a unit: reduction mod p is not a monomial")
     ((mono, c),) = residues
     inv = ring.from_residue_int(ring.residue_field.inv_int(c))
-    g0 = Poly._make(ring, f.nvars, {tuple(-e for e in mono): inv})
+    inv_mono = tuple(-e for e in mono)
+    if len(f.terms) == 1:  # the same step on the one coefficient d: inv*(2 - d*inv)
+        fold = ring.fold
+        step = fold(2 + ring.neg_int(fold(f.terms[mono] * inv)))
+        return Poly._make(ring, f.nvars, {inv_mono: fold(inv * step)})
+    g0 = Poly._make(ring, f.nvars, {inv_mono: inv})
     return g0 * (2 - f * g0)
 
 
@@ -594,10 +587,13 @@ def poly_from_str(ring, nvars: int, s: str) -> Poly:
         elif tok["star"]:
             after_factor = False
         elif tok["var"] is not None:
-            i = int(tok["var"]) - 1 if tok["var"] else 0
+            try:
+                i, e = int(tok["var"] or 1) - 1, int(tok["exp"] or 1)
+            except ValueError as exc:  # more digits than int() converts
+                raise ParseError(f"bad variable power in {s!r}: {exc}") from exc
             if not 0 <= i < nvars:
                 raise ParseError(f"variable x{i + 1} out of range in {s!r}")
-            exps[i] += int(tok["exp"]) if tok["exp"] else 1
+            exps[i] += e
             after_factor = True
         else:
             coeff = coeff * ring.coeff_from_str(tok["lit"])

@@ -159,14 +159,6 @@ def _embed2(f: Poly) -> Poly:
     return substitute(f, [Poly.variable(f.ring, 2, 0)])
 
 
-def _overlap_lift(chart: AffineChartLift, base: ToricBase) -> AffineChartLift:
-    """A U-side chart lift as it acts on the base overlap, where a and b may be Laurent in u."""
-    mask = (base.overlap_mask, False)
-    if chart.laurent_mask == mask:
-        return chart
-    return AffineChartLift(chart.field, 2, mask, chart.corrections)
-
-
 def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
     """The explicit lift with F(x) = x^p, propagated to the other three charts."""
     field = T.field
@@ -180,18 +172,17 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
     fu = _embed2(baseF.chart_U.corrections[0])
     fv = _embed2(baseF.chart_V.corrections[0])
     chart_mask = (T.base.u_unit, False)
+    zero = Poly.zero(field, 2)
 
     # U-side charts: x -> x^p exactly; the t-chart (t = 1/x) has the same corrections
-    chart_ux = AffineChartLift(field, 2, chart_mask, (fu, Poly.zero(field, 2)))
+    chart_ux = AffineChartLift(field, 2, chart_mask, (fu, zero))
 
-    # V-side fiber image, computed on the overlap:
+    # V-side fiber image, computed on the overlap, where a and b may be Laurent in u:
     #   F(y) = ((a~*y + b~)^p - F(b~)) * F(a~)^(-1)
+    # F(a~) is a unit, as a is a unit monomial and F(u) = u^p mod p
     a2, b2 = _embed2(canonical_lift(T.a, wring)), _embed2(canonical_lift(T.b, wring))
-    over_ux = _overlap_lift(chart_ux, T.base)
-    try:
-        den_inv = invert_unit(apply_lift(over_ux, a2))
-    except UnitError as exc:
-        raise UnitError(f"base image of a is not a unit: {exc}") from exc
+    over_ux = AffineChartLift(field, 2, (T.base.overlap_mask, False), (fu, zero))
+    den_inv = invert_unit(apply_lift(over_ux, a2))
     y_img = ((a2 * Poly.variable(wring, 2, 1) + b2) ** p - apply_lift(over_ux, b2)) * den_inv
     images = (over_ux.image_of_var(0), y_img)  # the VY chart map in the overlap coordinates
     h_overlap = AffineChartLift.from_images(field, over_ux.laurent_mask, images).corrections[1]
@@ -231,22 +222,25 @@ def verify_gluing(L: RuledLift) -> CheckResult:
     t = 1/x, ...) then agrees as well.  Each checked overlap compares the
     two images computed from either side, with one witness per image that
     differs.  Every image, base images included (they may involve the
-    fiber), is rewritten in the overlap's coordinates first: x = a*y + b,
-    t = 1/(a*y), t = 1/x, s = 1/y.  An overlap related to another by a monomial change of
-    coordinates (y = 1/s, v = 1/u) takes its images from the other's by
-    flipping that variable.  Overlaps whose transition is not expressible
-    with monomial units (the t-side against the V charts when b != 0) are
-    implied by the directly checked ones and reported as such.
+    fiber), is rewritten in the overlap's coordinates before it meets
+    another.  The t- and s-charts are read in the coordinates of their x-
+    and y-charts by t = 1/x and s = 1/y, so UT's images reach (u, x) in
+    the UX/UT comparison and the V-side overlaps take them from there.
+    Each U-side chart then reaches (u, y) by one rule: F(y) = (F(x) -
+    F(b)) / F(a) is formed in (u, x), with F(a) and F(b) through that
+    chart's own images, and x = a*y + b takes F(u) and F(y) to (u, y).
+    The V charts reach (u, y) by v = 1/u on P1, and (u, s) is (u, y) with
+    y = 1/s.  UT's images are Laurent in x, so they reach (u, y) only
+    when x = a*y is a monomial (b = 0); otherwise UT/VY and UT/VS are
+    implied by the directly checked overlaps and reported as such.
     """
     T = L.transition
     wring = L.charts["UX"].lift_ring
     b_zero = T.b.is_zero()
     base = T.base
     a2, b2 = L.lifted_ab
-    u = Poly.variable(wring, 2, 0)
-    y = Poly.variable(wring, 2, 1)
 
-    failures, checked, implied = [], [], []
+    failures, checked = [], []
 
     def compare(name, coords, side_a, side_b):
         checked.append(name)
@@ -261,48 +255,37 @@ def verify_gluing(L: RuledLift) -> CheckResult:
                     }
                 )
 
-    def base_img(chart_key):
-        return L.charts[chart_key].image_of_var(0)
-
     def flipped(img):
         # the image of the inverse fiber coordinate (t = 1/x, s = 1/y)
         return invert_unit(flip_variable(img, 1))
 
-    # UX meets UT in (u, x), t = 1/x; VY meets VS in (w, y), s = 1/y (V-side base w kept)
-    img_x = L.charts["UX"].image_of_var(1)
-    img_y = L.charts["VY"].image_of_var(1)
-    pairs = (("UX", "UT", ("u", "x"), img_x), ("VY", "VS", ("w", "y"), img_y))
-    for near, far, coords, img in pairs:
-        side_far = [flip_variable(base_img(far), 1), flipped(L.charts[far].image_of_var(1))]
-        compare(f"{near}/{far}", coords, [base_img(near), img], side_far)
+    def own(key):
+        return [L.charts[key].image_of_var(0), L.charts[key].image_of_var(1)]
 
-    # the U-side images of u and y on the overlap coords (u, y)
-    over_ux = _overlap_lift(L.charts["UX"], base)
-    # UX: x = a*y + b, so F(y) = (F(x) - F(b)) / F(a)
-    x_of_y = [u, a2 * y + b2]
-    ay_img = substitute(img_x, x_of_y) - apply_lift(over_ux, b2)
-    uy_images = {
-        "UX": (substitute(base_img("UX"), x_of_y), ay_img * invert_unit(apply_lift(over_ux, a2)))
-    }
-    if b_zero:
-        # UT: t = 1/(a*y), so F(y) = 1/(F(a) * F(t))
-        chart_ut = L.charts["UT"]
-        over_ut = over_ux if chart_ut is L.charts["UX"] else _overlap_lift(chart_ut, base)
-        t_of_y = [u, invert_unit(a2 * y)]
-        img_t = substitute(chart_ut.image_of_var(1), t_of_y)
-        uy_images["UT"] = (
-            substitute(base_img("UT"), t_of_y),
-            invert_unit(apply_lift(over_ut, a2) * img_t),
-        )
-    else:
-        implied = ["UT/VY", "UT/VS"]
+    def across(key):
+        # a t- or s-chart's images in the coordinates of its x- or y-chart
+        u_img, fiber_img = own(key)
+        return [flip_variable(u_img, 1), flipped(fiber_img)]
 
-    # each meets VY in (u, y) and VS in (u, s); y = 1/s
-    side_vy = [base.u_image(base_img("VY")), base.to_v(img_y)]
-    side_vs = [base.u_image(base_img("VS")), base.to_v(L.charts["VS"].image_of_var(1))]
-    for key, (u_img, y_img) in uy_images.items():
+    # UX meets UT in (u, x); VY meets VS in (w, y) (V-side base w kept)
+    u_side = {"UX": own("UX"), "UT": across("UT")}
+    compare("UX/UT", ("u", "x"), u_side["UX"], u_side["UT"])
+    compare("VY/VS", ("w", "y"), own("VY"), across("VS"))
+
+    # each U-side chart meets VY in (u, y) and VS in (u, s); y = 1/s
+    side_vy, side_vs = ([base.u_image(w), base.to_v(img)] for w, img in map(own, ("VY", "VS")))
+    mask = (base.overlap_mask, True)  # (u, x), with x inverted for UT's images (x = 1/t)
+    x_of_y = [Poly.variable(wring, 2, 0), a2 * Poly.variable(wring, 2, 1) + b2]
+    for key in ("UX", "UT") if b_zero else ("UX",):
+        u_img, x_img = u_side[key]
+        lift = AffineChartLift.from_images(L.field, mask, u_side[key])
+        if b2:
+            x_img = x_img - apply_lift(lift, b2)
+        y_img = x_img * invert_unit(apply_lift(lift, a2))
+        u_img, y_img = substitute(u_img, x_of_y), substitute(y_img, x_of_y)
         compare(f"{key}/VY", ("u", "y"), [u_img, y_img], side_vy)
         compare(f"{key}/VS", ("u", "s"), [flip_variable(u_img, 1), flipped(y_img)], side_vs)
+    implied = [] if b_zero else ["UT/VY", "UT/VS"]
 
     return CheckResult(
         failures,

@@ -272,7 +272,7 @@ _CHECK_REPORTS = [
     ("witt-check", 0, "ba029305b0266b2fc13cbc4355ae093e189d2c0924510a6e2cdb94886347a403"),
     ("verify-lemma --p 3", 0, "3e86ba49362cf128ba29d2dd38a9f28f301450a789265ed71c98fc12a138a3b1"),
     ("phi-det --p 5 --n 4", 0, "f2c0a6976b371ea8c127f1941752e63abaf416efd38c0d2765502afa4a976c3a"),
-    ("p1-lift --p 2 --f x^5", 1, "f79808f7699c58d83f662706c212946ccf0f5402e556433163ad6656560656ac"),
+    ("p1-lift --p 2 --f x^5", 1, "d526aca284382034ed28f3cb65b3c42351257c77e103e6755e5251f5ffaa57d1"),
 ]
 
 
@@ -396,14 +396,24 @@ _PRIME = st.sampled_from(["-3", "0", "1", "2", "3", "4", "5", "17", "19"])
 _SMALL = st.integers(-3, 20).map(str)
 _TRIALS = st.integers(-2, 20).map(str)
 _N = st.integers(-2, 6).map(str)
+# digit runs on either side of the 4300 digits int() converts
+_DIGITS = st.sampled_from([1, 2, 4300, 4301, 5000]).map(lambda n: "9" * n)
 _POLY = st.lists(
-    st.sampled_from(
-        ["x", "x1", "x2", "^", "2", "-1", "+", "-", "*", "(", "3", "7", "[1,0]", "(1,2)", "[", "]", ",", " "]
+    st.one_of(
+        st.sampled_from(
+            ["x", "x1", "x2", "^", "2", "-1", "+", "-", "*", "(", "3", "7", "[1,0]", "(1,2)", "[", "]", ",", " "]
+        ),
+        _DIGITS,
     ),
     max_size=6,
 ).map("".join)
 _JSON = st.one_of(
     st.text(max_size=8),
+    # arrays nested past the recursion limit, closed or not
+    st.tuples(st.sampled_from([1, 2, 100, 5000]), st.booleans()).map(
+        lambda t: "[" * t[0] + "]" * t[0] * t[1]
+    ),
+    _DIGITS.map(lambda d: f'{{"class": "K3", "p": {d}}}'),
     st.dictionaries(
         st.sampled_from(["class", "p", "n", "base_genus", "is_ordinary", "type", "bogus"]),
         st.one_of(
@@ -472,11 +482,35 @@ def _assert_contract(argv) -> int:
     return code
 
 
+_LONG = "1" * 5000  # more digits than int() converts
+# inputs past the parsers' limits: JSON nested deeper than the recursion limit,
+# and numbers, exponents or variable indices with more digits than int() converts
+_UNREADABLE = [
+    ["classify", "--json", "[" * 5000],
+    ["classify", "--json", f'{{"p": {_LONG}}}'],
+    ["p1-lift", "--p", "2", "--f", f"x^{_LONG}"],
+    ["p1-lift", "--p", "2", "--f", f"x{_LONG}"],
+    ["ruled-lift", "--base", "A1", "--p", "2", "--b", f"x1^{_LONG}"],
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(argv=_argv())
 @example(argv=["p1-lift", "--p", "2", "--f", "x^7"])
+@example(argv=_UNREADABLE[0])
+@example(argv=_UNREADABLE[1])
+@example(argv=_UNREADABLE[2])
+@example(argv=_UNREADABLE[3])
+@example(argv=_UNREADABLE[4])
 def test_contract_holds_for_any_argv(argv):
     _assert_contract(argv)
+
+
+def test_unreadable_input_is_a_parse_error(capsys):
+    for argv in _UNREADABLE:
+        code, report = run(capsys, argv)
+        assert code == 2, argv[:3]
+        assert set(report) == {"schema", "error", "ok"} and report["ok"] is False
 
 
 def test_contract_names_failing_checks(monkeypatch):

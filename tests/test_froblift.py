@@ -389,6 +389,20 @@ def test_lift_json_malformed_documents_raise_parse_error(doc):
         lift_from_json(json.dumps(doc))
 
 
+def test_lift_json_past_the_parser_limits_raises_parse_error():
+    # nesting past the recursion limit, and numbers or exponents past int()'s 4300 digits
+    digits = "1" * 5000
+    chart = '"p": 2, "q": 2, "nvars": 1, "laurent_mask": [false], "corrections": '
+    for doc in (
+        "[" * 5000,
+        f'{{"p": {digits}}}',
+        f'{{{chart}["x^{digits}"]}}',
+        f'{{{chart}["x{digits}"]}}',
+    ):
+        with pytest.raises(ParseError):
+            lift_from_json(doc)
+
+
 def test_check_results_never_share_their_witness_lists():
     # sweeps append to a returned .failures list; a shared default would
     # carry one surface's witnesses into the next one's verdict

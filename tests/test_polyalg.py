@@ -350,6 +350,7 @@ def test_invert_unit_lift_ring(rng):
                 ring, 1, {(rng.randint(-3, 3),): ring.p_elem * ring.random(rng) for _ in range(3)}
             )
             head = Poly.monomial(ring, 1, (rng.randint(-3, 3),), _random_unit_coeff(ring, rng))
+            assert head * invert_unit(head) == Poly.constant(ring, 1, 1), ring  # one term
             u = head + junk
             inv = invert_unit(u)
             assert u * inv == Poly.constant(ring, 1, 1), ring
@@ -439,6 +440,42 @@ def test_substitute_monomial_images_over_extension_rings(ring, rng):
             {tuple(rng.randint(-2, 3) for _ in range(3)): ring.random(rng) for _ in range(5)},
         )
         assert substitute(f, images) == _substitute_by_products(f, images)
+
+
+@pytest.mark.parametrize("ring", [GF(5), GF(2, 2), Zp2Ring(3), W2(3), W2(2, 2)], ids=repr)
+def test_substitute_mixed_images_match_products(ring, rng):
+    # a monomial, zero or many-term image in each slot, in every combination:
+    # monomials shift exponents, and only many-term images are raised to powers;
+    # over a lift ring a many-term image may be a unit (its reduction a monomial)
+    unit, lift_ring = _random_unit_coeff, hasattr(ring, "residue_field")
+    for trial in range(81):
+        kinds = [trial // 3**i % 3 for i in range(3)]  # 0 monomial, 1 zero, 2 many terms
+        images, lows = [], []
+        for kind in kinds:
+            mono = tuple(rng.randint(-1, 2) for _ in range(2))
+            img = Poly.monomial(ring, 2, mono, unit(ring, rng))
+            if kind == 1:
+                img = Poly.zero(ring, 2)
+            elif kind == 2:
+                other = tuple(rng.randint(0, 2) for _ in range(2))
+                tail = ring.p_elem if lift_ring else unit(ring, rng)
+                img = img + Poly.monomial(ring, 2, other, tail)
+            images.append(img)
+            unit_image = kind == 0 or (kind == 2 and lift_ring)
+            lows.append(-2 if unit_image else 0)  # negative exponents invert the image
+        f = Poly(
+            ring,
+            3,
+            {tuple(rng.randint(low, 3) for low in lows): ring.random(rng) for _ in range(5)},
+        )
+        asked = []
+
+        def powers(i, e):
+            asked.append(i)
+            return images[i] ** e
+
+        assert substitute(f, images, powers=powers) == _substitute_by_products(f, images)
+        assert all(kinds[i] == 2 for i in asked)
 
 
 def test_substitute_zero_image_under_a_negative_exponent_raises():

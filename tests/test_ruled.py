@@ -12,12 +12,14 @@ from w2frob import (
     TransitionData,
     UnitError,
     UnsupportedShape,
+    apply_lift,
     base_glue_consistency,
     build_standard_lift,
     embed_times_p,
     eta_axioms_check,
     extract_base_lift,
     hirzebruch_transition,
+    invert_unit,
     poly_from_str,
     poly_to_str,
     standard_base_lift,
@@ -207,24 +209,55 @@ def test_corrupted_chart_fails_on_overlap():
                         assert f["coordinate"] in ("u", "w", "x", "y", "s"), where
 
 
-def test_corrupted_lift_witnesses_are_pinned():
-    # corrupted charts have images that are not monomials, so this pins the general
-    # substitution path: gluing and base-consistency witnesses of 960 bumped lifts
-    digest = hashlib.sha256()
+def _bumped_lifts():
+    """The 960 bumped lifts of ``test_corrupted_lift_witnesses_are_pinned``."""
     for p in (2, 3, 5):
         field = GF(p)
         for _, T in itertools.chain(sweeps._ruled_cases(field), sheared_P1(field)):
             lift = build_standard_lift(T)
-            for key in lift.charts:
-                bumps = ("1", "x1", "x2", "x1^2*x2", "2*x2^2")
-                for slot, bump in itertools.product((0, 1), bumps):
-                    case = _bumped(lift, key, slot, bump)
-                    g, c = verify_gluing(case), base_glue_consistency(case)
-                    record = [g.failures, g.details, c.failures, c.details["eta_u"]]
-                    digest.update(json.dumps(record, sort_keys=True, default=str).encode())
+            for key, slot in itertools.product(lift.charts, (0, 1)):
+                for bump in ("1", "x1", "x2", "x1^2*x2", "2*x2^2"):
+                    yield _bumped(lift, key, slot, bump)
+
+
+def test_corrupted_lift_witnesses_are_pinned():
+    # corrupted charts have images that are not monomials, so this pins the general
+    # substitution path: gluing and base-consistency witnesses of 960 bumped lifts
+    digest = hashlib.sha256()
+    for case in _bumped_lifts():
+        g, c = verify_gluing(case), base_glue_consistency(case)
+        record = [g.failures, g.details, c.failures, c.details["eta_u"]]
+        digest.update(json.dumps(record, sort_keys=True, default=str).encode())
     assert digest.hexdigest() == (
-        "702a6633bd6a9d14bd45e6f75c40c325372889cac03443a689f729faf0aacf78"
+        "c2c6dbe6a816fb5c0427b7f517cc1284bc4dec3d367d44d5dbc3faf9e2b50547"
     )
+
+
+def test_u_side_y_witnesses_solve_the_transition():
+    # a U-side y-witness is F(y) on (u, y), so F(x) = F(a)*F(y) + F(b) there, where F of
+    # a, b and x goes through the chart's own ring map and then x = a*y + b (t = 1/(a*y))
+    seen = {"UX/VY": 0, "UT/VY": 0}
+    for case in _bumped_lifts():
+        T = case.transition
+        ring = case.charts["UX"].lift_ring
+        a2, b2 = case.lifted_ab
+        u, y = Poly.variable(ring, 2, 0), Poly.variable(ring, 2, 1)
+        for f in verify_gluing(case).failures:
+            if f["overlap"] not in seen or f["coordinate"] != "y":
+                continue
+            seen[f["overlap"]] += 1
+            chart = case.charts[f["overlap"][:2]]
+            t_chart = f["overlap"] == "UT/VY"
+            assert not t_chart or T.b.is_zero()
+            mask = (T.base.overlap_mask, t_chart)
+            over = AffineChartLift(chart.field, 2, mask, chart.corrections)
+            coords = [u, invert_unit(a2 * y) if t_chart else a2 * y + b2]
+            images = (apply_lift(over, a2), apply_lift(over, b2), chart.image_of_var(1))
+            fa, fb, fx = (substitute(g, coords) for g in images)
+            if t_chart:
+                fx = invert_unit(fx)
+            assert fx == fa * P(ring, 2, f["lhs"]) + fb, (T, f)
+    assert seen["UX/VY"] and seen["UT/VY"], seen
 
 
 # -- base-lift extraction -----------------------------------------------------------
