@@ -10,10 +10,10 @@ Witt Frobenius is xi -> xi^p, as in Satoh's canonical-lift point counting
 x^3+2x^2+x+3 over Z/4 (F8) and x^2+5x+8 over Z/9 (F9).  F_q itself uses
 g mod p: x^2+x+1, x^3+x+1 and x^2+2x+2.
 
-An element holds its ring and one int ``n``.  For m = 1 that is the
-residue mod p^k, and every operation is integer arithmetic mod p^k.  For
-m > 1 it packs the coefficients of 1, xi, ..., xi^(m-1), each in
-[0, p^k), ``SHIFT`` bits apart.  A sum of up to 2^24 products of such
+An element holds its ring and one canonical int ``n``.  For m = 1 that
+is the residue mod p^k, and every operation is integer arithmetic mod
+p^k.  For m > 1 it packs the coefficients of 1, xi, ..., xi^(m-1), each
+in [0, p^k), ``SHIFT`` bits apart.  A sum of up to 2^24 products of such
 ints keeps each of its 2m-1 slots below 2^31 (the bound at ``SHIFT``), so
 the polynomial layer adds up raw products and folds once per coefficient.
 ``fold`` works in one pass: it adds (slot mod p^k) * row_j for each high
@@ -21,6 +21,13 @@ slot m+j, where row_j is xi^(m+j) mod g packed once per ring, then takes
 each of the m low slots mod p^k.  Frobenius, its inverse and the p-adic
 split are dict lookups built once per ring, with q entries for F_q and
 q^2 (16, 64 or 81) for W2(F_q).
+
+Each ring builds its p^(k*m) elements once, with the ring, in one table
+keyed by ``n``: at most 289, for Z/17^2 and W2(F_17).  ``wrap``,
+``from_int`` and every operator return entries of that table, so no
+element is allocated after its ring is built, and two elements of one
+ring are equal exactly when they are the same object.  ``wrap`` of an
+int that is not canonical raises ``InvariantViolation``.
 
 W2(F_q) is read and written in Witt coordinates (a0, a1), which stand for
 u = [a0] + p*lift(a1^(1/p)) with the Teichmüller lift [a] = lift(a)^q.
@@ -47,11 +54,11 @@ Teichmüller lift over W2).
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator
 
-from .errors import CharMismatch, ParseError, UnitError, UnsupportedField
+from .errors import CharMismatch, InvariantViolation, ParseError, UnitError, UnsupportedField
 
 MAX_PRIME = 17
 
@@ -139,11 +146,15 @@ class _Elem:
             return self.ring.from_int(other)
         return None
 
+    # Each binary operator first tests for an element of the same class and
+    # ring object, the common case, before it falls back to ``_other``.
+
     def __add__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return self.ring.add(self, o)
+        if other.__class__ is not self.__class__ or other.ring is not self.ring:
+            other = self._other(other)
+            if other is None:
+                return NotImplemented
+        return self.ring.add(self, other)
 
     __radd__ = __add__
 
@@ -151,22 +162,25 @@ class _Elem:
         return self.ring.neg(self)
 
     def __sub__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return self.ring.add(self, self.ring.neg(o))
+        if other.__class__ is not self.__class__ or other.ring is not self.ring:
+            other = self._other(other)
+            if other is None:
+                return NotImplemented
+        return self.ring.add(self, self.ring.neg(other))
 
     def __rsub__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return self.ring.add(o, self.ring.neg(self))
+        if other.__class__ is not self.__class__ or other.ring is not self.ring:
+            other = self._other(other)
+            if other is None:
+                return NotImplemented
+        return self.ring.add(other, self.ring.neg(self))
 
     def __mul__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return self.ring.mul(self, o)
+        if other.__class__ is not self.__class__ or other.ring is not self.ring:
+            other = self._other(other)
+            if other is None:
+                return NotImplemented
+        return self.ring.mul(self, other)
 
     __rmul__ = __mul__
 
@@ -186,11 +200,14 @@ class _Elem:
         return bool(self.n)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
-        if not isinstance(other, _Elem):
-            return NotImplemented
-        return self.n == other.n and (self.ring is other.ring or self.ring == other.ring)
+        if other.__class__ is not self.__class__ or other.ring is not self.ring:
+            if isinstance(other, int):
+                other = self.ring.from_int(other)
+            elif not isinstance(other, _Elem):
+                return NotImplemented
+            elif other.ring != self.ring:
+                return False
+        return self.n == other.n
 
     def __hash__(self):
         return hash((self.ring.p, self.ring.k, self.ring.m, self.n))
@@ -272,11 +289,21 @@ class WittPair(_Elem):
 # ---------------------------------------------------------------------------
 
 
+class _Elements(dict):
+    """A ring's elements keyed by their canonical ints; any other key raises."""
+
+    __slots__ = ("ring",)
+
+    def __missing__(self, n):
+        raise InvariantViolation(f"{n!r} is not the int of an element of {self.ring!r}")
+
+
 class GaloisRing:
     """GR(p^k, m) = (Z/p^k)[xi]/(g) on ints: the kernel of every ring here.
 
     ``fold`` and the methods ending in ``_int`` take and return ints;
-    ``wrap``, ``add``, ``neg`` and ``mul`` return elements.  ``fold``,
+    ``wrap``, ``add``, ``neg`` and ``mul`` return entries of the ring's
+    element table.  ``wrap`` (the table's ``__getitem__``), ``fold``,
     ``pow_int``, ``frob_int``, ``inv_frob_int`` and ``split_p`` (n div p
     and n mod p, slot by slot) are bound per ring when it is built.
     """
@@ -295,28 +322,33 @@ class GaloisRing:
         # p^k in every slot: subtracting an element from it cannot borrow
         self._pk_slots = _pack([pk] * m)
         if m == 1:
+            ints = range(pk)
             self.fold = pk.__rmod__  # n -> n % p^k
             self.pow_int = lambda n, e: pow(n, e, pk)
             self.frob_int = self.inv_frob_int = lambda n: n
             self.split_p = p.__rdivmod__  # n -> (n // p, n % p)
         else:
+            ints = [_pack(c) for c in product(range(pk), repeat=m)]
             self.fold = _slot_fold(m, pk, _MODULI[(p, m)])
             self.pow_int = self._pow_folded
-            self._build_tables()
+            self._build_tables(ints)
+        # every element, in the order of the coefficient tuples (c_0, ..., c_(m-1))
+        self._elements = table = _Elements((n, self.element(self, n)) for n in ints)
+        table.ring = self
+        self.wrap = table.__getitem__
         self.zero = self.wrap(0)
         self.one = self.wrap(1)
 
-    def _build_tables(self):
-        """Frobenius, its inverse and the p-adic split, one entry per element."""
+    def _build_tables(self, ints: list):
+        """Frobenius, its inverse and the p-adic split, one entry per canonical int."""
         p, m, fold = self.p, self.m, self.fold
-        elements = [_pack(c) for c in product(range(self.pk), repeat=m)]
         xi_p = [self.pow_int(1 << (SHIFT * i), p) for i in range(m)]
-        frob = {n: fold(sum(c * img for c, img in zip(_slots(n, m), xi_p))) for n in elements}
+        frob = {n: fold(sum(c * img for c, img in zip(_slots(n, m), xi_p))) for n in ints}
         self.frob_int = frob.__getitem__
         self.inv_frob_int = {v: n for n, v in frob.items()}.__getitem__
         self.split_p = {
             n: (_pack(c // p for c in _slots(n, m)), _pack(c % p for c in _slots(n, m)))
-            for n in elements
+            for n in ints
         }.__getitem__
 
     def __eq__(self, other):
@@ -352,20 +384,20 @@ class GaloisRing:
 
     # -- elements ------------------------------------------------------------
 
-    def wrap(self, n: int):
-        return self.element(self, n)
-
     def add(self, u, v):
-        return self.element(self, self.fold(u.n + v.n))
+        return self._elements[self.fold(u.n + v.n)]
 
     def neg(self, u):
-        return self.element(self, self.neg_int(u.n))
+        return self._elements[self.fold(self._pk_slots - u.n)]
 
     def mul(self, u, v):
-        return self.element(self, self.fold(u.n * v.n))
+        return self._elements[self.fold(u.n * v.n)]
 
     def from_int(self, n: int):
-        return self.element(self, n % self.pk)
+        return self._elements[n % self.pk]
+
+    def elements(self) -> Iterator:
+        return iter(self._elements.values())
 
 
 class FiniteField(GaloisRing):
@@ -392,10 +424,6 @@ class FiniteField(GaloisRing):
         if self.m == 1:
             raise UnsupportedField("prime field has no distinguished generator element")
         return self.wrap(1 << SHIFT)
-
-    def elements(self) -> Iterator[FqElem]:
-        for coeffs in product(range(self.p), repeat=self.m):
-            yield self.wrap(_pack(coeffs))
 
     def random(self, rng) -> FqElem:
         return self.wrap(self._random_int(rng))
@@ -462,10 +490,6 @@ class Zp2Ring(_LiftRing):
     def random(self, rng) -> Zp2Elem:
         return self.wrap(rng.randrange(self.p2))
 
-    def elements(self) -> Iterator[Zp2Elem]:
-        for n in range(self.p2):
-            yield self.wrap(n)
-
     # -- text format ---------------------------------------------------
 
     def coeff_to_str(self, c: Zp2Elem) -> str:
@@ -496,6 +520,11 @@ class WittRing(_LiftRing):
     def __repr__(self):
         return f"W2({self.field!r})"
 
+    @cached_property
+    def residue_ring(self):
+        """Z/p^2 on the same ints, the target of ``witt_to_residue_ring``; None when m > 1."""
+        return Zp2Ring(self.p) if self.m == 1 else None
+
     def from_witt(self, a0: FqElem, a1: FqElem) -> WittPair:
         """The element with Witt coordinates (a0, a1): [a0] + p*lift(a1^(1/p))."""
         return self.wrap(self._from_witt_int(a0.n, a1.n))
@@ -518,6 +547,7 @@ class WittRing(_LiftRing):
         return self.wrap(self._from_witt_int(a0, self.field._random_int(rng)))
 
     def elements(self) -> Iterator[WittPair]:
+        """Every element, in the order of its Witt coordinates (a0, a1)."""
         for a0 in self.field.elements():
             for a1 in self.field.elements():
                 yield self.from_witt(a0, a1)
@@ -545,11 +575,6 @@ def W2(p: int, m: int = 1) -> WittRing:
     return WittRing(GF(p, m))
 
 
-@lru_cache(maxsize=None)
-def _zp2(p: int) -> Zp2Ring:
-    return Zp2Ring(p)
-
-
 def witt_to_residue_ring(u: WittPair) -> Zp2Elem:
     """W2(F_p) -> Z/p^2, (a0, a1) -> a0^p + p*a1.
 
@@ -557,10 +582,10 @@ def witt_to_residue_ring(u: WittPair) -> Zp2Elem:
     same ints, so the map keeps ``n``; that it is the stated map of Witt
     coordinates is checked against the component formulas by the suite.
     """
-    ring = u.ring
-    if ring.m != 1:
+    residue_ring = u.ring.residue_ring
+    if residue_ring is None:
         raise UnsupportedField("residue-ring model only exists for q = p")
-    return _zp2(ring.p).wrap(u.n)
+    return residue_ring.wrap(u.n)
 
 
 def witt_to_str(u: WittPair) -> str:

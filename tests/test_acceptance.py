@@ -34,10 +34,11 @@ def _trials(checks):
 
 def test_criterion_1_witt_oracle_equivalence():
     start = time.time()
-    # 10^4 >= p^4 for p <= 7: every pair of W2(F_p) is checked
-    pairs_checked = _trials(sweep_witt([2, 3, 5, 7], 10_000, 1201))
+    # trials = 13^4 >= p^4 for p <= 13: every pair of W2(F_p) is checked
+    primes = (2, 3, 5, 7, 11, 13)
+    pairs_checked = _trials(sweep_witt(primes, 13 ** 4, 1201))
     elapsed = time.time() - start
-    assert pairs_checked == sum(p ** 4 for p in (2, 3, 5, 7))
+    assert pairs_checked == sum(p ** 4 for p in primes)
     assert elapsed < 2.0
     _report(1, "Witt-ring oracle equivalence", f"{pairs_checked} pairs, 0 mismatches", elapsed, 2)
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +9,14 @@ from w2frob import witt2
 from w2frob import (
     GF,
     W2,
+    AlgebraError,
     CharMismatch,
+    InvariantViolation,
     NotDivisible,
     Poly,
     UnitError,
     UnsupportedField,
+    WittRing,
     Zp2Ring,
     divide_by_p,
     reduce_mod_p,
@@ -244,6 +249,109 @@ def test_frobenius_is_ring_endomorphism(rng):
             assert (u + v).frobenius() == u.frobenius() + v.frobenius()
             assert (u * v).frobenius() == u.frobenius() * v.frobenius()
             assert u.frobenius().a0 == u.a0 ** r.field.p
+
+
+# -- interned elements -------------------------------------------------------
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17)
+_EXTENSIONS = ((2, 2), (2, 3), (3, 2))
+_DESK_RINGS = (
+    [("F", p, 1) for p in _PRIMES]
+    + [("Z", p, 1) for p in _PRIMES]
+    + [("W", p, 1) for p in _PRIMES]
+    + [("F",) + q for q in _EXTENSIONS]
+    + [("W",) + q for q in _EXTENSIONS]
+)
+
+
+def _desk_ring(kind, p, m):
+    return {"F": GF, "Z": lambda p, m: Zp2Ring(p), "W": W2}[kind](p, m)
+
+
+@pytest.mark.parametrize("spec", _DESK_RINGS, ids=lambda s: f"{s[0]}{s[1]}^{s[2]}")
+def test_each_ring_holds_its_elements_in_one_table(spec):
+    ring = _desk_ring(*spec)
+    size = ring.p ** (ring.k * ring.m)
+    assert len(ring._elements) == size <= 289
+    elems = list(ring.elements())
+    assert len({id(u) for u in elems}) == size
+    for u in elems:
+        assert type(u) is ring.element and u.ring is ring
+        assert ring.wrap(u.n) is u
+    assert ring.zero is ring.wrap(0) and ring.one is ring.wrap(1)
+    for n in [*range(-2 * ring.pk, 2 * ring.pk), 10 ** 30 + 7, -(10 ** 30)]:
+        assert ring.from_int(n) is ring.wrap(n % ring.pk)
+    if spec[0] == "W" and ring.m == 1:
+        # the residue map reads the ring's own Z/p^2 model and returns its entries
+        residue_ring = ring.residue_ring
+        assert all(witt_to_residue_ring(u) is residue_ring.wrap(u.n) for u in elems)
+
+
+@pytest.mark.parametrize("spec", _DESK_RINGS, ids=lambda s: f"{s[0]}{s[1]}^{s[2]}")
+def test_every_operator_returns_a_table_entry(spec, rng):
+    ring = _desk_ring(*spec)
+    elems = list(ring.elements())
+    if len(elems) <= 81:
+        pairs = [(u, v) for u in elems for v in elems]
+    else:
+        pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(3000)]
+    for u, v in pairs:
+        results = [u + v, u - v, -u, u * v, u + 3, 3 + u, u - 3, 3 - u, u * 5, 5 * u]
+        results += [u ** 2, u ** 0, u.frobenius()]
+        if ring.k == 1:
+            results += [u.inv_frobenius()] + ([u.inverse(), u ** -1] if u else [])
+        for w in results:
+            assert w is ring.wrap(w.n)
+        # interned: two elements of one ring are equal exactly when they are one object
+        assert (u == v) is (u is v)
+
+
+def test_elements_keep_their_order():
+    # sweeps.sweep_witt draws its pairs from list(ring.elements())
+    for p, m in [(p, 1) for p in _PRIMES] + list(_EXTENSIONS):
+        f, r = GF(p, m), W2(p, m)
+        assert [u.coeffs for u in f.elements()] == list(product(range(p), repeat=m))
+        assert [(u.a0, u.a1) for u in r.elements()] == list(product(f.elements(), repeat=2))
+    for p in _PRIMES:
+        assert [u.rep for u in Zp2Ring(p).elements()] == list(range(p * p))
+
+
+def test_wrap_of_a_non_canonical_int_raises():
+    for ring, n in [(W2(5), 30), (W2(5), -1), (GF(2, 2), 7), (Zp2Ring(3), 9), (GF(7), 7)]:
+        with pytest.raises(InvariantViolation):
+            ring.wrap(n)
+    assert issubclass(InvariantViolation, AlgebraError)
+    # from_int reduces first, so it still accepts every int
+    assert W2(5).from_int(30) == W2(5).pair(0, 1) == W2(5).wrap(5)
+    assert W2(5).from_int(-1).n == 24
+    assert GF(2, 2).from_int(7).coeffs == (1, 0)
+
+
+def test_witt_pair_operators_go_through_the_witt_ring(monkeypatch):
+    # perfbench's per-layer w2_add/w2_neg/w2_mul counts wrap these three bindings
+    calls = {"add": 0, "neg": 0, "mul": 0}
+
+    def counted(name):
+        original = getattr(WittRing, name)
+
+        def op(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return op
+
+    for name in calls:
+        monkeypatch.setattr(WittRing, name, counted(name))
+    r = W2(5)
+    u, v = r.pair(2, 3), r.pair(4, 1)
+    assert u + v == r.from_int(u.n + v.n)
+    assert calls == {"add": 1, "neg": 0, "mul": 0}
+    assert u * v == r.from_int(u.n * v.n)
+    assert calls == {"add": 1, "neg": 0, "mul": 1}
+    assert -u == r.from_int(-u.n)
+    assert calls == {"add": 1, "neg": 1, "mul": 1}
+    assert u - v == r.from_int(u.n - v.n)
+    assert calls == {"add": 2, "neg": 2, "mul": 1}
 
 
 # -- field models ------------------------------------------------------------
