@@ -71,7 +71,7 @@ def _report(command: str, seed, checks: list, extra: dict = None) -> dict:
 
 
 def _cmd_witt_check(args) -> dict:
-    return _report("witt-check", args.seed, sweep_witt(args.p_list, args.trials, args.seed))
+    return _report("witt-check", None, sweep_witt(args.p_list))
 
 
 def _cmd_verify_lemma(args) -> dict:
@@ -167,7 +167,7 @@ def _cmd_hasse(args) -> dict:
 def _cmd_sweep_all(args) -> dict:
     scale = args.trials_scale
     checks = []
-    checks += sweep_witt([2, 3, 5, 7], 100 * scale, args.seed)
+    checks += sweep_witt([2, 3, 5, 7])
     checks += sweep_phi_det([2, 3, 5], [1, 2, 3], 20 * scale, args.seed)
     for p in (2, 3, 5):
         checks += sweep_monomial_lemma(p, 3, 50 * scale, args.seed)
@@ -199,16 +199,18 @@ def _prime(s: str) -> int:
     """argparse type: a characteristic the package supports."""
     try:
         return check_prime_char(int(s))
-    except UnsupportedField as exc:
+    except (ValueError, UnsupportedField) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _p_list(s: str) -> list:
-    """argparse type: a nonempty comma-separated list of integers."""
-    try:
-        primes = [int(x) for x in s.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {s!r}") from None
+    """argparse type: a nonempty comma-separated list of distinct supported primes."""
+    primes = []
+    for x in filter(str.strip, s.split(",")):
+        p = _prime(x)
+        if p in primes:
+            raise argparse.ArgumentTypeError(f"prime {p} repeated in {s!r}")
+        primes.append(p)
     if not primes:
         raise argparse.ArgumentTypeError("empty prime list")
     return primes
@@ -224,8 +226,6 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
 
     sp = sub.add_parser("witt-check", help="Witt arithmetic against the component formulas")
     sp.add_argument("--p-list", type=_p_list, default="2,3,5,7")
-    sp.add_argument("--trials", type=_bounded_int(1), default=10000)
-    sp.add_argument("--seed", type=int, default=default_seed)
     sp.set_defaults(func=_cmd_witt_check)
 
     sp = sub.add_parser("verify-lemma", help="column-sum lemma on random exponent matrices")

@@ -1,18 +1,18 @@
-"""Seeded property sweeps: each turns one claim into exact checks over many cases.
+"""Property sweeps: each turns one claim into exact checks over many cases.
 
 A sweep returns a list of check dicts (name, citation, trials, passes,
 failures, ok).  ``frobctl`` prints them and the acceptance suite asserts
 on them, so both run the same loops.  A sweep keeps one witness list per
 trial and no verdict: a trial passed exactly when its list is empty, and
-``_check`` derives the counts and ``ok`` from the lists.  Randomness
-comes from ``random.Random(f"{seed}|<sweep>|...")``, so a check is
-deterministic for a fixed seed; where the whole case space is small
-enough it is enumerated instead of sampled.
+``_check`` derives the counts and ``ok`` from the lists.  A sweep whose
+whole case space is small enough enumerates it and takes no seed, as
+``sweep_witt`` does with every pair of W2(F_p).  The others sample from
+``random.Random(f"{seed}|<sweep>|...")``, so a check is deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
 
-import math
 import random
 
 from . import classify as classify_mod
@@ -62,7 +62,7 @@ def _check(name: str, citation: str, trials: list, extra=()) -> dict:
 def _witt_sum(p: int, a: tuple, b: tuple) -> tuple:
     """Length-2 Witt sum over F_p on plain-int coordinates: the model sweep_witt checks."""
     (a0, a1), (b0, b1) = a, b
-    carry = sum(math.comb(p, i) // p * a0 ** i * b0 ** (p - i) for i in range(1, p))
+    carry = ((a0 + b0) ** p - a0 ** p - b0 ** p) // p
     return (a0 + b0) % p, (a1 + b1 - carry) % p
 
 
@@ -72,42 +72,32 @@ def _witt_product(p: int, a: tuple, b: tuple) -> tuple:
     return a0 * b0 % p, (a0 ** p * b1 + b0 ** p * a1) % p
 
 
-def sweep_witt(p_list, trials, seed) -> list:
+def sweep_witt(p_list) -> list:
     """W2(F_p) and its map to Z/p^2 against the component formulas.
 
-    Every pair is checked when p <= 3 or p^4 <= trials, and every element
-    against (a0, a1) -> a0^p + p*a1.
+    Every pair is checked for add and mul, and every element against
+    (a0, a1) -> a0^p + p*a1.
     """
     checks = []
     for p in p_list:
-        rng = random.Random(f"{seed}|witt|{p}")
         ring = W2(p)
-
-        def coords(u):
-            return tuple(c.as_int() for c in ring.witt_coords(u))
-
         elems = list(ring.elements())
-        if p <= 3 or p ** 4 <= trials:
-            pairs = [(u, v) for u in elems for v in elems]
-        else:
-            pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(trials)]
-        per_trial, residue = [], []
-        for u, v in pairs:
-            a, b = coords(u), coords(v)
-            per_trial.append(
-                [
-                    {"op": op, "u": repr(u), "v": repr(v)}
-                    for op, holds in (
-                        ("add", coords(u + v) == _witt_sum(p, a, b)),
-                        ("mul", coords(u * v) == _witt_product(p, a, b)),
-                    )
-                    if not holds
-                ]
-            )
-        for u in elems:
-            a0, a1 = coords(u)
-            if witt_to_residue_ring(u).rep != (a0 ** p + p * a1) % (p * p):
-                residue.append({"op": "residue", "u": repr(u)})
+        coords = {u.n: tuple(c.as_int() for c in ring.witt_coords(u)) for u in elems}
+        per_trial = [
+            [
+                {"op": op, "u": repr(u), "v": repr(v)}
+                for op, w, model in (("add", u + v, _witt_sum), ("mul", u * v, _witt_product))
+                if coords[w.n] != model(p, coords[u.n], coords[v.n])
+            ]
+            for u in elems
+            for v in elems
+        ]
+        residue = [
+            {"op": "residue", "u": repr(u)}
+            for u in elems
+            for a0, a1 in [coords[u.n]]
+            if witt_to_residue_ring(u).rep != (a0 ** p + p * a1) % (p * p)
+        ]
         checks.append(
             _check(
                 f"witt-oracle-p{p}",

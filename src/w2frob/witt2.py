@@ -31,8 +31,9 @@ int that is not canonical raises ``InvariantViolation``.
 
 W2(F_q) is read and written in Witt coordinates (a0, a1), which stand for
 u = [a0] + p*lift(a1^(1/p)) with the Teichmüller lift [a] = lift(a)^q.
-For q = p that is u = a0^p + p*a1 mod p^2.  Coordinates are computed only
-at the text, JSON and ``.a0``/``.a1`` boundary.  The length-2 component
+For q = p that is u = a0^p + p*a1 mod p^2.  Only the text, JSON and
+``.a0``/``.a1`` boundary reads coordinates, from a table n -> (a0, a1)
+built on first use.  The length-2 component
 formulas are kept out of this module on purpose: they are the independent
 models that check the kernel, for q = p in ``sweeps.sweep_witt`` and for
 every q in ``tests/oracles.py``.
@@ -54,7 +55,7 @@ Teichmüller lift over W2).
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -517,12 +518,18 @@ class WittRing(_LiftRing):
     def _from_witt_int(self, a0: int, a1: int) -> int:
         return self.fold(self.from_residue_int(a0) + self.p * self.field.inv_frob_int(a1))
 
+    @cached_property
+    def _coords(self) -> dict:
+        """n -> (a0, a1), inverted from (a0, a1) -> n as inv_frob_int is from frob_int."""
+        elems = self.field.elements
+        table = {self._from_witt_int(a0.n, a1.n): (a0, a1) for a0 in elems() for a1 in elems()}
+        if len(table) < self.q ** 2:
+            raise InvariantViolation(f"Witt coordinates of {self!r} name {len(table)} elements")
+        return table
+
     def witt_coords(self, u: WittPair) -> tuple:
         """(a0, a1) with u = [a0] + p*lift(a1^(1/p))."""
-        field = self.field
-        a0 = self.split_p(u.n)[1]
-        b = self.split_p(self.fold(u.n + self.neg_int(self.from_residue_int(a0))))[0]
-        return field.wrap(a0), field.wrap(field.frob_int(b))
+        return self._coords[u.n]
 
     def pair(self, a0, a1) -> WittPair:
         return self.from_witt(self.field.elem(a0), self.field.elem(a1))
@@ -533,9 +540,7 @@ class WittRing(_LiftRing):
 
     def elements(self) -> Iterator[WittPair]:
         """Every element, in the order of its Witt coordinates (a0, a1)."""
-        for a0 in self.field.elements():
-            for a1 in self.field.elements():
-                yield self.from_witt(a0, a1)
+        return map(self.wrap, self._coords)
 
     # -- text format ---------------------------------------------------
 

@@ -8,7 +8,7 @@ asserted as stated.
 
 import time
 
-from w2frob import golden_table
+from w2frob import golden_table, witt2
 from w2frob.sweeps import (
     sweep_classify,
     sweep_eta,
@@ -34,11 +34,11 @@ def _trials(checks):
 
 def test_criterion_1_witt_oracle_equivalence():
     start = time.time()
-    # trials = 13^4 >= p^4 for p <= 13: every pair of W2(F_p) is checked
-    primes = (2, 3, 5, 7, 11, 13)
-    pairs_checked = _trials(sweep_witt(primes, 13 ** 4, 1201))
+    # every pair of W2(F_p), for every prime the package supports
+    primes = witt2._SMALL_PRIMES
+    pairs_checked = _trials(sweep_witt(primes))
     elapsed = time.time() - start
-    assert pairs_checked == sum(p ** 4 for p in primes)
+    assert pairs_checked == sum(p ** 4 for p in primes) == 129846
     assert elapsed < 2.0
     _report(1, "Witt-ring oracle equivalence", f"{pairs_checked} pairs, 0 mismatches", elapsed, 2)
 

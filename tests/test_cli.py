@@ -6,7 +6,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from w2frob import CheckResult, classify, errors, eta_between, projline, ruled, sweeps
+from w2frob import CheckResult, classify, errors, eta_between, projline, ruled, sweeps, witt2
 from w2frob.classify import SURFACE_CLASSES
 from w2frob.cli import run_command
 
@@ -66,9 +66,10 @@ def test_p1_lift_checks_the_flip_it_prints(capsys, monkeypatch):
 
 
 def test_witt_check(capsys):
-    code, report = run(capsys, ["witt-check", "--p-list", "2,3", "--trials", "50", "--seed", "1"])
+    code, report = run(capsys, ["witt-check", "--p-list", "2,3"])
     assert code == 0
-    assert all(c["ok"] for c in report["checks"])
+    assert report["seed"] is None
+    assert [(c["trials"], c["ok"]) for c in report["checks"]] == [(16, True), (81, True)]
 
 
 def test_phi_det_command(capsys):
@@ -106,6 +107,8 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     for argv in (
         ["witt-check", "--p-list", "5", "--trials", "-5"],
+        ["witt-check", "--trials", "5"],
+        ["witt-check", "--seed", "1"],
         ["verify-lemma", "--p", "2", "--trials", "0"],
         ["sweep-all", "--trials-scale", "0"],
         ["witt-check", "--p-list", "a"],
@@ -125,6 +128,15 @@ def test_usage_errors_exit_2(capsys):
     ):
         capsys.readouterr()
         assert run_command(argv) == 2, argv
+    # each --p-list entry is checked when parsed, before any prime is swept
+    for argv, error in (
+        (["witt-check", "--p-list", "2,2"], "prime 2 repeated"),
+        (["witt-check", "--p-list", "17,4"], "got 4"),
+    ):
+        capsys.readouterr()
+        assert run_command(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and error in err, argv
 
 
 def test_reports_are_deterministic(capsys):
@@ -138,13 +150,13 @@ def test_reports_are_deterministic(capsys):
 
 def test_env_seed_default(capsys, monkeypatch):
     monkeypatch.setenv("FROBCTL_SEED", "314159")
-    code, report = run(capsys, ["witt-check", "--p-list", "2", "--trials", "10"])
+    code, report = run(capsys, ["verify-lemma", "--p", "2", "--trials", "10"])
     assert code == 0
     assert report["seed"] == 314159
 
 
 _EVERY_COMMAND = [
-    ["witt-check", "--p-list", "2", "--trials", "1"],
+    ["witt-check", "--p-list", "2"],
     ["verify-lemma", "--p", "2", "--trials", "1"],
     ["phi-det", "--p", "2", "--trials", "1"],
     ["p1-lift", "--p", "2", "--f", "x"],
@@ -237,7 +249,7 @@ def test_sweep_all_report_is_pinned(capsys):
     # the report bytes are part of the contract; a change to them must be deliberate
     assert run_command(["sweep-all", "--seed", "42"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "d52781c4767bc653cf3d855624e7c0837e8ad177c3d01b67907081e0c3ad5148"
+    assert digest == "b1cb7b3d3a60d292c6dea317a948604e5f6eba044c732ce3c8c97067d976a9b2"
 
 
 def _verdicts_follow_counts(report) -> bool:
@@ -260,7 +272,7 @@ def test_failing_sweep_all_report_is_pinned(capsys, monkeypatch):
     assert run_command(["sweep-all", "--seed", "42"]) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "3ffa470990b2ecd70af09a6d2e5c67c74694df46acd64996ad4705f8f2c20c05"
+        "29248985bbd376d1ef1fd8b67f1684c1e098db8944f056b9ce1d028a690465db"
     )
     report = json.loads(out)
     assert _verdicts_follow_counts(report)
@@ -269,7 +281,7 @@ def test_failing_sweep_all_report_is_pinned(capsys, monkeypatch):
 
 # (argv, exit code, sha256 of stdout) of reports run with their default seed and trials
 _CHECK_REPORTS = [
-    ("witt-check", 0, "ba029305b0266b2fc13cbc4355ae093e189d2c0924510a6e2cdb94886347a403"),
+    ("witt-check", 0, "515df55279d296fd5e6f62b9afe4f352e4d255f9299c5192f293a879a90eef4d"),
     ("verify-lemma --p 3", 0, "3e86ba49362cf128ba29d2dd38a9f28f301450a789265ed71c98fc12a138a3b1"),
     ("phi-det --p 5 --n 4", 0, "f2c0a6976b371ea8c127f1941752e63abaf416efd38c0d2765502afa4a976c3a"),
     ("p1-lift --p 2 --f x^5", 1, "d526aca284382034ed28f3cb65b3c42351257c77e103e6755e5251f5ffaa57d1"),
@@ -369,7 +381,7 @@ def test_passes_count_trials_without_failure(monkeypatch):
         monkeypatch.setattr(
             sweeps, name, lambda p, a, b, real=real: (real(p, a, b)[0], (real(p, a, b)[1] + 1) % p)
         )
-    for check in sweeps.sweep_witt([2, 3], 10, 1):
+    for check in sweeps.sweep_witt([2, 3]):
         assert check["passes"] == 0 < check["trials"]
         assert not check["ok"]
     assert not sweeps.sweep_phi_det([2], [1], 0, 1)[0]["ok"]  # zero trials
@@ -381,10 +393,29 @@ def test_witt_sweep_checks_the_residue_map_itself(monkeypatch):
     monkeypatch.setattr(
         sweeps, "witt_to_residue_ring", lambda u: real(u) + real(u.ring.pair(0, 1))
     )
-    for check in sweeps.sweep_witt([2, 3], 10, 1):
+    for check in sweeps.sweep_witt([2, 3]):
         assert check["passes"] == check["trials"]
         assert not check["ok"]
         assert check["failures"][0]["op"] == "residue"
+
+
+def test_witt_sweep_sees_one_wrong_kernel_entry(monkeypatch):
+    # one wrong table entry, for 1 + 1 or 1 * 1, fails the check of every prime:
+    # the sweep compares the kernel itself with the component formulas
+    for op in ("mul", "add"):
+        real = getattr(witt2.WittRing, op)
+
+        def wrong(ring, u, v, real=real):
+            w = real(ring, u, v)
+            return ring.wrap(ring.fold(w.n + 1)) if u.n == v.n == 1 else w
+
+        with monkeypatch.context() as patch:
+            patch.setattr(witt2.WittRing, op, wrong)
+            primes = witt2._SMALL_PRIMES
+            for p, check in zip(primes, sweeps.sweep_witt(primes)):
+                one = repr(witt2.W2(p).one)
+                assert check["passes"] == check["trials"] - 1, (op, check["name"])
+                assert check["failures"] == [{"op": op, "u": one, "v": one}], check["name"]
 
 
 _ERROR_KINDS = {
@@ -428,8 +459,6 @@ _JSON = st.one_of(
 _OPTIONS = {
     "witt-check": {
         "--p-list": st.lists(_PRIME, max_size=3).map(",".join),
-        "--trials": _TRIALS,
-        "--seed": _SMALL,
     },
     "verify-lemma": {"--p": _PRIME, "--n": _N, "--trials": _TRIALS, "--seed": _SMALL},
     "phi-det": {"--p": _PRIME, "--n": _N, "--trials": _TRIALS, "--seed": _SMALL},
@@ -516,4 +545,4 @@ def test_unreadable_input_is_a_parse_error(capsys):
 def test_contract_names_failing_checks(monkeypatch):
     # a broken Witt model makes witt-check exit 1 through its checks
     monkeypatch.setattr(sweeps, "_witt_sum", lambda p, a, b: (0, 0))
-    assert _assert_contract(["witt-check", "--p-list", "2,3", "--trials", "5"]) == 1
+    assert _assert_contract(["witt-check", "--p-list", "2,3"]) == 1

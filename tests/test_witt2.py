@@ -328,6 +328,19 @@ def test_wrap_of_a_non_canonical_int_raises():
     assert GF(2, 2).from_int(7).coeffs == (1, 0)
 
 
+def test_witt_coordinates_come_from_one_table_built_on_first_use():
+    ring = WittRing(GF(5))
+    u = ring.pair(2, 3)
+    assert "_coords" not in vars(ring)  # building the ring and its elements reads none
+    assert (u.a0, u.a1) == (GF(5).elem(2), GF(5).elem(3))
+    assert ring.witt_coords(u) is vars(ring)["_coords"][u.n]
+    # coordinates that name fewer than q^2 elements raise
+    broken = WittRing(GF(3))
+    broken._from_witt_int = lambda a0, a1: a0
+    with pytest.raises(InvariantViolation):
+        broken.witt_coords(broken.one)
+
+
 def test_witt_pair_operators_go_through_the_witt_ring(monkeypatch):
     # perfbench's per-layer w2_add/w2_neg/w2_mul counts wrap these three bindings
     calls = {"add": 0, "neg": 0, "mul": 0}
