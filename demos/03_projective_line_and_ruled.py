@@ -21,18 +21,16 @@ from w2frob import (
     extract_base_lift,
     hirzebruch_transition,
     poly_to_str,
-    standard_lift,
     verify_gluing,
 )
 
 print("=== which monomial corrections extend across the two charts? ===")
 for p in (2, 3):
     field = GF(p)
-    base = standard_lift(field, 0)
     fates = []
     for d in range(3 * p + 1):
         try:
-            extend_chart(base, Poly.monomial(field, 1, (d,)))
+            extend_chart(Poly.monomial(field, 1, (d,)))
             fates.append(f"x^{d}: ok")
         except DegreeTooHigh:
             fates.append(f"x^{d}: no")
@@ -43,11 +41,10 @@ for p in (2, 3):
 print()
 print("=== a flipped correction, explicitly ===")
 F2 = GF(2)
-base = standard_lift(F2, 0)
 f = Poly.monomial(F2, 1, (4,))
-g = extend_chart(base, f)
+g = extend_chart(f)
 print(f"  p=2, f = x^4: F(y) = y^2 + 2*({poly_to_str(g)}), and flipping back gives "
-      f"{poly_to_str(extend_chart(base, g))}")
+      f"{poly_to_str(extend_chart(g))}")
 
 print()
 print("=== ruled surfaces: Hirzebruch and shear transitions ===")

@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedField,
     UnsupportedShape,
 )
-from .froblift import _json_loads, standard_lift
+from .froblift import _json_loads
 from .polyalg import Poly, poly_from_str, poly_to_str
 from .projline import verify_p1_lift
 from .ruled import (
@@ -88,7 +88,7 @@ def _cmd_p1_lift(args) -> dict:
     field = GF(args.p)
     f = poly_from_str(field, 1, args.f)
     try:
-        res = verify_p1_lift(standard_lift(field, 0), f)
+        res = verify_p1_lift(f)
     except UnsupportedShape as exc:  # f is not a polynomial in x
         raise UsageError(str(exc)) from exc
     checks = [

@@ -244,11 +244,6 @@ class Poly:
             return None
         return max(m[i] for m in self.terms)
 
-    def min_exponent(self, i: int):
-        if not self.terms:
-            return None
-        return min(m[i] for m in self.terms)
-
     def respects_mask(self, laurent_mask: Sequence[bool]) -> bool:
         """Negative exponents only occur in variables flagged as inverted."""
         for m in self.terms:

@@ -7,8 +7,10 @@ deg_x f <= 2p.  That bound cuts out a (2p+1)-dimensional space of
 monomial corrections over a point, which ``sweeps.sweep_p1`` counts by
 running ``verify_p1_lift`` on x^0, ..., x^(3p).
 
-Convention: chart polynomials carry the base variables first and the
-fiber variable last.
+The chart is read off the correction, and no base lift is passed: the
+fiber is the last variable, and any variables before it are base
+coordinates that ride along untouched.  Whether they fit a base chart is
+for the caller's chart lift to check.
 """
 
 from __future__ import annotations
@@ -18,29 +20,21 @@ from .froblift import AffineChartLift, CheckResult
 from .polyalg import Poly, flip_variable, poly_to_str
 
 
-def _validate_fiber_poly(base: AffineChartLift, f: Poly):
-    if f.ring != base.field or f.nvars != base.nvars + 1:
-        raise ShapeError("correction must be an F_q polynomial in base variables plus x")
-    fiber = base.nvars
-    mask = base.laurent_mask + (False,)
-    if not f.respects_mask(mask):
-        raise UnsupportedShape("correction is Laurent where the chart is not")
-    if (f.min_exponent(fiber) or 0) < 0:
-        raise UnsupportedShape("correction must be polynomial in the fiber variable")
-
-
-def extend_chart(base: AffineChartLift, f: Poly) -> Poly:
+def extend_chart(f: Poly) -> Poly:
     """Rewrite F(x) = x^p + p*f on the opposite chart; fails above degree 2p.
 
     Returns the y-chart correction g with F(y) = y^p + p*g, i.e.
     g = -y^(2p) * f(1/y).  The map is an involution: applying it to g
     returns f exactly.
     """
-    _validate_fiber_poly(base, f)
-    p = base.p
-    fiber = base.nvars
+    if f.nvars == 0:
+        raise ShapeError("correction needs a fiber variable")
+    p = f.ring.p
+    fiber = f.nvars - 1
     for m in f.terms:
         e = m[fiber]
+        if e < 0:
+            raise UnsupportedShape("correction is Laurent where the chart is not")
         if e > 2 * p:
             raise DegreeTooHigh(
                 f"monomial of fiber degree {e} > {2 * p}: no lift extends across the charts"
@@ -48,30 +42,29 @@ def extend_chart(base: AffineChartLift, f: Poly) -> Poly:
     return -flip_variable(f, fiber) * Poly.variable(f.ring, f.nvars, fiber, 2 * p)
 
 
-def verify_p1_lift(base: AffineChartLift, f: Poly) -> CheckResult:
+def verify_p1_lift(f: Poly) -> CheckResult:
     """Extension, and the gluing identity F(x)*F(y) = 1.
 
     The round trip needs no run-time check: g = -y^(2p)*f(1/y) is an
     involution by its formula, with or without the sign, so only the
     gluing identity can catch a wrong flip.
     """
-    fiber = base.nvars
     try:
-        g = extend_chart(base, f)
+        g = extend_chart(f)
     except DegreeTooHigh as exc:
         return CheckResult([{"chart": "y", "error": str(exc)}])
 
     # gluing identity in the overlap ring (fiber inverted): F(x) * F(y)|_{y=1/x}
     # must be exactly 1; only the fiber corrections enter the two images
-    n = fiber + 1
-    zeros = (Poly.zero(base.field, n),) * fiber
-    mask = base.laurent_mask + (False,)
+    n = f.nvars
+    fiber = n - 1
+    zeros = (Poly.zero(f.ring, n),) * fiber
     fx, fy = (
-        AffineChartLift(base.field, n, mask, zeros + (c,)).image_of_var(fiber) for c in (f, g)
+        AffineChartLift(f.ring, n, (False,) * n, zeros + (c,)).image_of_var(fiber) for c in (f, g)
     )
     prod = fx * flip_variable(fy, fiber)
     failures = []
-    if prod != Poly.constant(base.lift_ring, n, 1):
+    if prod != Poly.constant(prod.ring, n, 1):
         failures.append(
             {
                 "chart": "overlap",

@@ -119,7 +119,7 @@ class BaseLift:
             )
         chart_V = chart_U
         if base.v_inverse:  # the second chart is forced by the degree-bound extension
-            g = extend_chart(standard_lift(chart_U.field, 0), chart_U.corrections[0])
+            g = extend_chart(chart_U.corrections[0])
             chart_V = AffineChartLift(chart_U.field, 1, (False,), (g,))
         self.base = base
         self.chart_U = chart_U
@@ -194,7 +194,7 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
     h_chart = T.base.to_v(h_overlap)
     chart_vy = AffineChartLift(field, 2, chart_mask, (fv, h_chart))
     # s-chart via the degree-bound extension (deg_y h <= p <= 2p always holds)
-    g_s = extend_chart(baseF.chart_V, h_chart)
+    g_s = extend_chart(h_chart)
     chart_vs = AffineChartLift(field, 2, chart_mask, (fv, g_s))
 
     return RuledLift(

@@ -58,7 +58,7 @@ def test_p1_lift_reads_a_leading_minus(capsys):
 
 def test_p1_lift_checks_the_flip_it_prints(capsys, monkeypatch):
     real = projline.extend_chart
-    monkeypatch.setattr(projline, "extend_chart", lambda base, f: -real(base, f))
+    monkeypatch.setattr(projline, "extend_chart", lambda f: -real(f))
     code, report = run(capsys, ["p1-lift", "--p", "3", "--f", "x^4"])
     assert code == 1
     [check] = report["checks"]
@@ -268,7 +268,7 @@ def test_failing_sweep_all_report_is_pinned(capsys, monkeypatch):
     # extend_chart without its sign breaks the 2p bound at p in {3, 5} and the p = 3 shears
     real = projline.extend_chart
     for module in (projline, ruled):
-        monkeypatch.setattr(module, "extend_chart", lambda base, f: -real(base, f))
+        monkeypatch.setattr(module, "extend_chart", lambda f: -real(f))
     assert run_command(["sweep-all", "--seed", "42"]) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -285,6 +285,8 @@ _CHECK_REPORTS = [
     ("verify-lemma --p 3", 0, "3e86ba49362cf128ba29d2dd38a9f28f301450a789265ed71c98fc12a138a3b1"),
     ("phi-det --p 5 --n 4", 0, "f2c0a6976b371ea8c127f1941752e63abaf416efd38c0d2765502afa4a976c3a"),
     ("p1-lift --p 2 --f x^5", 1, "d526aca284382034ed28f3cb65b3c42351257c77e103e6755e5251f5ffaa57d1"),
+    ("p1-lift --p 2 --f x^-1", 2, "5c97dda82705b131a5641af4c774d2df9f42e1a7cec982a94b91f89d26a5fb2e"),
+    ("p1-lift --p 3 --f x^4", 0, "8a9294ac87b43c8d4461127ae4ecfee110459c40c9228fa21415c471a22f2c97"),
 ]
 
 

@@ -6,11 +6,12 @@ from w2frob import (
     AffineChartLift,
     DegreeTooHigh,
     Poly,
+    ShapeError,
+    UnsupportedShape,
     eta_axioms_check,
     eta_between,
     extend_chart,
     poly_from_str,
-    standard_lift,
     verify_p1_lift,
 )
 from w2frob import projline
@@ -23,81 +24,83 @@ def P(ring, nvars, s):
 
 
 def test_extend_zero_correction():
-    base = standard_lift(GF(3), 0)
-    g = extend_chart(base, Poly.zero(GF(3), 1))
+    g = extend_chart(Poly.zero(GF(3), 1))
     assert g.is_zero()
 
 
 def test_extend_x4_at_p2():
     # F(x) = x^2 + 2x^4 flips to F(y) = y^2 + 2 (the correction is the constant 1)
     F2 = GF(2)
-    base = standard_lift(F2, 0)
-    g = extend_chart(base, P(F2, 1, "x^4"))
+    g = extend_chart(P(F2, 1, "x^4"))
     assert g == Poly.constant(F2, 1, 1)
 
 
 def test_extend_x5_at_p2_fails():
     F2 = GF(2)
-    base = standard_lift(F2, 0)
     with pytest.raises(DegreeTooHigh):
-        extend_chart(base, P(F2, 1, "x^5"))
+        extend_chart(P(F2, 1, "x^5"))
 
 
 def test_extension_bound_exhaustive():
     for p in (2, 3, 5):
         F = GF(p)
-        base = standard_lift(F, 0)
         for d in range(3 * p + 1):
             for c in (1, p - 1):
                 f = Poly.monomial(F, 1, (d,), F.from_int(c))
                 if d <= 2 * p:
-                    extend_chart(base, f)
+                    extend_chart(f)
                 else:
                     with pytest.raises(DegreeTooHigh):
-                        extend_chart(base, f)
+                        extend_chart(f)
 
 
 def test_roundtrip_is_involution(rng):
     for p in (2, 3):
         F = GF(p)
-        base = standard_lift(F, 0)
         for _ in range(200):
             f = random_poly(rng, F, 1, 2 * p, 4)
-            g = extend_chart(base, f)
-            assert extend_chart(base, g) == f
+            g = extend_chart(f)
+            assert extend_chart(g) == f
 
 
 def test_extension_over_affine_base():
     # base A^1 with coordinate u: coefficients ride along untouched
     F2 = GF(2)
-    base = standard_lift(F2, 1)
     f = P(F2, 2, "x1*x2^3+x1^2")  # u*x^3 + u^2
-    g = extend_chart(base, f)
+    g = extend_chart(f)
     assert g == P(F2, 2, "x1*x2^1+x1^2*x2^4")
+
+
+def test_extension_reads_the_fiber_as_the_last_variable():
+    F3 = GF(3)
+    with pytest.raises(ShapeError):
+        extend_chart(Poly.constant(F3, 0, 1))
+    with pytest.raises(UnsupportedShape, match="Laurent where the chart is not"):
+        extend_chart(P(F3, 2, "x1*x2^-1"))
+    # a Laurent base exponent rides along: -y^6 * (u^-1 * y^-3) = 2*u^-1*y^3
+    assert extend_chart(P(F3, 2, "x1^-1*x2^3")) == P(F3, 2, "2*x1^-1*x2^3")
 
 
 def test_verify_p1_lift_examples():
     F2 = GF(2)
-    base = standard_lift(F2, 0)
-    assert verify_p1_lift(base, Poly.zero(F2, 1)).ok
-    assert verify_p1_lift(base, P(F2, 1, "x^4")).ok
-    res = verify_p1_lift(base, P(F2, 1, "x^5"))
+    assert verify_p1_lift(Poly.zero(F2, 1)).ok
+    assert verify_p1_lift(P(F2, 1, "x^4")).ok
+    res = verify_p1_lift(P(F2, 1, "x^5"))
     assert not res.ok and res.failures[0]["chart"] == "y"
 
 
 def test_verify_p1_lift_sweep(rng):
     F3 = GF(3)
-    base = standard_lift(F3, 0)
     for _ in range(150):
         f = random_poly(rng, F3, 1, 6, 4)
-        assert verify_p1_lift(base, f).ok
+        assert verify_p1_lift(f).ok
 
 
 def test_sweep_p1_sees_a_dropped_sign(monkeypatch):
     # g = +y^(2p)*f(1/y) still extends and round-trips, but breaks F(x)*F(y) = 1;
     # at p = 2 the sign is invisible, since -c = c in F_2
     real = projline.extend_chart
-    monkeypatch.setattr(projline, "extend_chart", lambda base, f: -real(base, f))
+    monkeypatch.setattr(projline, "extend_chart", lambda f: -real(f))
     assert sweep_p1(2)[0]["ok"]
     for p in (3, 5):
         check = sweep_p1(p)[0]
@@ -108,10 +111,9 @@ def test_sweep_p1_sees_a_dropped_sign(monkeypatch):
 def test_gluing_identity_against_naive_arithmetic(rng):
     # independent check over plain ints mod 4: (x^2 + 2f)(y^2 + 2g)|_{y=1/x} = 1
     F2 = GF(2)
-    base = standard_lift(F2, 0)
     for _ in range(100):
         f = random_poly(rng, F2, 1, 4, 3)
-        g = extend_chart(base, f)
+        g = extend_chart(f)
         fx = {2: 1}
         for (e,) in f.terms:
             fx[e] = (fx.get(e, 0) + 2 * f.coefficient_of((e,)).as_int()) % 4

@@ -8,6 +8,7 @@ from w2frob import (
     GF,
     AffineChartLift,
     BaseLift,
+    InvariantViolation,
     Poly,
     TransitionData,
     UnitError,
@@ -134,6 +135,21 @@ def test_degree_of_h_bound(p):
         lift = build_standard_lift(T)
         d = lift.h.degree_in(1)
         assert d is None or d <= p
+
+
+def test_build_rejects_h_above_fiber_degree_p(monkeypatch):
+    # deg_y h <= p is enforced where h is read off the images, so sweep_ruled
+    # needs no witness for it: force an h of fiber degree p + 1 through
+    F3 = GF(3)
+    real = AffineChartLift.from_images.__func__
+
+    def from_images(cls, field, laurent_mask, images):
+        fu, h = real(cls, field, laurent_mask, images).corrections
+        return cls(field, 2, laurent_mask, (fu, h + Poly.monomial(field, 2, (0, 4))))
+
+    monkeypatch.setattr(AffineChartLift, "from_images", classmethod(from_images))
+    with pytest.raises(InvariantViolation, match="fiber degree of h is 4 > p = 3"):
+        build_standard_lift(shear_A1(F3))
 
 
 # -- gluing ----------------------------------------------------------------------

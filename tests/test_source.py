@@ -79,6 +79,30 @@ def test_froblift_alone_turns_images_into_corrections():
     assert not found, found
 
 
+def _nvars_arg(call):
+    """The nvars argument of a ``standard_lift`` call, as an AST node (None if absent)."""
+    if len(call.args) > 1:
+        return call.args[1]
+    return next((kw.value for kw in call.keywords if kw.arg == "nvars"), None)
+
+
+def test_no_zero_variable_lift_carries_a_chart_shape():
+    # projline reads the chart off the correction itself, so no module or
+    # demo builds a lift with no variables, standard_lift(field, 0), to pass one
+    root = Path(w2frob.__file__).parent
+    paths = [*root.glob("*.py"), *(root.parent.parent / "demos").glob("*.py")]
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(paths)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "standard_lift"
+        for nvars in [_nvars_arg(node)]
+        if isinstance(nvars, ast.Constant) and nvars.value == 0
+    ]
+    assert not found, found
+
+
 # builtins that only see a dict's keys
 _KEY_READERS = {"len", "sorted", "iter", "list", "set", "tuple", "min", "max"}
 
