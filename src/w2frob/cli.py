@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import classify as classify_mod
 from .errors import (
@@ -216,7 +217,9 @@ def _p_list(s: str) -> list:
     return primes
 
 
-def build_parser(default_seed: int) -> argparse.ArgumentParser:
+@lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; ``--seed`` parses to None when absent."""
     parser = argparse.ArgumentParser(
         prog="frobctl",
         description="exact verification of Frobenius lifts over length-2 Witt vectors",
@@ -232,14 +235,14 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     sp.add_argument("--p", type=_prime, required=True)
     sp.add_argument("--n", type=_bounded_int(1, 3), default=3)
     sp.add_argument("--trials", type=_bounded_int(1), default=1000)
-    sp.add_argument("--seed", type=int, default=default_seed)
+    sp.add_argument("--seed", type=int)
     sp.set_defaults(func=_cmd_verify_lemma)
 
     sp = sub.add_parser("phi-det", help="determinant core on random chart lifts")
     sp.add_argument("--p", type=_prime, required=True)
     sp.add_argument("--n", type=_bounded_int(1, 4), default=2)
     sp.add_argument("--trials", type=_bounded_int(1), default=500)
-    sp.add_argument("--seed", type=int, default=default_seed)
+    sp.add_argument("--seed", type=int)
     sp.set_defaults(func=_cmd_phi_det)
 
     sp = sub.add_parser("p1-lift", help="extend a correction across the two charts")
@@ -266,7 +269,7 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_hasse)
 
     sp = sub.add_parser("sweep-all", help="run every property sweep")
-    sp.add_argument("--seed", type=int, default=default_seed)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--trials-scale", type=_bounded_int(1), default=1, dest="trials_scale")
     sp.set_defaults(func=_cmd_sweep_all)
 
@@ -286,11 +289,12 @@ def run_command(argv) -> int:
         default_seed = int(env) if env else DEFAULT_SEED
     except ValueError:
         return _error(f"FROBCTL_SEED must be an integer, got {env!r}", 2)
-    parser = build_parser(default_seed)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if getattr(args, "seed", 0) is None:  # a seeded command run without --seed
+        args.seed = default_seed
     try:
         report = args.func(args)
     except (

@@ -35,6 +35,7 @@ from .polyalg import (
     divide_by_p,
     embed_times_p,
     frobenius_substitute,
+    phi_derivation,
     poly_from_str,
     poly_to_str,
     substitute,
@@ -80,7 +81,7 @@ class AffineChartLift:
         self.nvars = nvars
         self.laurent_mask = laurent_mask
         self.corrections = corrections
-        self._images = {}
+        self._images = None
         self._powers = {}
 
     @classmethod
@@ -119,15 +120,20 @@ class AffineChartLift:
             and self.laurent_mask == other.laurent_mask
         )
 
+    @property
+    def images(self) -> tuple:
+        """(F(x_1), ..., F(x_n)), F(x_i) = x_i^p + p*f_i over W2(F_q), built once per lift."""
+        if self._images is None:
+            ring, n, p = self.lift_ring, self.nvars, self.p
+            self._images = tuple(
+                Poly.variable(ring, n, i, p) + embed_times_p(f, ring)
+                for i, f in enumerate(self.corrections)
+            )
+        return self._images
+
     def image_of_var(self, i: int) -> Poly:
         """F(x_i) = x_i^p + p*f_i as a polynomial over W2(F_q)."""
-        if i not in self._images:
-            ring = self.lift_ring
-            img = Poly.variable(ring, self.nvars, i, self.p) + embed_times_p(
-                self.corrections[i], ring
-            )
-            self._images[i] = img
-        return self._images[i]
+        return self.images[i]
 
     def image_of_var_power(self, i: int, e: int) -> Poly:
         """F(x_i)^e, computed once per lift; e < 0 only for inverted variables."""
@@ -163,9 +169,9 @@ def apply_lift(L: AffineChartLift, a: Poly) -> Poly:
         raise ShapeError("argument is not a lift-ring polynomial on this chart")
     if not a.respects_mask(L.laurent_mask):
         raise UnsupportedShape("argument inverts a variable outside the chart")
-    images = [L.image_of_var(i) for i in range(L.nvars)]
-    a = a.map_coefficients(ring.frob_int, ring)
-    return substitute(a, images, powers=L.image_of_var_power)
+    if ring.m > 1:  # the Witt Frobenius is the identity on W2(F_p)
+        a = a.map_coefficients(ring.frob_int, ring)
+    return substitute(a, L.images, powers=L.image_of_var_power)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +206,10 @@ class EtaFunction:
         return all(v.is_zero() for v in self.values)
 
     def __call__(self, a: Poly) -> Poly:
+        """The closed form sum_i phi(da/dx_i) * eta(x_i), one ``phi_derivation`` pass."""
         if a.ring != self.field or a.nvars != self.nvars:
             raise ShapeError("eta argument must be an F_q polynomial on this chart")
-        result = Poly.zero(self.field, self.nvars)
-        for i, v in enumerate(self.values):
-            if v.is_zero():
-                continue
-            result = result + frobenius_substitute(a.partial_derivative(i)) * v
-        return result
+        return phi_derivation(a, self.values)
 
     def via_lifts(self, a: Poly) -> Poly:
         """divide_by_p(F2(a~) - F1(a~)) for any lift a~ of a (well defined)."""

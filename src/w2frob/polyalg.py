@@ -29,6 +29,15 @@ monomial add up before the fold.  ``invert_unit`` over a lift ring is one
 Newton step from the inverse of the leading monomial, on the coefficient
 alone for a one-term unit.
 
+The images x_i^p + p*f_i of a chart lift, and their inverses, have one
+unit term c*x^M and a rest r divisible by p, so r*r = 0 and a power of
+one is first order: f^e = c^e*x^(eM) + e*c^(e-1)*x^((e-1)M)*r, two
+coefficient powers and one pass over r instead of repeated squaring.
+``phi_derivation``, the closed form sum_i phi(df/dx_i)*v_i of an
+eta-function, accumulates every term phi(c*m_i)*x^(p*(m - e_i))*v_i into
+one dict and folds once.  A difference folds each coefficient once,
+adding ``pk_slots`` instead of negating first.
+
 Text grammar: terms like ``c*x1^e1*x2^-3``, joined by '+' or '-', and the
 first may carry a sign too.  A factor is a variable power (bare ``x`` is
 ``x1``) or a coefficient literal: ``3``, ``[1,0]`` over F_q, ``(a0,a1)``
@@ -63,6 +72,27 @@ def _folded(ring, nvars: int, acc: dict) -> "Poly":
         if n:
             terms[mono] = n
     return Poly._make(ring, nvars, terms)
+
+
+def _first_order_power(f: "Poly", e: int, lead: tuple, c: int) -> "Poly":
+    """f^e for f = c*x^lead + r over a lift ring, c a unit and p | r.
+
+    As r*r = 0, the binomial theorem stops after its first-order term:
+    f^e = c^e*x^(e*lead) + e*c^(e-1)*x^((e-1)*lead)*r.  The terms of r have
+    distinct monomials other than lead, so no two terms of the result meet.
+    """
+    ring = f.ring
+    fold, pow_int = ring.fold, ring.pow_int
+    terms = {tuple(e * a for a in lead): pow_int(c, e)}  # a unit power, never 0
+    k = fold(pow_int(c, e - 1) * (e % ring.pk))
+    if k:
+        base = tuple((e - 1) * a for a in lead)
+        for m, d in f.terms.items():
+            if m != lead:
+                n = fold(k * d)
+                if n:
+                    terms[tuple(map(add, base, m))] = n
+    return Poly._make(ring, f.nvars, terms)
 
 
 def _coeff_int(ring, c):
@@ -170,7 +200,17 @@ class Poly:
             other = Poly.constant(self.ring, self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        self._compat(other)
+        # pk_slots - c is -c with no borrow between slots, as neg_int computes it
+        fold, pk_slots = self.ring.fold, self.ring.pk_slots
+        terms = dict(self.terms)
+        for mono, c in other.terms.items():
+            n = fold(terms.get(mono, 0) + pk_slots - c)
+            if n:
+                terms[mono] = n
+            else:
+                del terms[mono]
+        return Poly._make(self.ring, self.nvars, terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -206,6 +246,12 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             return invert_unit(self) ** (-e)
+        ring = self.ring
+        if e > 1 and _is_lift_ring(ring):
+            split = ring.split_p
+            units = [(m, c) for m, c in self.terms.items() if split(c)[1]]
+            if len(units) == 1:
+                return _first_order_power(self, e, *units[0])
         result, base = None, self
         while e:
             if e & 1:
@@ -389,6 +435,39 @@ def frobenius_substitute(f: Poly) -> Poly:
     p, frob = f.ring.p, f.ring.frob_int
     terms = {tuple(e * p for e in m): frob(c) for m, c in f.terms.items()}
     return Poly._make(f.ring, f.nvars, terms)
+
+
+def phi_derivation(f: Poly, values: Sequence[Poly]) -> Poly:
+    """sum_i phi(df/dx_i) * values[i], phi = ``frobenius_substitute``, in one pass.
+
+    A term c*x^m of f gives phi(c*m_i) * x^(p*(m - e_i)) times values[i]
+    for each i, where phi(c*m_i) = frob(c)*m_i is folded first, so every
+    accumulated product is one of two canonical ints.
+    """
+    if len(values) != f.nvars:
+        raise ShapeError(f"need {f.nvars} values, got {len(values)}")
+    for v in values:
+        f._compat(v)
+    ring = f.ring
+    p, pk, fold, frob = ring.p, ring.pk, ring.fold, ring.frob_int
+    live = [(i, v.terms.items()) for i, v in enumerate(values) if v.terms]
+    acc: dict = {}
+    get = acc.get
+    for m, c in f.terms.items():
+        c, pm = frob(c), [p * e for e in m]
+        for i, v_terms in live:
+            k = m[i] % pk
+            if not k:
+                continue
+            k = fold(c * k)
+            if not k:  # only over a lift ring
+                continue
+            base = pm.copy()
+            base[i] -= p
+            for vm, vc in v_terms:
+                mono = tuple(map(add, base, vm))
+                acc[mono] = get(mono, 0) + k * vc
+    return _folded(ring, f.nvars, acc)
 
 
 def reduce_mod_p(f: Poly) -> Poly:

@@ -39,17 +39,18 @@ models that check the kernel, for q = p in ``sweeps.sweep_witt`` and for
 every q in ``tests/oracles.py``.
 
 Ring protocol used by the polynomial layer, whose coefficients are
-canonical ints: ``fold``, ``neg_int``, ``inv_int``, ``frob_int`` and
-``pk`` for arithmetic; ``from_int`` and ``wrap`` to read and build
-elements at the boundary; ``coeff_to_str`` / ``coeff_from_str`` for
-text.  The lift rings (Zp2Ring and WittRing) add the mod-p maps, each in
-its int form only, between themselves and their ``residue_field``:
-``split_p`` (n -> (n div p, n mod p), slot by slot: the second half is
-the reduction, and when it is 0, n is divisible by p with quotient the
-first half), ``times_p_int`` (multiplication by p, an isomorphism from
-the residue field onto the ideal (p), which ``split_p`` inverts) and
-``from_residue_int`` (the canonical lift of a residue, which is the
-Teichmüller lift over W2).
+canonical ints: ``fold``, ``neg_int``, ``inv_int``, ``frob_int``, ``pk``
+and ``pk_slots`` (p^k in every slot, so that ``pk_slots - n`` folds to
+-n and borrows between no slots) for arithmetic; ``from_int`` and
+``wrap`` to read and build elements at the boundary; ``coeff_to_str`` /
+``coeff_from_str`` for text.  The lift rings (Zp2Ring and WittRing) add
+the mod-p maps, each in its int form only, between themselves and their
+``residue_field``: ``split_p`` (n -> (n div p, n mod p), slot by slot:
+the second half is the reduction, and when it is 0, n is divisible by p
+with quotient the first half), ``times_p_int`` (multiplication by p, an
+isomorphism from the residue field onto the ideal (p), which ``split_p``
+inverts) and ``from_residue_int`` (the canonical lift of a residue,
+which is the Teichmüller lift over W2).
 """
 
 from __future__ import annotations
@@ -311,7 +312,7 @@ class GaloisRing:
         self.q = p ** m
         self.pk = pk = p ** k
         # p^k in every slot: subtracting an element from it cannot borrow
-        self._pk_slots = _pack([pk] * m)
+        self.pk_slots = _pack([pk] * m)
         if m == 1:
             ints = range(pk)
             self.fold = pk.__rmod__  # n -> n % p^k
@@ -353,7 +354,7 @@ class GaloisRing:
     # -- integer kernel ----------------------------------------------------
 
     def neg_int(self, n: int) -> int:
-        return self.fold(self._pk_slots - n)
+        return self.fold(self.pk_slots - n)
 
     def _pow_folded(self, n: int, e: int) -> int:
         fold = self.fold

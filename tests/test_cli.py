@@ -155,6 +155,15 @@ def test_env_seed_default(capsys, monkeypatch):
     assert report["seed"] == 314159
 
 
+def test_env_seed_is_read_on_every_call(capsys, monkeypatch):
+    # the argument tree is built once per process, so no seed may be kept in it
+    for argv in (["verify-lemma", "--p", "2", "--trials", "1"], ["phi-det", "--p", "2", "--trials", "1"]):
+        for value in ("11", "12"):
+            monkeypatch.setenv("FROBCTL_SEED", value)
+            assert run(capsys, argv)[1]["seed"] == int(value), (argv, value)
+            assert run(capsys, [*argv, "--seed", "5"])[1]["seed"] == 5, (argv, value)
+
+
 _EVERY_COMMAND = [
     ["witt-check", "--p-list", "2"],
     ["verify-lemma", "--p", "2", "--trials", "1"],

@@ -30,7 +30,8 @@ from w2frob import (
     substitute,
     witt_to_residue_ring,
 )
-from w2frob.polyalg import flip_variable
+from w2frob.polyalg import flip_variable, phi_derivation
+from w2frob.witt2 import SHIFT
 
 
 def P(ring, nvars, s):
@@ -169,6 +170,109 @@ def test_derivative_laurent_negative_exponent():
     F3 = GF(3)
     f = Poly.variable(F3, 1, 0, -1)
     assert f.partial_derivative(0) == Poly.monomial(F3, 1, (-2,), F3.from_int(2))
+
+
+# every supported field: F_p for p <= 17, and F4, F8, F9 with packed coefficients
+_FIELDS = [GF(p) for p in (2, 3, 5, 7, 11, 13, 17)] + [GF(2, 2), GF(2, 3), GF(3, 2)]
+
+
+def _laurent_poly(ring, rng, nterms: int, exponents) -> Poly:
+    """Up to nterms random terms in two variables, exponents drawn from ``exponents``."""
+    return Poly(
+        ring, 2, {(rng.choice(exponents), rng.choice(exponents)): ring.random(rng) for _ in range(nterms)}
+    )
+
+
+@pytest.mark.parametrize("ring", [*_FIELDS, Zp2Ring(3), W2(2), W2(2, 2)], ids=repr)
+def test_phi_derivation_matches_the_composition(ring, rng):
+    # Laurent exponents, exponents divisible by p (whose derivative dies) and
+    # zero values: trial % 4 zeroes no value, the first, the second or both
+    p = ring.p
+    exponents = (-2 * p, -p, -2, -1, 0, 1, 2, p, p + 1, 2 * p)
+    for trial in range(40):
+        f = _laurent_poly(ring, rng, 5, exponents)
+        values = [
+            Poly.zero(ring, 2) if trial >> i & 1 else _laurent_poly(ring, rng, 3, exponents)
+            for i in range(2)
+        ]
+        expected = Poly.zero(ring, 2)
+        for i, v in enumerate(values):
+            expected = expected + frobenius_substitute(f.partial_derivative(i)) * v
+        assert phi_derivation(f, values) == expected
+    with pytest.raises(ShapeError):
+        phi_derivation(f, values[:1])
+    with pytest.raises(RingMismatch):
+        phi_derivation(f, [values[0], Poly.zero(GF(3 if p == 2 else 2), 2)])
+
+
+def _product_of_copies(f: Poly, e: int) -> Poly:
+    power = Poly.constant(f.ring, f.nvars, 1)
+    for _ in range(e):
+        power = power * f
+    return power
+
+
+@pytest.mark.parametrize(
+    "ring", [W2(2), W2(3), W2(5), W2(2, 2), W2(2, 3), W2(3, 2)], ids=repr
+)
+def test_first_order_power_matches_repeated_products(ring, rng, monkeypatch):
+    # f = c*x^M + r with c a unit other than 1, M Laurent or not, and p | r:
+    # f**e is two-term binomial arithmetic with no Poly product at all, for
+    # e = 0 mod p and e = p^2 as for any other e
+    p, one = ring.p, Poly.constant(ring, 2, 1)
+    powers = sorted({2, 3, p, 2 * p, p * p, p * p + 1})
+    products = []
+    real_mul = Poly.__mul__
+
+    def counting_mul(a, b):
+        products.append(1)
+        return real_mul(a, b)
+
+    for _ in range(20):
+        c = _random_unit_coeff(ring, rng)
+        while Poly.constant(ring, 2, c) == one:
+            c = _random_unit_coeff(ring, rng)
+        f = Poly.monomial(ring, 2, (rng.randint(-2, 2), rng.randint(-2, 2)), c)
+        for _ in range(rng.randint(0, 3)):
+            mono = (rng.randint(-2, 3), rng.randint(-2, 3))
+            f = f + Poly.monomial(ring, 2, mono, ring.p_elem * ring.random(rng))
+        for e in powers:
+            expected = _product_of_copies(f, e)
+            with monkeypatch.context() as m:
+                m.setattr(Poly, "__mul__", counting_mul)
+                assert f ** e == expected, (f, e)
+            assert not products
+    # fallbacks: a reduction with zero terms, or with two or more terms
+    p_x = Poly.monomial(ring, 2, (1, -1), ring.p_elem)
+    two_units = P(ring, 2, "x1^-1+x2") + p_x
+    for f in (Poly.zero(ring, 2), p_x, p_x + Poly.monomial(ring, 2, (0, 2), ring.p_elem), two_units):
+        for e in (0, 1, 2, p, p + 1):
+            assert f ** e == _product_of_copies(f, e), (f, e)
+
+
+@pytest.mark.parametrize(
+    "ring", [GF(5), GF(2, 2), GF(2, 3), GF(3, 2), Zp2Ring(3), W2(2, 2), W2(3, 2)], ids=repr
+)
+def test_sub_matches_adding_the_negative(ring, rng):
+    # few exponents, so that many terms of a and b meet and some cancel
+    for _ in range(60):
+        a, b = (_laurent_poly(ring, rng, 4, (-1, 0, 1)) for _ in range(2))
+        diff = a - b
+        assert diff == a + (-b)
+        assert 0 not in diff.terms.values()
+        assert a - a == Poly.zero(ring, 2) and not (a - a).terms
+        assert (a + b) - b == a
+
+
+def test_sub_does_not_borrow_between_packed_slots():
+    # each slot of a is below that of b: an int subtraction of the packed
+    # coefficients would borrow from the next slot
+    for ring in (GF(3, 2), GF(2, 3), W2(3, 2), W2(2, 3)):
+        xi = ring.wrap(1 << SHIFT)  # slots (0, 1, ...)
+        a, b = (Poly.monomial(ring, 1, (1,), c) for c in (xi, ring.one))  # b: (1, 0, ...)
+        assert a - b == a + (-b)
+        assert (a - b).coefficient_of((1,)) == xi - ring.one
+        assert b - a == -(a - b)
 
 
 # -- determinants ------------------------------------------------------------
