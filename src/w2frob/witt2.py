@@ -16,11 +16,19 @@ p^k.  For m > 1 it packs the coefficients of 1, xi, ..., xi^(m-1), each
 in [0, p^k), ``SHIFT`` bits apart.  A sum of up to 2^24 products of such
 ints keeps each of its 2m-1 slots below 2^31 (the bound at ``SHIFT``), so
 the polynomial layer adds up raw products and folds once per coefficient.
-``fold`` works in one pass: it adds (slot mod p^k) * row_j for each high
-slot m+j, where row_j is xi^(m+j) mod g packed once per ring, then takes
-each of the m low slots mod p^k.  Frobenius, its inverse and the p-adic
-split are dict lookups built once per ring, with q entries for F_q and
-q^2 (16, 64 or 81) for W2(F_q).
+For m > 1, ``fold`` is a lookup in the ring's fold table, a dict from
+ints to canonical ints, prefilled with the identity on the canonical
+ints.  A miss runs the slot arithmetic in one pass: it adds (slot mod
+p^k) * row_j for each high slot m+j, where row_j is xi^(m+j) mod g packed
+once per ring, then takes each of the m low slots mod p^k.  The result
+is stored while the table holds fewer than ``_FOLD_TABLE_BOUND`` (2^14)
+entries.  Folds repeat: over the 8 default-seed sweeps of perfbench's
+eta-ext workload, 43,262 folds see 1,335 distinct ints, and 51% of them
+are canonical already, 43% one product of two canonical ints, 3% a sum
+of two and 2.5% anything else.  The table caches a pure function; it is
+the only state a ring gains after it is built.  Frobenius, its inverse
+and the p-adic split are dict lookups built once per ring, with q
+entries for F_q and q^2 (16, 64 or 81) for W2(F_q).
 
 Each ring builds its p^(k*m) elements once, with the ring, in one table
 keyed by ``n``: at most 289, for Z/17^2 and W2(F_17).  ``wrap``,
@@ -73,6 +81,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17)
 SHIFT = 32
 _MASK = (1 << SHIFT) - 1
 
+# Most entries a fold table stores; past it a miss is computed, not kept.
+# After the whole test suite the largest, W2(F_9)'s, holds 3,300 to 3,600.
+_FOLD_TABLE_BOUND = 1 << 14
+
 # Teichmüller-compatible moduli x^m + g_(m-1) x^(m-1) + ... + g_0 over
 # Z/p^2, stored as (g_0, ..., g_(m-1)) and keyed by (p, m).
 _MODULI = {
@@ -101,8 +113,24 @@ def _slots(n: int, count: int) -> list:
     return [(n >> (SHIFT * i)) & _MASK for i in range(count)]
 
 
-def _slot_fold(m: int, pk: int, modulus: tuple):
-    """The fold of GR(p^k, m): n of up to 2m-1 slots -> its canonical int."""
+class _FoldTable(dict):
+    """n -> fold(n) for one ring; a miss runs the slot arithmetic ``slow``."""
+
+    __slots__ = ("slow",)
+
+    def __missing__(self, n):
+        out = self.slow(n)
+        if len(self) < _FOLD_TABLE_BOUND:
+            self[n] = out
+        return out
+
+
+def _slot_fold(m: int, pk: int, modulus: tuple, ints: list):
+    """The fold of GR(p^k, m): n of up to 2m-1 slots -> its canonical int.
+
+    It is the lookup of a ``_FoldTable`` that starts as the identity on the
+    canonical ``ints``.
+    """
     low = [-c % pk for c in modulus]  # xi^m = -(g_0 + ... + g_(m-1) xi^(m-1))
     rows = [low]
     for _ in range(m - 2):
@@ -121,7 +149,9 @@ def _slot_fold(m: int, pk: int, modulus: tuple):
             out |= (acc >> s & _MASK) % pk << s
         return out
 
-    return fold
+    table = _FoldTable(zip(ints, ints))
+    table.slow = fold
+    return table.__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +351,7 @@ class GaloisRing:
             self.split_p = p.__rdivmod__  # n -> (n // p, n % p)
         else:
             ints = [_pack(c) for c in product(range(pk), repeat=m)]
-            self.fold = _slot_fold(m, pk, _MODULI[(p, m)])
+            self.fold = _slot_fold(m, pk, _MODULI[(p, m)], ints)
             self.pow_int = self._pow_folded
             self._build_tables(ints)
         # every element, in the order of the coefficient tuples (c_0, ..., c_(m-1))

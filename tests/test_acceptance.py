@@ -2,13 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Every criterion is exact (zero tolerance on values) and runs the same
-sweeps as ``frobctl``, each from its own seed; the time budgets are
-asserted as stated.
+sweeps as ``frobctl``, each from its own seed (criterion 3 also runs
+``monomial_lemma_check`` on every small exponent matrix); the time
+budgets are asserted as stated.
 """
 
 import time
+from itertools import product
 
-from w2frob import golden_table, witt2
+from w2frob import golden_table, monomial_lemma_check, witt2
 from w2frob.sweeps import (
     sweep_classify,
     sweep_eta,
@@ -54,9 +56,20 @@ def test_criterion_2_determinant_core():
 
 def test_criterion_3_monomial_lemma():
     start = time.time()
-    trials = _trials([c for p in (2, 3, 5) for c in sweep_monomial_lemma(p, 3, 1000, 1203)])
+    # every m x n exponent matrix with m <= n <= 3 at p in {2, 3}, 1000 sampled at p = 5
+    failed, trials = [], 0
+    for p in (2, 3):
+        for n in (1, 2, 3):
+            for m in range(1, n + 1):
+                for entries in product(range(p), repeat=m * n):
+                    K = [entries[i * n:(i + 1) * n] for i in range(m)]
+                    failed += [(p, K)] if monomial_lemma_check(K, p).failures else []
+                    trials += 1
+    assert not failed, failed
+    assert trials == 606 + 20532
+    trials += _trials(sweep_monomial_lemma(5, 3, 1000, 1203))
     elapsed = time.time() - start
-    assert trials == 3000
+    assert trials == 22138
     assert elapsed < 60.0
     _report(3, "monomial lemma (brute force + closed form)", f"{trials} matrices", elapsed, 60)
 

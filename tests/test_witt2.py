@@ -177,17 +177,20 @@ def test_kernel_matches_component_formulas_exhaustively(q):
 
 
 @pytest.mark.parametrize("q", [(2, 2), (2, 3), (3, 2)], ids=_field_id)
-def test_fold_matches_long_division(q, rng):
+def test_fold_matches_long_division(q, rng, monkeypatch):
     # fold of sums of 1 to 64 products of canonical elements, and of 2^24
-    # products at the slot bound, against division by g on coefficient lists
+    # products at the slot bound, against division by g on coefficient lists;
+    # each sum is folded twice, through a fresh ring's fold table
     p, m = q
     g = teichmuller_modulus(p, m)
 
     def pack(coeffs):
         return sum(c << (witt2.SHIFT * i) for i, c in enumerate(coeffs))
 
-    for ring in (GF(p, m), W2(p, m)):
+    for ring in (witt2.FiniteField(p, m), WittRing(witt2.FiniteField(p, m))):
         pk = ring.pk
+        table = ring.fold.__self__
+        assert all(table.get(e.n) == e.n for e in ring.elements())
 
         def check(pairs, times=1):
             n, raw = 0, [0] * (2 * m - 1)
@@ -196,7 +199,11 @@ def test_fold_matches_long_division(q, rng):
                 for i, x in enumerate(a):
                     for j, y in enumerate(b):
                         raw[i + j] += x * y * times
-            assert ring.fold(n) == pack(reduce_by_modulus(raw, g, pk)), (ring, pairs, times)
+            want = pack(reduce_by_modulus(raw, g, pk))
+            # the first fold may fill the table; the second must read it
+            assert ring.fold(n) == want, (ring, pairs, times)
+            size = len(table)
+            assert ring.fold(n) == want and len(table) == size, (ring, pairs, times)
 
         def canonical():
             return [rng.randrange(pk) for _ in range(m)]
@@ -205,6 +212,13 @@ def test_fold_matches_long_division(q, rng):
             check([(canonical(), canonical()) for _ in range(rng.randint(1, 64))])
         top = [pk - 1] * m
         check([(top, top)], times=1 << 24)
+
+        # with room for 20 more entries, 100 new sums fill it and stop there;
+        # the misses past the bound still fold exactly
+        monkeypatch.setattr(witt2, "_FOLD_TABLE_BOUND", len(table) + 20)
+        for _ in range(100):
+            check([(canonical(), canonical()) for _ in range(rng.randint(2, 64))])
+        assert len(table) == witt2._FOLD_TABLE_BOUND
 
 
 def test_non_units_raise_unit_error():
