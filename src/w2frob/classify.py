@@ -280,7 +280,7 @@ class WeierstrassCurve:
         f = self.field.from_int
         self.a1, self.a2, self.a3 = f(a1), f(a2), f(a3)
         self.a4, self.a6 = f(a4), f(a6)
-        self.short = a1 == a2 == a3 == 0
+        self.short = all(c.is_zero() for c in (self.a1, self.a2, self.a3))
         if self.discriminant().is_zero():
             raise SingularCurve(f"discriminant vanishes over F_{p}")
 

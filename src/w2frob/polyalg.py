@@ -573,41 +573,32 @@ class PolyMatrix:
             return NotImplemented
         return self.entries == other.entries
 
-    def minor(self, i: int, j: int) -> "PolyMatrix":
-        sub = [
-            [self.entries[r][c] for c in range(self.cols) if c != j]
-            for r in range(self.rows)
-            if r != i
-        ]
-        return PolyMatrix(sub)
-
     def determinant(self) -> Poly:
         """Exact determinant by cofactor expansion (square, size <= 4)."""
         if self.rows != self.cols:
             raise ShapeError(f"determinant of a {self.rows}x{self.cols} matrix")
         if self.rows > 4:
             raise ShapeError("determinant restricted to size <= 4")
-        return self._det()
-
-    def _det(self) -> Poly:
-        n = self.rows
-        if n == 1:
-            return self.entries[0][0]
-        if n == 2:
-            a, b = self.entries[0]
-            c, d = self.entries[1]
-            return a * d - b * c
-        acc = Poly.zero(self.entries[0][0].ring, self.entries[0][0].nvars)
-        for j in range(n):
-            head = self.entries[0][j]
-            if head.is_zero():
-                continue
-            cof = head * self.minor(0, j)._det()
-            acc = acc + (cof if j % 2 == 0 else -cof)
-        return acc
+        return _det(self.entries)
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols})"
+
+
+def _det(rows) -> Poly:
+    """Cofactor expansion of a square list of rows along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    acc = Poly.zero(rows[0][0].ring, rows[0][0].nvars)
+    for j, head in enumerate(rows[0]):
+        if head.is_zero():
+            continue
+        cof = head * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        acc = acc + (cof if j % 2 == 0 else -cof)
+    return acc
 
 
 # ---------------------------------------------------------------------------

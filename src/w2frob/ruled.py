@@ -7,8 +7,8 @@ base overlap.  The base is one of the ``ToricBase`` objects in ``BASES``:
 the affine line A1, the punctured line Gm and the projective line P1
 (transition a = c*u^n, Laurent b).  A base holds two facts: whether u is
 a unit on chart U (Gm), and whether V is a second chart with v = 1/u (P1)
-rather than chart U itself.  The overlap mask and the one rewrite between
-overlap and V-chart coordinates follow from them.
+rather than chart U itself.  The overlap mask follows from them, and
+one rule, ``_flipped``, reads images across t = 1/x, s = 1/y and v = 1/u.
 
 The standard lift fixes a base-chart lift, sends x to x^p, and
 propagates through the transition: F(y) = ((a*y + b)^p - F(b)) / F(a),
@@ -46,14 +46,6 @@ class ToricBase:
         self.u_unit = u_unit  # u is a unit on chart U
         self.v_inverse = v_inverse  # V is a second chart with v = 1/u
         self.overlap_mask = u_unit or v_inverse  # u is a unit on the base overlap
-
-    def to_v(self, f: Poly) -> Poly:
-        """Rewrite the base slot between overlap and V-chart coordinates; an involution."""
-        return flip_variable(f, 0) if self.v_inverse else f
-
-    def u_image(self, v_img: Poly) -> Poly:
-        """F(u) on the overlap from a V chart's image of its base coordinate."""
-        return invert_unit(flip_variable(v_img, 0)) if self.v_inverse else v_img
 
 
 BASES = {
@@ -154,6 +146,13 @@ class RuledLift(NamedTuple):
         return out
 
 
+def _flipped(images, i: int) -> list:
+    """Images read in the chart with coordinate 1/x_i: x_i -> 1/x_i in each, the i-th inverted."""
+    out = [flip_variable(img, i) for img in images]
+    out[i] = invert_unit(out[i])
+    return out
+
+
 def _embed2(f: Poly) -> Poly:
     """One-variable polynomial into two variables, occupying the base slot."""
     return substitute(f, [Poly.variable(f.ring, 2, 0)])
@@ -191,7 +190,7 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
         raise InvariantViolation(f"fiber degree of h is {deg_h} > p = {p}")
 
     # the VY chart's mask rejects a positive power of u, which does not descend to P1's v-chart
-    h_chart = T.base.to_v(h_overlap)
+    h_chart = flip_variable(h_overlap, 0) if T.base.v_inverse else h_overlap
     chart_vy = AffineChartLift(field, 2, chart_mask, (fv, h_chart))
     # s-chart via the degree-bound extension (deg_y h <= p <= 2p always holds)
     g_s = extend_chart(h_chart)
@@ -255,25 +254,15 @@ def verify_gluing(L: RuledLift) -> CheckResult:
                     }
                 )
 
-    def flipped(img):
-        # the image of the inverse fiber coordinate (t = 1/x, s = 1/y)
-        return invert_unit(flip_variable(img, 1))
+    own = {key: [chart.image_of_var(0), chart.image_of_var(1)] for key, chart in L.charts.items()}
 
-    def own(key):
-        return [L.charts[key].image_of_var(0), L.charts[key].image_of_var(1)]
-
-    def across(key):
-        # a t- or s-chart's images in the coordinates of its x- or y-chart
-        u_img, fiber_img = own(key)
-        return [flip_variable(u_img, 1), flipped(fiber_img)]
-
-    # UX meets UT in (u, x); VY meets VS in (w, y) (V-side base w kept)
-    u_side = {"UX": own("UX"), "UT": across("UT")}
+    # UX meets UT in (u, x) by x = 1/t; VY meets VS in (w, y) by y = 1/s (V-side base w kept)
+    u_side = {"UX": own["UX"], "UT": _flipped(own["UT"], 1)}
     compare("UX/UT", ("u", "x"), u_side["UX"], u_side["UT"])
-    compare("VY/VS", ("w", "y"), own("VY"), across("VS"))
+    compare("VY/VS", ("w", "y"), own["VY"], _flipped(own["VS"], 1))
 
-    # each U-side chart meets VY in (u, y) and VS in (u, s); y = 1/s
-    side_vy, side_vs = ([base.u_image(w), base.to_v(img)] for w, img in map(own, ("VY", "VS")))
+    # each U-side chart meets VY in (u, y) and VS in (u, s), by u = 1/v on P1
+    side_vy, side_vs = (_flipped(own[k], 0) if base.v_inverse else own[k] for k in ("VY", "VS"))
     mask = (base.overlap_mask, True)  # (u, x), with x inverted for UT's images (x = 1/t)
     x_of_y = [Poly.variable(wring, 2, 0), a2 * Poly.variable(wring, 2, 1) + b2]
     for key in ("UX", "UT") if b_zero else ("UX",):
@@ -284,7 +273,7 @@ def verify_gluing(L: RuledLift) -> CheckResult:
         y_img = x_img * invert_unit(apply_lift(lift, a2))
         u_img, y_img = substitute(u_img, x_of_y), substitute(y_img, x_of_y)
         compare(f"{key}/VY", ("u", "y"), [u_img, y_img], side_vy)
-        compare(f"{key}/VS", ("u", "s"), [flip_variable(u_img, 1), flipped(y_img)], side_vs)
+        compare(f"{key}/VS", ("u", "s"), _flipped([u_img, y_img], 1), side_vs)
     implied = [] if b_zero else ["UT/VY", "UT/VS"]
 
     return CheckResult(
@@ -337,23 +326,23 @@ def _fiber_degree_0(f: Poly) -> Poly:
 def base_glue_consistency(L: RuledLift) -> CheckResult:
     """The U- and V-side base lifts agree; eta is the one between them.
 
-    The U-side image of u, pushed through the lifted transition and cut
-    at fiber degree 0, must equal the V-side image of u on the overlap.
-    Their fiber-degree-0 parts are base lifts f0 and g0, and
-    ``eta = eta_between(f0, g0)`` is 0 exactly when the two agree.
+    The U-side image of u at x = b~ (through x = a*y + b, at y = 0) must
+    equal the V-side image of u on the overlap.  Their fiber-degree-0
+    parts are base lifts f0 and g0, and ``eta = eta_between(f0, g0)`` is 0
+    exactly when the two agree.
     """
     T = L.transition
     field = L.field
     wring = L.charts["UX"].lift_ring
     mask = (T.base.overlap_mask,)
-    a2, b2 = L.lifted_ab
 
     img_u = L.charts["UX"].image_of_var(0)
     f0_poly = _fiber_degree_0(img_u)
-    xelem = a2 * Poly.variable(wring, 2, 1) + b2
-    lhs0 = _fiber_degree_0(substitute(img_u, [Poly.variable(wring, 2, 0), xelem]))
+    lhs0 = _fiber_degree_0(substitute(img_u, [Poly.variable(wring, 2, 0), L.lifted_ab[1]]))
 
-    g0_poly = T.base.u_image(_fiber_degree_0(L.charts["VY"].image_of_var(0)))
+    g0_poly = _fiber_degree_0(L.charts["VY"].image_of_var(0))
+    if T.base.v_inverse:
+        (g0_poly,) = _flipped([g0_poly], 0)
 
     failures = []
     if lhs0 != g0_poly:

@@ -533,26 +533,25 @@ class WittRing(_LiftRing):
 
     def __init__(self, field: FiniteField):
         super().__init__(field)
-        self.field = field
         # the Teichmüller lift [c] = lift(c)^q, one entry per residue
         self.from_residue_int = {
             c.n: self.pow_int(c.n, self.q) for c in field.elements()
         }.__getitem__
 
     def __repr__(self):
-        return f"W2({self.field!r})"
+        return f"W2({self.residue_field!r})"
 
     def from_witt(self, a0: FqElem, a1: FqElem) -> WittPair:
         """The element with Witt coordinates (a0, a1): [a0] + p*lift(a1^(1/p))."""
         return self.wrap(self._from_witt_int(a0.n, a1.n))
 
     def _from_witt_int(self, a0: int, a1: int) -> int:
-        return self.fold(self.from_residue_int(a0) + self.p * self.field.inv_frob_int(a1))
+        return self.fold(self.from_residue_int(a0) + self.p * self.residue_field.inv_frob_int(a1))
 
     @cached_property
     def _coords(self) -> dict:
         """n -> (a0, a1), inverted from (a0, a1) -> n as inv_frob_int is from frob_int."""
-        elems = self.field.elements
+        elems = self.residue_field.elements
         table = {self._from_witt_int(a0.n, a1.n): (a0, a1) for a0 in elems() for a1 in elems()}
         if len(table) < self.q ** 2:
             raise InvariantViolation(f"Witt coordinates of {self!r} name {len(table)} elements")
@@ -563,11 +562,11 @@ class WittRing(_LiftRing):
         return self._coords[u.n]
 
     def pair(self, a0, a1) -> WittPair:
-        return self.from_witt(self.field.elem(a0), self.field.elem(a1))
+        return self.from_witt(self.residue_field.elem(a0), self.residue_field.elem(a1))
 
     def random(self, rng) -> WittPair:
-        a0 = self.field._random_int(rng)
-        return self.wrap(self._from_witt_int(a0, self.field._random_int(rng)))
+        a0 = self.residue_field._random_int(rng)
+        return self.wrap(self._from_witt_int(a0, self.residue_field._random_int(rng)))
 
     def elements(self) -> Iterator[WittPair]:
         """Every element, in the order of its Witt coordinates (a0, a1)."""
@@ -576,14 +575,14 @@ class WittRing(_LiftRing):
     # -- text format ---------------------------------------------------
 
     def coeff_to_str(self, u: WittPair) -> str:
-        f = self.field
+        f = self.residue_field
         a0, a1 = self.witt_coords(u)
         return f"({f.coeff_to_str(a0)},{f.coeff_to_str(a1)})"
 
     def coeff_from_str(self, s: str) -> WittPair:
         pair = re.compile(_PAIR_PATTERN, re.S).fullmatch(s.strip())
         if pair:
-            return self.from_witt(*map(self.field.coeff_from_str, pair.groups()))
+            return self.from_witt(*map(self.residue_field.coeff_from_str, pair.groups()))
         try:
             return self.from_int(int(s))
         except ValueError as exc:
@@ -615,7 +614,7 @@ def witt_to_residue_ring(u: WittPair) -> Zp2Elem:
 
 
 def witt_to_str(u: WittPair) -> str:
-    f = u.ring.field
+    f = u.ring.residue_field
     return f"{u.ring.coeff_to_str(u)}@{f.p}^{f.m}"
 
 

@@ -5,6 +5,7 @@ import pytest
 from oracles import count_affine_points
 from w2frob import (
     DescriptorError,
+    InvariantViolation,
     SingularCurve,
     SurfaceDescriptor,
     UnsupportedField,
@@ -15,6 +16,7 @@ from w2frob import (
     hasse_invariant,
     is_ordinary_curve,
 )
+from w2frob import classify
 
 
 def D(**kw):
@@ -49,6 +51,19 @@ def test_hyperelliptic_type_b_char5_liftable():
         )
     )
     assert v.outcome == "Liftable"
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hyperelliptic_type_a_small_char_needs_trivial_omega(p):
+    v = classify_surface(
+        D(
+            surface_class="hyperelliptic", p=p, hyperelliptic_type="a",
+            E0_ordinary=True, E1_ordinary=True, omega_pow_p_minus_1_trivial=False,
+        )
+    )
+    assert v == Verdict(
+        "NotLiftable", f"main theorem (1)(b): omega^(p-1) triviality required, char {p}"
+    )
 
 
 def test_ruled_over_ordinary_elliptic():
@@ -150,6 +165,26 @@ def test_hasse_p7_forced_by_point_count():
     E = WeierstrassCurve.short_form(7, 1, 0)
     expected = E.trace() % 7 != 0
     assert (not hasse_invariant(E).is_zero()) == expected
+
+
+def test_short_form_is_read_off_the_reduced_coefficients():
+    # a1 = 5 is 0 over F_5, so this is the short form y^2 = x^3 + x + 1
+    E, short = WeierstrassCurve(5, a1=5, a4=1, a6=1), WeierstrassCurve(5, a4=1, a6=1)
+    assert repr(E) == repr(short) and E.short
+    assert hasse_invariant(E) == hasse_invariant(short)
+    assert is_ordinary_curve(E) == is_ordinary_curve(short)
+
+
+def test_is_ordinary_curve_raises_when_hasse_and_count_disagree(monkeypatch):
+    # no curve reaches the raise: a Hasse invariant read as 0 on an ordinary curve does
+    E = WeierstrassCurve.short_form(5, 1, 0)
+    monkeypatch.setattr(classify, "hasse_invariant", lambda curve: curve.field.zero)
+    with pytest.raises(InvariantViolation) as info:
+        is_ordinary_curve(E)
+    assert str(info.value) == (
+        "Hasse invariant and point count disagree on "
+        "WeierstrassCurve(p=5, a1=0, a2=0, a3=0, a4=1, a6=0)"
+    )
 
 
 def test_point_count_examples():

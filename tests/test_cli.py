@@ -6,7 +6,18 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from w2frob import CheckResult, classify, errors, eta_between, projline, ruled, sweeps, witt2
+from w2frob import (
+    CheckResult,
+    Poly,
+    classify,
+    errors,
+    eta_between,
+    projline,
+    ruled,
+    sweeps,
+    top_monomial,
+    witt2,
+)
 from w2frob.classify import SURFACE_CLASSES
 from w2frob.cli import run_command
 
@@ -359,6 +370,38 @@ def test_check_keeps_five_witnesses_and_counts_every_trial():
     check = sweeps._check("c", "cite", [[{"t": i}] for i in range(7)] + [[]], [{"whole": 1}])
     assert (check["trials"], check["passes"], check["ok"]) == (8, 1, False)
     assert check["failures"] == [{"t": i} for i in range(5)]
+
+
+def test_phi_det_sweep_names_a_wrong_top_coefficient(monkeypatch):
+    # phi_det always has top coefficient 1; a determinant with 2 there is put in its place
+    def phi_det(lift):
+        field = lift.field
+        return Poly.monomial(field, lift.nvars, top_monomial(lift), field.from_int(2))
+
+    monkeypatch.setattr(sweeps, "phi_det", phi_det)
+    (check,) = sweeps.sweep_phi_det([3], [2], 2, 42)
+    assert (check["name"], check["trials"], check["passes"], check["ok"]) == (
+        "phi-det-p3-n2", 2, 0, False
+    )
+    assert check["citation"] == "generic bijectivity: top-monomial coefficient of det(phi) is 1"
+    for witness in check["failures"]:
+        assert sorted(witness) == ["coefficient", "corrections"]
+        assert witness["coefficient"] == "2"
+
+
+def test_an_algebra_error_exits_1_and_names_its_kind(capsys, monkeypatch):
+    # no argv raises an AlgebraError outside the usage kinds; a Hasse invariant
+    # read as 0 on an ordinary curve makes is_ordinary_curve raise one
+    monkeypatch.setattr(classify, "hasse_invariant", lambda curve: curve.field.zero)
+    code, report = run(capsys, ["hasse", "--p", "5", "--a", "1", "--b", "0"])
+    assert code == 1
+    assert report == {
+        "schema": 1,
+        "error": "Hasse invariant and point count disagree on "
+        "WeierstrassCurve(p=5, a1=0, a2=0, a3=0, a4=1, a6=0)",
+        "ok": False,
+        "kind": "InvariantViolation",
+    }
 
 
 def test_ruled_control_names_a_gluing_check_that_misses_the_bump(monkeypatch):

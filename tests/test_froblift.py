@@ -11,6 +11,7 @@ from w2frob import (
     InvariantViolation,
     ParseError,
     Poly,
+    PolyMatrix,
     RangeError,
     ShapeError,
     UnsupportedShape,
@@ -333,6 +334,21 @@ def test_monomial_lemma_range_and_shape_errors():
         monomial_lemma_check([[3, 0], [0, 1]], 3)
     with pytest.raises(ShapeError):
         monomial_lemma_check([[0, 1], [1, 0], [1, 1]], 3)  # m > n
+
+
+def test_monomial_lemma_names_both_witnesses(monkeypatch):
+    # no exponent matrix breaks the lemma, so the expansion of K = [[1]] at p = 3,
+    # which is 1, is replaced by 2*x1^2: a top term and a wrong closed form at once
+    field = GF(3)
+    fake = Poly.monomial(field, 1, (2,), field.from_int(2))
+    monkeypatch.setattr(PolyMatrix, "determinant", lambda self: fake)
+    res = monomial_lemma_check([[1]], 3)
+    assert not res.ok
+    assert res.failures == [
+        {"claim": "top-coefficient-zero", "monomial": [2], "coefficient": "2"},
+        {"claim": "closed-form", "expanded": "2*x1^2", "closed": "1"},
+    ]
+    assert res.details == {"det_block_mod_p": 1, "expanded": "2*x1^2"}
 
 
 def test_monomial_lemma_random_sweep(rng):

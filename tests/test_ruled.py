@@ -28,7 +28,8 @@ from w2frob import (
     substitute,
     verify_gluing,
 )
-from w2frob import sweeps
+from w2frob import ruled, sweeps
+from w2frob.polyalg import flip_variable
 from w2frob.randgen import random_poly
 
 
@@ -274,6 +275,19 @@ def test_u_side_y_witnesses_solve_the_transition():
                 fx = invert_unit(fx)
             assert fx == fa * P(ring, 2, f["lhs"]) + fb, (T, f)
     assert seen["UX/VY"] and seen["UT/VY"], seen
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_flipped_read_twice_gives_the_images_back(p):
+    # x_i -> 1/x_i and the inversion of the i-th image undo themselves, on every chart
+    for _, T in itertools.chain(sweeps._ruled_cases(GF(p)), sheared_P1(GF(p))):
+        for chart in build_standard_lift(T).charts.values():
+            images = [chart.image_of_var(0), chart.image_of_var(1)]
+            for i in (0, 1):
+                once = ruled._flipped(images, i)
+                assert once[1 - i] == flip_variable(images[1 - i], i)
+                assert once[i] * flip_variable(images[i], i) == 1
+                assert ruled._flipped(once, i) == images
 
 
 # -- base-lift extraction -----------------------------------------------------------

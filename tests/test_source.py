@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import hashlib
 import importlib
 import os
 import subprocess
@@ -19,6 +20,23 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_sweep_all_bytes_hold_under_python_O():
+    # python -O strips asserts, so a check that leaned on one would change its report
+    run = "import sys; from w2frob.cli import main; sys.exit(not sys.flags.optimize or main())"
+    src = Path(w2frob.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", run, "sweep-all", "--seed", "42"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    # the digest pinned by test_cli.py::test_sweep_all_report_is_pinned
+    assert hashlib.sha256(out.stdout).hexdigest() == (
+        "b1cb7b3d3a60d292c6dea317a948604e5f6eba044c732ce3c8c97067d976a9b2"
+    )
 
 
 def _tracer_targets() -> tuple:

@@ -71,7 +71,7 @@ def test_frobenius_prime_field_is_identity():
 
 def test_frobenius_f4_generator():
     r = W2(2, 2)
-    w = r.field.gen()
+    w = r.residue_field.gen()
     assert r.pair(w.coeffs, (0, 0)).frobenius() == r.pair((w * w).coeffs, (0, 0))
     assert r.zero.frobenius() == r.zero
 
@@ -150,7 +150,7 @@ def test_teichmuller_moduli_are_the_unique_lifts(q):
 def test_kernel_matches_component_formulas_exhaustively(q):
     # every pair for add and mul, every element for the unary maps
     ring, model = W2(*q), WittModel(*q)
-    field = ring.field
+    field = ring.residue_field
 
     def coords(u):
         return tuple(c.coeffs for c in ring.witt_coords(u))
@@ -262,7 +262,7 @@ def test_frobenius_is_ring_endomorphism(rng):
             u, v = r.random(rng), r.random(rng)
             assert (u + v).frobenius() == u.frobenius() + v.frobenius()
             assert (u * v).frobenius() == u.frobenius() * v.frobenius()
-            assert u.frobenius().a0 == u.a0 ** r.field.p
+            assert u.frobenius().a0 == u.a0 ** r.residue_field.p
 
 
 # -- interned elements -------------------------------------------------------
@@ -443,7 +443,7 @@ def test_divide_after_multiply_is_reduction(ring, rng):
 def test_divide_by_p_witt_inverse_frobenius():
     # over F_4 the division must undo the Frobenius twist of the embedding
     r = W2(2, 2)
-    w = r.field.gen()
+    w = r.residue_field.gen()
     embedded = r.wrap(r.times_p_int(w.n))
     assert embedded == r.pair((0, 0), (w * w).coeffs)
     assert r.split_p(embedded.n) == (w.n, 0)
