@@ -66,14 +66,14 @@ class AffineChartLift:
     __slots__ = ("field", "nvars", "laurent_mask", "corrections", "_images", "_powers")
 
     def __init__(self, field: FiniteField, nvars: int, laurent_mask, corrections):
-        laurent_mask = tuple(bool(b) for b in laurent_mask)
+        laurent_mask = tuple(map(bool, laurent_mask))
         corrections = tuple(corrections)
         if len(laurent_mask) != nvars:
             raise ShapeError(f"laurent_mask needs {nvars} entries")
         if len(corrections) != nvars:
             raise ShapeError(f"need {nvars} correction polynomials, got {len(corrections)}")
         for f in corrections:
-            if f.ring != field or f.nvars != nvars:
+            if (f.ring is not field and f.ring != field) or f.nvars != nvars:
                 raise ShapeError("corrections must be F_q polynomials on this chart")
             if not f.respects_mask(laurent_mask):
                 raise UnsupportedShape("correction inverts a variable outside the chart")
@@ -86,7 +86,7 @@ class AffineChartLift:
 
     @classmethod
     def from_images(cls, field: FiniteField, laurent_mask, images) -> "AffineChartLift":
-        """The lift with F(x_i) = images[i]; the inverse of ``image_of_var``."""
+        """The lift with F(x_i) = images[i], which it keeps; the inverse of ``image_of_var``."""
         nvars, ring = len(images), W2(field.p, field.m)
         corrections = []
         for i, img in enumerate(images):
@@ -94,7 +94,9 @@ class AffineChartLift:
                 corrections.append(divide_by_p(img - Poly.variable(ring, nvars, i, field.p)))
             except NotDivisible as exc:
                 raise InvariantViolation(f"F(x{i + 1}) is not x{i + 1}^p mod p: {exc}") from exc
-        return cls(field, nvars, laurent_mask, corrections)
+        lift = cls(field, nvars, laurent_mask, corrections)
+        lift._images = tuple(images)  # each is x_i^p + p*f_i exactly, as divide_by_p succeeded
+        return lift
 
     @property
     def lift_ring(self):
@@ -122,7 +124,7 @@ class AffineChartLift:
 
     @property
     def images(self) -> tuple:
-        """(F(x_1), ..., F(x_n)), F(x_i) = x_i^p + p*f_i over W2(F_q), built once per lift."""
+        """(F(x_1), ..., F(x_n)), F(x_i) = x_i^p + p*f_i over W2(F_q), built once if at all."""
         if self._images is None:
             ring, n, p = self.lift_ring, self.nvars, self.p
             self._images = tuple(

@@ -25,9 +25,13 @@ folds each coefficient product once, dropping the products that vanish
 image into an exponent shift and a coefficient, so only images with more
 terms cost polynomial powers and products, and a source term whose images
 are all monomials lands on one target monomial; terms that land on one
-monomial add up before the fold.  ``invert_unit`` over a lift ring is one
-Newton step from the inverse of the leading monomial, on the coefficient
-alone for a one-term unit.
+monomial add up before the fold.  Re-indexing coordinates, x_i -> x_j or
+x_i -> 0, is ``reindex``: an exponent map that builds no image at all.
+``invert_unit`` of a bare monomial x^M is x^-M; over a lift ring it is
+otherwise one Newton step from the inverse of the leading monomial, on
+the coefficient alone for a one-term unit.  ``Poly.variable`` hands out
+one interned polynomial per (ring, nvars, i, exp), up to a bound, which
+is safe because no operation writes into the terms of its operands.
 
 The images x_i^p + p*f_i of a chart lift, and their inverses, have one
 unit term c*x^M and a rest r divisible by p, so r*r = 0 and a power of
@@ -113,6 +117,11 @@ def _require_coeff_int(ring, c) -> int:
     return n
 
 
+# interned results of Poly.variable; bounded, as rings and exponents are open-ended
+_VARIABLES: dict = {}
+_VARIABLES_BOUND = 4096
+
+
 class Poly:
     """Immutable sparse polynomial; do not mutate ``terms`` after creation."""
 
@@ -142,7 +151,7 @@ class Poly:
 
     @classmethod
     def zero(cls, ring, nvars: int) -> "Poly":
-        return cls(ring, nvars)
+        return cls._make(ring, nvars, {})
 
     @classmethod
     def constant(cls, ring, nvars: int, c) -> "Poly":
@@ -151,10 +160,18 @@ class Poly:
 
     @classmethod
     def variable(cls, ring, nvars: int, i: int, exp: int = 1) -> "Poly":
-        if not 0 <= i < nvars:
-            raise ShapeError(f"variable index {i} out of range for {nvars} variables")
-        mono = tuple(exp if j == i else 0 for j in range(nvars))
-        return cls._make(ring, nvars, {mono: 1})
+        """x_i^exp, one interned object per (ring, nvars, i, exp) while the cache has room."""
+        # keyed by the ring's id: the cached polynomial holds the ring, so the id stays its own
+        key = (id(ring), nvars, i, exp)
+        out = _VARIABLES.get(key)
+        if out is None:
+            if not 0 <= i < nvars:
+                raise ShapeError(f"variable index {i} out of range for {nvars} variables")
+            mono = tuple(exp if j == i else 0 for j in range(nvars))
+            out = cls._make(ring, nvars, {mono: 1})
+            if len(_VARIABLES) < _VARIABLES_BOUND:
+                _VARIABLES[key] = out
+        return out
 
     @classmethod
     def monomial(cls, ring, nvars: int, exps, coeff=None) -> "Poly":
@@ -175,6 +192,8 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._compat(other)
+        if not other.terms:
+            return self
         fold = self.ring.fold
         terms = dict(self.terms)
         for mono, c in other.terms.items():
@@ -201,6 +220,8 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._compat(other)
+        if not other.terms:
+            return self
         # pk_slots - c is -c with no borrow between slots, as neg_int computes it
         fold, pk_slots = self.ring.fold, self.ring.pk_slots
         terms = dict(self.terms)
@@ -267,7 +288,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return (
-            self.ring == other.ring
+            (self.ring is other.ring or self.ring == other.ring)
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
@@ -330,10 +351,11 @@ class Poly:
         return Poly._make(target_ring, self.nvars, terms)
 
     def collect_by_var(self, i: int) -> dict:
-        """Split into {exponent of x_i: polynomial in the remaining slots}.
+        """Split into {e: f_e}, ascending in e, with f the sum of f_e * x_i^e.
 
-        The returned polynomials keep the full variable count with the
-        i-th exponent zeroed out.
+        Each f_e keeps the full variable count, with its i-th exponent 0,
+        and e runs over the exponents of x_i that occur (negative ones
+        too); the zero polynomial has no buckets.
         """
         buckets: dict = {}
         for m, c in self.terms.items():
@@ -372,7 +394,7 @@ def substitute(f: Poly, images: Sequence[Poly], *, powers: Callable | None = Non
     ring, nvars = images[0].ring, images[0].nvars
     for img in images[1:]:
         images[0]._compat(img)
-    if ring != f.ring:
+    if ring is not f.ring and ring != f.ring:
         raise RingMismatch(f"images over {ring!r} for a polynomial over {f.ring!r}")
     fold, pow_int = ring.fold, ring.pow_int
     if powers is None:
@@ -422,6 +444,38 @@ def substitute(f: Poly, images: Sequence[Poly], *, powers: Callable | None = Non
                 tm = tuple(map(add, tm, mono))
             acc[tm] = get(tm, 0) + n * t
     return _folded(ring, nvars, acc)
+
+
+def reindex(f: Poly, slots: Sequence, nvars: int) -> Poly:
+    """x_i -> x_slots[i] among nvars variables, or x_i -> 0 where slots[i] is None.
+
+    The substitution by bare-variable and zero images, as an exponent map
+    with no image built: a term with a positive exponent on a variable sent
+    to 0 drops, and a negative one raises UnitError, as 0 is no unit.
+    Terms that meet (two variables may share a slot) add up before the fold.
+    """
+    if len(slots) != f.nvars:
+        raise ShapeError(f"need {f.nvars} slots, got {len(slots)}")
+    live = [(i, s) for i, s in enumerate(slots) if s is not None]
+    dead = [i for i, s in enumerate(slots) if s is None]
+    if not all(0 <= s < nvars for _, s in live):
+        raise ShapeError(f"slots {tuple(slots)} out of range for {nvars} variables")
+    acc: dict = {}
+    get = acc.get
+    origin = [0] * nvars
+    for m, c in f.terms.items():
+        for i in dead:
+            if m[i]:
+                if any(m[j] < 0 for j in dead):
+                    raise UnitError("not a unit: a variable sent to 0 has a negative exponent")
+                break
+        else:
+            out = origin.copy()
+            for i, s in live:
+                out[s] += m[i]
+            mono = tuple(out)
+            acc[mono] = get(mono, 0) + c
+    return _folded(f.ring, nvars, acc)
 
 
 def flip_variable(f: Poly, i: int) -> Poly:
@@ -500,7 +554,7 @@ def divide_by_p(f: Poly) -> Poly:
 
 def embed_times_p(f: Poly, lift_ring) -> Poly:
     """Image of a residue-field polynomial under multiplication by p in the lift."""
-    if f.ring != lift_ring.residue_field:
+    if f.ring is not lift_ring.residue_field and f.ring != lift_ring.residue_field:
         raise RingMismatch("polynomial is not over the residue field of the target")
     return f.map_coefficients(lift_ring.times_p_int, lift_ring)
 
@@ -515,12 +569,17 @@ def canonical_lift(f: Poly, lift_ring) -> Poly:
 def invert_unit(f: Poly) -> Poly:
     """Exact inverse of a unit.
 
+    A bare monomial x^M (coefficient 1) has the inverse x^-M in any ring.
     Over a field: f must be a single monomial with nonzero coefficient.
     Over a lift ring: the reduction mod p must be such a monomial m; then
     g0 = m^(-1), lifted, has f*g0 = 1 + p*r, and one Newton step
     g0*(2 - f*g0) = g0*(1 - p*r) is the inverse, as p^2 = 0.
     """
     ring = f.ring
+    if len(f.terms) == 1:
+        ((mono, c),) = f.terms.items()
+        if c == 1:  # a bare monomial: its inverse is the negated monomial
+            return Poly._make(ring, f.nvars, {tuple(-e for e in mono): 1})
     if not _is_lift_ring(ring):
         if len(f.terms) != 1:
             raise UnitError("not a unit: more than one term")

@@ -31,7 +31,15 @@ from typing import NamedTuple
 
 from .errors import InvariantViolation, ShapeError, UnitError, UnsupportedShape
 from .froblift import AffineChartLift, CheckResult, apply_lift, eta_between, standard_lift
-from .polyalg import Poly, canonical_lift, flip_variable, invert_unit, poly_to_str, substitute
+from .polyalg import (
+    Poly,
+    canonical_lift,
+    flip_variable,
+    invert_unit,
+    poly_to_str,
+    reindex,
+    substitute,
+)
 from .projline import extend_chart
 from .witt2 import FiniteField
 
@@ -155,7 +163,7 @@ def _flipped(images, i: int) -> list:
 
 def _embed2(f: Poly) -> Poly:
     """One-variable polynomial into two variables, occupying the base slot."""
-    return substitute(f, [Poly.variable(f.ring, 2, 0)])
+    return reindex(f, (0,), 2)
 
 
 def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
@@ -317,10 +325,9 @@ def extract_base_lift(chart: AffineChartLift) -> BaseLiftExtraction:
 
 
 def _fiber_degree_0(f: Poly) -> Poly:
-    """The fiber-degree-0 part of a chart polynomial (fiber last), on the base variables."""
+    """f at fiber 0 (fiber last), on the base variables; UnitError if f is Laurent there."""
     n = f.nvars - 1
-    base = [Poly.variable(f.ring, n, j) for j in range(n)]
-    return substitute(f, base + [Poly.zero(f.ring, n)])
+    return reindex(f, (*range(n), None), n)
 
 
 def base_glue_consistency(L: RuledLift) -> CheckResult:

@@ -16,9 +16,11 @@ from w2frob import (
     ShapeError,
     UnsupportedShape,
     apply_lift,
+    canonical_lift,
     divide_by_p,
     eta_axioms_check,
     eta_between,
+    invert_unit,
     lift_from_json,
     lift_to_json,
     monomial_lemma_check,
@@ -27,9 +29,12 @@ from w2frob import (
     poly_from_str,
     reduce_mod_p,
     standard_lift,
+    substitute,
     top_monomial,
     witt_to_residue_ring,
 )
+from w2frob import polyalg
+from w2frob.polyalg import flip_variable
 from w2frob.randgen import random_chart_lift, random_poly
 
 
@@ -101,6 +106,57 @@ def test_images_are_frobenius_lifts_and_give_back_the_lift(field, rng):
         for i, img in enumerate(images):
             assert reduce_mod_p(img) == Poly.variable(field, L.nvars, i, field.p)
         assert AffineChartLift.from_images(L.field, L.laurent_mask, images) == L
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2), GF(2, 3), GF(3, 2)], ids=repr)
+def test_from_images_keeps_the_images_it_was_given(field, rng):
+    # from_images validates the images and keeps them, instead of building
+    # x_i^p + p*f_i again; they equal the images a fresh lift builds from
+    # the corrections read off them
+    ring = W2(field.p, field.m)
+    for _ in range(30):
+        L = _random_laurent_lift(rng, field, rng.randint(1, 3))
+        images = [
+            Poly.variable(ring, L.nvars, i, field.p) + canonical_lift(f, ring) * ring.p_elem
+            for i, f in enumerate(L.corrections)
+        ]
+        kept = AffineChartLift.from_images(field, L.laurent_mask, images)
+        assert kept.images == tuple(images)
+        assert all(a is b for a, b in zip(kept.images, images))
+        assert kept.corrections == L.corrections
+        fresh = AffineChartLift(field, L.nvars, L.laurent_mask, kept.corrections)
+        assert fresh.images == kept.images
+
+
+def test_interned_variables_survive_every_operation():
+    # Poly.variable hands out one object per (ring, nvars, i, exp); no
+    # operation on it may write into its terms
+    for ring in (GF(3), W2(3), W2(2, 2)):
+        x, y = Poly.variable(ring, 2, 0, 2), Poly.variable(ring, 2, 1)
+        zero = Poly.zero(ring, 2)
+        assert Poly.variable(ring, 2, 0, 2) is x
+        results = [
+            x + y, y + x, x + 1, x - y, y - x, x - x, 1 - x, x * y, y * x, x * x,
+            x + zero, zero + x, x - zero, zero - x,
+            x * ring.from_int(2), x ** 0, x ** 1, x ** 3, x ** -2, -x, -(-x),
+            substitute(x, [y, x]), substitute(y, [y, Poly.zero(ring, 2)]),
+            flip_variable(x, 0), flip_variable(y, 0), invert_unit(x),
+        ]
+        assert results[0] == y + x and results[-1] == Poly.variable(ring, 2, 0, -2)
+        assert x.terms == {(2, 0): 1} and y.terms == {(0, 1): 1}
+    for i in (2, -1):
+        with pytest.raises(ShapeError, match="out of range"):
+            Poly.variable(GF(3), 2, i)
+
+
+def test_variable_interning_stops_at_its_bound(monkeypatch):
+    monkeypatch.setattr(polyalg, "_VARIABLES", {})
+    monkeypatch.setattr(polyalg, "_VARIABLES_BOUND", 3)
+    F5 = GF(5)
+    made = [Poly.variable(F5, 1, 0, e) for e in range(10)]
+    assert len(polyalg._VARIABLES) == 3
+    assert [Poly.variable(F5, 1, 0, e) is made[e] for e in range(10)] == [True] * 3 + [False] * 7
+    assert made == [Poly.monomial(F5, 1, (e,)) for e in range(10)]
 
 
 def test_from_images_rejects_an_image_that_is_not_the_frobenius_mod_p():

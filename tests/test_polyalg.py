@@ -30,7 +30,7 @@ from w2frob import (
     substitute,
     witt_to_residue_ring,
 )
-from w2frob.polyalg import flip_variable, phi_derivation
+from w2frob.polyalg import flip_variable, phi_derivation, reindex
 from w2frob.witt2 import SHIFT
 
 
@@ -612,6 +612,77 @@ def test_flip_variable_is_the_monomial_substitution(rng):
                 images = [Poly.variable(ring, 2, j, -1 if j == i else 1) for j in range(2)]
                 assert flip_variable(f, i) == substitute(f, images)
                 assert flip_variable(flip_variable(f, i), i) == f
+
+
+def _outcome(compute):
+    """The value of compute(), or UnitError if it raises one."""
+    try:
+        return compute()
+    except UnitError:
+        return UnitError
+
+
+@pytest.mark.parametrize(
+    "ring", [GF(2), GF(3), GF(5), W2(2), W2(3), W2(5), W2(2, 2), W2(2, 3), W2(3, 2)], ids=repr
+)
+def test_reindex_matches_substitute_by_variable_and_zero_images(ring, rng):
+    # x_i -> x_slots[i] or 0 as an exponent map: the same polynomial as
+    # substitute with bare-variable and zero images, or the same UnitError
+    # where a variable sent to 0 has a negative exponent; slots may repeat
+    raised = 0
+    for _ in range(80):
+        nsrc, nvars = rng.randint(1, 3), rng.randint(1, 3)
+        slots = [rng.choice([None, *range(nvars)]) for _ in range(nsrc)]
+        images = [
+            Poly.zero(ring, nvars) if s is None else Poly.variable(ring, nvars, s) for s in slots
+        ]
+        # on one trial in four a variable sent to 0 may carry a negative exponent
+        laurent_dead = rng.random() < 0.25
+        lows = [-2 if s is not None or laurent_dead else 0 for s in slots]
+        f = Poly(
+            ring,
+            nsrc,
+            {tuple(rng.randint(low, 3) for low in lows): ring.random(rng) for _ in range(6)},
+        )
+        expected = _outcome(lambda: substitute(f, images))
+        raised += expected is UnitError
+        assert _outcome(lambda: reindex(f, slots, nvars)) == expected
+    assert raised  # the error branch was exercised
+
+
+def test_reindex_raises_for_any_negative_exponent_sent_to_0():
+    for ring in (GF(3), W2(3), W2(2, 2)):
+        # x1 > 0 alone would drop the term; x2 < 0 must still raise
+        f = P(ring, 3, "x1*x2^-1+x3")
+        images = [Poly.zero(ring, 1), Poly.zero(ring, 1), Poly.variable(ring, 1, 0)]
+        with pytest.raises(UnitError):
+            substitute(f, images)
+        with pytest.raises(UnitError, match="negative exponent"):
+            reindex(f, (None, None, 0), 1)
+        assert reindex(P(ring, 3, "x1*x2+x3^-2"), (None, None, 0), 1) == P(ring, 1, "x^-2")
+    with pytest.raises(ShapeError):
+        reindex(P(GF(3), 2, "x1"), (0,), 2)
+    with pytest.raises(ShapeError):
+        reindex(P(GF(3), 2, "x1"), (0, 2), 2)
+
+
+def test_collect_by_var_buckets_sum_back_to_f(rng):
+    for ring in (GF(3), GF(2, 2), W2(2), W2(3, 2)):
+        for _ in range(30):
+            f = Poly(
+                ring,
+                3,
+                {tuple(rng.randint(-2, 3) for _ in range(3)): ring.random(rng) for _ in range(6)},
+            )
+            i = rng.randrange(3)
+            buckets = f.collect_by_var(i)
+            assert list(buckets) == sorted({m[i] for m in f.terms})
+            total = Poly.zero(ring, 3)
+            for e, g in buckets.items():
+                assert g.nvars == 3 and all(m[i] == 0 for m in g.terms)
+                total = total + g * Poly.variable(ring, 3, i, e)
+            assert total == f
+    assert Poly.zero(GF(3), 2).collect_by_var(0) == {}
 
 
 # -- text grammar ---------------------------------------------------------------

@@ -28,7 +28,8 @@ from w2frob import (
     substitute,
     verify_gluing,
 )
-from w2frob import ruled, sweeps
+import w2frob
+from w2frob import froblift, polyalg, projline, ruled, sweeps
 from w2frob.polyalg import flip_variable
 from w2frob.randgen import random_poly
 
@@ -412,3 +413,51 @@ def test_base_consistency_compares_fiber_degree_0_only(p):
     res = base_glue_consistency(lift)
     assert res.ok, res.failures
     assert res.details["eta"].is_zero()
+
+
+# -- work gate -------------------------------------------------------------------------
+
+# upper bounds on substitute calls per surface at p = 3: building, verifying,
+# extracting from UX and VY, and the base consistency check.  Re-indexing a
+# coordinate goes through polyalg.reindex, so what is left is apply_lift and
+# the x = a~*y + b~ rewrites of verify_gluing and base_glue_consistency
+_SUBSTITUTE_CALLS = {
+    "F2": {"build": 2, "verify": 6, "extract": 0, "glue": 1},
+    "A1": {"build": 2, "verify": 4, "extract": 0, "glue": 1},
+    "Gm": {"build": 2, "verify": 4, "extract": 0, "glue": 1},
+}
+
+
+def test_ruled_checks_make_a_bounded_number_of_substitutions(monkeypatch):
+    real = polyalg.substitute
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    for module in (w2frob, polyalg, froblift, projline, ruled):
+        if getattr(module, "substitute", None) is real:
+            monkeypatch.setattr(module, "substitute", counting)
+    def counted(run, *args):
+        calls.clear()
+        return run(*args), len(calls)
+
+    F3 = GF(3)
+    counts = {}
+    surfaces = {"F2": hirzebruch_transition(F3, 2), "A1": shear_A1(F3), "Gm": shear_Gm(F3)}
+    for name, T in surfaces.items():
+        lift, build = counted(build_standard_lift, T)
+        glue, verify = counted(verify_gluing, lift)
+        _, extract = counted(lambda: [extract_base_lift(lift.charts[k]) for k in ("UX", "VY")])
+        base, base_glue = counted(base_glue_consistency, lift)
+        assert glue.ok and base.ok, (name, glue.failures, base.failures)
+        counts[name] = {"build": build, "verify": verify, "extract": extract, "glue": base_glue}
+    over = {
+        (name, step): n
+        for name, made in counts.items()
+        for step, n in made.items()
+        if n > _SUBSTITUTE_CALLS[name][step]
+    }
+    assert not over, over
+    assert counts["F2"]["verify"] > 0  # the wrapper sees the calls
