@@ -35,7 +35,7 @@ from .ruled import (
     hirzebruch_transition,
     verify_gluing,
 )
-from .witt2 import GF, W2, witt_to_residue_ring
+from .witt2 import GF, W2, draw_below, witt_to_residue_ring
 
 
 def _check(name: str, citation: str, trials: list, extra=()) -> dict:
@@ -144,8 +144,8 @@ def sweep_monomial_lemma(p, max_n, trials, seed) -> list:
     rng = random.Random(f"{seed}|lemma|{p}")
     per_trial = []
     for _ in range(trials):
-        n = rng.randint(1, max_n)
-        m = rng.randint(1, n)
+        n = 1 + draw_below(rng, max_n)
+        m = 1 + draw_below(rng, n)
         K = random_exponent_matrix(rng, p, m, n)
         res = monomial_lemma_check(K, p)
         per_trial.append([{"K": K, "failures": res.failures}] if res.failures else [])
@@ -163,7 +163,7 @@ def sweep_eta(p, lift_pairs, elem_pairs, seed) -> list:
     rng = random.Random(f"{seed}|eta|{p}")
     per_trial = []
     for _ in range(lift_pairs):
-        n = rng.randint(1, 2)
+        n = 1 + draw_below(rng, 2)
         f1 = random_chart_lift(rng, field, n)
         f2 = random_chart_lift(rng, field, n)
         eta = eta_between(f1, f2)

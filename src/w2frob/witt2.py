@@ -50,15 +50,17 @@ Ring protocol used by the polynomial layer, whose coefficients are
 canonical ints: ``fold``, ``neg_int``, ``inv_int``, ``frob_int``, ``pk``
 and ``pk_slots`` (p^k in every slot, so that ``pk_slots - n`` folds to
 -n and borrows between no slots) for arithmetic; ``from_int`` and
-``wrap`` to read and build elements at the boundary; ``coeff_to_str`` /
-``coeff_from_str`` for text.  The lift rings (Zp2Ring and WittRing) add
-the mod-p maps, each in its int form only, between themselves and their
-``residue_field``: ``split_p`` (n -> (n div p, n mod p), slot by slot:
-the second half is the reduction, and when it is 0, n is divisible by p
-with quotient the first half), ``times_p_int`` (multiplication by p, an
-isomorphism from the residue field onto the ideal (p), which ``split_p``
-inverts) and ``from_residue_int`` (the canonical lift of a residue,
-which is the Teichmüller lift over W2).
+``wrap`` to read and build elements at the boundary; ``random_int`` (a
+uniform element's int; ``random`` wraps it) for seeded inputs, drawn
+through ``draw_below`` as ``random.Random.randrange`` draws;
+``coeff_to_str`` / ``coeff_from_str`` for text.  The lift rings
+(Zp2Ring and WittRing) add the mod-p maps, each in its int form only,
+between themselves and their ``residue_field``: ``split_p`` (n -> (n div
+p, n mod p), slot by slot: the second half is the reduction, and when it
+is 0, n is divisible by p with quotient the first half), ``times_p_int``
+(multiplication by p, an isomorphism from the residue field onto the
+ideal (p), which ``split_p`` inverts) and ``from_residue_int`` (the
+canonical lift of a residue, which is the Teichmüller lift over W2).
 """
 
 from __future__ import annotations
@@ -103,6 +105,24 @@ def check_prime_char(p: int) -> int:
     if p not in _SMALL_PRIMES:
         raise UnsupportedField(f"characteristic must be a prime <= {MAX_PRIME}, got {p}")
     return p
+
+
+def draw_below(rng, n: int) -> int:
+    """A uniform int in [0, n): the draw of ``rng.randrange(n)`` on a ``random.Random``.
+
+    It draws the same ``getrandbits(n.bit_length())`` words and rejects
+    the same ones, so the int and the generator's state after it are
+    those of ``randrange(n)``, without its three Python frames per draw.
+    Every random draw of the package goes through here.
+    """
+    if n <= 0:
+        # getrandbits(0) is always 0, so the loop below would never end
+        raise ValueError(f"empty range for draw_below: {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def _pack(coeffs) -> int:
@@ -418,6 +438,15 @@ class GaloisRing:
     def from_int(self, n: int):
         return self._elements[n % self.pk]
 
+    def random_int(self, rng) -> int:
+        """The canonical int of a uniform element, drawn slot by slot from c_0."""
+        if self.m == 1:
+            return draw_below(rng, self.pk)
+        return _pack([draw_below(rng, self.pk) for _ in range(self.m)])
+
+    def random(self, rng):
+        return self.wrap(self.random_int(rng))
+
     def elements(self) -> Iterator:
         return iter(self._elements.values())
 
@@ -446,14 +475,6 @@ class FiniteField(GaloisRing):
         if self.m == 1:
             raise UnsupportedField("prime field has no distinguished generator element")
         return self.wrap(1 << SHIFT)
-
-    def random(self, rng) -> FqElem:
-        return self.wrap(self._random_int(rng))
-
-    def _random_int(self, rng) -> int:
-        if self.m == 1:
-            return rng.randrange(self.p)
-        return _pack([rng.randrange(self.p) for _ in range(self.m)])
 
     # -- text format -------------------------------------------------
 
@@ -504,13 +525,9 @@ class Zp2Ring(_LiftRing):
 
     def __init__(self, p: int):
         super().__init__(GF(p))
-        self.p2 = p * p
 
     def __repr__(self):
         return f"Z/{self.p}^2"
-
-    def random(self, rng) -> Zp2Elem:
-        return self.wrap(rng.randrange(self.p2))
 
     # -- text format ---------------------------------------------------
 
@@ -564,9 +581,10 @@ class WittRing(_LiftRing):
     def pair(self, a0, a1) -> WittPair:
         return self.from_witt(self.residue_field.elem(a0), self.residue_field.elem(a1))
 
-    def random(self, rng) -> WittPair:
-        a0 = self.residue_field._random_int(rng)
-        return self.wrap(self._from_witt_int(a0, self.residue_field._random_int(rng)))
+    def random_int(self, rng) -> int:
+        """A uniform element drawn as its Witt coordinates, a0 and then a1."""
+        a0 = self.residue_field.random_int(rng)
+        return self._from_witt_int(a0, self.residue_field.random_int(rng))
 
     def elements(self) -> Iterator[WittPair]:
         """Every element, in the order of its Witt coordinates (a0, a1)."""

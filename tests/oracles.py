@@ -227,3 +227,46 @@ def reduce_by_modulus(raw: list, g: tuple, N: int) -> list:
         for i, gi in enumerate(g):
             rem[k - m + i] -= c * gi
     return [c % N for c in rem[:m]]
+
+
+# ---------------------------------------------------------------------------
+# the seeded generators as written on randint / randrange
+# ---------------------------------------------------------------------------
+
+
+def randrange_field_draw(p: int, m: int):
+    """F_q's coefficient draw: the slots c_0, ..., c_(m-1), each ``randrange(p)``."""
+    return lambda rng: tuple(rng.randrange(p) for _ in range(m))
+
+
+def randrange_zp2_draw(p: int):
+    """Z/p^2's coefficient draw: one ``randrange(p^2)``, as a 1-tuple."""
+    return lambda rng: (rng.randrange(p * p),)
+
+
+def randrange_witt_draw(p: int, m: int):
+    """W2(F_q)'s coefficient draw: the Witt coordinates a0, then a1, each an F_q draw."""
+    field = randrange_field_draw(p, m)
+    return lambda rng: (field(rng), field(rng))
+
+
+def _is_zero_draw(c) -> bool:
+    return all(_is_zero_draw(x) for x in c) if isinstance(c, tuple) else c == 0
+
+
+def randint_random_poly(rng, coeff_draw, nvars: int, max_deg: int, max_terms: int) -> dict:
+    """randgen.random_poly on randint: {exponent tuple: coefficient draw}, zero draws left out."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        while True:
+            exps = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+            if sum(exps) <= max_deg:
+                break
+        c = coeff_draw(rng)
+        if not _is_zero_draw(c):
+            terms[exps] = c
+    return terms
+
+
+def randint_exponent_matrix(rng, p: int, m: int, n: int) -> list:
+    return [[rng.randint(0, p - 1) for _ in range(n)] for _ in range(m)]
