@@ -276,14 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error(message: str, code: int, **extra) -> int:
-    """Print the error report and return the exit code."""
-    print(json.dumps({"schema": SCHEMA, "error": message, "ok": False, **extra}, indent=2))
-    return code
+def _error(message: str, code: int, **extra) -> tuple:
+    """The error report's text and the exit code."""
+    return json.dumps({"schema": SCHEMA, "error": message, "ok": False, **extra}, indent=2), code
 
 
-def run_command(argv) -> int:
-    """Parse argv, run the subcommand, print the JSON report, return the exit code."""
+def _execute(argv) -> tuple:
+    """Parse argv and run the subcommand: the JSON report's text and the exit code.
+
+    The text is None when argparse has answered itself (``--help``, or a
+    usage error on stderr).
+    """
     env = os.environ.get("FROBCTL_SEED")
     try:
         default_seed = int(env) if env else DEFAULT_SEED
@@ -292,7 +295,7 @@ def run_command(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        return None, 2 if exc.code not in (0, None) else 0
     if getattr(args, "seed", 0) is None:  # a seeded command run without --seed
         args.seed = default_seed
     try:
@@ -314,12 +317,28 @@ def run_command(argv) -> int:
                 fh.write(text + "\n")
         except OSError as exc:
             return _error(f"cannot write --output {args.output!r}: {exc.strerror}", 2)
-    print(text)
-    return 0 if report["ok"] else 1
+    return text, 0 if report["ok"] else 1
+
+
+def run_command(argv) -> int:
+    """Parse argv, run the subcommand, print the JSON report, return the exit code."""
+    text, code = _execute(argv)
+    if text is not None:
+        print(text)
+    return code
 
 
 def main():
-    sys.exit(run_command(sys.argv[1:]))
+    text, code = _execute(sys.argv[1:])
+    try:
+        if text is not None:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away; the exit code still tells the outcome.  Point
+        # stdout at devnull so that the interpreter's last flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

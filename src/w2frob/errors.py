@@ -18,7 +18,10 @@ class NotDivisible(AlgebraError):
 
 
 class RingMismatch(AlgebraError):
-    """Polynomials over different coefficient rings (or variable counts) were combined."""
+    """Polynomials over different coefficient rings (or variable counts) were combined.
+
+    Also raised for an element handed to a map that is not defined on its ring.
+    """
 
 
 class ShapeError(AlgebraError):

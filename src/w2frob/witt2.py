@@ -25,8 +25,9 @@ is stored while the table holds fewer than ``_FOLD_TABLE_BOUND`` (2^14)
 entries.  Folds repeat: over the 8 default-seed sweeps of perfbench's
 eta-ext workload, 43,262 folds see 1,335 distinct ints, and 51% of them
 are canonical already, 43% one product of two canonical ints, 3% a sum
-of two and 2.5% anything else.  The table caches a pure function; it is
-the only state a ring gains after it is built.  Frobenius, its inverse
+of two and 2.5% anything else.  The table caches a pure function.  It,
+the Witt coordinates ``_coords`` and the residue table below are the
+only state a ring gains after it is built.  Frobenius, its inverse
 and the p-adic split are dict lookups built once per ring, with q
 entries for F_q and q^2 (16, 64 or 81) for W2(F_q).
 
@@ -36,6 +37,18 @@ keyed by ``n``: at most 289, for Z/17^2 and W2(F_17).  ``wrap``,
 element is allocated after its ring is built, and two elements of one
 ring are equal exactly when they are the same object.  ``wrap`` of an
 int that is not canonical raises ``InvariantViolation``.
+
+The element classes share one set of operators, ``_Elem``'s, which
+``_own_operations`` copies into each class.  ``+``, ``-``, ``*`` and
+``==`` first test whether the other operand is an element of the same
+class and the same ring object; then they go straight to the ring's
+``add``, ``neg`` or ``mul`` (``==`` compares ``n``).  Anything else, an
+int, an element of an equal but distinct ring object, or a foreign type,
+goes through the coercion of ``_other``, which raises ``CharMismatch``
+for an element of another ring.  ``witt_to_residue_ring`` is one lookup
+in the residue table of a W2(F_p): the element table of the Z/p^2 model
+``_zp2(p)``, keyed by the same ints and built on the first call, not
+with the ring: most W2(F_p) are never mapped to Z/p^2.
 
 W2(F_q) is read and written in Witt coordinates (a0, a1), which stand for
 u = [a0] + p*lift(a1^(1/p)) with the Teichmüller lift [a] = lift(a)^q.
@@ -70,7 +83,14 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator
 
-from .errors import CharMismatch, InvariantViolation, ParseError, UnitError, UnsupportedField
+from .errors import (
+    CharMismatch,
+    InvariantViolation,
+    ParseError,
+    RingMismatch,
+    UnitError,
+    UnsupportedField,
+)
 
 MAX_PRIME = 17
 
@@ -199,10 +219,11 @@ class _Elem:
         return None
 
     def __add__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return self.ring.add(self, o)
+        if other.__class__ is not self.__class__ or other.ring is not self.ring:
+            other = self._other(other)
+            if other is None:
+                return NotImplemented
+        return self.ring.add(self, other)
 
     __radd__ = __add__
 
@@ -210,10 +231,12 @@ class _Elem:
         return self.ring.neg(self)
 
     def __sub__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return self.ring.add(self, self.ring.neg(o))
+        ring = self.ring
+        if other.__class__ is not self.__class__ or other.ring is not ring:
+            other = self._other(other)
+            if other is None:
+                return NotImplemented
+        return ring.add(self, ring.neg(other))
 
     def __rsub__(self, other):
         o = self._other(other)
@@ -222,10 +245,11 @@ class _Elem:
         return self.ring.add(o, self.ring.neg(self))
 
     def __mul__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return self.ring.mul(self, o)
+        if other.__class__ is not self.__class__ or other.ring is not self.ring:
+            other = self._other(other)
+            if other is None:
+                return NotImplemented
+        return self.ring.mul(self, other)
 
     __rmul__ = __mul__
 
@@ -245,6 +269,8 @@ class _Elem:
         return bool(self.n)
 
     def __eq__(self, other):
+        if other.__class__ is self.__class__ and other.ring is self.ring:
+            return self.n == other.n
         if isinstance(other, int):
             other = self.ring.from_int(other)
         if not isinstance(other, _Elem):
@@ -578,6 +604,13 @@ class WittRing(_LiftRing):
         """(a0, a1) with u = [a0] + p*lift(a1^(1/p))."""
         return self._coords[u.n]
 
+    @cached_property
+    def _residue_table(self) -> dict:
+        """n -> the Z/p^2 element with the same int: the element table of ``_zp2(p)``."""
+        if self.m != 1:
+            raise UnsupportedField("residue-ring model only exists for q = p")
+        return _zp2(self.p)._elements
+
     def pair(self, a0, a1) -> WittPair:
         return self.from_witt(self.residue_field.elem(a0), self.residue_field.elem(a1))
 
@@ -621,14 +654,16 @@ def _zp2(p: int) -> Zp2Ring:
 def witt_to_residue_ring(u: WittPair) -> Zp2Elem:
     """W2(F_p) -> Z/p^2, (a0, a1) -> a0^p + p*a1.
 
-    Only defined over the prime field.  Both rings are GR(p^2, 1) on the
-    same ints, so the map keeps ``n``; that it is the stated map of Witt
-    coordinates is checked against the component formulas by the suite.
+    Only defined over the prime field: an element of W2(F_q) with q > p
+    raises ``UnsupportedField``, and anything but an element of a Witt
+    ring raises ``RingMismatch``.  Both rings are GR(p^2, 1) on the same
+    ints, so the map keeps ``n``: it is one lookup in the ring's residue
+    table.  That it is the stated map of Witt coordinates is checked
+    against the component formulas by the suite.
     """
-    ring = u.ring
-    if ring.m != 1:
-        raise UnsupportedField("residue-ring model only exists for q = p")
-    return _zp2(ring.p).wrap(u.n)
+    if u.__class__ is not WittPair:
+        raise RingMismatch(f"{u!r} is not an element of W2(F_p)")
+    return u.ring._residue_table[u.n]
 
 
 def witt_to_str(u: WittPair) -> str:

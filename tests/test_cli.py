@@ -2,10 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import w2frob
 from w2frob import (
     CheckResult,
     Poly,
@@ -587,6 +593,34 @@ _UNREADABLE = [
 @example(argv=_UNREADABLE[4])
 def test_contract_holds_for_any_argv(argv):
     _assert_contract(argv)
+
+
+# argv and exit code: one per code that prints a JSON report, and --help, which argparse prints
+_CLOSED_PIPE_RUNS = [
+    (["ruled-lift", "--base", "P1", "--n", "100000", "--p", "2"], 0),
+    (["p1-lift", "--p", "2", "--f", "x^5"], 1),
+    (["classify", "--json", "{not json"], 2),
+    (["--help"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", _CLOSED_PIPE_RUNS, ids=[a[0] for a, _ in _CLOSED_PIPE_RUNS])
+def test_a_reader_gone_away_keeps_the_exit_code_and_prints_no_traceback(argv, code):
+    # as in `frobctl ... | head -c 600`, where print raises BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so its first write fails
+    src = Path(w2frob.__file__).resolve().parent.parent
+    try:
+        out = subprocess.run(
+            [sys.executable, "-c", "from w2frob.cli import main; main()", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr.decode()) == (code, "")
 
 
 def test_unreadable_input_is_a_parse_error(capsys):

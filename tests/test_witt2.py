@@ -1,4 +1,9 @@
+import operator
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +16,11 @@ from w2frob import (
     W2,
     AlgebraError,
     CharMismatch,
+    FiniteField,
     InvariantViolation,
     NotDivisible,
     Poly,
+    RingMismatch,
     UnitError,
     UnsupportedField,
     WittRing,
@@ -355,31 +362,160 @@ def test_witt_coordinates_come_from_one_table_built_on_first_use():
         broken.witt_coords(broken.one)
 
 
-def test_witt_pair_operators_go_through_the_witt_ring(monkeypatch):
-    # perfbench's per-layer w2_add/w2_neg/w2_mul counts wrap these three bindings
-    calls = {"add": 0, "neg": 0, "mul": 0}
+# each operator form and the ring operations it reaches: (form, int result, add, neg, mul)
+_ROUTES = [
+    (lambda u, v: u + v, lambda a, b: a + b, 1, 0, 0),
+    (lambda u, v: u * v, lambda a, b: a * b, 0, 0, 1),
+    (lambda u, v: -u, lambda a, b: -a, 0, 1, 0),
+    (lambda u, v: u - v, lambda a, b: a - b, 1, 1, 0),
+    (lambda u, v: v - u, lambda a, b: b - a, 1, 1, 0),
+    (lambda u, v: u + 3, lambda a, b: a + 3, 1, 0, 0),
+    (lambda u, v: 3 + u, lambda a, b: a + 3, 1, 0, 0),
+    (lambda u, v: u - 3, lambda a, b: a - 3, 1, 1, 0),
+    (lambda u, v: 3 - u, lambda a, b: 3 - a, 1, 1, 0),
+    (lambda u, v: u * -3, lambda a, b: -3 * a, 0, 0, 1),
+    (lambda u, v: -3 * u, lambda a, b: -3 * a, 0, 0, 1),
+    (lambda u, v: u * True, lambda a, b: a, 0, 0, 1),
+    (lambda u, v: u == v, None, 0, 0, 0),
+    (lambda u, v: u != 3, None, 0, 0, 0),
+]
 
-    def counted(name):
-        original = getattr(WittRing, name)
+
+def test_witt_pair_operators_go_through_the_witt_ring(monkeypatch):
+    # perfbench's per-layer w2_add/w2_neg/w2_mul counts wrap the WittRing
+    # bindings; every element class reaches its own ring's add/neg/mul the same way
+    calls = {}
+
+    def counted(cls, name):
+        original = getattr(cls, name)
 
         def op(*args):
-            calls[name] += 1
+            calls[cls, name] += 1
             return original(*args)
 
         return op
 
-    for name in calls:
-        monkeypatch.setattr(WittRing, name, counted(name))
-    r = W2(5)
-    u, v = r.pair(2, 3), r.pair(4, 1)
-    assert u + v == r.from_int(u.n + v.n)
-    assert calls == {"add": 1, "neg": 0, "mul": 0}
-    assert u * v == r.from_int(u.n * v.n)
-    assert calls == {"add": 1, "neg": 0, "mul": 1}
-    assert -u == r.from_int(-u.n)
-    assert calls == {"add": 1, "neg": 1, "mul": 1}
-    assert u - v == r.from_int(u.n - v.n)
-    assert calls == {"add": 2, "neg": 2, "mul": 1}
+    for ring, cls in [(W2(5), WittRing), (GF(5), FiniteField), (Zp2Ring(5), Zp2Ring)]:
+        for name in ("add", "neg", "mul"):
+            calls[cls, name] = 0
+            monkeypatch.setattr(cls, name, counted(cls, name))
+        u, v = ring.from_int(17), ring.from_int(9)
+        for form, on_ints, *route in _ROUTES:
+            before = [calls[cls, name] for name in ("add", "neg", "mul")]
+            got = form(u, v)
+            after = [calls[cls, name] for name in ("add", "neg", "mul")]
+            assert [b - a for a, b in zip(before, after)] == route, (ring, route)
+            if on_ints is not None:
+                assert got is ring.from_int(on_ints(u.n, v.n))
+
+
+def test_residue_map_is_one_table_built_on_first_use():
+    ring = WittRing(GF(7))
+    assert "_residue_table" not in vars(ring)  # building the ring builds no Z/p^2 model
+    for u in ring.elements():
+        assert witt_to_residue_ring(u) is witt2._zp2(7).wrap(u.n)
+    assert vars(ring)["_residue_table"] is witt2._zp2(7)._elements
+
+
+def test_residue_map_takes_only_elements_of_w2_fp():
+    for bad in [GF(5).one, Zp2Ring(5).one, witt2._zp2(5).one, 7, None, GF(2, 2).one]:
+        with pytest.raises(RingMismatch):
+            witt_to_residue_ring(bad)
+    # W2(F_q) with m > 1 raises on every call and caches nothing
+    ring = W2(2, 2)
+    for _ in range(2):
+        with pytest.raises(UnsupportedField):
+            witt_to_residue_ring(ring.one)
+        assert "_residue_table" not in vars(ring)
+
+
+# the rings of the operator contract: F_p, F4, F8, F9, Z/p^2, W2(F_p) and W2(F_q)
+_CONTRACT_RINGS = (
+    [("F", p, 1) for p in (2, 5, 17)]
+    + [("F",) + q for q in _EXTENSIONS]
+    + [("Z", p, 1) for p in (2, 5, 17)]
+    + [("W", p, 1) for p in (2, 5, 17)]
+    + [("W",) + q for q in _EXTENSIONS]
+)
+# ints on either side of an operator: negative, past p^k, past a machine word, and bools
+_INT_OPERANDS = (0, 1, -1, 2, -7, 289, 2 ** 64 + 3, -(10 ** 30) - 1, True, False)
+_FOREIGN_OPERANDS = (1.5, "1", None, [1])
+# rings that differ from some contract ring in characteristic, kind or degree
+_ALIEN_RINGS = (GF(3), Zp2Ring(3), W2(3), GF(2, 2), W2(2, 2))
+_BINARY = (operator.add, operator.sub, operator.mul)
+
+
+def _twin(kind, p, m):
+    """A ring object equal to ``_desk_ring(kind, p, m)`` but not the same one."""
+    return {"F": FiniteField, "Z": lambda p, m: Zp2Ring(p), "W": lambda p, m: WittRing(GF(p, m))}[kind](p, m)
+
+
+@pytest.mark.parametrize("spec", _CONTRACT_RINGS, ids=lambda s: f"{s[0]}{s[1]}^{s[2]}")
+def test_operators_keep_their_contract_on_every_ring(spec, rng):
+    # the operators against the int kernel; every result is the ring's interned entry
+    ring, twin = _desk_ring(*spec), _twin(*spec)
+    assert twin == ring and twin is not ring
+    fold, neg, pk = ring.fold, ring.neg_int, ring.pk
+    elems = list(ring.elements())
+    if len(elems) > 30:
+        elems = rng.sample(elems, 30)
+    for u in elems:
+        assert -u is ring.wrap(neg(u.n))
+        for v in elems:
+            for w in (v, twin.wrap(v.n)):  # one ring, then an equal but distinct one
+                assert u + w is ring.wrap(fold(u.n + v.n))
+                assert u - w is ring.wrap(fold(u.n + neg(v.n)))
+                assert u * w is ring.wrap(fold(u.n * v.n))
+                assert (u == w) is (u.n == v.n) and (u != w) is (u.n != v.n)
+            # the twin on the left answers in its own ring
+            w = twin.wrap(v.n)
+            assert w + u is twin.wrap(fold(v.n + u.n))
+            assert w - u is twin.wrap(fold(v.n + neg(u.n)))
+            assert w * u is twin.wrap(fold(v.n * u.n))
+        for k in _INT_OPERANDS:
+            c = k % pk  # k times the unit
+            assert u + k is ring.wrap(fold(u.n + c)) and k + u is ring.wrap(fold(c + u.n))
+            assert u - k is ring.wrap(fold(u.n + neg(c))) and k - u is ring.wrap(fold(c + neg(u.n)))
+            assert u * k is ring.wrap(fold(u.n * c)) and k * u is ring.wrap(fold(c * u.n))
+            assert (u == k) is (k == u) is (u.n == c) and (u != k) is (k != u) is (u.n != c)
+        for bad in _FOREIGN_OPERANDS:
+            for op in _BINARY:
+                with pytest.raises(TypeError):
+                    op(u, bad)
+                with pytest.raises(TypeError):
+                    op(bad, u)
+            assert (u == bad) is False and (u != bad) is True
+        for alien in _ALIEN_RINGS:
+            if alien == ring:
+                continue
+            x = alien.one
+            for op in _BINARY:
+                with pytest.raises(CharMismatch):
+                    op(u, x)
+                with pytest.raises(CharMismatch):
+                    op(x, u)
+            assert (u == x) is False and (u != x) is True
+
+
+def test_operator_contract_holds_under_python_O():
+    # python -O strips asserts, so an operator that leaned on one would change
+    # here; pytest still runs the test's own rewritten asserts
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run(
+        [
+            sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            # the warning that asserts outside test modules do not run under -O
+            "-W", "ignore::pytest.PytestConfigWarning",
+            f"{Path(__file__).resolve()}::test_operators_keep_their_contract_on_every_ring",
+        ],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(Path(witt2.__file__).resolve().parent.parent)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stdout[-3000:]
+    assert f"{len(_CONTRACT_RINGS)} passed" in out.stdout
 
 
 # -- field models ------------------------------------------------------------
