@@ -12,7 +12,11 @@ one rule, ``_flipped``, reads images across t = 1/x, s = 1/y and v = 1/u.
 
 The standard lift fixes a base-chart lift, sends x to x^p, and
 propagates through the transition: F(y) = ((a*y + b)^p - F(b)) / F(a),
-which always lands in y^p + p*h with deg_y h <= p.  The t and s images
+which always lands in y^p + p*h with deg_y h <= p.  The overlap map
+x = a~*y + b~ of the canonical lifts is an ``OverlapMap``, made once per
+lift; it keeps its powers as a chart lift keeps F(x_i)^e, so the lift's
+(a~*y + b~)^p is computed once and ``verify_gluing`` substitutes
+through the same cache.  The t and s images
 come from the degree-bound chart extension.  h, like the base lifts of
 ``extract_base_lift`` and ``base_glue_consistency``, is read off images
 by ``AffineChartLift.from_images``, so every chart map reduces to the
@@ -131,13 +135,38 @@ def standard_base_lift(field: FiniteField, name: str) -> BaseLift:
     return BaseLift(name, standard_lift(field, 1, (_toric_base(name).u_unit,)))
 
 
+class OverlapMap:
+    """x = a~*y + b~ over W2(F_q): the images (u, a~*y + b~) of (u, x) in (u, y).
+
+    a~ and b~ are the canonical lifts of the transition, embedded in two
+    variables.  The map keeps its powers as a chart lift keeps F(x_i)^e,
+    so the (a~*y + b~)^p of ``build_standard_lift`` is the one that
+    ``verify_gluing`` substitutes through: one power per lift.
+    """
+
+    __slots__ = ("a", "b", "images", "_powers")
+
+    def __init__(self, a: Poly, b: Poly):
+        ring = a.ring
+        self.a, self.b = a, b
+        self.images = (Poly.variable(ring, 2, 0), a * Poly.variable(ring, 2, 1) + b)
+        self._powers = {}
+
+    def power(self, i: int, e: int) -> Poly:
+        """images[i] ** e, computed once per map."""
+        power = self._powers.get((i, e))
+        if power is None:
+            power = self._powers[i, e] = self.images[i] ** e
+        return power
+
+
 class RuledLift(NamedTuple):
     """Four-chart lift data; charts keyed UX, UT, VY, VS."""
 
     transition: TransitionData
     charts: dict
     h: Poly  # fiber correction of the VY chart, over F_q
-    lifted_ab: tuple  # canonical lifts a~, b~ of the transition, on the overlap over W2(F_q)
+    overlap: OverlapMap  # x = a~*y + b~, which depends on the transition alone
 
     @property
     def field(self):
@@ -187,10 +216,10 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
     # V-side fiber image, computed on the overlap, where a and b may be Laurent in u:
     #   F(y) = ((a~*y + b~)^p - F(b~)) * F(a~)^(-1)
     # F(a~) is a unit, as a is a unit monomial and F(u) = u^p mod p
-    a2, b2 = _embed2(canonical_lift(T.a, wring)), _embed2(canonical_lift(T.b, wring))
+    overlap = OverlapMap(*(_embed2(canonical_lift(g, wring)) for g in (T.a, T.b)))
     over_ux = AffineChartLift(field, 2, (T.base.overlap_mask, False), (fu, zero))
-    den_inv = invert_unit(apply_lift(over_ux, a2))
-    y_img = ((a2 * Poly.variable(wring, 2, 1) + b2) ** p - apply_lift(over_ux, b2)) * den_inv
+    den_inv = invert_unit(apply_lift(over_ux, overlap.a))
+    y_img = (overlap.power(1, p) - apply_lift(over_ux, overlap.b)) * den_inv
     images = (over_ux.image_of_var(0), y_img)  # the VY chart map in the overlap coordinates
     h_overlap = AffineChartLift.from_images(field, over_ux.laurent_mask, images).corrections[1]
     deg_h = h_overlap.degree_in(1)
@@ -208,7 +237,7 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
         transition=T,
         charts={"UX": chart_ux, "UT": chart_ux, "VY": chart_vy, "VS": chart_vs},
         h=h_chart,
-        lifted_ab=(a2, b2),
+        overlap=overlap,
     )
 
 
@@ -242,10 +271,10 @@ def verify_gluing(L: RuledLift) -> CheckResult:
     implied by the directly checked overlaps and reported as such.
     """
     T = L.transition
-    wring = L.charts["UX"].lift_ring
     b_zero = T.b.is_zero()
     base = T.base
-    a2, b2 = L.lifted_ab
+    overlap = L.overlap
+    a2, b2 = overlap.a, overlap.b
 
     failures, checked = [], []
 
@@ -272,14 +301,15 @@ def verify_gluing(L: RuledLift) -> CheckResult:
     # each U-side chart meets VY in (u, y) and VS in (u, s), by u = 1/v on P1
     side_vy, side_vs = (_flipped(own[k], 0) if base.v_inverse else own[k] for k in ("VY", "VS"))
     mask = (base.overlap_mask, True)  # (u, x), with x inverted for UT's images (x = 1/t)
-    x_of_y = [Poly.variable(wring, 2, 0), a2 * Poly.variable(wring, 2, 1) + b2]
     for key in ("UX", "UT") if b_zero else ("UX",):
         u_img, x_img = u_side[key]
         lift = AffineChartLift.from_images(L.field, mask, u_side[key])
         if b2:
             x_img = x_img - apply_lift(lift, b2)
         y_img = x_img * invert_unit(apply_lift(lift, a2))
-        u_img, y_img = substitute(u_img, x_of_y), substitute(y_img, x_of_y)
+        u_img, y_img = (
+            substitute(g, overlap.images, powers=overlap.power) for g in (u_img, y_img)
+        )
         compare(f"{key}/VY", ("u", "y"), [u_img, y_img], side_vy)
         compare(f"{key}/VS", ("u", "s"), _flipped([u_img, y_img], 1), side_vs)
     implied = [] if b_zero else ["UT/VY", "UT/VS"]
@@ -345,7 +375,7 @@ def base_glue_consistency(L: RuledLift) -> CheckResult:
 
     img_u = L.charts["UX"].image_of_var(0)
     f0_poly = _fiber_degree_0(img_u)
-    lhs0 = _fiber_degree_0(substitute(img_u, [Poly.variable(wring, 2, 0), L.lifted_ab[1]]))
+    lhs0 = _fiber_degree_0(substitute(img_u, [Poly.variable(wring, 2, 0), L.overlap.b]))
 
     g0_poly = _fiber_degree_0(L.charts["VY"].image_of_var(0))
     if T.base.v_inverse:

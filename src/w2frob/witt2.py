@@ -26,8 +26,14 @@ entries.  Folds repeat: over the 8 default-seed sweeps of perfbench's
 eta-ext workload, 43,262 folds see 1,335 distinct ints, and 51% of them
 are canonical already, 43% one product of two canonical ints, 3% a sum
 of two and 2.5% anything else.  The table caches a pure function.  It,
-the Witt coordinates ``_coords`` and the residue table below are the
-only state a ring gains after it is built.  Frobenius, its inverse
+the Witt coordinates ``_coords`` and the residue table
+``_residue_table`` below are the only state a ring gains after it is
+built.  The two tables are plain attributes set on first use, not
+``functools.cached_property``: its first read would materialize the
+ring's instance ``__dict__`` and slow every later attribute load of the
+kernel (``self._elements``, ``self.fold``).  ``GF(p, m)`` and
+``W2(p, m)`` hand out one ring object per (p, m), however m is passed,
+so ``W2(p).residue_field is GF(p)``.  Frobenius, its inverse
 and the p-adic split are dict lookups built once per ring, with q
 entries for F_q and q^2 (16, 64 or 81) for W2(F_q).
 
@@ -53,8 +59,8 @@ with the ring: most W2(F_p) are never mapped to Z/p^2.
 W2(F_q) is read and written in Witt coordinates (a0, a1), which stand for
 u = [a0] + p*lift(a1^(1/p)) with the Teichmüller lift [a] = lift(a)^q.
 For q = p that is u = a0^p + p*a1 mod p^2.  Only the text, JSON and
-``.a0``/``.a1`` boundary reads coordinates, from a table n -> (a0, a1)
-built on first use.  The length-2 component
+``.a0``/``.a1`` boundary reads coordinates, from the table ``_coords``,
+n -> (a0, a1), built on first use.  The length-2 component
 formulas are kept out of this module on purpose: they are the independent
 models that check the kernel, for q = p in ``sweeps.sweep_witt`` and for
 every q in ``tests/oracles.py``.
@@ -79,7 +85,7 @@ canonical lift of a residue, which is the Teichmüller lift over W2).
 from __future__ import annotations
 
 import re
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -521,9 +527,17 @@ class FiniteField(GaloisRing):
             raise ParseError(f"bad {self} coefficient: {s!r}") from exc
 
 
+# GF and W2 cache each spelling of their arguments (GF(5), GF(5, 1), GF(5, m=1)),
+# so that a hit is one lru_cache call; _field and _witt_ring, keyed by the
+# normalized (p, m), make every spelling hand out the same ring object.
 @lru_cache(maxsize=None)
 def GF(p: int, m: int = 1) -> FiniteField:
-    """Cached field constructor."""
+    """The field F_{p^m}: one object per (p, m), however m is passed."""
+    return _field(p, m)
+
+
+@lru_cache(maxsize=None)
+def _field(p: int, m: int) -> FiniteField:
     return FiniteField(p, m)
 
 
@@ -591,25 +605,35 @@ class WittRing(_LiftRing):
     def _from_witt_int(self, a0: int, a1: int) -> int:
         return self.fold(self.from_residue_int(a0) + self.p * self.residue_field.inv_frob_int(a1))
 
-    @cached_property
-    def _coords(self) -> dict:
-        """n -> (a0, a1), inverted from (a0, a1) -> n as inv_frob_int is from frob_int."""
+    def _coord_table(self) -> dict:
+        """``_coords``, n -> (a0, a1), set on first use.
+
+        It is inverted from (a0, a1) -> n as inv_frob_int is from frob_int.
+        """
+        try:
+            return self._coords
+        except AttributeError:
+            pass
         elems = self.residue_field.elements
         table = {self._from_witt_int(a0.n, a1.n): (a0, a1) for a0 in elems() for a1 in elems()}
         if len(table) < self.q ** 2:
             raise InvariantViolation(f"Witt coordinates of {self!r} name {len(table)} elements")
+        self._coords = table
         return table
 
     def witt_coords(self, u: WittPair) -> tuple:
         """(a0, a1) with u = [a0] + p*lift(a1^(1/p))."""
-        return self._coords[u.n]
+        return self._coord_table()[u.n]
 
-    @cached_property
-    def _residue_table(self) -> dict:
-        """n -> the Z/p^2 element with the same int: the element table of ``_zp2(p)``."""
+    def _residue_map(self) -> dict:
+        """``_residue_table``, n -> the Z/p^2 element with the same int, set on first use.
+
+        It is the element table of ``_zp2(p)``; for m > 1 this raises and sets nothing.
+        """
         if self.m != 1:
             raise UnsupportedField("residue-ring model only exists for q = p")
-        return _zp2(self.p)._elements
+        self._residue_table = table = _zp2(self.p)._elements
+        return table
 
     def pair(self, a0, a1) -> WittPair:
         return self.from_witt(self.residue_field.elem(a0), self.residue_field.elem(a1))
@@ -621,7 +645,7 @@ class WittRing(_LiftRing):
 
     def elements(self) -> Iterator[WittPair]:
         """Every element, in the order of its Witt coordinates (a0, a1)."""
-        return map(self.wrap, self._coords)
+        return map(self.wrap, self._coord_table())
 
     # -- text format ---------------------------------------------------
 
@@ -642,7 +666,12 @@ class WittRing(_LiftRing):
 
 @lru_cache(maxsize=None)
 def W2(p: int, m: int = 1) -> WittRing:
-    """Cached Witt-ring constructor over GF(p, m)."""
+    """The Witt ring W2(F_{p^m}) over GF(p, m): one object per (p, m), however m is passed."""
+    return _witt_ring(p, m)
+
+
+@lru_cache(maxsize=None)
+def _witt_ring(p: int, m: int) -> WittRing:
     return WittRing(GF(p, m))
 
 
@@ -663,7 +692,10 @@ def witt_to_residue_ring(u: WittPair) -> Zp2Elem:
     """
     if u.__class__ is not WittPair:
         raise RingMismatch(f"{u!r} is not an element of W2(F_p)")
-    return u.ring._residue_table[u.n]
+    try:
+        return u.ring._residue_table[u.n]
+    except AttributeError:
+        return u.ring._residue_map()[u.n]
 
 
 def witt_to_str(u: WittPair) -> str:

@@ -354,6 +354,25 @@ def test_ruled_lift_reports_are_pinned(capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
 
 
+# many-term shears at p = 17: a~*y + b~ has 4 terms (its 17th power is one multinomial
+# pass), 5 and 7 (past the bound of compositions: repeated squaring); the digests
+# were taken with every power computed by repeated squaring
+_MANY_TERM_SHEARS = [
+    ("x1^2+x1+1", "7d745f6bd9cb4a5c22626944f3c798355f2b74f482cd1d233563a958bd24b6d7"),
+    ("x1^4+3*x1^3+x1+5", "f38999efca0f0186e70c9c41f58dc7c80e4fb95fd28ad20f5b1ba5fbf1eedbb9"),
+    (
+        "x1^5+x1^4+x1^3+x1^2+x1+1",
+        "32d9123e3564a79d977fbabd95ea17b492c0b81c7570a74152eea1254f736fa4",
+    ),
+]
+
+
+def test_ruled_lift_with_a_many_term_b_keeps_its_report_at_p17(capsys):
+    for b, digest in _MANY_TERM_SHEARS:
+        assert run_command(["ruled-lift", "--base", "A1", "--b", b, "--p", "17"]) == 0, b
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, b
+
+
 def test_check_counts_a_trial_with_witnesses_as_failed():
     check = sweeps._check("c", "cite", [[], [{"w": 1}, {"w": 2}], []])
     assert (check["trials"], check["passes"], check["ok"]) == (3, 2, False)

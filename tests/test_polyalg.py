@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -30,6 +31,7 @@ from w2frob import (
     substitute,
     witt_to_residue_ring,
 )
+from w2frob import polyalg
 from w2frob.polyalg import flip_variable, phi_derivation, reindex
 from w2frob.witt2 import SHIFT
 
@@ -212,6 +214,19 @@ def _product_of_copies(f: Poly, e: int) -> Poly:
     return power
 
 
+def _counting_products(monkeypatch):
+    """Count every Poly product from here on; the returned list grows by one per product."""
+    products = []
+    real_mul = Poly.__mul__
+
+    def counting_mul(a, b):
+        products.append(1)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    return products
+
+
 @pytest.mark.parametrize(
     "ring", [W2(2), W2(3), W2(5), W2(2, 2), W2(2, 3), W2(3, 2)], ids=repr
 )
@@ -221,13 +236,6 @@ def test_first_order_power_matches_repeated_products(ring, rng, monkeypatch):
     # e = 0 mod p and e = p^2 as for any other e
     p, one = ring.p, Poly.constant(ring, 2, 1)
     powers = sorted({2, 3, p, 2 * p, p * p, p * p + 1})
-    products = []
-    real_mul = Poly.__mul__
-
-    def counting_mul(a, b):
-        products.append(1)
-        return real_mul(a, b)
-
     for _ in range(20):
         c = _random_unit_coeff(ring, rng)
         while Poly.constant(ring, 2, c) == one:
@@ -239,15 +247,61 @@ def test_first_order_power_matches_repeated_products(ring, rng, monkeypatch):
         for e in powers:
             expected = _product_of_copies(f, e)
             with monkeypatch.context() as m:
-                m.setattr(Poly, "__mul__", counting_mul)
+                products = _counting_products(m)
                 assert f ** e == expected, (f, e)
             assert not products
-    # fallbacks: a reduction with zero terms, or with two or more terms
+    # the other paths: a reduction with zero terms squares, one with two or more
+    # terms takes the multinomial pass
     p_x = Poly.monomial(ring, 2, (1, -1), ring.p_elem)
     two_units = P(ring, 2, "x1^-1+x2") + p_x
     for f in (Poly.zero(ring, 2), p_x, p_x + Poly.monomial(ring, 2, (0, 2), ring.p_elem), two_units):
         for e in (0, 1, 2, p, p + 1):
             assert f ** e == _product_of_copies(f, e), (f, e)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [GF(2), GF(3), GF(5), GF(2, 2), GF(2, 3), GF(3, 2)]
+    + [Zp2Ring(p) for p in (2, 3, 5)]
+    + [W2(2), W2(3), W2(5), W2(2, 2), W2(2, 3), W2(3, 2)],
+    ids=repr,
+)
+def test_multinomial_power_matches_repeated_products(ring, rng, monkeypatch):
+    # f has 2-4 terms, Laurent or not, two or more of them units and, over a lift
+    # ring, some divisible by p: f**e is one multinomial pass with no Poly product
+    p, lift_ring = ring.p, hasattr(ring, "residue_field")
+    for _ in range(12):
+        nterms = rng.randint(2, 4)
+        units = nterms if not lift_ring else rng.randint(2, nterms)
+        terms = {}
+        while len(terms) < nterms:
+            mono = (rng.randint(-2, 3), rng.randint(-2, 3))
+            c = _random_unit_coeff(ring, rng)
+            if len(terms) >= units:
+                c = ring.p_elem * c
+            terms.setdefault(mono, c)
+        f = Poly(ring, 2, terms)
+        for e in sorted({2, 3, p, p + 1, 2 * p}):
+            expected = _product_of_copies(f, e)
+            with monkeypatch.context() as m:
+                products = _counting_products(m)
+                assert f ** e == expected, (f, e)
+            assert not products, (f, e)
+
+
+def test_power_past_the_multinomial_bound_squares_and_agrees(monkeypatch):
+    # a 4-term base: the largest e whose compositions fit the bound takes the
+    # multinomial pass, the next one repeated squaring, and both agree
+    ring = GF(5)
+    f = P(ring, 2, "x1^2+2*x1*x2^-1+3*x2+4")
+    r = len(f.terms)
+    e = max(k for k in range(2, 100) if comb(k + r - 1, r - 1) <= polyalg._MULTINOMIAL_BOUND)
+    for exp, squares in ((e, False), (e + 1, True)):
+        with monkeypatch.context() as m:
+            products = _counting_products(m)
+            got = f ** exp
+        assert bool(products) == squares, exp
+        assert got == polyalg._multinomial_power(f, exp) == _product_of_copies(f, exp)
 
 
 @pytest.mark.parametrize(

@@ -258,7 +258,7 @@ def test_u_side_y_witnesses_solve_the_transition():
     for case in _bumped_lifts():
         T = case.transition
         ring = case.charts["UX"].lift_ring
-        a2, b2 = case.lifted_ab
+        a2, b2 = case.overlap.a, case.overlap.b
         u, y = Poly.variable(ring, 2, 0), Poly.variable(ring, 2, 1)
         for f in verify_gluing(case).failures:
             if f["overlap"] not in seen or f["coordinate"] != "y":
@@ -461,3 +461,48 @@ def test_ruled_checks_make_a_bounded_number_of_substitutions(monkeypatch):
     }
     assert not over, over
     assert counts["F2"]["verify"] > 0  # the wrapper sees the calls
+
+
+def _units(f: Poly) -> int:
+    """The number of unit terms of f: those not divisible by p (over a field, every term)."""
+    split = f.ring.split_p
+    return sum(1 for c in f.terms.values() if split(c)[1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_one_shear_power_per_lift(p, monkeypatch):
+    # (a~*y + b~)^p is the only power of a base with two or more unit terms that
+    # building and verifying a shear takes, and it is taken once
+    real_pow = Poly.__pow__
+    raised = []
+
+    def counting_pow(f, e):
+        if _units(f) > 1:
+            raised.append((poly_to_str(f), e))
+        return real_pow(f, e)
+
+    field = GF(p)
+    monkeypatch.setattr(Poly, "__pow__", counting_pow)
+    for T in (shear_A1(field), shear_Gm(field), *(T for _, T in sheared_P1(field))):
+        raised.clear()
+        lift = build_standard_lift(T)
+        assert verify_gluing(lift).ok
+        overlap = lift.overlap
+        assert raised == [(poly_to_str(overlap.images[1]), p)], T
+        assert overlap.power(1, p) is overlap.power(1, p)
+
+
+def test_a_replaced_chart_keeps_a_valid_overlap_cache():
+    # sweeps and the corrupted-lift tests replace charts with lift._replace: the
+    # overlap map depends on the transition alone, so its cached powers still hold
+    for p in (2, 3):
+        for _, T in itertools.chain(sweeps._ruled_cases(GF(p)), sheared_P1(GF(p))):
+            lift = build_standard_lift(T)
+            for key, slot in itertools.product(lift.charts, (0, 1)):
+                bumped = _bumped(lift, key, slot, "x1^2*x2")
+                assert bumped.overlap is lift.overlap
+                fresh = bumped._replace(overlap=ruled.OverlapMap(lift.overlap.a, lift.overlap.b))
+                got, want = verify_gluing(bumped), verify_gluing(fresh)
+                assert (got.failures, got.details) == (want.failures, want.details)
+            for (i, e), power in lift.overlap._powers.items():
+                assert power == lift.overlap.images[i] ** e

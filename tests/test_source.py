@@ -260,3 +260,17 @@ def test_every_random_draw_goes_through_draw_below():
             if isinstance(node, ast.Attribute) and node.attr in _DRAWS and id(node) not in kernel
         ]
     assert not found, found
+
+
+def test_witt_rings_fill_their_lazy_tables_without_cached_property():
+    # a cached_property read materializes the ring's instance __dict__, and every
+    # attribute load of the kernel (self._elements, self.fold) then takes the slower path
+    path = Path(w2frob.__file__).parent / "witt2.py"
+    found = [
+        f"witt2.py:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id == "cached_property")
+        or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+        or (isinstance(node, ast.alias) and node.name == "cached_property")
+    ]
+    assert not found, found

@@ -349,6 +349,18 @@ def test_wrap_of_a_non_canonical_int_raises():
     assert GF(2, 2).from_int(7).coeffs == (1, 0)
 
 
+@pytest.mark.parametrize(
+    "p, m", [(p, 1) for p in _PRIMES] + list(_EXTENSIONS), ids=lambda v: str(v)
+)
+def test_one_ring_object_per_p_and_m(p, m):
+    # however m is passed, GF and W2 hand out one object, and W2's residue field is GF's
+    field, ring = GF(p, m), W2(p, m)
+    assert GF(p, m=m) is field and W2(p, m=m) is ring
+    if m == 1:
+        assert GF(p) is field and W2(p) is ring and Zp2Ring(p).residue_field is field
+    assert ring.residue_field is field
+
+
 def test_witt_coordinates_come_from_one_table_built_on_first_use():
     ring = WittRing(GF(5))
     u = ring.pair(2, 3)
