@@ -33,6 +33,7 @@ from .polyalg import (
     PolyMatrix,
     canonical_lift,
     divide_by_p,
+    divided_difference,
     embed_times_p,
     frobenius_substitute,
     phi_derivation,
@@ -166,6 +167,11 @@ def apply_lift(L: AffineChartLift, a: Poly) -> Poly:
     the Witt Frobenius, so the reduction mod p of the result is the p-th
     power of the reduction of a.
     """
+    return substitute(_frobenius_twisted(L, a), L.images, powers=L.image_of_var_power)
+
+
+def _frobenius_twisted(L: AffineChartLift, a: Poly) -> Poly:
+    """a with the Witt Frobenius on its coefficients, once checked to lie on L's chart."""
     ring = L.lift_ring
     if a.ring != ring or a.nvars != L.nvars:
         raise ShapeError("argument is not a lift-ring polynomial on this chart")
@@ -173,7 +179,7 @@ def apply_lift(L: AffineChartLift, a: Poly) -> Poly:
         raise UnsupportedShape("argument inverts a variable outside the chart")
     if ring.m > 1:  # the Witt Frobenius is the identity on W2(F_p)
         a = a.map_coefficients(ring.frob_int, ring)
-    return substitute(a, L.images, powers=L.image_of_var_power)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +220,11 @@ class EtaFunction:
         return phi_derivation(a, self.values)
 
     def via_lifts(self, a: Poly) -> Poly:
-        """divide_by_p(F2(a~) - F1(a~)) for any lift a~ of a (well defined)."""
+        """divide_by_p(F2(a~) - F1(a~)) for any lift a~ of a (well defined), in one pass."""
         f1, f2 = self.sources
-        a_lift = canonical_lift(a, f1.lift_ring)
-        return divide_by_p(apply_lift(f2, a_lift) - apply_lift(f1, a_lift))
+        a_lift = _frobenius_twisted(f1, canonical_lift(a, f1.lift_ring))
+        sides = (f1.images, f1.image_of_var_power), (f2.images, f2.image_of_var_power)
+        return divided_difference(a_lift, *sides)
 
     def __repr__(self):
         vs = ", ".join(poly_to_str(v) for v in self.values)

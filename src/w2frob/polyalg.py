@@ -47,7 +47,8 @@ product.  It runs while C(e + r - 1, r - 1) is at most
 ``phi_derivation``, the closed form sum_i phi(df/dx_i)*v_i of an
 eta-function, accumulates every term phi(c*m_i)*x^(p*(m - e_i))*v_i into
 one dict and folds once.  A difference folds each coefficient once,
-adding ``pk_slots`` instead of negating first.
+adding ``pk_slots`` instead of negating first, and so does the (g2 - g1)/p
+of two substitutions (``divided_difference``, eta through two lifts).
 
 Text grammar: terms like ``c*x1^e1*x2^-3``, joined by '+' or '-', and the
 first may carry a sign too.  A factor is a variable power (bare ``x`` is
@@ -462,9 +463,9 @@ def substitute(f: Poly, images: Sequence[Poly], *, powers: Callable | None = Non
     exponents invert the corresponding image, so images standing in for
     inverted variables must be units.  ``powers(i, e)``, when given, must
     return ``images[i] ** e``: a caller that keeps those powers (a chart
-    lift does, and so does ``ruled.OverlapMap``) passes its cache; otherwise each power is computed once per
-    call.  A monomial or zero image needs no powers: it shifts exponents
-    and scales coefficients, and ``powers`` is never asked for it.
+    lift does, so does ``ruled.OverlapMap``) passes its cache; otherwise
+    each power is computed once per call.  A monomial or zero image needs
+    no powers: it shifts exponents and scales coefficients.
     """
     if len(images) != f.nvars:
         raise ShapeError(f"need {f.nvars} images, got {len(images)}")
@@ -475,6 +476,11 @@ def substitute(f: Poly, images: Sequence[Poly], *, powers: Callable | None = Non
         images[0]._compat(img)
     if ring is not f.ring and ring != f.ring:
         raise RingMismatch(f"images over {ring!r} for a polynomial over {f.ring!r}")
+    return _folded(ring, nvars, _substituted(f, images, powers, ring, nvars))
+
+
+def _substituted(f: Poly, images, powers, ring, nvars: int) -> dict:
+    """``substitute``'s value on validated images, as unfolded ints per monomial."""
     fold, pow_int = ring.fold, ring.pow_int
     if powers is None:
         cache: dict = {}
@@ -522,7 +528,34 @@ def substitute(f: Poly, images: Sequence[Poly], *, powers: Callable | None = Non
             if mono is not origin:
                 tm = tuple(map(add, tm, mono))
             acc[tm] = get(tm, 0) + n * t
-    return _folded(ring, nvars, acc)
+    return acc
+
+
+def divided_difference(f: Poly, first: tuple, second: tuple) -> Poly:
+    """divide_by_p(g2 - g1) for g_k = ``substitute(f, images, powers=powers)``, the k-th side.
+
+    Each side is (images, powers), the images on f's chart; both accumulate
+    unfolded, then each monomial folds, subtracts via ``pk_slots``, splits by p.
+    """
+    ring, nvars = f.ring, f.nvars
+    if not _is_lift_ring(ring):
+        raise RingMismatch(f"{ring!r} has no division by p")
+    if not len(first[0]) == len(second[0]) == nvars:
+        raise ShapeError(f"need {nvars} images a side, got {len(first[0])} and {len(second[0])}")
+    for img in (*first[0], *second[0]):
+        f._compat(img)
+    minuend = _substituted(f, *second, ring, nvars)
+    fold, split, pk_slots = ring.fold, ring.split_p, ring.pk_slots
+    for m, n in _substituted(f, *first, ring, nvars).items():
+        minuend[m] = fold(minuend.get(m, 0)) + pk_slots - fold(n)
+    terms = {}
+    for m, n in minuend.items():
+        high, low = split(fold(n))
+        if low:
+            raise NotDivisible(f"coefficient at {m} is not divisible by p")
+        if high:
+            terms[m] = high
+    return Poly._make(ring.residue_field, nvars, terms)
 
 
 def reindex(f: Poly, slots: Sequence, nvars: int) -> Poly:

@@ -1,7 +1,10 @@
 """Independent brute-force models used as test oracles.
 
 Everything here works with plain ints and dicts on purpose: these
-implementations must not share any code path with the package.
+implementations must not share any code path with the package.  The one
+exception is ``eta_through_two_lifts``, the reference route an eta-function
+had before its divided difference was fused: it composes public package
+functions, each checked by its own tests, to pin the fused path to them.
 """
 
 from itertools import permutations, product
@@ -64,6 +67,14 @@ def _width(rows) -> int:
 def from_pkg_poly(f) -> dict:
     """Extract a prime-field package polynomial into plain dict-of-ints form."""
     return {m: f.coefficient_of(m).as_int() for m in f.terms}
+
+
+def eta_through_two_lifts(f1, f2, a):
+    """divide_by_p(F2(a~) - F1(a~)), a~ the canonical lift of a, with both values built whole."""
+    from w2frob import apply_lift, canonical_lift, divide_by_p
+
+    a_lift = canonical_lift(a, f1.lift_ring)
+    return divide_by_p(apply_lift(f2, a_lift) - apply_lift(f1, a_lift))
 
 
 def naive_laurent_mul_zp2(f: dict, g: dict, p: int) -> dict:

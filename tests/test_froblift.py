@@ -6,6 +6,7 @@ from w2frob import (
     GF,
     W2,
     AffineChartLift,
+    AlgebraError,
     CheckResult,
     EtaFunction,
     InvariantViolation,
@@ -13,6 +14,7 @@ from w2frob import (
     Poly,
     PolyMatrix,
     RangeError,
+    RingMismatch,
     ShapeError,
     UnsupportedShape,
     apply_lift,
@@ -33,9 +35,11 @@ from w2frob import (
     top_monomial,
     witt_to_residue_ring,
 )
-from w2frob import polyalg
+from oracles import eta_through_two_lifts
+from w2frob import froblift, polyalg
 from w2frob.polyalg import flip_variable
 from w2frob.randgen import random_chart_lift, random_poly
+from w2frob.sweeps import sweep_eta
 
 
 def P(ring, nvars, s):
@@ -79,9 +83,10 @@ def test_laurent_image_is_unit():
 FIELDS = [GF(2), GF(3), GF(5), GF(2, 2), GF(2, 3), GF(3, 2)]
 
 
-def _random_laurent_lift(rng, field, nvars) -> AffineChartLift:
+def _random_laurent_lift(rng, field, nvars, mask=None) -> AffineChartLift:
     """Up to 4 correction terms each; exponents down to -2 on the inverted variables."""
-    mask = tuple(rng.random() < 0.5 for _ in range(nvars))
+    if mask is None:
+        mask = tuple(rng.random() < 0.5 for _ in range(nvars))
     lows = [-2 if inverted else 0 for inverted in mask]
     corrections = [
         Poly(
@@ -278,6 +283,114 @@ def test_eta_axioms_on_random_pairs(rng):
                 b = random_poly(rng, F, n, p, 3)
                 res = eta_axioms_check(eta, a, b)
                 assert res.ok, res.failures
+
+
+def _raises_exactly(kind, fn, *args):
+    with pytest.raises(AlgebraError) as info:
+        fn(*args)
+    assert type(info.value) is kind, info.value
+
+
+def test_via_lifts_argument_contract():
+    # the ring is checked first, then the variable count, then the mask
+    F = GF(3)
+    L = AffineChartLift(F, 2, (False, False), (P(F, 2, "x1^2"), P(F, 2, "2*x2")))
+    eta = eta_between(standard_lift(F, 2), L)
+    lifted = canonical_lift(P(F, 2, "x1"), L.lift_ring)
+    for wrong_ring in (P(GF(5), 2, "x1"), P(GF(3, 2), 2, "x1"), lifted, P(GF(5), 3, "x1")):
+        _raises_exactly(RingMismatch, eta.via_lifts, wrong_ring)
+    for wrong_nvars in (P(F, 1, "x"), P(F, 3, "x3"), Poly.zero(F, 3)):
+        _raises_exactly(ShapeError, eta.via_lifts, wrong_nvars)
+    # the standard lift's one-term images would invert silently: the mask decides
+    for eta_ in (eta, eta_between(standard_lift(F, 2), standard_lift(F, 2))):
+        _raises_exactly(UnsupportedShape, eta_.via_lifts, P(F, 2, "x1^-1+x2"))
+    _raises_exactly(ShapeError, eta.via_lifts, P(F, 3, "x1^-1"))
+
+
+def test_via_lifts_on_zero_variable_chart():
+    # with no chart variables both lifts act on constants alike: eta is 0
+    for F in (GF(2), GF(2, 2)):
+        L = standard_lift(F, 0)
+        eta = eta_between(L, L)
+        for c in F.elements():
+            got = eta.via_lifts(Poly.constant(F, 0, c))
+            assert got == Poly.zero(F, 0) and got.ring is F
+
+
+def _random_laurent_poly(rng, field, mask) -> Poly:
+    """Up to 4 terms; exponents down to -2 on the variables the mask inverts."""
+    lows = [-2 if inverted else 0 for inverted in mask]
+    terms = {
+        tuple(rng.randint(low, field.p) for low in lows): field.random(rng)
+        for _ in range(rng.randint(0, 4))
+    }
+    return Poly(field, len(mask), terms)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_via_lifts_matches_the_two_lift_route(field, rng):
+    # the one-pass divided difference against divide_by_p(F2(a~) - F1(a~))
+    # with both lift values built whole, on Laurent charts of 1 to 3 variables
+    seen_negative = False
+    for trial in range(18):
+        n = 1 + trial % 3
+        mask = tuple(rng.random() < 0.5 for _ in range(n - 1)) + (True,)
+        L1, L2 = (_random_laurent_lift(rng, field, n, mask) for _ in range(2))
+        standard = standard_lift(field, n, mask)
+        args = [Poly.zero(field, n), Poly.constant(field, n, field.random(rng))]
+        args += [_random_laurent_poly(rng, field, mask) for _ in range(6)]
+        for f1, f2 in [(L1, L2), (standard, L2), (L1, standard), (L2, L2)]:
+            eta = eta_between(f1, f2)
+            for a in args:
+                seen_negative |= any(e < 0 for m in a.terms for e in m)
+                got = eta.via_lifts(a)
+                assert got.ring is field and got == eta_through_two_lifts(f1, f2, a)
+                assert got == eta(a)
+    assert seen_negative
+
+
+def test_via_lifts_builds_no_lift_value(monkeypatch):
+    # on a seeded slice of sweep_eta, via_lifts makes no apply_lift, substitute,
+    # Poly subtraction or divide_by_p call, and runs the accumulation that
+    # substitute shares exactly twice per call: once for each lift
+    counts = dict.fromkeys(["via_lifts", "apply_lift", "substitute", "sub", "divide_by_p"], 0)
+    counts["accumulations"] = 0
+    inside = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if inside:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    real_via_lifts = EtaFunction.via_lifts
+
+    def via_lifts(self, a):
+        counts["via_lifts"] += 1
+        inside.append(a)
+        try:
+            return real_via_lifts(self, a)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(EtaFunction, "via_lifts", via_lifts)
+    for module in (froblift, polyalg):
+        for name in ("apply_lift", "substitute", "divide_by_p"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(Poly, "__sub__", counted("sub", Poly.__sub__))
+    monkeypatch.setattr(Poly, "__rsub__", counted("sub", Poly.__rsub__))
+    monkeypatch.setattr(polyalg, "_substituted", counted("accumulations", polyalg._substituted))
+    for p in (2, 3, 5):
+        (check,) = sweep_eta(p, 3, 4, 20130902)
+        assert check["ok"], check
+    calls = 3 * 3 * 4 * 2  # 3 primes, 3 lift pairs, 4 pairs (a, b), 2 laws
+    assert counts == {
+        "via_lifts": calls, "apply_lift": 0, "substitute": 0, "sub": 0, "divide_by_p": 0,
+        "accumulations": 2 * calls,
+    }
 
 
 def test_corrupted_eta_fails():

@@ -16,6 +16,7 @@ from w2frob import (
     GF,
     W2,
     CharMismatch,
+    NotDivisible,
     Poly,
     ParseError,
     PolyMatrix,
@@ -23,6 +24,7 @@ from w2frob import (
     ShapeError,
     UnitError,
     Zp2Ring,
+    divide_by_p,
     frobenius_substitute,
     invert_unit,
     poly_from_str,
@@ -32,7 +34,7 @@ from w2frob import (
     witt_to_residue_ring,
 )
 from w2frob import polyalg
-from w2frob.polyalg import flip_variable, phi_derivation, reindex
+from w2frob.polyalg import divided_difference, flip_variable, phi_derivation, reindex
 from w2frob.witt2 import SHIFT
 
 
@@ -652,6 +654,60 @@ def test_substitute_zero_image_under_a_negative_exponent_raises():
     F3 = GF(3)
     f = P(F3, 2, "x1^2+2*x1*x2+x2^3")
     assert substitute(f, [Poly.variable(F3, 2, 1, -1), Poly.zero(F3, 2)]) == P(F3, 2, "x2^-2")
+
+
+@pytest.mark.parametrize("ring", [Zp2Ring(3), W2(2), W2(5), W2(2, 2), W2(3, 2)], ids=repr)
+def test_divided_difference_is_divide_by_p_of_the_substitutions(ring, rng):
+    # two image sets that agree mod p, with monomial, many-term and unit images
+    # under negative exponents: one pass gives divide_by_p of the difference
+    field = ring.residue_field
+    for _ in range(40):
+        first = []
+        for i in range(2):
+            img = Poly.monomial(ring, 2, tuple(rng.randint(-1, 2) for _ in range(2)),
+                                _random_unit_coeff(ring, rng))
+            if rng.random() < 0.5:
+                img = img + Poly.monomial(ring, 2, (rng.randint(0, 2), i), ring.p_elem)
+            first.append(img)
+        second = [img + Poly.monomial(ring, 2, (rng.randint(0, 2), rng.randint(0, 2)),
+                                      ring.p_elem * ring.random(rng)) for img in first]
+        f = Poly(ring, 2, {(rng.randint(-2, 3), rng.randint(-2, 3)): ring.random(rng)
+                           for _ in range(rng.randint(0, 5))})
+        want = divide_by_p(substitute(f, second) - substitute(f, first))
+        got = divided_difference(f, (first, None), (second, None))
+        assert got.ring is field and got == want
+        assert divided_difference(f, (first, None), (first, None)) == Poly.zero(field, 2)
+
+
+def test_divided_difference_names_a_monomial_it_cannot_divide():
+    # images that differ mod p: the same NotDivisible, with the same message,
+    # as divide_by_p on the whole difference (x1 + 1)*x2 - x1*x2 = x2
+    for ring in (W2(3), W2(2, 2)):
+        f = P(ring, 2, "x1*x2")
+        first = [Poly.variable(ring, 2, 0), Poly.variable(ring, 2, 1)]
+        second = [first[0] + 1, first[1]]
+        with pytest.raises(NotDivisible) as whole:
+            divide_by_p(substitute(f, second) - substitute(f, first))
+        with pytest.raises(NotDivisible) as fused:
+            divided_difference(f, (first, None), (second, None))
+        assert str(fused.value) == str(whole.value) == "coefficient at (0, 1) is not divisible by p"
+
+
+def test_divided_difference_rejects_what_it_cannot_take():
+    ring = W2(3)
+    x, y = Poly.variable(ring, 2, 0), Poly.variable(ring, 2, 1)
+    f = P(ring, 2, "x1*x2")
+    with pytest.raises(RingMismatch, match="no division by p"):
+        divided_difference(P(GF(3), 2, "x1"), ([x, y], None), ([x, y], None))
+    with pytest.raises(ShapeError, match="need 2 images a side, got 2 and 1"):
+        divided_difference(f, ([x, y], None), ([x], None))
+    with pytest.raises(RingMismatch):
+        divided_difference(f, ([x, y], None), ([x, Poly.variable(W2(5), 2, 1)], None))
+    with pytest.raises(RingMismatch):
+        divided_difference(f, ([x, y], None), ([x, Poly.variable(ring, 3, 1)], None))
+    # with no variables both sides leave a constant alone: the difference is 0
+    c = Poly.constant(W2(2, 2), 0, 3)
+    assert divided_difference(c, ((), None), ((), None)) == Poly.zero(GF(2, 2), 0)
 
 
 def test_flip_variable_is_the_monomial_substitution(rng):

@@ -83,8 +83,8 @@ def test_ruled_dispatches_on_the_base_object():
 
 def test_froblift_alone_turns_images_into_corrections():
     # F(x_i) = x_i^p + p*f_i is read back only by AffineChartLift.from_images
-    # (and eta's divided difference) in froblift; no module outside polyalg
-    # reduces mod p
+    # in froblift (eta's divided difference is polyalg.divided_difference);
+    # no module outside polyalg reduces mod p
     allowed = {"divide_by_p": {"polyalg.py", "froblift.py"}, "reduce_mod_p": {"polyalg.py"}}
     found = [
         f"{path.name}:{node.lineno} {name}"
