@@ -154,6 +154,51 @@ def test_constructor_reads_elements_of_its_ring_and_ints():
     assert f.coefficient_of((0, 3)) == W2(2, 2).one
 
 
+@pytest.mark.parametrize("exp", [1.5, 1.0, "2", True, None], ids=repr)
+def test_constructors_reject_exponents_that_are_not_ints(exp):
+    # the exponent kernels add ints: 1.5 would print as x1^1.5 and "2" would
+    # concatenate in a product; 1.0 and True hash as 1, so Poly.variable must
+    # check before it looks up its interned x1
+    F3 = GF(3)
+    Poly.variable(F3, 2, 0, 1)  # interned
+    with pytest.raises(ShapeError, match="is not an int"):
+        Poly(F3, 1, {(exp,): 1})
+    with pytest.raises(ShapeError, match="is not an int"):
+        Poly(F3, 2, {(1, 0): 2, (0, exp): 1})
+    with pytest.raises(ShapeError, match="is not an int"):
+        Poly.monomial(F3, 2, (1, exp))
+    with pytest.raises(ShapeError, match="is not an int"):
+        Poly.variable(F3, 2, 0, exp)
+    # an exponent list is still read as its tuple
+    assert Poly.monomial(F3, 2, [2, -1]) == P(F3, 2, "x1^2*x2^-1")
+
+
+def test_index_queries_raise_shape_errors():
+    F3 = GF(3)
+    f = P(F3, 2, "x1^2*x2+x2^3")
+    for i in (-1, 2, 7):
+        with pytest.raises(ShapeError, match="out of range for 2 variables"):
+            f.degree_in(i)
+        with pytest.raises(ShapeError, match="out of range for 2 variables"):
+            f.collect_by_var(i)
+        with pytest.raises(ShapeError, match="out of range for 2 variables"):
+            f.partial_derivative(i)
+    with pytest.raises(ShapeError, match="out of range"):
+        Poly.zero(F3, 2).degree_in(2)  # the zero polynomial too, before its None
+    for mono in [(1,), (1, 0, 0), ()]:
+        with pytest.raises(ShapeError, match="does not have 2 exponents"):
+            f.coefficient_of(mono)
+    assert [f.degree_in(0), f.degree_in(1)] == [2, 3]
+    assert f.coefficient_of([2, 1]) == F3.one
+
+
+def test_invert_unit_names_the_zero_polynomial():
+    for ring in (GF(3), GF(2, 2), Zp2Ring(3), W2(2, 2)):
+        for nvars in (0, 1, 6):
+            with pytest.raises(UnitError, match="not a unit: the zero polynomial"):
+                invert_unit(Poly.zero(ring, nvars))
+
+
 # -- derivatives -------------------------------------------------------------
 
 
@@ -639,16 +684,12 @@ def test_substitute_mixed_images_match_products(ring, rng):
 
 
 def test_substitute_zero_image_under_a_negative_exponent_raises():
-    for ring, message in [
-        (GF(3), "not a unit: more than one term"),
-        (Zp2Ring(3), "not a unit: reduction mod p is not a monomial"),
-        (W2(2, 2), "not a unit: reduction mod p is not a monomial"),
-    ]:
+    for ring in [GF(3), Zp2Ring(3), W2(2, 2)]:
         f = P(ring, 2, "x1^2+x1*x2^-1")
-        with pytest.raises(UnitError, match=message):
+        with pytest.raises(UnitError, match="not a unit: the zero polynomial"):
             substitute(f, [Poly.variable(ring, 2, 0), Poly.zero(ring, 2)])
         if ring.pk != ring.p:  # p * x2 is no unit either
-            with pytest.raises(UnitError, match=message):
+            with pytest.raises(UnitError, match="not a unit: reduction mod p is not a monomial"):
                 substitute(f, [Poly.variable(ring, 2, 0), P(ring, 2, f"{ring.p}*x2")])
     # a zero image under positive exponents only removes those terms
     F3 = GF(3)
@@ -708,6 +749,125 @@ def test_divided_difference_rejects_what_it_cannot_take():
     # with no variables both sides leave a constant alone: the difference is 0
     c = Poly.constant(W2(2, 2), 0, 3)
     assert divided_difference(c, ((), None), ((), None)) == Poly.zero(GF(2, 2), 0)
+
+
+# -- exponent kernels -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("nvars", range(7))
+def test_exponent_kernels_match_the_generic_forms(nvars, rng):
+    # arities 0-4 are written out, 5 and up fall back to the generic forms
+    add, scale = polyalg._kernels(nvars)
+    assert (nvars >= 5) == (add is polyalg._add_any)
+    for _ in range(50):
+        a = tuple(rng.randint(-9, 9) for _ in range(nvars))
+        b = tuple(rng.randint(-9, 9) for _ in range(nvars))
+        k = rng.randint(-4, 17)
+        assert add(a, b) == tuple(x + y for x, y in zip(a, b))
+        assert scale(k, a) == tuple(k * x for x in a)
+        assert scale(-1, a) == tuple(-x for x in a)
+        assert type(add(a, b)) is type(scale(k, a)) is tuple
+
+
+def _wide_poly(ring, rng, nvars: int, nterms: int, low: int = -2) -> Poly:
+    """Up to nterms random terms, exponents in [low, 3]; coefficients may be 0."""
+    return Poly(ring, nvars, {
+        tuple(rng.randint(low, 3) for _ in range(nvars)): ring.random(rng) for _ in range(nterms)
+    })
+
+
+def _wide_unit(ring, rng, nvars: int) -> Poly:
+    """c*x^M plus, over a lift ring, up to two terms divisible by p: a unit."""
+    mono = tuple(rng.randint(-2, 2) for _ in range(nvars))
+    f = Poly.monomial(ring, nvars, mono, _random_unit_coeff(ring, rng))
+    if hasattr(ring, "residue_field"):
+        f = f + Poly.monomial(ring, nvars, (1,) * nvars, ring.p_elem * ring.random(rng))
+        f = f + Poly.monomial(ring, nvars, (0,) * (nvars - 1) + (2,), ring.p_elem)
+    return f
+
+
+@pytest.mark.parametrize("nvars", [5, 6])
+def test_products_and_powers_past_the_kernel_table_match_their_oracles(nvars, rng, monkeypatch):
+    # no workload has more than 4 variables; these reach the generic fallback
+    F5, W = GF(5), W2(3)
+    for f_size, g_size in [(1, 1), (1, 4), (4, 1), (4, 4)] * 5:
+        f = _wide_poly(F5, rng, nvars, f_size, low=0)
+        g = _wide_poly(F5, rng, nvars, g_size, low=0)
+        assert from_pkg_poly(f * g) == naive_poly_mul(from_pkg_poly(f), from_pkg_poly(g), 5)
+        f, g = _wide_poly(W, rng, nvars, f_size), _wide_poly(W, rng, nvars, g_size)
+        assert _ints(f * g) == naive_poly_mul(_ints(f), _ints(g), 9)
+    for _ in range(6):
+        first_order = _wide_unit(W, rng, nvars)  # one unit term
+        multinomial = _wide_poly(F5, rng, nvars, 3)  # every term a unit
+        multinomial_lift = _wide_unit(W, rng, nvars) + _wide_unit(W, rng, nvars)
+        for f in (first_order, multinomial, multinomial_lift):
+            for e in (2, 3, 6):
+                expected = _product_of_copies(f, e)
+                with monkeypatch.context() as m:
+                    products = _counting_products(m)
+                    assert f ** e == expected, (f, e)
+                assert not products or len(f.terms) < 2, (f, e)
+        assert frobenius_substitute(multinomial) == _product_of_copies(multinomial, 5)
+
+
+@pytest.mark.parametrize("nvars", [5, 6])
+@pytest.mark.parametrize("ring", [GF(5), GF(2, 2), W2(3), W2(2, 2)], ids=repr)
+def test_substitution_past_the_kernel_table_matches_its_oracles(ring, nvars, rng):
+    lift_ring = hasattr(ring, "residue_field")
+    for trial in range(12):
+        # monomial, zero and many-term images; units where exponents go negative
+        images, lows = [], []
+        for i in range(nvars):
+            kind = (trial + i) % 3
+            if kind == 0:
+                images.append(_wide_unit(ring, rng, nvars) if lift_ring else
+                              Poly.monomial(ring, nvars, tuple(rng.randint(-1, 2)
+                                                               for _ in range(nvars)),
+                                            _random_unit_coeff(ring, rng)))
+            elif kind == 1:
+                images.append(Poly.zero(ring, nvars))
+            else:
+                images.append(_wide_poly(ring, rng, nvars, 2, low=0) + 1)
+            lows.append(-1 if kind == 0 else 0)
+        f = Poly(ring, nvars, {
+            tuple(rng.randint(low, 2) for low in lows): ring.random(rng) for _ in range(4)
+        })
+        assert substitute(f, images) == _substitute_by_products(f, images)
+        if lift_ring:
+            second = [img + Poly.monomial(ring, nvars, (0,) * nvars, ring.p_elem)
+                      for img in images]
+            want = divide_by_p(substitute(f, second) - substitute(f, images))
+            assert divided_difference(f, (images, None), (second, None)) == want
+    for _ in range(10):
+        u = _wide_unit(ring, rng, nvars)
+        assert u * invert_unit(u) == Poly.constant(ring, nvars, 1)
+        x = Poly.monomial(ring, nvars, tuple(rng.randint(-3, 3) for _ in range(nvars)))
+        assert x * invert_unit(x) == Poly.constant(ring, nvars, 1)
+
+
+@pytest.mark.parametrize("nvars", [5, 6])
+def test_phi_derivation_past_the_kernel_table_matches_its_oracles(nvars, rng):
+    # over F_p, phi(c) = c, so sum_i phi(df/dx_i)*v_i has a dict oracle of its own
+    F5 = GF(5)
+    for _ in range(10):
+        f = _wide_poly(F5, rng, nvars, 4, low=-3)
+        values = [_wide_poly(F5, rng, nvars, 2) for _ in range(nvars)]
+        expected: dict = {}
+        for m, c in from_pkg_poly(f).items():
+            for i, v in enumerate(values):
+                if m[i] % 5:
+                    shift = {tuple(5 * (e - (j == i)) for j, e in enumerate(m)): c * m[i] % 5}
+                    prod = naive_poly_mul(shift, from_pkg_poly(v), 5)
+                    expected = naive_poly_add(expected, prod, 5)
+        assert from_pkg_poly(phi_derivation(f, values)) == expected
+    W = W2(3)
+    for _ in range(10):
+        f = _wide_poly(W, rng, nvars, 4)
+        values = [_wide_poly(W, rng, nvars, 2) for _ in range(nvars)]
+        composed = Poly.zero(W, nvars)
+        for i, v in enumerate(values):
+            composed = composed + frobenius_substitute(f.partial_derivative(i)) * v
+        assert phi_derivation(f, values) == composed
 
 
 def test_flip_variable_is_the_monomial_substitution(rng):

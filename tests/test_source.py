@@ -274,3 +274,44 @@ def test_witt_rings_fill_their_lazy_tables_without_cached_property():
         or (isinstance(node, ast.alias) and node.name == "cached_property")
     ]
     assert not found, found
+
+
+# the exponent kernel table of polyalg: the one place the generic forms may stand
+_KERNEL_TABLE = {"_KERNELS", "_add_any", "_scale_any"}
+
+
+def _slow_exponent_idiom(node) -> str | None:
+    """'map(add, ...)' or 'tuple(<generator>)' when node is such a call; None otherwise."""
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+        return None
+    first = node.args[0] if node.args else None
+    if node.func.id == "map" and (
+        getattr(first, "id", None) == "add" or getattr(first, "attr", None) == "add"
+    ):
+        return "map(add, ...)"
+    if node.func.id == "tuple" and isinstance(first, ast.GeneratorExp):
+        return "tuple(<generator>)"
+    return None
+
+
+def test_polyalg_builds_exponents_through_its_kernel_table():
+    # an exponent tuple built by map(add, ...) or a generator costs 3-4 times
+    # an arity kernel of _KERNELS; only the fallback for 5 and more variables may
+    path = Path(w2frob.__file__).parent / "polyalg.py"
+    tree = ast.parse(path.read_text())
+    table = [
+        node
+        for node in tree.body
+        if getattr(node, "name", None) in _KERNEL_TABLE
+        or (isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in _KERNEL_TABLE)
+    ]
+    assert len(table) == len(_KERNEL_TABLE)  # the guard follows a renamed table
+    allowed = {id(node) for top in table for node in ast.walk(top)}
+    found = [
+        f"polyalg.py:{node.lineno} {idiom}"
+        for node in ast.walk(tree)
+        if id(node) not in allowed
+        for idiom in [_slow_exponent_idiom(node)]
+        if idiom
+    ]
+    assert not found, found
