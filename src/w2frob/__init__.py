@@ -5,7 +5,7 @@ Layers, bottom up:
 * ``witt2``: F_q, Z/p^2 and W2(F_q) as Galois rings on one integer
   kernel, with the division-by-p isomorphism.
 * ``polyalg``: sparse exact multivariate Laurent polynomials, matrices,
-  cofactor determinants.
+  determinants that build each minor once.
 * ``froblift``: Frobenius lifts on affine charts, the eta difference
   calculus, the phi matrix / determinant and the column-sum lemma.
 * ``projline``: the two-chart degree-bound criterion on the projective

@@ -36,6 +36,7 @@ from .polyalg import (
     divided_difference,
     embed_times_p,
     frobenius_substitute,
+    partial_derivatives,
     phi_derivation,
     poly_from_str,
     poly_to_str,
@@ -272,16 +273,10 @@ def eta_axioms_check(eta: EtaFunction, a: Poly, b: Poly) -> CheckResult:
 
 def phi_matrix(L: AffineChartLift) -> PolyMatrix:
     """Diag(x_i^(p-1)) + (df_i/dx_j), row i, column j."""
-    n = L.nvars
-    p = L.p
     entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = L.corrections[i].partial_derivative(j)
-            if i == j:
-                e = e + Poly.variable(L.field, n, i, p - 1)
-            row.append(e)
+    for i, f in enumerate(L.corrections):
+        row = partial_derivatives(f, range(L.nvars))
+        row[i] = row[i] + Poly.variable(L.field, L.nvars, i, L.p - 1)
         entries.append(row)
     return PolyMatrix(entries)
 
@@ -334,7 +329,7 @@ def monomial_lemma_check(K: Sequence[Sequence[int]], p: int) -> CheckResult:
 
     field = GF(p)
     fs = [Poly.monomial(field, n, tuple(row)) for row in K]
-    M = PolyMatrix([[f.partial_derivative(j) for j in range(m)] for f in fs])
+    M = PolyMatrix([partial_derivatives(f, range(m)) for f in fs])
     expanded = M.determinant()
 
     failures = []

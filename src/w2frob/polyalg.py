@@ -49,6 +49,12 @@ eta-function, accumulates every term phi(c*m_i)*x^(p*(m - e_i))*v_i into
 one dict and folds once.  A difference folds each coefficient once,
 adding ``pk_slots`` instead of negating first, and so does the (g2 - g1)/p
 of two substitutions (``divided_difference``, eta through two lifts).
+``partial_derivatives`` takes several derivatives in one walk.  A
+determinant (size <= 4) is a Laplace expansion from the last row up over
+column bitmasks: the minor of the last k rows on columns S sums the entry
+in column j times the minor on S - j over the j in S, every other one
+negated by ``neg_int``, as ints per monomial folded once.  Zero entries
+and minors drop; a first pass keeps the column sets nonzero entries reach.
 
 Every exponent tuple these paths build comes from one small table,
 ``_KERNELS``: for each arity up to 4 an add and a scale kernel written
@@ -58,8 +64,8 @@ negates.  Each function picks its pair once per call (``_kernels``), and
 5 or more variables, which no sweep builds, fall back to the generic
 forms.  A default-seed ``perfbench`` sweep makes about 3,300 monomial
 adds on eta-lifts (79% arity 2, 21% arity 1), 2,350 on eta-ext (77% and
-23%), 2,870 on ruled-gluing (all arity 2) and 1,640 on field-checks (62%
-arity 1, 24% arity 4, 11% arity 3, 3% arity 2).  Monomials stay exponent
+23%), 2,870 on ruled-gluing (all arity 2) and 1,630 on field-checks (62%
+arity 1, 23% arity 4, 11% arity 3, 3% arity 2).  Monomials stay exponent
 tuples, the keys every reader of ``terms`` sees.
 
 Text grammar: terms like ``c*x1^e1*x2^-3``, joined by '+' or '-', and the
@@ -249,12 +255,14 @@ class Poly:
     __slots__ = ("ring", "nvars", "terms")
 
     def __init__(self, ring, nvars: int, terms=None):
+        if type(nvars) is not int or nvars < 0:
+            raise ShapeError(f"variable count {nvars!r} is not an int >= 0")
         self.ring = ring
         self.nvars = nvars
         clean = {}
         if terms:
             for mono, c in terms.items():
-                if len(mono) != nvars:
+                if not isinstance(mono, tuple) or len(mono) != nvars:
                     raise ShapeError(f"monomial {mono} does not have {nvars} exponents")
                 mono = tuple(mono)
                 for e in mono:
@@ -280,18 +288,20 @@ class Poly:
 
     @classmethod
     def zero(cls, ring, nvars: int) -> "Poly":
-        return cls._make(ring, nvars, {})
+        return cls(ring, nvars)
 
     @classmethod
     def constant(cls, ring, nvars: int, c) -> "Poly":
+        zero = cls(ring, nvars)  # a bad nvars raises ShapeError here, before (0,) * nvars
         n = _require_coeff_int(ring, c)
-        return cls._make(ring, nvars, {(0,) * nvars: n} if n else {})
+        return cls._make(ring, nvars, {(0,) * nvars: n}) if n else zero
 
     @classmethod
     def variable(cls, ring, nvars: int, i: int, exp: int = 1) -> "Poly":
         """x_i^exp, one interned object per (ring, nvars, i, exp) while the cache has room."""
-        if type(exp) is not int:  # before the lookup: 1.0 and True hash as 1 does
-            raise ShapeError(f"exponent {exp!r} is not an int")
+        # before the lookup: True and 1.0 hash as 1 does
+        if type(nvars) is not int or type(i) is not int or type(exp) is not int:
+            raise ShapeError(f"one of count {nvars!r}, index {i!r}, exp {exp!r} is not an int")
         # keyed by the ring's id: the cached polynomial holds the ring, so the id stays its own
         key = (id(ring), nvars, i, exp)
         out = _VARIABLES.get(key)
@@ -471,16 +481,7 @@ class Poly:
 
     def partial_derivative(self, j: int) -> "Poly":
         """Formal d/dx_j; exponents divisible by the characteristic die."""
-        if not 0 <= j < self.nvars:
-            raise ShapeError(f"variable index {j} out of range for {self.nvars} variables")
-        # distinct monomials with e_j != 0 stay distinct after lowering e_j
-        pk = self.ring.pk
-        acc = {
-            m[:j] + (m[j] - 1,) + m[j + 1:]: c * (m[j] % pk)
-            for m, c in self.terms.items()
-            if m[j]
-        }
-        return _folded(self.ring, self.nvars, acc)
+        return partial_derivatives(self, (j,))[0]
 
     def map_coefficients(self, fn: Callable, target_ring) -> "Poly":
         """Apply fn, a map of canonical ints into ``target_ring``'s, to every coefficient."""
@@ -705,6 +706,25 @@ def phi_derivation(f: Poly, values: Sequence[Poly]) -> Poly:
     return _folded(ring, nvars, acc)
 
 
+def partial_derivatives(f: Poly, columns: Sequence[int]) -> list:
+    """[df/dx_j for j in columns] in one walk over f; exponents divisible by p die."""
+    nvars = f.nvars
+    out = []  # (j, the terms of df/dx_j)
+    for j in columns:
+        if type(j) is not int or not 0 <= j < nvars:
+            raise ShapeError(f"variable index {j!r} out of range for {nvars} variables")
+        out.append((j, {}))
+    fold, pk = f.ring.fold, f.ring.pk
+    for m, c in f.terms.items():
+        for j, terms in out:
+            e = m[j]
+            if e:  # lowering e_j != 0 keeps distinct monomials distinct
+                n = fold(c * (e % pk))
+                if n:
+                    terms[m[:j] + (e - 1,) + m[j + 1:]] = n
+    return [Poly._make(f.ring, nvars, terms) for _, terms in out]
+
+
 def reduce_mod_p(f: Poly) -> Poly:
     """Coefficientwise reduction of a lift-ring polynomial to the residue field."""
     ring = f.ring
@@ -817,7 +837,7 @@ class PolyMatrix:
         return self.entries == other.entries
 
     def determinant(self) -> Poly:
-        """Exact determinant by cofactor expansion (square, size <= 4)."""
+        """Exact determinant (square, size <= 4), each minor built at most once."""
         if self.rows != self.cols:
             raise ShapeError(f"determinant of a {self.rows}x{self.cols} matrix")
         if self.rows > 4:
@@ -829,19 +849,43 @@ class PolyMatrix:
 
 
 def _det(rows) -> Poly:
-    """Cofactor expansion of a square list of rows along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    acc = Poly.zero(rows[0][0].ring, rows[0][0].nvars)
-    for j, head in enumerate(rows[0]):
-        if head.is_zero():
-            continue
-        cof = head * _det([row[:j] + row[j + 1:] for row in rows[1:]])
-        acc = acc + (cof if j % 2 == 0 else -cof)
-    return acc
+    """Laplace expansion of a square list of rows from the last row up (module docstring)."""
+    n, ring, nvars = len(rows), rows[0][0].ring, rows[0][0].nvars
+    fold, neg, add = ring.fold, ring.neg_int, _kernels(nvars)[0]
+    reach = [{(1 << n) - 1}]  # reach[r]: the column sets of the minors on rows r, ... to build
+    for row in rows[:-2]:
+        bits = [1 << j for j, e in enumerate(row) if e.terms]
+        reach.append({mask ^ bit for mask in reach[-1] for bit in bits if mask & bit})
+    # minors[S]: the terms of the nonzero minor of the rows below on the columns in S
+    minors = {1 << j: e.terms for j, e in enumerate(rows[-1]) if e.terms}
+    for r in range(n - 2, -1, -1):
+        row = rows[r]
+        grown = {}
+        for mask in reach[r]:
+            acc, odd = {}, False
+            get = acc.get
+            for j, e in enumerate(row):  # the columns of mask ascending, every other one negated
+                bit = 1 << j
+                if not mask & bit:
+                    continue
+                minor = minors.get(mask ^ bit)
+                if minor is not None:
+                    for m1, c1 in e.terms.items():
+                        if odd:
+                            c1 = neg(c1)
+                        for m2, c2 in minor.items():
+                            mono = add(m1, m2)
+                            acc[mono] = get(mono, 0) + c1 * c2
+                odd = not odd
+            terms = {}
+            for m, c in acc.items():
+                c = fold(c)
+                if c:
+                    terms[m] = c
+            if terms:
+                grown[mask] = terms
+        minors = grown
+    return Poly._make(ring, nvars, minors.get((1 << n) - 1, {}))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ def naive_poly_mul(f: dict, g: dict, p: int) -> dict:
 
 
 def naive_poly_mul_fq(f: dict, g: dict, F) -> dict:
-    """Dict-convolution product of {exponent tuple: slot tuple} polynomials over FqModel F."""
+    """Dict-convolution product of dict-polynomials over a model F: FqModel, WittModel, ..."""
     out = {}
     for m1, c1 in f.items():
         for m2, c2 in g.items():
@@ -38,22 +38,40 @@ def naive_poly_add(f: dict, g: dict, p: int) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def naive_det_by_permutations(rows: list, p: int) -> dict:
-    """Determinant of a matrix of dict-polynomials via the Leibniz sum."""
+def naive_det_by_permutations(rows: list, ring) -> dict:
+    """Determinant of a matrix of dict-polynomials via the Leibniz sum.
+
+    ``ring`` is a modulus p, for int coefficients mod p, or a coefficient
+    model with add, neg, mul, zero and one: FqModel or WittModel.
+    """
+    R = IntModModel(ring) if isinstance(ring, int) else ring
     n = len(rows)
     total: dict = {}
     for perm in permutations(range(n)):
         sign = 1
-        seen = list(perm)
         for i in range(n):
             for j in range(i + 1, n):
-                if seen[i] > seen[j]:
+                if perm[i] > perm[j]:
                     sign = -sign
-        prod = {(0,) * _width(rows): 1}
+        prod = {(0,) * _width(rows): R.one}
         for i in range(n):
-            prod = naive_poly_mul(prod, rows[i][perm[i]], p)
-        total = naive_poly_add(total, {m: (sign * c) % p for m, c in prod.items()}, p)
-    return total
+            prod = naive_poly_mul_fq(prod, rows[i][perm[i]], R)
+        for m, c in prod.items():
+            c = c if sign > 0 else R.neg(c)
+            total[m] = R.add(total.get(m, R.zero), c)
+    return {m: c for m, c in total.items() if c != R.zero}
+
+
+def naive_partial_derivative(f: dict, j: int, R) -> dict:
+    """d/dx_j of a dict-polynomial over a coefficient model: e*c as |e| repeated additions."""
+    out = {}
+    for m, c in f.items():
+        d = R.zero
+        for _ in range(abs(m[j])):
+            d = R.add(d, c if m[j] > 0 else R.neg(c))
+        if d != R.zero:
+            out[m[:j] + (m[j] - 1,) + m[j + 1:]] = d
+    return out
 
 
 def _width(rows) -> int:
@@ -62,6 +80,22 @@ def _width(rows) -> int:
             for mono in entry:
                 return len(mono)
     return 1
+
+
+class IntModModel:
+    """Z/N on plain ints, with the interface of FqModel."""
+
+    def __init__(self, modulus: int):
+        self.N, self.zero, self.one = modulus, 0, 1 % modulus
+
+    def add(self, a, b):
+        return (a + b) % self.N
+
+    def neg(self, a):
+        return -a % self.N
+
+    def mul(self, a, b):
+        return a * b % self.N
 
 
 def from_pkg_poly(f) -> dict:
@@ -154,6 +188,7 @@ class WittModel:
     def __init__(self, p: int, m: int):
         self.p = p
         self.F = FqModel(p, m)
+        self.zero, self.one = (self.F.zero, self.F.zero), (self.F.one, self.F.zero)
 
     def elements(self):
         return [(a0, a1) for a0 in self.F.elements() for a1 in self.F.elements()]

@@ -466,6 +466,22 @@ def test_phi_det_top_coefficient_sweep(rng):
                 assert det.coefficient_of(top_monomial(L)) == F.one
 
 
+def test_phi_matrix_is_the_entrywise_derivative_matrix(rng):
+    # the rows come from one walk per correction; each entry must still be
+    # df_i/dx_j, plus x_i^(p-1) on the diagonal, over every field kind and size
+    for F in (GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2)):
+        for n in (1, 2, 3, 4):
+            for _ in range(8):
+                L = random_chart_lift(rng, F, n)
+                M = phi_matrix(L)
+                for i, f in enumerate(L.corrections):
+                    for j in range(n):
+                        expected = f.partial_derivative(j)
+                        if i == j:
+                            expected = expected + Poly.variable(F, n, i, F.p - 1)
+                        assert M[i, j] == expected
+
+
 def test_low_decomposition_terms_do_not_touch_top_coefficient(rng):
     # dropping every x_s^p-divisible part of the corrections leaves the
     # distinguished coefficient of det(phi) unchanged

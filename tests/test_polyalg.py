@@ -5,9 +5,11 @@ import pytest
 
 from oracles import (
     FqModel,
+    WittModel,
     from_pkg_poly,
     naive_det_by_permutations,
     naive_laurent_mul_zp2,
+    naive_partial_derivative,
     naive_poly_add,
     naive_poly_mul,
     naive_poly_mul_fq,
@@ -34,7 +36,13 @@ from w2frob import (
     witt_to_residue_ring,
 )
 from w2frob import polyalg
-from w2frob.polyalg import divided_difference, flip_variable, phi_derivation, reindex
+from w2frob.polyalg import (
+    divided_difference,
+    flip_variable,
+    partial_derivatives,
+    phi_derivation,
+    reindex,
+)
 from w2frob.witt2 import SHIFT
 
 
@@ -173,6 +181,37 @@ def test_constructors_reject_exponents_that_are_not_ints(exp):
     assert Poly.monomial(F3, 2, [2, -1]) == P(F3, 2, "x1^2*x2^-1")
 
 
+@pytest.mark.parametrize("nvars", [-1, -3, 1.0, True, "2", None], ids=repr)
+def test_constructors_reject_variable_counts_that_are_not_counts(nvars):
+    # Poly.constant(F3, -1, 1) was a polynomial with nvars -1 and the monomial ()
+    F3 = GF(3)
+    for build in [
+        lambda: Poly(F3, nvars),
+        lambda: Poly(F3, nvars, {(): 1}),
+        lambda: Poly.zero(F3, nvars),
+        lambda: Poly.constant(F3, nvars, 1),
+        lambda: Poly.monomial(F3, nvars, ()),
+    ]:
+        with pytest.raises(ShapeError, match="variable count"):
+            build()
+    Poly.variable(F3, 1, 0)  # interned: True hashes as 1 does
+    with pytest.raises(ShapeError):
+        Poly.variable(F3, nvars, 0)
+    assert Poly.constant(F3, 0, 2) == Poly(F3, 0, {(): 2})
+
+
+def test_constructors_raise_shape_errors_for_bad_monomials_and_indices():
+    F3 = GF(3)
+    for key in [5, "ab", frozenset({1}), None]:
+        with pytest.raises(ShapeError, match="does not have"):
+            Poly(F3, 2 if key == "ab" else 1, {key: 1})
+    Poly.variable(F3, 2, 1, 2)  # interned: True hashes as 1 does
+    for i in [True, False, 1.0, "1", None]:
+        with pytest.raises(ShapeError, match="is not an int"):
+            Poly.variable(F3, 2, i, 2)
+    assert Poly.variable(F3, 2, 1, 2) == P(F3, 2, "x2^2")
+
+
 def test_index_queries_raise_shape_errors():
     F3 = GF(3)
     f = P(F3, 2, "x1^2*x2+x2^3")
@@ -219,6 +258,52 @@ def test_derivative_laurent_negative_exponent():
     F3 = GF(3)
     f = Poly.variable(F3, 1, 0, -1)
     assert f.partial_derivative(0) == Poly.monomial(F3, 1, (-2,), F3.from_int(2))
+
+
+# F_p, F_q for q in {4, 8, 9}, W2(F_p) and W2(F_q): every kind of coefficient ring
+_MODEL_RINGS = [GF(2), GF(3), GF(5), GF(2, 2), GF(2, 3), GF(3, 2)]
+_MODEL_RINGS += [W2(2), W2(3), W2(5), W2(2, 2), W2(2, 3), W2(3, 2)]
+
+
+def _model_of(ring):
+    """The oracle model of a package ring, and the map of its elements into it."""
+    if hasattr(ring, "residue_field"):
+        return WittModel(ring.p, ring.m), lambda u: tuple(c.coeffs for c in ring.witt_coords(u))
+    return FqModel(ring.p, ring.m), lambda u: u.coeffs
+
+
+def _to_model(f, to_model) -> dict:
+    return {m: to_model(f.coefficient_of(m)) for m in f.terms}
+
+
+def _random_laurent(rng, ring, nvars: int, max_terms: int) -> Poly:
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        terms[tuple(rng.randint(-2, 3) for _ in range(nvars))] = ring.random(rng)
+    return Poly(ring, nvars, terms)
+
+
+@pytest.mark.parametrize("ring", _MODEL_RINGS, ids=repr)
+def test_one_pass_derivatives_match_single_ones_and_the_oracle(ring, rng):
+    model, to_model = _model_of(ring)
+    for _ in range(12):
+        f = _random_laurent(rng, ring, 3, 5)
+        derivatives = partial_derivatives(f, range(3))
+        assert derivatives == [f.partial_derivative(j) for j in range(3)]
+        for j, d in enumerate(derivatives):
+            assert _to_model(d, to_model) == naive_partial_derivative(
+                _to_model(f, to_model), j, model
+            )
+        # any columns, in the order given
+        assert partial_derivatives(f, (2, 0)) == [derivatives[2], derivatives[0]]
+        assert partial_derivatives(f, ()) == []
+
+
+def test_one_pass_derivatives_reject_bad_columns():
+    f = P(GF(3), 2, "x1^2*x2")
+    for columns in [(2,), (-1,), (0, 2), (True,), (1.0,)]:
+        with pytest.raises(ShapeError, match="out of range for 2 variables"):
+            partial_derivatives(f, columns)
 
 
 # every supported field: F_p for p <= 17, and F4, F8, F9 with packed coefficients
@@ -468,6 +553,51 @@ def test_det_multilinear_and_alternating(rng):
         # repeated rows kill the determinant
         repeated = [rows[0], rows[0], rows[2]]
         assert PolyMatrix(repeated).determinant().is_zero()
+
+
+def _assert_det_matches_oracle(rows, model, to_model):
+    got = PolyMatrix(rows).determinant()
+    expected = naive_det_by_permutations(
+        [[_to_model(e, to_model) for e in row] for row in rows], model
+    )
+    assert _to_model(got, to_model) == expected
+    return got
+
+
+@pytest.mark.parametrize("ring", _MODEL_RINGS, ids=repr)
+def test_det_matches_permutation_oracle_over_every_ring_kind(ring, rng):
+    # Laurent exponents, zero entries, zero rows and columns, repeated rows
+    model, to_model = _model_of(ring)
+    zero = Poly.zero(ring, 2)
+    for n in (1, 2, 3, 4):
+        for _ in range(2):
+            rows = [[_random_laurent(rng, ring, 2, 2) for _ in range(n)] for _ in range(n)]
+            _assert_det_matches_oracle(rows, model, to_model)
+            k = rng.randrange(n)
+            zero_row = [row if i != k else [zero] * n for i, row in enumerate(rows)]
+            assert _assert_det_matches_oracle(zero_row, model, to_model).is_zero()
+            zero_col = [[e if j != k else zero for j, e in enumerate(row)] for row in rows]
+            assert _assert_det_matches_oracle(zero_col, model, to_model).is_zero()
+            if n > 1:
+                repeated = [rows[0], *rows[1:-1], rows[0]]
+                assert _assert_det_matches_oracle(repeated, model, to_model).is_zero()
+
+
+@pytest.mark.parametrize("ring", _MODEL_RINGS, ids=repr)
+def test_det_of_a_signed_permutation_matrix(ring, rng):
+    # one nonzero entry +-c_i*x^m_i per row: the determinant is a single product
+    model, to_model = _model_of(ring)
+    zero = Poly.zero(ring, 2)
+    for perm in [(0, 1, 2, 3), (1, 0, 3, 2), (3, 0, 1, 2), (2, 3, 1, 0)]:
+        rows = []
+        for i in range(4):
+            c = ring.random(rng)
+            while c == ring.zero:
+                c = ring.random(rng)
+            entry = Poly.monomial(ring, 2, (rng.randint(-2, 2), i), c)
+            entry = -entry if rng.random() < 0.5 else entry
+            rows.append([entry if j == perm[i] else zero for j in range(4)])
+        _assert_det_matches_oracle(rows, model, to_model)
 
 
 # -- coefficient extraction ---------------------------------------------------

@@ -315,3 +315,38 @@ def test_polyalg_builds_exponents_through_its_kernel_table():
         if idiom
     ]
     assert not found, found
+
+
+def _function(tree, name: str):
+    """The def named ``name`` anywhere in the tree; LookupError when there is none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return node
+    raise LookupError(name)
+
+
+def _called_names(fn) -> set:
+    return {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+    }
+
+
+def test_determinants_and_jacobians_take_their_one_pass_routes():
+    # _det builds each minor once, from the last row up, and must not fall back
+    # to a cofactor recursion; the phi matrix and the column-sum lemma take all
+    # derivatives of a polynomial in one walk, and Poly.partial_derivative
+    # keeps no second derivative loop of its own
+    package = Path(w2frob.__file__).parent
+    polyalg = ast.parse((package / "polyalg.py").read_text())
+    froblift = ast.parse((package / "froblift.py").read_text())
+    assert "_det" not in _called_names(_function(polyalg, "_det"))
+    for name in ("phi_matrix", "monomial_lemma_check"):
+        called = _called_names(_function(froblift, name))
+        assert "partial_derivative" not in called, name
+        assert "partial_derivatives" in called, name
+    single = _function(polyalg, "partial_derivative")
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(node, loops) for node in ast.walk(single))
+    assert "partial_derivatives" in _called_names(single)
