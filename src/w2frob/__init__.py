@@ -2,8 +2,8 @@
 
 Layers, bottom up:
 
-* ``witt2``: F_q, Z/p^2 and W2(F_q) as Galois rings on one integer
-  kernel, with the division-by-p isomorphism.
+* ``witt2``: F_q and W2(F_q) as Galois rings on one integer kernel
+  (W2(F_p) is Z/p^2), with the division-by-p isomorphism.
 * ``polyalg``: sparse exact multivariate Laurent polynomials, matrices,
   determinants that build each minor once.
 * ``froblift``: Frobenius lifts on affine charts, the eta difference
@@ -91,8 +91,6 @@ from .witt2 import (
     FqElem,
     WittPair,
     WittRing,
-    Zp2Elem,
-    Zp2Ring,
     witt_from_str,
     witt_to_residue_ring,
     witt_to_str,

@@ -12,10 +12,10 @@ Products, sums, derivatives and substitutions therefore accumulate plain
 ints per monomial and fold once per term.  Element objects appear only
 at the boundary: the constructors read elements (or ints), and
 ``coefficient_of``, ``single_term`` and the text format return or print
-them.  Rings that carry the int-form mod-p maps (``residue_field``,
-``split_p``, ``times_p_int``, ``from_residue_int``) support reduction,
-division by p, multiplication by p and the canonical lift between a lift
-ring and its residue field.
+them.  The lift ring W2(F_q) carries the int-form mod-p maps
+(``residue_field``, ``split_p``, ``times_p_int``, ``from_residue_int``)
+for reduction, division by p, multiplication by p and the canonical lift
+between it and its residue field F_q.
 
 Chart changes of toric and ruled surfaces are monomial, so most products
 and substitutions meet monomials, and three fast paths serve them.  A
@@ -55,6 +55,7 @@ column bitmasks: the minor of the last k rows on columns S sums the entry
 in column j times the minor on S - j over the j in S, every other one
 negated by ``neg_int``, as ints per monomial folded once.  Zero entries
 and minors drop; a first pass keeps the column sets nonzero entries reach.
+A 1x1 determinant is its entry.
 
 Every exponent tuple these paths build comes from one small table,
 ``_KERNELS``: for each arity up to 4 an add and a scale kernel written
@@ -842,6 +843,8 @@ class PolyMatrix:
             raise ShapeError(f"determinant of a {self.rows}x{self.cols} matrix")
         if self.rows > 4:
             raise ShapeError("determinant restricted to size <= 4")
+        if self.rows == 1:
+            return self.entries[0][0]
         return _det(self.entries)
 
     def __repr__(self):

@@ -100,7 +100,7 @@ def sweep_witt(p_list) -> list:
             {"op": "residue", "u": repr(u)}
             for u in elems
             for a0, a1 in [coords[u.n]]
-            if witt_to_residue_ring(u).rep != (a0 ** p + p * a1) % (p * p)
+            if witt_to_residue_ring(u).n != (a0 ** p + p * a1) % (p * p)
         ]
         checks.append(
             _check(

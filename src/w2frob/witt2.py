@@ -1,8 +1,9 @@
-"""Exact arithmetic in F_q, Z/p^2 and W2(F_q) on one integer kernel.
+"""Exact arithmetic in F_q and W2(F_q) on one integer kernel.
 
 Each coefficient ring is a Galois ring GR(p^k, m) = (Z/p^k)[xi]/(g)
-(Wan, *Lectures on Finite Fields and Galois Rings*): F_q is k = 1, Z/p^2
-is k = 2 with m = 1, and W2(F_q) is k = 2.  For m > 1 the modulus g in
+(Wan, *Lectures on Finite Fields and Galois Rings*): F_q is k = 1 and
+W2(F_q) is k = 2.  W2(F_p) = GR(p^2, 1) is Z/p^2 (Serre, *Local Fields*,
+II §6), whose ints are the residues mod p^2.  For m > 1 the modulus g in
 ``_MODULI`` is Teichmüller-compatible: it reduces mod p to the modulus of
 F_q and divides x^q - x mod p^2, so xi is a Teichmüller element and the
 Witt Frobenius is xi -> xi^p, as in Satoh's canonical-lift point counting
@@ -25,36 +26,36 @@ is stored while the table holds fewer than ``_FOLD_TABLE_BOUND`` (2^14)
 entries.  Folds repeat: over the 8 default-seed sweeps of perfbench's
 eta-ext workload, 43,262 folds see 1,335 distinct ints, and 51% of them
 are canonical already, 43% one product of two canonical ints, 3% a sum
-of two and 2.5% anything else.  The table caches a pure function.  It,
-the Witt coordinates ``_coords`` and the residue table
-``_residue_table`` below are the only state a ring gains after it is
-built.  The two tables are plain attributes set on first use, not
-``functools.cached_property``: its first read would materialize the
-ring's instance ``__dict__`` and slow every later attribute load of the
-kernel (``self._elements``, ``self.fold``).  ``GF(p, m)`` and
-``W2(p, m)`` hand out one ring object per (p, m), however m is passed,
-so ``W2(p).residue_field is GF(p)``.  Frobenius, its inverse
+of two and 2.5% anything else.  The table caches a pure function.  It
+and the Witt coordinates ``_coords`` below are the only state a ring
+gains after it is built.  ``_coords`` is a plain attribute set on first
+use, not a ``functools.cached_property``: its first read would
+materialize the ring's instance ``__dict__`` and slow every later
+attribute load of the kernel (``self._elements``, ``self.fold``).
+``GF(p, m)`` and ``W2(p, m)`` hand out one ring object per (p, m),
+however m is passed, so ``W2(p).residue_field is GF(p)``; any p or m
+that is not an int raises ``UnsupportedField``.  Frobenius, its inverse
 and the p-adic split are dict lookups built once per ring, with q
 entries for F_q and q^2 (16, 64 or 81) for W2(F_q).
 
 Each ring builds its p^(k*m) elements once, with the ring, in one table
-keyed by ``n``: at most 289, for Z/17^2 and W2(F_17).  ``wrap``,
+keyed by ``n``: at most 289, for W2(F_17) = Z/17^2.  ``wrap``,
 ``from_int`` and every operator return entries of that table, so no
 element is allocated after its ring is built, and two elements of one
 ring are equal exactly when they are the same object.  ``wrap`` of an
 int that is not canonical raises ``InvariantViolation``.
 
-The element classes share one set of operators, ``_Elem``'s, which
+The element classes, ``FqElem`` and ``WittPair``, share one set of
+operators, ``_Elem``'s, which
 ``_own_operations`` copies into each class.  ``+``, ``-``, ``*`` and
 ``==`` first test whether the other operand is an element of the same
 class and the same ring object; then they go straight to the ring's
 ``add``, ``neg`` or ``mul`` (``==`` compares ``n``).  Anything else, an
 int, an element of an equal but distinct ring object, or a foreign type,
 goes through the coercion of ``_other``, which raises ``CharMismatch``
-for an element of another ring.  ``witt_to_residue_ring`` is one lookup
-in the residue table of a W2(F_p): the element table of the Z/p^2 model
-``_zp2(p)``, keyed by the same ints and built on the first call, not
-with the ring: most W2(F_p) are never mapped to Z/p^2.
+for an element of another ring.  ``witt_to_residue_ring`` checks that
+its argument is an element of a W2(F_p) and returns it: its int ``n`` is
+already the residue a0^p + p*a1 mod p^2.
 
 W2(F_q) is read and written in Witt coordinates (a0, a1), which stand for
 u = [a0] + p*lift(a1^(1/p)) with the Teichmüller lift [a] = lift(a)^q.
@@ -72,14 +73,14 @@ and ``pk_slots`` (p^k in every slot, so that ``pk_slots - n`` folds to
 ``wrap`` to read and build elements at the boundary; ``random_int`` (a
 uniform element's int; ``random`` wraps it) for seeded inputs, drawn
 through ``draw_below`` as ``random.Random.randrange`` draws;
-``coeff_to_str`` / ``coeff_from_str`` for text.  The lift rings
-(Zp2Ring and WittRing) add the mod-p maps, each in its int form only,
-between themselves and their ``residue_field``: ``split_p`` (n -> (n div
+``coeff_to_str`` / ``coeff_from_str`` for text.  The lift ring
+``WittRing`` adds the mod-p maps, each in its int form only, between
+itself and its ``residue_field``: ``split_p`` (n -> (n div
 p, n mod p), slot by slot: the second half is the reduction, and when it
 is 0, n is divisible by p with quotient the first half), ``times_p_int``
 (multiplication by p, an isomorphism from the residue field onto the
 ideal (p), which ``split_p`` inverts) and ``from_residue_int`` (the
-canonical lift of a residue, which is the Teichmüller lift over W2).
+Teichmüller lift of a residue).
 """
 
 from __future__ import annotations
@@ -127,10 +128,19 @@ _PAIR_PATTERN = r"\(((?:\[[^\]]*\]|[^\[,])*),(.*)\)"
 
 
 def check_prime_char(p: int) -> int:
-    """Validate a prime characteristic at desk scale (p prime, p <= 17)."""
-    if p not in _SMALL_PRIMES:
-        raise UnsupportedField(f"characteristic must be a prime <= {MAX_PRIME}, got {p}")
+    """Validate a prime characteristic at desk scale (an int, prime, <= 17)."""
+    if type(p) is not int or p not in _SMALL_PRIMES:
+        raise UnsupportedField(f"characteristic must be a prime <= {MAX_PRIME}, got {p!r}")
     return p
+
+
+def _check_field(p: int, m: int) -> None:
+    """Raise ``UnsupportedField`` unless F_{p^m} is one of the fields modelled here."""
+    check_prime_char(p)
+    if type(m) is not int or m < 1:
+        raise UnsupportedField(f"extension degree must be an int >= 1, got {m!r}")
+    if m > 1 and (p, m) not in _MODULI:
+        raise UnsupportedField(f"no modulus fixed for q = {p}^{m}; supported: 4, 8, 9")
 
 
 def draw_below(rng, n: int) -> int:
@@ -327,20 +337,6 @@ class FqElem(_Elem):
 
 
 @_own_operations
-class Zp2Elem(_Elem):
-    """Residue in Z/p^2; ``rep`` is the residue in [0, p^2)."""
-
-    __slots__ = ()
-
-    @property
-    def rep(self) -> int:
-        return self.n
-
-    def __repr__(self):
-        return f"{self.n} (mod {self.ring.p}^2)"
-
-
-@_own_operations
 class WittPair(_Elem):
     """Element of W2(F_q), shown in its Witt coordinates ``a0``, ``a1``."""
 
@@ -358,8 +354,11 @@ class WittPair(_Elem):
         return witt_to_str(self)
 
 
+Zp2Elem = WittPair  # W2(F_p) is Z/p^2; perfbench's tracer wraps Zp2Elem.__add__ and __mul__
+
+
 # ---------------------------------------------------------------------------
-# the kernel and its three rings
+# the kernel and its two rings
 # ---------------------------------------------------------------------------
 
 
@@ -385,11 +384,7 @@ class GaloisRing:
     element = _Elem  # the element class, set by each ring
 
     def __init__(self, p: int, k: int, m: int):
-        check_prime_char(p)
-        if m < 1:
-            raise UnsupportedField("extension degree must be >= 1")
-        if m > 1 and (p, m) not in _MODULI:
-            raise UnsupportedField(f"no modulus fixed for q = {p}^{m}; supported: 4, 8, 9")
+        _check_field(p, m)
         self.p, self.k, self.m = p, k, m
         self.q = p ** m
         self.pk = pk = p ** k
@@ -529,10 +524,13 @@ class FiniteField(GaloisRing):
 
 # GF and W2 cache each spelling of their arguments (GF(5), GF(5, 1), GF(5, m=1)),
 # so that a hit is one lru_cache call; _field and _witt_ring, keyed by the
-# normalized (p, m), make every spelling hand out the same ring object.
-@lru_cache(maxsize=None)
+# normalized (p, m), make every spelling hand out the same ring object.  The
+# outer caches are typed and check in their bodies, so GF(5.0) misses and
+# raises however many times GF(5) has been built.
+@lru_cache(maxsize=None, typed=True)
 def GF(p: int, m: int = 1) -> FiniteField:
     """The field F_{p^m}: one object per (p, m), however m is passed."""
+    _check_field(p, m)
     return _field(p, m)
 
 
@@ -541,55 +539,17 @@ def _field(p: int, m: int) -> FiniteField:
     return FiniteField(p, m)
 
 
-class _LiftRing(GaloisRing):
-    """GR(p^2, m) with the mod-p maps to and from its residue field F_q."""
-
-    def __init__(self, field: FiniteField):
-        super().__init__(field.p, 2, field.m)
-        self.residue_field = field
-        self.p_elem = self.wrap(field.p)
-
-    def times_p_int(self, c: int) -> int:
-        # every slot of a residue is below p, so p times it stays below p^2
-        return self.p * c
-
-    def from_residue_int(self, c: int) -> int:
-        """The lift whose slots are those of the residue c."""
-        return c
-
-
-class Zp2Ring(_LiftRing):
-    """Z/p^2 with the mod-p interface used by the polynomial layer."""
-
-    element = Zp2Elem
-
-    def __init__(self, p: int):
-        super().__init__(GF(p))
-
-    def __repr__(self):
-        return f"Z/{self.p}^2"
-
-    # -- text format ---------------------------------------------------
-
-    def coeff_to_str(self, c: Zp2Elem) -> str:
-        return str(c.n)
-
-    def coeff_from_str(self, s: str) -> Zp2Elem:
-        try:
-            return self.from_int(int(s.strip()))
-        except ValueError as exc:
-            raise ParseError(f"bad Z/p^2 coefficient: {s!r}") from exc
-
-
-class WittRing(_LiftRing):
-    """W2(F_q) as the Galois ring GR(p^2, m); Witt coordinates at the boundary."""
+class WittRing(GaloisRing):
+    """W2(F_q) as GR(p^2, m), with the mod-p maps to F_q and Witt coordinates at the boundary."""
 
     element = WittPair
     # the Witt ring's own bindings of the kernel operations
     add, neg, mul = GaloisRing.add, GaloisRing.neg, GaloisRing.mul
 
     def __init__(self, field: FiniteField):
-        super().__init__(field)
+        super().__init__(field.p, 2, field.m)
+        self.residue_field = field
+        self.p_elem = self.wrap(field.p)
         # the Teichmüller lift [c] = lift(c)^q, one entry per residue
         self.from_residue_int = {
             c.n: self.pow_int(c.n, self.q) for c in field.elements()
@@ -597,6 +557,10 @@ class WittRing(_LiftRing):
 
     def __repr__(self):
         return f"W2({self.residue_field!r})"
+
+    def times_p_int(self, c: int) -> int:
+        # every slot of a residue is below p, so p times it stays below p^2
+        return self.p * c
 
     def from_witt(self, a0: FqElem, a1: FqElem) -> WittPair:
         """The element with Witt coordinates (a0, a1): [a0] + p*lift(a1^(1/p))."""
@@ -624,16 +588,6 @@ class WittRing(_LiftRing):
     def witt_coords(self, u: WittPair) -> tuple:
         """(a0, a1) with u = [a0] + p*lift(a1^(1/p))."""
         return self._coord_table()[u.n]
-
-    def _residue_map(self) -> dict:
-        """``_residue_table``, n -> the Z/p^2 element with the same int, set on first use.
-
-        It is the element table of ``_zp2(p)``; for m > 1 this raises and sets nothing.
-        """
-        if self.m != 1:
-            raise UnsupportedField("residue-ring model only exists for q = p")
-        self._residue_table = table = _zp2(self.p)._elements
-        return table
 
     def pair(self, a0, a1) -> WittPair:
         return self.from_witt(self.residue_field.elem(a0), self.residue_field.elem(a1))
@@ -664,9 +618,10 @@ class WittRing(_LiftRing):
             raise ParseError(f"bad Witt coefficient: {s!r}") from exc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def W2(p: int, m: int = 1) -> WittRing:
     """The Witt ring W2(F_{p^m}) over GF(p, m): one object per (p, m), however m is passed."""
+    _check_field(p, m)
     return _witt_ring(p, m)
 
 
@@ -675,27 +630,21 @@ def _witt_ring(p: int, m: int) -> WittRing:
     return WittRing(GF(p, m))
 
 
-@lru_cache(maxsize=None)
-def _zp2(p: int) -> Zp2Ring:
-    return Zp2Ring(p)
-
-
-def witt_to_residue_ring(u: WittPair) -> Zp2Elem:
-    """W2(F_p) -> Z/p^2, (a0, a1) -> a0^p + p*a1.
+def witt_to_residue_ring(u: WittPair) -> WittPair:
+    """W2(F_p) -> Z/p^2, (a0, a1) -> a0^p + p*a1: the identity.
 
     Only defined over the prime field: an element of W2(F_q) with q > p
     raises ``UnsupportedField``, and anything but an element of a Witt
-    ring raises ``RingMismatch``.  Both rings are GR(p^2, 1) on the same
-    ints, so the map keeps ``n``: it is one lookup in the ring's residue
-    table.  That it is the stated map of Witt coordinates is checked
-    against the component formulas by the suite.
+    ring raises ``RingMismatch``.  W2(F_p) is Z/p^2 and its ints are the
+    residues mod p^2, so the image is u itself.  That ``n`` is the stated
+    map of Witt coordinates is checked against the component formulas by
+    ``sweeps.sweep_witt`` and the suite.
     """
     if u.__class__ is not WittPair:
         raise RingMismatch(f"{u!r} is not an element of W2(F_p)")
-    try:
-        return u.ring._residue_table[u.n]
-    except AttributeError:
-        return u.ring._residue_map()[u.n]
+    if u.ring.m != 1:
+        raise UnsupportedField("residue-ring model only exists for q = p")
+    return u
 
 
 def witt_to_str(u: WittPair) -> str:

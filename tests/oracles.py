@@ -285,11 +285,6 @@ def randrange_field_draw(p: int, m: int):
     return lambda rng: tuple(rng.randrange(p) for _ in range(m))
 
 
-def randrange_zp2_draw(p: int):
-    """Z/p^2's coefficient draw: one ``randrange(p^2)``, as a 1-tuple."""
-    return lambda rng: (rng.randrange(p * p),)
-
-
 def randrange_witt_draw(p: int, m: int):
     """W2(F_q)'s coefficient draw: the Witt coordinates a0, then a1, each an F_q draw."""
     field = randrange_field_draw(p, m)

@@ -114,6 +114,18 @@ def test_descriptor_validation():
         classify_surface(D(surface_class="K3", p=6))
 
 
+@pytest.mark.parametrize("p", [2.0, 5.0, True, "5", None])
+def test_a_non_int_characteristic_is_a_descriptor_error(p):
+    # with p = 2.0 the hyperelliptic clauses would classify and cite "char 2.0"
+    for d in [
+        D(surface_class="hyperelliptic", p=p, hyperelliptic_type="a",
+          E0_ordinary=True, E1_ordinary=True, omega_pow_p_minus_1_trivial=True),
+        D(surface_class="K3", p=p),
+    ]:
+        with pytest.raises(DescriptorError):
+            classify_surface(d)
+
+
 def test_descriptor_json_roundtrip():
     d = SurfaceDescriptor.from_json_dict(
         {"class": "hyperelliptic", "p": 5, "type": "b", "E0_ordinary": True,

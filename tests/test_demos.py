@@ -12,7 +12,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 # sha256 of each demo's stdout
 STDOUT_SHA256 = {
-    "01_witt_vectors.py": "43488c9e083c80fb630c4ef0ceb9e7f43ae6d5b2dcb53aa6e9841399d9dd22b8",
+    "01_witt_vectors.py": "213a1a53484748434f061774e82d874f8bc09602ee3907ef0d677220e6fee6fb",
     "02_lifts_and_determinant.py": "0cacf8c429750a5f7015dddda1733fa5a6df18c5a56a15fa942f07f6107646b8",
     "03_projective_line_and_ruled.py": "9cb6dae9a085c48be5ed5ea0d928716230b03d5c69711b092adbcae9afa2a471",
     "04_classification.py": "3011b5bc4e817511f0b566d0c2945f678a1131c7e51e6df41865910e1021abc6",

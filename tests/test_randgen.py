@@ -9,10 +9,9 @@ from oracles import (
     randint_random_poly,
     randrange_field_draw,
     randrange_witt_draw,
-    randrange_zp2_draw,
 )
 
-from w2frob import GF, W2, RangeError, Zp2Ring
+from w2frob import GF, W2, RangeError
 from w2frob.randgen import random_exponent_matrix, random_poly
 from w2frob.witt2 import draw_below
 
@@ -20,18 +19,22 @@ QS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (17, 1)]  # q in {
 
 
 def _rings():
-    """(ring, its randrange draw, draw -> canonical int) for F_q, Z/p^2 and W2(F_q)."""
+    """(id, ring, its randrange draw, draw -> canonical int) for F_q and W2(F_q).
+
+    Under its other name Z/p^2, W2(F_p) reads a draw (a0, a1) as the residue
+    a0^p + p*a1 mod p^2 in plain ints rather than through ``pair``.
+    """
     for p, m in QS:
         F = GF(p, m)
-        yield F, randrange_field_draw(p, m), lambda c, F=F: F.elem(list(c)).n
+        yield repr(F), F, randrange_field_draw(p, m), lambda c, F=F: F.elem(list(c)).n
         W = W2(p, m)
-        yield W, randrange_witt_draw(p, m), lambda c, W=W: W.pair(list(c[0]), list(c[1])).n
+        yield repr(W), W, randrange_witt_draw(p, m), lambda c, W=W: W.pair(list(c[0]), list(c[1])).n
     for p in (2, 3, 5, 17):
-        Z = Zp2Ring(p)
-        yield Z, randrange_zp2_draw(p), lambda c, Z=Z: Z.from_int(c[0]).n
+        residue = lambda c, p=p: (c[0][0] ** p + p * c[1][0]) % (p * p)
+        yield f"Z/{p}^2", W2(p), randrange_witt_draw(p, 1), residue
 
 
-RINGS = list(_rings())
+RINGS = [pytest.param(*case, id=name) for name, *case in _rings()]
 
 
 class _BoundedRandom(random.Random):
@@ -66,7 +69,7 @@ def test_draw_below_rejects_an_empty_range_without_drawing(n):
     assert rng.draws == 0 and rng.getstate() == state
 
 
-@pytest.mark.parametrize("ring, draw, to_int", RINGS, ids=[repr(r[0]) for r in RINGS])
+@pytest.mark.parametrize("ring, draw, to_int", RINGS)
 def test_ring_random_is_the_randrange_draw(ring, draw, to_int):
     for seed in range(50):
         ours, theirs = random.Random(seed), random.Random(seed)
@@ -77,7 +80,7 @@ def test_ring_random_is_the_randrange_draw(ring, draw, to_int):
         assert ours.random() == theirs.random(), seed
 
 
-@pytest.mark.parametrize("ring, draw, to_int", RINGS, ids=[repr(r[0]) for r in RINGS])
+@pytest.mark.parametrize("ring, draw, to_int", RINGS)
 def test_random_poly_is_the_randint_generator(ring, draw, to_int):
     # every shape at one seed each: 100 to 700 seeds per ring; three polynomials
     # in a row, so that each must leave the generator where the old one did

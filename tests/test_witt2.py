@@ -24,7 +24,6 @@ from w2frob import (
     UnitError,
     UnsupportedField,
     WittRing,
-    Zp2Ring,
     divide_by_p,
     reduce_mod_p,
     witt_from_str,
@@ -39,7 +38,7 @@ from w2frob import (
 def test_add_p2_one_plus_one():
     r = W2(2)
     assert r.pair(1, 0) + r.pair(1, 0) == r.pair(0, 1)
-    assert witt_to_residue_ring(r.pair(0, 1)).rep == 2
+    assert witt_to_residue_ring(r.pair(0, 1)).n == 2
 
 
 def test_add_identity():
@@ -84,14 +83,24 @@ def test_frobenius_f4_generator():
 
 
 def test_residue_map_values():
-    assert witt_to_residue_ring(W2(2).pair(0, 1)).rep == 2
-    assert witt_to_residue_ring(W2(3).pair(1, 0)).rep == 1
-    assert witt_to_residue_ring(W2(5).pair(2, 3)).rep == 22
+    assert witt_to_residue_ring(W2(2).pair(0, 1)).n == 2
+    assert witt_to_residue_ring(W2(3).pair(1, 0)).n == 1
+    assert witt_to_residue_ring(W2(5).pair(2, 3)).n == 22
 
 
 def test_residue_map_rejects_extensions():
-    with pytest.raises(UnsupportedField):
-        witt_to_residue_ring(W2(2, 2).one)
+    for ring in (W2(2, 2), W2(2, 3), W2(3, 2)):
+        with pytest.raises(UnsupportedField):
+            witt_to_residue_ring(ring.one)
+
+
+def test_residue_map_is_the_identity_on_w2_fp():
+    # W2(F_p) is Z/p^2: the map returns its argument, whose int is a0^p + p*a1 mod p^2
+    for p in (2, 3, 5, 7, 11, 13, 17):
+        for u in W2(p).elements():
+            assert witt_to_residue_ring(u) is u
+            assert u.n == (u.a0.as_int() ** p + p * u.a1.as_int()) % (p * p)
+    assert witt2.Zp2Elem is witt2.WittPair
 
 
 def test_char_mismatch():
@@ -114,7 +123,7 @@ def _check_residue_map(u, v):
     # the map agrees with its formula and carries W2 sums and products to Z/p^2
     p2 = u.ring.p ** 2
     ru, rv = _residue(u), _residue(v)
-    assert witt_to_residue_ring(u).rep == ru
+    assert witt_to_residue_ring(u).n == ru
     assert witt_to_residue_ring(u + v) == witt_to_residue_ring(u) + witt_to_residue_ring(v)
     assert witt_to_residue_ring(u * v) == witt_to_residue_ring(u) * witt_to_residue_ring(v)
     assert _residue(u + v) == (ru + rv) % p2
@@ -125,7 +134,7 @@ def _check_residue_map(u, v):
 def test_oracle_exhaustive(p):
     r = W2(p)
     elems = list(r.elements())
-    images = {witt_to_residue_ring(u).rep for u in elems}
+    images = {witt_to_residue_ring(u).n for u in elems}
     assert len(images) == p * p  # bijection
     for u in elems:
         for v in elems:
@@ -286,7 +295,8 @@ _DESK_RINGS = (
 
 
 def _desk_ring(kind, p, m):
-    return {"F": GF, "Z": lambda p, m: Zp2Ring(p), "W": W2}[kind](p, m)
+    # "Z" is W2(F_p) under its other name Z/p^2: the same ring object
+    return {"F": GF, "Z": lambda p, m: W2(p), "W": W2}[kind](p, m)
 
 
 @pytest.mark.parametrize("spec", _DESK_RINGS, ids=lambda s: f"{s[0]}{s[1]}^{s[2]}")
@@ -302,11 +312,9 @@ def test_each_ring_holds_its_elements_in_one_table(spec):
     assert ring.zero is ring.wrap(0) and ring.one is ring.wrap(1)
     for n in [*range(-2 * ring.pk, 2 * ring.pk), 10 ** 30 + 7, -(10 ** 30)]:
         assert ring.from_int(n) is ring.wrap(n % ring.pk)
-    if spec[0] == "W" and ring.m == 1:
-        # the residue map returns entries of one Z/p^2 model's table
-        residue_ring = witt_to_residue_ring(ring.zero).ring
-        assert residue_ring == Zp2Ring(ring.p)
-        assert all(witt_to_residue_ring(u) is residue_ring.wrap(u.n) for u in elems)
+    if spec[0] == "Z":
+        # read as Z/p^2, the table holds the residues 0, ..., p^2 - 1
+        assert sorted(u.n for u in elems) == list(range(size))
 
 
 @pytest.mark.parametrize("spec", _DESK_RINGS, ids=lambda s: f"{s[0]}{s[1]}^{s[2]}")
@@ -334,12 +342,10 @@ def test_elements_keep_their_order():
         f, r = GF(p, m), W2(p, m)
         assert [u.coeffs for u in f.elements()] == list(product(range(p), repeat=m))
         assert [(u.a0, u.a1) for u in r.elements()] == list(product(f.elements(), repeat=2))
-    for p in _PRIMES:
-        assert [u.rep for u in Zp2Ring(p).elements()] == list(range(p * p))
 
 
 def test_wrap_of_a_non_canonical_int_raises():
-    for ring, n in [(W2(5), 30), (W2(5), -1), (GF(2, 2), 7), (Zp2Ring(3), 9), (GF(7), 7)]:
+    for ring, n in [(W2(5), 30), (W2(5), -1), (GF(2, 2), 7), (W2(3), 9), (GF(7), 7)]:
         with pytest.raises(InvariantViolation):
             ring.wrap(n)
     assert issubclass(InvariantViolation, AlgebraError)
@@ -357,7 +363,7 @@ def test_one_ring_object_per_p_and_m(p, m):
     field, ring = GF(p, m), W2(p, m)
     assert GF(p, m=m) is field and W2(p, m=m) is ring
     if m == 1:
-        assert GF(p) is field and W2(p) is ring and Zp2Ring(p).residue_field is field
+        assert GF(p) is field and W2(p) is ring
     assert ring.residue_field is field
 
 
@@ -407,7 +413,7 @@ def test_witt_pair_operators_go_through_the_witt_ring(monkeypatch):
 
         return op
 
-    for ring, cls in [(W2(5), WittRing), (GF(5), FiniteField), (Zp2Ring(5), Zp2Ring)]:
+    for ring, cls in [(W2(5), WittRing), (GF(5), FiniteField)]:
         for name in ("add", "neg", "mul"):
             calls[cls, name] = 0
             monkeypatch.setattr(cls, name, counted(cls, name))
@@ -421,27 +427,18 @@ def test_witt_pair_operators_go_through_the_witt_ring(monkeypatch):
                 assert got is ring.from_int(on_ints(u.n, v.n))
 
 
-def test_residue_map_is_one_table_built_on_first_use():
-    ring = WittRing(GF(7))
-    assert "_residue_table" not in vars(ring)  # building the ring builds no Z/p^2 model
-    for u in ring.elements():
-        assert witt_to_residue_ring(u) is witt2._zp2(7).wrap(u.n)
-    assert vars(ring)["_residue_table"] is witt2._zp2(7)._elements
-
-
 def test_residue_map_takes_only_elements_of_w2_fp():
-    for bad in [GF(5).one, Zp2Ring(5).one, witt2._zp2(5).one, 7, None, GF(2, 2).one]:
+    for bad in [GF(5).one, GF(2, 2).one, 7, None]:
         with pytest.raises(RingMismatch):
             witt_to_residue_ring(bad)
-    # W2(F_q) with m > 1 raises on every call and caches nothing
+    # W2(F_q) with m > 1 raises on every call
     ring = W2(2, 2)
     for _ in range(2):
         with pytest.raises(UnsupportedField):
             witt_to_residue_ring(ring.one)
-        assert "_residue_table" not in vars(ring)
 
 
-# the rings of the operator contract: F_p, F4, F8, F9, Z/p^2, W2(F_p) and W2(F_q)
+# the rings of the operator contract: F_p, F4, F8, F9, W2(F_p) (also as Z/p^2) and W2(F_q)
 _CONTRACT_RINGS = (
     [("F", p, 1) for p in (2, 5, 17)]
     + [("F",) + q for q in _EXTENSIONS]
@@ -453,13 +450,13 @@ _CONTRACT_RINGS = (
 _INT_OPERANDS = (0, 1, -1, 2, -7, 289, 2 ** 64 + 3, -(10 ** 30) - 1, True, False)
 _FOREIGN_OPERANDS = (1.5, "1", None, [1])
 # rings that differ from some contract ring in characteristic, kind or degree
-_ALIEN_RINGS = (GF(3), Zp2Ring(3), W2(3), GF(2, 2), W2(2, 2))
+_ALIEN_RINGS = (GF(3), W2(3), GF(2, 2), W2(2, 2))
 _BINARY = (operator.add, operator.sub, operator.mul)
 
 
 def _twin(kind, p, m):
     """A ring object equal to ``_desk_ring(kind, p, m)`` but not the same one."""
-    return {"F": FiniteField, "Z": lambda p, m: Zp2Ring(p), "W": lambda p, m: WittRing(GF(p, m))}[kind](p, m)
+    return FiniteField(p, m) if kind == "F" else WittRing(GF(p, m))
 
 
 @pytest.mark.parametrize("spec", _CONTRACT_RINGS, ids=lambda s: f"{s[0]}{s[1]}^{s[2]}")
@@ -562,11 +559,29 @@ def test_unsupported_fields():
         GF(5, 2)
 
 
+# a characteristic or degree whose type is not int, bools and floats included
+_NON_INT_ARGS = [(7.0,), (5.0,), (True,), ("5",), (5, 1.0), (2, 2.0), (5, True), (3, None)]
+
+
+@pytest.mark.parametrize("build", [GF, W2], ids=["GF", "W2"])
+def test_a_non_int_characteristic_or_degree_raises_whatever_was_built(build):
+    # first with nothing in the outer cache, then after the int rings are built
+    ring = build(5)
+    build.cache_clear()
+    for args in _NON_INT_ARGS:
+        with pytest.raises(UnsupportedField):
+            build(*args)
+    assert build(5) is ring and build(5, 1) is ring and build(7) and build(2, 2)
+    for args in _NON_INT_ARGS + [(5.0, 1), (True, 1)]:
+        with pytest.raises(UnsupportedField):
+            build(*args)
+
+
 # -- division by p -----------------------------------------------------------
 
 
 def test_divide_by_p_examples():
-    z4 = Zp2Ring(2)
+    z4 = W2(2)
     f = Poly(z4, 1, {(0,): z4.from_int(2), (1,): z4.from_int(2)})
     g = divide_by_p(f)
     F2 = GF(2)
@@ -576,7 +591,7 @@ def test_divide_by_p_examples():
         divide_by_p(Poly(z4, 1, {(0,): z4.from_int(1), (1,): z4.from_int(2)}))
 
 
-@pytest.mark.parametrize("ring", [Zp2Ring(3), W2(3), W2(2, 2)])
+@pytest.mark.parametrize("ring", [W2(5), W2(3), W2(2, 2)])
 def test_divide_after_multiply_is_reduction(ring, rng):
     # multiplication by p followed by division by p is reduction mod p
     for _ in range(150):
