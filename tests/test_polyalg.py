@@ -1,5 +1,6 @@
+import itertools
 import random
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -40,9 +41,11 @@ from w2frob.polyalg import (
     flip_variable,
     partial_derivatives,
     phi_derivation,
+    power_coefficient,
     reindex,
 )
 from w2frob.witt2 import SHIFT
+from test_randgen import QS
 
 
 def P(ring, nvars, s):
@@ -178,6 +181,34 @@ def test_constructors_reject_exponents_that_are_not_ints(exp):
         Poly.variable(F3, 2, 0, exp)
     # an exponent list is still read as its tuple
     assert Poly.monomial(F3, 2, [2, -1]) == P(F3, 2, "x1^2*x2^-1")
+
+
+@pytest.mark.parametrize("ring", [GF(3), GF(2, 2), W2(5), W2(3, 2)], ids=repr)
+def test_monomial_matches_the_constructor(ring):
+    # the one-term path of Poly.monomial, and the constructor for every other
+    # argument: the same polynomial or the same error
+    other = GF(7).one
+    cases = [
+        (2, (1, -2), None), (2, [3, 0], 7), (2, (1, 2), 0), (2, (1, 2), -1),
+        (2, (1, 2), -ring.pk), (2, (0, 0), ring.pk + 1), (0, (), 5), (0, [], None),
+        (2, (1, 1), ring.one), (2, (1, 1), ring.zero), (1, (2,), ring.from_int(2)),
+        (2, (1, 1), True), (2, (1, 1), False), (2, (1, 1), 2.0), (1, (2,), other),
+        (2, (True, 1), None), (2, (1.0, 1), 1), (2, (1, "2"), 1), (2, (1,), None),
+        (2, (1, 2, 3), 1), (-1, (), None), (-1, (), 2), (True, (1,), None), (1.0, (1,), 1),
+    ]
+    for nvars, exps, coeff in cases:
+        try:
+            want = Poly(ring, nvars, {tuple(exps): 1 if coeff is None else coeff})
+        except Exception as exc:
+            with pytest.raises(type(exc)) as info:
+                Poly.monomial(ring, nvars, exps, coeff)
+            assert str(info.value) == str(exc), (nvars, exps, coeff)
+            continue
+        got = Poly.monomial(ring, nvars, exps, coeff)
+        assert (got.ring, got.nvars, got.terms) == (want.ring, want.nvars, want.terms), (
+            nvars, exps, coeff,
+        )
+        assert all(type(m) is tuple for m in got.terms)
 
 
 @pytest.mark.parametrize("nvars", [-1, -3, 1.0, True, "2", None], ids=repr)
@@ -621,6 +652,65 @@ def test_coefficient_of():
          [Poly.constant(F2, 2, 1), Poly.variable(F2, 2, 1)]]
     )
     assert M.determinant().coefficient_of((1, 1)) == F2.one
+
+
+@pytest.mark.parametrize("ring", [R for p, m in QS for R in (GF(p, m), W2(p, m))], ids=repr)
+def test_power_coefficient_reads_the_full_power(ring, rng):
+    # seeded f over 0-4 variables, Laurent or not, zero or not, e in 0..5: every
+    # monomial of f**e and a few out of its reach read the same coefficient element
+    for trial in range(80):
+        nvars = trial % 5
+        f = _wide_poly(ring, rng, nvars, rng.randint(0, 5), low=-2 if trial % 3 else 0)
+        e = rng.randint(0, 5)
+        power = f ** e
+        far = [tuple(rng.randint(-12, 16) for _ in range(nvars)) for _ in range(4)]
+        for mono in [*power.terms, *far]:
+            got = power_coefficient(f, e, mono)
+            assert got == power.coefficient_of(mono) and got.ring is ring, (f, e, mono)
+
+
+def test_power_coefficient_edge_cases():
+    F5, W = GF(5), W2(3)
+    zero = Poly.zero(F5, 2)
+    assert power_coefficient(zero, 0, (0, 0)) == F5.one
+    assert power_coefficient(zero, 0, [1, 0]) == F5.zero
+    assert power_coefficient(zero, 3, (0, 0)) == F5.zero
+    f = P(F5, 2, "x1^-1+2*x2+3")
+    assert power_coefficient(f, 0, (0, 0)) == F5.one
+    assert power_coefficient(f, 3, (-3, 0)) == F5.one
+    assert power_coefficient(f, 3, (-2, 1)) == F5.from_int(3 * 2)
+    for out_of_reach in [(-4, 0), (0, 4), (1, 0), (-1, 3)]:
+        assert power_coefficient(f, 3, out_of_reach) == F5.zero
+    c = Poly.constant(W, 0, W.from_int(5))
+    assert power_coefficient(c, 4, ()) == W.from_int(5) ** 4
+    assert power_coefficient(Poly.zero(W, 0), 2, ()) == W.zero
+    for e in [-1, 1.0, True, None]:
+        with pytest.raises(ShapeError):
+            power_coefficient(f, e, (0, 0))
+    with pytest.raises(ShapeError):
+        power_coefficient(f, 2, (0,))
+
+
+def test_power_coefficient_of_a_dense_quartic_matches_the_full_power(rng):
+    # Fedder's coefficient of (xyzw)^(p-1) in f^(p-1) for a quartic with all 35 terms
+    F7 = GF(7)
+    monos = [m for m in itertools.product(range(5), repeat=4) if sum(m) == 4]
+    quartic = Poly(F7, 4, {m: rng.randrange(1, 7) for m in monos})
+    assert len(quartic.terms) == 35
+    full = quartic ** 6
+    for mono in [(6, 6, 6, 6), *rng.sample(sorted(full.terms), 8), (7, 6, 6, 5), (25, 0, 0, -1)]:
+        assert power_coefficient(quartic, 6, mono) == full.coefficient_of(mono), mono
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_power_coefficient_of_the_fermat_quartic(p):
+    # (x^4 + y^4 + z^4 + w^4)^(p-1) meets (xyzw)^(p-1) only when 4 | p - 1, with
+    # the multinomial (p-1)! / (((p-1)/4)!)^4
+    F = GF(p)
+    fermat = P(F, 4, "x1^4+x2^4+x3^4+x4^4")
+    k = (p - 1) // 4
+    want = factorial(p - 1) // factorial(k) ** 4 if (p - 1) % 4 == 0 else 0
+    assert power_coefficient(fermat, p - 1, (p - 1,) * 4) == F.from_int(want)
 
 
 # -- reduction ----------------------------------------------------------------
