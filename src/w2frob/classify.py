@@ -125,9 +125,8 @@ class SurfaceDescriptor(NamedTuple):
             check_prime_char(self.p)
         except UnsupportedField as exc:
             raise DescriptorError(str(exc)) from exc
-        for value, (key, kind) in zip(self, _FIELD_KEYS):
-            if value is not None:
-                _check_type(key, kind, value)
+        for key, (attr, kind) in self._JSON_KEYS.items():
+            _check_type(key, kind, getattr(self, attr))
         c = self.surface_class
         if c == "rational_Fn":
             if self.n is None or self.n < 0:
@@ -145,13 +144,6 @@ class SurfaceDescriptor(NamedTuple):
             for flag in ("E0_ordinary", "E1_ordinary", "omega_pow_p_minus_1_trivial"):
                 if getattr(self, flag) is None:
                     raise DescriptorError(f"hyperelliptic needs the {flag} flag")
-
-
-# (JSON key, value type) of each descriptor field, in field order
-_FIELD_KEYS = tuple(
-    next((key, kind) for key, (attr, kind) in SurfaceDescriptor._JSON_KEYS.items() if attr == field)
-    for field in SurfaceDescriptor._fields
-)
 
 
 class Verdict(NamedTuple):

@@ -247,9 +247,11 @@ def power_coefficient(f: "Poly", e: int, mono) -> object:
     special case.  The last term takes what is left.  Each product of two
     canonical ints is folded.
     """
-    if type(e) is not int or e < 0 or len(mono) != f.nvars:
-        raise ShapeError(f"no x^{tuple(mono)} in power {e!r} of a {f.nvars}-variable polynomial")
-    ring, mono = f.ring, tuple(mono)
+    mono = tuple(mono)
+    # bool and float exponents too, as the constructor rejects them: the kernels add ints
+    if type(e) is not int or e < 0 or len(mono) != f.nvars or any(type(x) is not int for x in mono):
+        raise ShapeError(f"no x^{mono} in power {e!r} of a {f.nvars}-variable polynomial")
+    ring = f.ring
     if not f.terms:
         return ring.wrap(int(e == 0 and not any(mono)))
     fold, add, scale = ring.fold, *_kernels(f.nvars)
@@ -376,16 +378,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, ring, nvars: int, exps, coeff=None) -> "Poly":
-        mono = tuple(exps)
-        # nvars int exponents and an int or no coefficient: the one term directly
-        if (coeff is None or type(coeff) is int) and type(nvars) is int and len(mono) == nvars:
-            for e in mono:
-                if type(e) is not int:
-                    break
-            else:
-                n = 1 if coeff is None else ring.from_int(coeff).n
-                return cls._make(ring, nvars, {mono: n} if n else {})
-        return cls(ring, nvars, {mono: 1 if coeff is None else coeff})
+        return cls(ring, nvars, {tuple(exps): 1 if coeff is None else coeff})
 
     # -- ring structure -------------------------------------------------
 
