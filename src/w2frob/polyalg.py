@@ -37,22 +37,20 @@ The images x_i^p + p*f_i of a chart lift, and their inverses, have one
 unit term c*x^M and a rest r divisible by p, so r*r = 0 and a power of
 one is first order: f^e = c^e*x^(eM) + e*c^(e-1)*x^((e-1)M)*r, two
 coefficient powers and one pass over r instead of repeated squaring.
-A power f^e of a base with r terms, two or more of them units (over a
-field every term is one), such as a ruled shear x = a*y + b, is one
-multinomial pass: the sum over the compositions k of e of
-(e!/prod k_j!) * prod c_j^(k_j) * x^(sum k_j*m_j), accumulated as ints
-and folded once per monomial, with no polynomial product.  It runs while
-C(e + r - 1, r - 1) is at most ``_MULTINOMIAL_BOUND``; a larger power
-falls back to repeated squaring.
+Every other power is repeated squaring.  A ruled shear x = a*y + b, the
+one many-unit base a sweep raises to a power, is squared up to
+(a~*y + b~)^p once per lift: ``ruled.OverlapMap`` keeps its powers.
 
 A check that reads one coefficient of a power, the Hasse invariant's
 x^(p-1) in (x^3 + ax + b)^((p-1)/2) or Fedder's (xyzw)^(p-1) in f^(p-1),
-calls ``power_coefficient``, which never builds f^e.  It runs the
-multinomial sum as a dynamic program over the terms of f, keyed by what
-is left of e and of the target monomial, so compositions that meet add
-up; a term takes k copies only where the exponent box of the later terms
-can still reach the rest.  For a quartic with all 35 terms, (xyzw)^(p-1)
-in f^(p-1) takes 0.011 s where the full power takes 0.038 s at p = 7.
+calls ``power_coefficient``, which never builds f^e.  It adds up the
+terms (e!/prod k_j!) * prod c_j^(k_j) * x^(sum k_j*m_j), over the
+compositions k of e, that land on the target, as a dynamic program over
+the terms of f keyed by what is left of e and of the target, so
+compositions that meet add up; a term takes k copies only where the
+exponent box of the later terms can still reach the rest.  For a quartic
+with all 35 terms, (xyzw)^(p-1) in f^(p-1) takes 0.011 s where the full
+power takes 0.038 s at p = 7.
 ``phi_derivation``, the closed form sum_i phi(df/dx_i)*v_i of an
 eta-function, accumulates every term phi(c*m_i)*x^(p*(m - e_i))*v_i into
 one dict and folds once.  A difference folds each coefficient once,
@@ -169,11 +167,6 @@ def _first_order_power(f: "Poly", e: int, lead: tuple, c: int) -> "Poly":
     return Poly._make(ring, f.nvars, terms)
 
 
-# Most compositions of e into r parts, C(e + r - 1, r - 1), that a power of
-# an r-term base walks in one multinomial pass; past it, repeated squaring.
-_MULTINOMIAL_BOUND = 4096
-
-
 @lru_cache(maxsize=64)
 def _binomial_rows(e: int, pk: int) -> tuple:
     """C(n, k) mod pk for 0 <= k <= n <= e, row by row; built on first use."""
@@ -192,48 +185,6 @@ def _term_powers(fold, add, mono: tuple, c: int, e: int) -> list:
         km = add(km, mono)
         out.append((km, n))
     return out
-
-
-def _multinomial_power(f: "Poly", e: int) -> "Poly":
-    """f^e as the sum of (e!/prod k_j!) * prod (c_j*x^m_j)^k_j over the compositions k of e.
-
-    The terms c_j*x^m_j of f are taken in turn.  A partial composition that
-    has spent e - rest on the terms before carries its monomial, its folded
-    coefficient and its multinomial mod p^k; term j takes k of the rest
-    with the factors c_j^k and C(rest, k), and the last term takes what is
-    left.  A partial composition whose multinomial or coefficient folds to
-    0 drops.  The full ones add up per monomial as ints, each a multinomial
-    times a product of two canonical ints, and fold once per monomial.
-    """
-    ring, nvars = f.ring, f.nvars
-    fold, pk = ring.fold, ring.pk
-    add = _kernels(nvars)[0]
-    binomials = _binomial_rows(e, pk)
-    *head, last = f.terms.items()
-    partial = [(e, (0,) * nvars, 1, 1)]  # (rest, monomial, coefficient, multinomial)
-    for mono, c in head:
-        powers = _term_powers(fold, add, mono, c, e)
-        grown = []
-        for rest, pm, n, mult in partial:
-            grown.append((rest, pm, n, mult))  # k = 0
-            row = binomials[rest]
-            for k in range(1, min(rest + 1, len(powers))):
-                b = mult * row[k] % pk
-                if b:
-                    km, ck = powers[k]
-                    n_k = fold(n * ck)
-                    if n_k:
-                        grown.append((rest - k, add(pm, km), n_k, b))
-        partial = grown
-    powers = _term_powers(fold, add, *last, e)
-    acc: dict = {}
-    get = acc.get
-    for rest, pm, n, mult in partial:
-        if rest < len(powers):
-            km, ck = powers[rest]
-            mono = add(pm, km)
-            acc[mono] = get(mono, 0) + mult * n * ck
-    return _folded(ring, nvars, acc)
 
 
 def power_coefficient(f: "Poly", e: int, mono) -> object:
@@ -471,17 +422,11 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             return invert_unit(self) ** (-e)
-        ring = self.ring
-        if e > 1:
-            units = self.terms  # over a field every coefficient is a unit
-            if _is_lift_ring(ring):
-                split = ring.split_p
-                units = [(m, c) for m, c in self.terms.items() if split(c)[1]]
-                if len(units) == 1:
-                    return _first_order_power(self, e, *units[0])
-            r = len(self.terms)
-            if len(units) > 1 and comb(e + r - 1, r - 1) <= _MULTINOMIAL_BOUND:
-                return _multinomial_power(self, e)
+        if e > 1 and _is_lift_ring(self.ring):
+            split = self.ring.split_p
+            units = [(m, c) for m, c in self.terms.items() if split(c)[1]]
+            if len(units) == 1:
+                return _first_order_power(self, e, *units[0])
         result, base = None, self
         while e:
             if e & 1:

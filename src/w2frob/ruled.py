@@ -15,7 +15,7 @@ propagates through the transition: F(y) = ((a*y + b)^p - F(b)) / F(a),
 which always lands in y^p + p*h with deg_y h <= p.  The overlap map
 x = a~*y + b~ of the canonical lifts is an ``OverlapMap``, made once per
 lift; it keeps its powers as a chart lift keeps F(x_i)^e, so the lift's
-(a~*y + b~)^p is computed once and ``verify_gluing`` substitutes
+(a~*y + b~)^p is squared up once and ``verify_gluing`` substitutes
 through the same cache.  The t and s images
 come from the degree-bound chart extension.  h, like the base lifts of
 ``extract_base_lift`` and ``base_glue_consistency``, is read off images
@@ -140,8 +140,8 @@ class OverlapMap:
 
     a~ and b~ are the canonical lifts of the transition, embedded in two
     variables.  The map keeps its powers as a chart lift keeps F(x_i)^e,
-    so the (a~*y + b~)^p of ``build_standard_lift`` is the one that
-    ``verify_gluing`` substitutes through: one power per lift.
+    so the (a~*y + b~)^p of ``build_standard_lift``, squared up once, is
+    the one that ``verify_gluing`` substitutes through: one power per lift.
     """
 
     __slots__ = ("a", "b", "images", "_powers")

@@ -323,10 +323,6 @@ class FqElem(_Elem):
     def inverse(self):
         return self.ring.wrap(self.ring.inv_int(self.n))
 
-    def inv_frobenius(self):
-        """Unique p-th root, i.e. the inverse of :meth:`frobenius`."""
-        return self.ring.wrap(self.ring.inv_frob_int(self.n))
-
     def as_int(self) -> int:
         if self.ring.m != 1:
             raise UnsupportedField("integer representative only defined for prime fields")
@@ -496,12 +492,6 @@ class FiniteField(GaloisRing):
         if len(coeffs) != self.m:
             raise UnsupportedField(f"need {self.m} coefficients for an element of {self}")
         return self.wrap(_pack(coeffs))
-
-    def gen(self) -> FqElem:
-        """x mod the modulus polynomial (a multiplicative generator for q in {4,8,9})."""
-        if self.m == 1:
-            raise UnsupportedField("prime field has no distinguished generator element")
-        return self.wrap(1 << SHIFT)
 
     # -- text format -------------------------------------------------
 

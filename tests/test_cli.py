@@ -354,9 +354,8 @@ def test_ruled_lift_reports_are_pinned(capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
 
 
-# many-term shears at p = 17: a~*y + b~ has 4 terms (its 17th power is one multinomial
-# pass), 5 and 7 (past the bound of compositions: repeated squaring); the digests
-# were taken with every power computed by repeated squaring
+# many-term shears at p = 17: a~*y + b~ has 4, 5 and 7 terms, and its 17th power is
+# repeated squaring, as every power of a base with two or more unit terms is
 _MANY_TERM_SHEARS = [
     ("x1^2+x1+1", "7d745f6bd9cb4a5c22626944f3c798355f2b74f482cd1d233563a958bd24b6d7"),
     ("x1^4+3*x1^3+x1+5", "f38999efca0f0186e70c9c41f58dc7c80e4fb95fd28ad20f5b1ba5fbf1eedbb9"),

@@ -396,7 +396,7 @@ def test_via_lifts_builds_no_lift_value(monkeypatch):
 
 def test_corrupted_eta_fails():
     F9 = GF(3, 2)
-    for F, correction, bump in [(GF(2), "x^3", 1), (F9, "[0,1]*x^4", F9.gen())]:
+    for F, correction, bump in [(GF(2), "x^3", 1), (F9, "[0,1]*x^4", F9.elem([0, 1]))]:
         L0 = standard_lift(F, 1)
         L1 = AffineChartLift(F, 1, (False,), (P(F, 1, correction),))
         eta = eta_between(L0, L1)

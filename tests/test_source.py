@@ -181,21 +181,48 @@ def _used_names(node, enclosing=frozenset()) -> set:
     return used
 
 
-def test_every_export_is_used_outside_the_tests():
+def _names_used_outside_the_tests() -> set:
+    """``_used_names`` over the package modules but ``__init__``, ``demos/`` and ``perfbench/``."""
     package = Path(w2frob.__file__).parent
     root = package.parent.parent
-    init = ast.parse((package / "__init__.py").read_text())
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += [*(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    return set().union(*(_used_names(ast.parse(p.read_text())) for p in sources))
+
+
+def test_every_export_is_used_outside_the_tests():
+    init = ast.parse((Path(w2frob.__file__).parent / "__init__.py").read_text())
     exported = {
         alias.asname or alias.name
         for node in init.body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
-    sources += [*(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
-    used = set().union(*(_used_names(ast.parse(p.read_text())) for p in sources))
+    used = _names_used_outside_the_tests()
     assert sorted(exported - used - _UNUSED_EXPORTS_ALLOWED) == []
     assert _UNUSED_EXPORTS_ALLOWED <= exported - used  # the allowlist stays minimal
+
+
+# top-level definitions no code calls, each kept for a reason
+_UNUSED_DEFINITIONS_ALLOWED = {
+    "lift_from_json": "parses what lift_to_json writes, for a reader of saved lifts",
+    "witt_from_str": "parses what witt_to_str writes, for a reader of saved Witt vectors",
+    "run_command": "frobctl in process: prints the report and returns the exit code main exits with",
+}
+
+
+def test_every_module_function_is_used_outside_the_tests():
+    # a top-level def or class that only its own body or the tests name is a
+    # retired route's helper left behind
+    defined = {
+        node.name
+        for path in Path(w2frob.__file__).parent.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    used = _names_used_outside_the_tests()
+    assert sorted(defined - used - _UNUSED_DEFINITIONS_ALLOWED.keys()) == []
+    assert _UNUSED_DEFINITIONS_ALLOWED.keys() <= defined - used  # the allowlist stays minimal
 
 
 def test_no_module_imports_dataclasses():

@@ -77,7 +77,7 @@ def test_frobenius_prime_field_is_identity():
 
 def test_frobenius_f4_generator():
     r = W2(2, 2)
-    w = r.residue_field.gen()
+    w = r.residue_field.elem([0, 1])
     assert r.pair(w.coeffs, (0, 0)).frobenius() == r.pair((w * w).coeffs, (0, 0))
     assert r.zero.frobenius() == r.zero
 
@@ -328,8 +328,8 @@ def test_every_operator_returns_a_table_entry(spec, rng):
     for u, v in pairs:
         results = [u + v, u - v, -u, u * v, u + 3, 3 + u, u - 3, 3 - u, u * 5, 5 * u]
         results += [u ** 2, u ** 0, u.frobenius()]
-        if ring.k == 1:
-            results += [u.inv_frobenius()] + ([u.inverse(), u ** -1] if u else [])
+        if ring.k == 1 and u:
+            results += [u.inverse(), u ** -1]
         for w in results:
             assert w is ring.wrap(w.n)
         # interned: two elements of one ring are equal exactly when they are one object
@@ -540,7 +540,7 @@ def test_field_axioms_exhaustive(q):
         assert a * f.one == a
         if not a.is_zero():
             assert a * a.inverse() == f.one
-        assert a.frobenius().inv_frobenius() == a
+        assert f.inv_frob_int(a.frobenius().n) == a.n
     # full exhaustive associativity/distributivity (at most 9^3 triples)
     for a in elems:
         for b in elems:
@@ -606,7 +606,7 @@ def test_divide_after_multiply_is_reduction(ring, rng):
 def test_divide_by_p_witt_inverse_frobenius():
     # over F_4 the division must undo the Frobenius twist of the embedding
     r = W2(2, 2)
-    w = r.residue_field.gen()
+    w = r.residue_field.elem([0, 1])
     embedded = r.wrap(r.times_p_int(w.n))
     assert embedded == r.pair((0, 0), (w * w).coeffs)
     assert r.split_p(embedded.n) == (w.n, 0)
