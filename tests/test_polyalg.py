@@ -100,7 +100,7 @@ def _ints(f) -> dict:
     return out
 
 
-@pytest.mark.parametrize("ring", [_as_zp2(3), W2(2), W2(5)], ids=repr)
+@pytest.mark.parametrize("ring", [_as_zp2(2), _as_zp2(3), W2(2), W2(5)], ids=repr)
 def test_mul_over_lift_rings_matches_naive_oracle(ring, rng):
     # coefficients in (p) half of the time, so that p*p = 0 kills products
     p = ring.p
@@ -395,6 +395,7 @@ def test_first_order_power_matches_repeated_products(ring, rng, monkeypatch):
 @pytest.mark.parametrize(
     "ring",
     [GF(2), GF(3), GF(5), GF(2, 2), GF(2, 3), GF(3, 2)]
+    + [_as_zp2(p) for p in (2, 3, 5)]
     + [W2(2), W2(3), W2(5), W2(2, 2), W2(2, 3), W2(3, 2)],
     ids=repr,
 )
@@ -766,7 +767,7 @@ def _naive_substitute(f: dict, images: list, nvars: int, N: int) -> dict:
     return total
 
 
-@pytest.mark.parametrize("ring", [GF(5), _as_zp2(5), W2(3)], ids=repr)
+@pytest.mark.parametrize("ring", [GF(5), _as_zp2(3), _as_zp2(5), W2(3)], ids=repr)
 def test_substitute_monomial_images_match_naive_oracle(ring, rng):
     # images c*x1^a*x2^b with units c that need not be 1, or 0; Laurent source
     # exponents; on even trials both images are powers of x1, so that many
@@ -827,7 +828,7 @@ def test_substitute_monomial_images_over_extension_rings(ring, rng):
         assert substitute(f, images) == _substitute_by_products(f, images)
 
 
-@pytest.mark.parametrize("ring", [GF(5), GF(2, 2), W2(3), W2(2, 2)], ids=repr)
+@pytest.mark.parametrize("ring", [GF(5), GF(2, 2), _as_zp2(3), W2(3), W2(2, 2)], ids=repr)
 def test_substitute_mixed_images_match_products(ring, rng):
     # a monomial, zero or many-term image in each slot, in every combination:
     # monomials shift exponents, and only many-term images are raised to powers;
