@@ -75,7 +75,7 @@ class AffineChartLift:
         if len(corrections) != nvars:
             raise ShapeError(f"need {nvars} correction polynomials, got {len(corrections)}")
         for f in corrections:
-            if (f.ring is not field and f.ring != field) or f.nvars != nvars:
+            if f.ring is not field or f.nvars != nvars:
                 raise ShapeError("corrections must be F_q polynomials on this chart")
             if not f.respects_mask(laurent_mask):
                 raise UnsupportedShape("correction inverts a variable outside the chart")
@@ -111,7 +111,7 @@ class AffineChartLift:
     def __eq__(self, other):
         return (
             isinstance(other, AffineChartLift)
-            and self.field == other.field
+            and self.field is other.field
             and self.nvars == other.nvars
             and self.laurent_mask == other.laurent_mask
             and self.corrections == other.corrections
@@ -119,7 +119,7 @@ class AffineChartLift:
 
     def same_chart(self, other: "AffineChartLift") -> bool:
         return (
-            self.field == other.field
+            self.field is other.field
             and self.nvars == other.nvars
             and self.laurent_mask == other.laurent_mask
         )
@@ -174,7 +174,7 @@ def apply_lift(L: AffineChartLift, a: Poly) -> Poly:
 def _frobenius_twisted(L: AffineChartLift, a: Poly) -> Poly:
     """a with the Witt Frobenius on its coefficients, once checked to lie on L's chart."""
     ring = L.lift_ring
-    if a.ring != ring or a.nvars != L.nvars:
+    if a.ring is not ring or a.nvars != L.nvars:
         raise ShapeError("argument is not a lift-ring polynomial on this chart")
     if not a.respects_mask(L.laurent_mask):
         raise UnsupportedShape("argument inverts a variable outside the chart")
@@ -216,7 +216,7 @@ class EtaFunction:
 
     def __call__(self, a: Poly) -> Poly:
         """The closed form sum_i phi(da/dx_i) * eta(x_i), one ``phi_derivation`` pass."""
-        if a.ring != self.field or a.nvars != self.nvars:
+        if a.ring is not self.field or a.nvars != self.nvars:
             raise ShapeError("eta argument must be an F_q polynomial on this chart")
         return phi_derivation(a, self.values)
 

@@ -245,9 +245,16 @@ def _coeff_int(ring, c):
         return ring.from_int(c).n
     if not hasattr(c, "n"):
         return None
-    if c.ring is not ring and c.ring != ring:
+    if c.ring is not ring:
         raise CharMismatch(f"coefficient from {c.ring!r} used over {ring!r}")
     return c.n
+
+
+def _check_index(i, nvars: int) -> int:
+    """i, once checked to be the int index of one of nvars variables (a bool is not)."""
+    if type(i) is not int or not 0 <= i < nvars:
+        raise ShapeError(f"variable index {i!r} out of range for {nvars} variables")
+    return i
 
 
 def _require_coeff_int(ring, c) -> int:
@@ -315,8 +322,7 @@ class Poly:
         # before the lookup: True and 1.0 hash as 1 does
         if type(nvars) is not int or type(i) is not int or type(exp) is not int:
             raise ShapeError(f"one of count {nvars!r}, index {i!r}, exp {exp!r} is not an int")
-        # keyed by the ring's id: the cached polynomial holds the ring, so the id stays its own
-        key = (id(ring), nvars, i, exp)
+        key = (ring, nvars, i, exp)
         out = _VARIABLES.get(key)
         if out is None:
             if not 0 <= i < nvars:
@@ -334,7 +340,7 @@ class Poly:
     # -- ring structure -------------------------------------------------
 
     def _compat(self, other: "Poly"):
-        if self.nvars != other.nvars or (self.ring is not other.ring and self.ring != other.ring):
+        if self.nvars != other.nvars or self.ring is not other.ring:
             raise RingMismatch(
                 f"cannot combine polynomials over {self.ring!r}/{self.nvars} vars "
                 f"and {other.ring!r}/{other.nvars} vars"
@@ -420,6 +426,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
+        if type(e) is not int:  # bool and float too, as power_coefficient rejects them
+            raise ShapeError(f"power {e!r} of a polynomial is not an int")
         if e < 0:
             return invert_unit(self) ** (-e)
         if e > 1 and _is_lift_ring(self.ring):
@@ -441,11 +449,7 @@ class Poly:
             other = Poly.constant(self.ring, self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return (
-            (self.ring is other.ring or self.ring == other.ring)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
+        return self.ring is other.ring and self.nvars == other.nvars and self.terms == other.terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -457,14 +461,14 @@ class Poly:
 
     def coefficient_of(self, mono) -> object:
         """The coefficient element at the given exponent tuple (the ring zero if absent)."""
-        if len(mono) != self.nvars:
-            raise ShapeError(f"monomial {tuple(mono)} does not have {self.nvars} exponents")
-        return self.ring.wrap(self.terms.get(tuple(mono), 0))
+        mono = tuple(mono)
+        if len(mono) != self.nvars or any(type(e) is not int for e in mono):
+            raise ShapeError(f"monomial {mono} does not have {self.nvars} exponents, each an int")
+        return self.ring.wrap(self.terms.get(mono, 0))
 
     def degree_in(self, i: int):
         """Largest exponent of variable i; None for the zero polynomial."""
-        if not 0 <= i < self.nvars:
-            raise ShapeError(f"variable index {i} out of range for {self.nvars} variables")
+        _check_index(i, self.nvars)
         if not self.terms:
             return None
         return max(m[i] for m in self.terms)
@@ -506,8 +510,7 @@ class Poly:
         and e runs over the exponents of x_i that occur (negative ones
         too); the zero polynomial has no buckets.
         """
-        if not 0 <= i < self.nvars:
-            raise ShapeError(f"variable index {i} out of range for {self.nvars} variables")
+        _check_index(i, self.nvars)
         buckets: dict = {}
         for m, c in self.terms.items():
             e = m[i]
@@ -545,7 +548,7 @@ def substitute(f: Poly, images: Sequence[Poly], *, powers: Callable | None = Non
     ring, nvars = images[0].ring, images[0].nvars
     for img in images[1:]:
         images[0]._compat(img)
-    if ring is not f.ring and ring != f.ring:
+    if ring is not f.ring:
         raise RingMismatch(f"images over {ring!r} for a polynomial over {f.ring!r}")
     return _folded(ring, nvars, _substituted(f, images, powers, ring, nvars))
 
@@ -716,11 +719,7 @@ def phi_derivation(f: Poly, values: Sequence[Poly]) -> Poly:
 def partial_derivatives(f: Poly, columns: Sequence[int]) -> list:
     """[df/dx_j for j in columns] in one walk over f; exponents divisible by p die."""
     nvars = f.nvars
-    out = []  # (j, the terms of df/dx_j)
-    for j in columns:
-        if type(j) is not int or not 0 <= j < nvars:
-            raise ShapeError(f"variable index {j!r} out of range for {nvars} variables")
-        out.append((j, {}))
+    out = [(_check_index(j, nvars), {}) for j in columns]  # (j, the terms of df/dx_j)
     fold, pk = f.ring.fold, f.ring.pk
     for m, c in f.terms.items():
         for j, terms in out:
@@ -762,14 +761,14 @@ def divide_by_p(f: Poly) -> Poly:
 
 def embed_times_p(f: Poly, lift_ring) -> Poly:
     """Image of a residue-field polynomial under multiplication by p in the lift."""
-    if f.ring is not lift_ring.residue_field and f.ring != lift_ring.residue_field:
+    if f.ring is not lift_ring.residue_field:
         raise RingMismatch("polynomial is not over the residue field of the target")
     return f.map_coefficients(lift_ring.times_p_int, lift_ring)
 
 
 def canonical_lift(f: Poly, lift_ring) -> Poly:
     """Coefficientwise lift c -> (c, 0); a fixed section, not a ring map."""
-    if f.ring != lift_ring.residue_field:
+    if f.ring is not lift_ring.residue_field:
         raise RingMismatch("polynomial is not over the residue field of the target")
     return f.map_coefficients(lift_ring.from_residue_int, lift_ring)
 

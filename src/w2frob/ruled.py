@@ -80,7 +80,7 @@ class TransitionData:
 
     def __init__(self, name: str, a: Poly, b: Poly):
         base = _toric_base(name)
-        if a.nvars != 1 or b.nvars != 1 or a.ring != b.ring:
+        if a.nvars != 1 or b.nvars != 1 or a.ring is not b.ring:
             raise ShapeError("a and b must be one-variable polynomials over one field")
         st = a.single_term()
         if st is None or st[1].is_zero():
@@ -201,7 +201,7 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
     p = field.p
     if baseF is None:
         baseF = standard_base_lift(field, T.base.name)
-    if baseF.base is not T.base or baseF.chart_U.field != field:
+    if baseF.base is not T.base or baseF.chart_U.field is not field:
         raise ShapeError("base lift does not match the transition data")
 
     wring = baseF.chart_U.lift_ring

@@ -42,20 +42,21 @@ Each ring builds its p^(k*m) elements once, with the ring, in one table
 keyed by ``n``: at most 289, for W2(F_17) = Z/17^2.  ``wrap``,
 ``from_int`` and every operator return entries of that table, so no
 element is allocated after its ring is built, and two elements of one
-ring are equal exactly when they are the same object.  ``wrap`` of an
+ring are equal exactly when they are the same object; so ``==`` is
+``is``, after an int operand is read as an element.  ``wrap`` of an
 int that is not canonical raises ``InvariantViolation``.
 
 The element classes, ``FqElem`` and ``WittPair``, share one set of
-operators, ``_Elem``'s, which
-``_own_operations`` copies into each class.  ``+``, ``-``, ``*`` and
-``==`` first test whether the other operand is an element of the same
-class and the same ring object; then they go straight to the ring's
-``add``, ``neg`` or ``mul`` (``==`` compares ``n``).  Anything else, an
-int, an element of an equal but distinct ring object, or a foreign type,
-goes through the coercion of ``_other``, which raises ``CharMismatch``
-for an element of another ring.  ``witt_to_residue_ring`` checks that
-its argument is an element of a W2(F_p) and returns it: its int ``n`` is
-already the residue a0^p + p*a1 mod p^2.
+operators, ``_Elem``'s, which ``_own_operations`` copies into each class.
+``+``, ``-`` and ``*`` first test whether the other operand is an element
+of the same class and the same ring object; then they go straight to the
+ring's ``add``, ``neg`` or ``mul``.  Anything else, an int or a foreign
+type, goes through the coercion of ``_other``, which raises
+``CharMismatch`` for an element of any other ring object: a ring built by
+its class is a ring of its own; only ``GF``/``W2`` rings combine.
+``witt_to_residue_ring`` checks that its argument is an element of a
+W2(F_p) and returns it: its int ``n`` is already the residue
+a0^p + p*a1 mod p^2.
 
 W2(F_q) is read and written in Witt coordinates (a0, a1), which stand for
 u = [a0] + p*lift(a1^(1/p)) with the Teichmüller lift [a] = lift(a)^q.
@@ -95,6 +96,7 @@ from .errors import (
     InvariantViolation,
     ParseError,
     RingMismatch,
+    ShapeError,
     UnitError,
     UnsupportedField,
 )
@@ -227,7 +229,7 @@ class _Elem:
     def _other(self, other):
         """other as an element of this ring; None for an operand of another type."""
         if isinstance(other, _Elem):
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise CharMismatch(f"elements of {self.ring!r} and {other.ring!r} combined")
             return other
         if isinstance(other, int):
@@ -270,6 +272,8 @@ class _Elem:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
+        if type(e) is not int:  # bool and float too, as Poly powers reject them
+            raise ShapeError(f"power {e!r} of an element is not an int")
         ring = self.ring
         n = ring.inv_int(self.n) if e < 0 else self.n
         return ring.wrap(ring.pow_int(n, abs(e)))
@@ -285,16 +289,13 @@ class _Elem:
         return bool(self.n)
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__ and other.ring is self.ring:
-            return self.n == other.n
+        if isinstance(other, _Elem):
+            return other is self
         if isinstance(other, int):
-            other = self.ring.from_int(other)
-        if not isinstance(other, _Elem):
-            return NotImplemented
-        return self.n == other.n and (self.ring is other.ring or self.ring == other.ring)
+            return self.ring.from_int(other) is self
+        return NotImplemented
 
-    def __hash__(self):
-        return hash((self.ring.p, self.ring.k, self.ring.m, self.n))
+    __hash__ = object.__hash__
 
 
 def _own_operations(cls):
@@ -416,14 +417,6 @@ class GaloisRing:
             for n in ints
         }.__getitem__
 
-    def __eq__(self, other):
-        if other is self:
-            return True
-        return type(other) is type(self) and (self.p, self.m) == (other.p, other.m)
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.m))
-
     # -- integer kernel ----------------------------------------------------
 
     def neg_int(self, n: int) -> int:
@@ -519,7 +512,10 @@ class FiniteField(GaloisRing):
 # raises however many times GF(5) has been built.
 @lru_cache(maxsize=None, typed=True)
 def GF(p: int, m: int = 1) -> FiniteField:
-    """The field F_{p^m}: one object per (p, m), however m is passed."""
+    """The field F_{p^m}: one object per (p, m), however m is passed.
+
+    A ring built by its class is a ring of its own; only ``GF``/``W2`` rings combine.
+    """
     _check_field(p, m)
     return _field(p, m)
 
@@ -610,7 +606,10 @@ class WittRing(GaloisRing):
 
 @lru_cache(maxsize=None, typed=True)
 def W2(p: int, m: int = 1) -> WittRing:
-    """The Witt ring W2(F_{p^m}) over GF(p, m): one object per (p, m), however m is passed."""
+    """The Witt ring W2(F_{p^m}) over GF(p, m): one object per (p, m), however m is passed.
+
+    A ring built by its class is a ring of its own; only ``GF``/``W2`` rings combine.
+    """
     _check_field(p, m)
     return _witt_ring(p, m)
 

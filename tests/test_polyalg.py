@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from math import factorial
 
@@ -19,6 +20,7 @@ from w2frob import (
     GF,
     W2,
     CharMismatch,
+    FiniteField,
     NotDivisible,
     Poly,
     ParseError,
@@ -26,6 +28,8 @@ from w2frob import (
     RingMismatch,
     ShapeError,
     UnitError,
+    WittRing,
+    canonical_lift,
     divide_by_p,
     frobenius_substitute,
     invert_unit,
@@ -149,6 +153,30 @@ def test_ring_mismatch():
         P(GF(2), 1, "x") * P(GF(2), 2, "x1")
 
 
+@pytest.mark.parametrize("q", [(5, 1), (2, 2)], ids=["q=5", "q=4"])
+def test_a_ring_built_by_its_class_is_a_ring_of_its_own(q):
+    # only GF/W2 rings combine: over F_q and W2(F_q), a polynomial over a
+    # directly built ring raises against one over GF's or W2's, either way round
+    p, m = q
+    for own, shared in [(FiniteField(p, m), GF(p, m)), (WittRing(GF(p, m)), W2(p, m))]:
+        f, g = P(own, 2, "x1+x2^2"), P(shared, 2, "x1+x2^2")
+        assert f * P(own, 2, "x1") == P(own, 2, "x1^2+x1*x2^2")  # usable on its own
+        assert f != g and not f == g
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(RingMismatch):
+                op(f, g)
+            with pytest.raises(RingMismatch):
+                op(g, f)
+        with pytest.raises(RingMismatch):
+            substitute(f, [Poly.variable(shared, 1, 0)] * 2)
+        with pytest.raises(RingMismatch):
+            substitute(g, [Poly.variable(own, 1, 0)] * 2)
+        with pytest.raises(CharMismatch):
+            Poly(own, 1, {(0,): shared.one})
+    with pytest.raises(RingMismatch):
+        canonical_lift(P(FiniteField(p, m), 1, "x"), W2(p, m))
+
+
 def test_constructor_reads_elements_of_its_ring_and_ints():
     F5 = GF(5)
     with pytest.raises(CharMismatch):
@@ -179,6 +207,9 @@ def test_constructors_reject_exponents_that_are_not_ints(exp):
         Poly.monomial(F3, 2, (1, exp))
     with pytest.raises(ShapeError, match="is not an int"):
         Poly.variable(F3, 2, 0, exp)
+    for ring in (F3, W2(3)):  # f ** True was f, and f ** 1.0 a bare TypeError
+        with pytest.raises(ShapeError, match="is not an int"):
+            P(ring, 2, "x1+x2") ** exp
     # an exponent list is still read as its tuple
     assert Poly.monomial(F3, 2, [2, -1]) == P(F3, 2, "x1^2*x2^-1")
 
@@ -217,7 +248,7 @@ def test_constructors_raise_shape_errors_for_bad_monomials_and_indices():
 def test_index_queries_raise_shape_errors():
     F3 = GF(3)
     f = P(F3, 2, "x1^2*x2+x2^3")
-    for i in (-1, 2, 7):
+    for i in (-1, 2, 7, True, False, 1.0, "1"):
         with pytest.raises(ShapeError, match="out of range for 2 variables"):
             f.degree_in(i)
         with pytest.raises(ShapeError, match="out of range for 2 variables"):
@@ -226,7 +257,7 @@ def test_index_queries_raise_shape_errors():
             f.partial_derivative(i)
     with pytest.raises(ShapeError, match="out of range"):
         Poly.zero(F3, 2).degree_in(2)  # the zero polynomial too, before its None
-    for mono in [(1,), (1, 0, 0), ()]:
+    for mono in [(1,), (1, 0, 0), (), (2.0, True), (2, True), (2, 1.0)]:
         with pytest.raises(ShapeError, match="does not have 2 exponents"):
             f.coefficient_of(mono)
     assert [f.degree_in(0), f.degree_in(1)] == [2, 3]

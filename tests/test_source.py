@@ -377,3 +377,39 @@ def test_determinants_and_jacobians_take_their_one_pass_routes():
     loops = (ast.For, ast.While, ast.comprehension)
     assert not any(isinstance(node, loops) for node in ast.walk(single))
     assert "partial_derivatives" in _called_names(single)
+
+
+# each identity test and the equality test it must not be paired with
+_PAIRED = {ast.Is: ast.Eq, ast.IsNot: ast.NotEq}
+
+
+def test_rings_compare_by_identity_alone():
+    # GF and W2 hand out one ring object per (p, m), and a ring built by its
+    # class is a ring of its own: `a is b or a == b` (or `is not` with `!=`)
+    # on the same operands, or an __eq__ or __hash__ on a ring class, would
+    # admit an equal but distinct ring again
+    found = []
+    for path in sorted(Path(w2frob.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.BoolOp):
+                continue
+            tests = {
+                (type(value.ops[0]), frozenset(map(ast.dump, (value.left, *value.comparators))))
+                for value in node.values
+                if isinstance(value, ast.Compare) and len(value.ops) == 1
+            }
+            if any((_PAIRED[op], operands) in tests for op, operands in tests if op in _PAIRED):
+                found.append(f"{path.name}:{node.lineno}")
+    rings, pending = [], [w2frob.witt2.GaloisRing]
+    while pending:
+        cls = pending.pop()
+        rings.append(cls)
+        pending += cls.__subclasses__()
+    assert {w2frob.FiniteField, w2frob.WittRing} <= set(rings)
+    found += [
+        f"{cls.__name__}.{name}"
+        for cls in rings
+        for name in ("__eq__", "__hash__")
+        if name in vars(cls)
+    ]
+    assert not found, found
