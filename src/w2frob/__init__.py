@@ -50,7 +50,6 @@ from .froblift import (
     apply_lift,
     eta_axioms_check,
     eta_between,
-    lift_from_json,
     lift_to_json,
     monomial_lemma_check,
     phi_det,
@@ -91,7 +90,6 @@ from .witt2 import (
     FqElem,
     WittPair,
     WittRing,
-    witt_from_str,
     witt_to_residue_ring,
     witt_to_str,
 )

@@ -136,6 +136,17 @@ class SurfaceDescriptor(NamedTuple):
                 raise DescriptorError("ruled needs the base genus")
             if self.base_genus == 1 and self.base_is_ordinary is None:
                 raise DescriptorError("ruled over an elliptic base needs base_is_ordinary")
+        # Bombieri-Mumford: singular and supersingular Enriques surfaces, and
+        # quasi-hyperelliptic ones, exist only in small characteristic
+        if c == "enriques":
+            if self.variant not in ("classical", "singular", "supersingular"):
+                raise DescriptorError(
+                    "enriques variant must be classical, singular or supersingular"
+                )
+            if self.variant != "classical" and self.p != 2:
+                raise DescriptorError(f"{self.variant} Enriques surfaces occur only at p = 2")
+        if c == "quasi_hyperelliptic" and self.p not in (2, 3):
+            raise DescriptorError("quasi-hyperelliptic surfaces occur only at p in {2, 3}")
         if c == "abelian" and self.is_ordinary is None:
             raise DescriptorError("abelian needs is_ordinary")
         if c == "hyperelliptic":

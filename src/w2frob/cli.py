@@ -24,7 +24,6 @@ from .errors import (
     UnsupportedField,
     UnsupportedShape,
 )
-from .froblift import _json_loads
 from .polyalg import Poly, poly_from_str, poly_to_str
 from .projline import verify_p1_lift
 from .ruled import (
@@ -56,6 +55,14 @@ class UsageError(AlgebraError):
 
 
 DEFAULT_SEED = 20130902
+
+
+def _json_loads(s: str, what: str):
+    """``json.loads(s)``, raising ParseError naming ``what`` for any text it cannot read."""
+    try:
+        return json.loads(s)
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep a nesting
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _report(command: str, seed, checks: list, extra: dict = None) -> dict:
@@ -166,15 +173,14 @@ def _cmd_hasse(args) -> dict:
 
 
 def _cmd_sweep_all(args) -> dict:
-    scale = args.trials_scale
     checks = []
     checks += sweep_witt([2, 3, 5, 7])
-    checks += sweep_phi_det([2, 3, 5], [1, 2, 3], 20 * scale, args.seed)
+    checks += sweep_phi_det([2, 3, 5], [1, 2, 3], 20, args.seed)
     for p in (2, 3, 5):
-        checks += sweep_monomial_lemma(p, 3, 50 * scale, args.seed)
+        checks += sweep_monomial_lemma(p, 3, 50, args.seed)
         checks += sweep_p1(p)
-    checks += sweep_eta(2, 5 * scale, 10, args.seed)
-    checks += sweep_eta(3, 5 * scale, 10, args.seed)
+    checks += sweep_eta(2, 5, 10, args.seed)
+    checks += sweep_eta(3, 5, 10, args.seed)
     for p in (2, 3):
         checks += sweep_ruled(p)
     checks += sweep_classify()
@@ -270,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep-all", help="run every property sweep")
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--trials-scale", type=_bounded_int(1), default=1, dest="trials_scale")
     sp.set_defaults(func=_cmd_sweep_all)
 
     return parser
@@ -323,13 +328,6 @@ def _execute(argv) -> tuple:
 def run_command(argv) -> int:
     """Parse argv, run the subcommand, print the JSON report, return the exit code."""
     text, code = _execute(argv)
-    if text is not None:
-        print(text)
-    return code
-
-
-def main():
-    text, code = _execute(sys.argv[1:])
     try:
         if text is not None:
             print(text)
@@ -338,7 +336,11 @@ def main():
         # The reader went away; the exit code still tells the outcome.  Point
         # stdout at devnull so that the interpreter's last flush cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+    return code
+
+
+def main():
+    sys.exit(run_command(sys.argv[1:]))
 
 
 if __name__ == "__main__":

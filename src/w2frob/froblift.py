@@ -23,7 +23,6 @@ from typing import Sequence
 from .errors import (
     InvariantViolation,
     NotDivisible,
-    ParseError,
     RangeError,
     ShapeError,
     UnsupportedShape,
@@ -38,7 +37,6 @@ from .polyalg import (
     frobenius_substitute,
     partial_derivatives,
     phi_derivation,
-    poly_from_str,
     poly_to_str,
     substitute,
 )
@@ -374,39 +372,3 @@ def lift_to_json(L: AffineChartLift) -> str:
             "corrections": [poly_to_str(f) for f in L.corrections],
         }
     )
-
-
-def _json_loads(s: str, what: str):
-    """``json.loads(s)``, raising ParseError naming ``what`` for any text it cannot read."""
-    try:
-        return json.loads(s)
-    except (ValueError, RecursionError) as exc:  # also too many digits or too deep a nesting
-        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
-
-
-def lift_from_json(s: str) -> AffineChartLift:
-    """Parse the format of :func:`lift_to_json`; a malformed document raises ParseError."""
-    d = _json_loads(s, "lift")
-    if not isinstance(d, dict):
-        raise ParseError("a lift must be a JSON object")
-    try:
-        p, q, nvars, mask, corrections = (
-            d[key] for key in ("p", "q", "nvars", "laurent_mask", "corrections")
-        )
-    except KeyError as exc:
-        raise ParseError(f"lift lacks the key {exc}") from exc
-    if not all(type(v) is int for v in (p, q, nvars)) or nvars < 0:
-        raise ParseError("p, q and nvars must be integers, nvars >= 0")
-    # checked before any correction is parsed, which allocates per variable
-    if not all(isinstance(v, list) and len(v) == nvars for v in (mask, corrections)):
-        raise ParseError(f"laurent_mask and corrections must be lists of {nvars} entries")
-    if not all(type(b) is bool for b in mask) or not all(isinstance(c, str) for c in corrections):
-        raise ParseError("laurent_mask entries must be booleans and corrections strings")
-    m = 1
-    while p > 1 and p ** m < q:
-        m += 1
-    if p ** m != q:
-        raise ParseError(f"q = {q} is not a power of p = {p}")
-    field = GF(p, m)
-    corrections = [poly_from_str(field, nvars, c) for c in corrections]
-    return AffineChartLift(field, nvars, mask, corrections)

@@ -667,6 +667,7 @@ def reindex(f: Poly, slots: Sequence, nvars: int) -> Poly:
 
 def flip_variable(f: Poly, i: int) -> Poly:
     """x_i -> 1/x_i: the substitution by monomial images, as an exponent negation."""
+    _check_index(i, f.nvars)
     terms = {m[:i] + (-m[i],) + m[i + 1:]: c for m, c in f.terms.items()}
     return Poly._make(f.ring, f.nvars, terms)
 
@@ -761,14 +762,14 @@ def divide_by_p(f: Poly) -> Poly:
 
 def embed_times_p(f: Poly, lift_ring) -> Poly:
     """Image of a residue-field polynomial under multiplication by p in the lift."""
-    if f.ring is not lift_ring.residue_field:
+    if getattr(lift_ring, "residue_field", None) is not f.ring:  # a field has none
         raise RingMismatch("polynomial is not over the residue field of the target")
     return f.map_coefficients(lift_ring.times_p_int, lift_ring)
 
 
 def canonical_lift(f: Poly, lift_ring) -> Poly:
     """Coefficientwise lift c -> (c, 0); a fixed section, not a ring map."""
-    if f.ring is not lift_ring.residue_field:
+    if getattr(lift_ring, "residue_field", None) is not f.ring:  # a field has none
         raise RingMismatch("polynomial is not over the residue field of the target")
     return f.map_coefficients(lift_ring.from_residue_int, lift_ring)
 

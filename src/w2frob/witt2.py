@@ -639,16 +639,3 @@ def witt_to_residue_ring(u: WittPair) -> WittPair:
 def witt_to_str(u: WittPair) -> str:
     f = u.ring.residue_field
     return f"{u.ring.coeff_to_str(u)}@{f.p}^{f.m}"
-
-
-def witt_from_str(s: str) -> WittPair:
-    s = s.strip()
-    if "@" not in s:
-        raise ParseError(f"missing @p^m suffix in {s!r}")
-    body, tag = s.rsplit("@", 1)
-    try:
-        p_str, m_str = tag.split("^")
-        ring = W2(int(p_str), int(m_str))
-    except (ValueError, UnsupportedField) as exc:
-        raise ParseError(f"bad field tag in {s!r}") from exc
-    return ring.coeff_from_str(body)

@@ -112,6 +112,26 @@ def test_descriptor_validation():
         )
     with pytest.raises(DescriptorError):
         classify_surface(D(surface_class="K3", p=6))
+    # Bombieri-Mumford: singular and supersingular Enriques surfaces occur
+    # only at p = 2, quasi-hyperelliptic surfaces only at p = 2 and 3
+    for kw in (
+        dict(surface_class="enriques", p=5, variant="bogus"),
+        dict(surface_class="enriques", p=5),
+        dict(surface_class="enriques", p=3, variant="singular"),
+        dict(surface_class="enriques", p=5, variant="supersingular"),
+        dict(surface_class="quasi_hyperelliptic", p=5),
+        dict(surface_class="quasi_hyperelliptic", p=17),
+    ):
+        with pytest.raises(DescriptorError):
+            classify_surface(D(**kw))
+
+
+def test_small_characteristic_surfaces_classify():
+    valid = [D(surface_class="enriques", p=2, variant=v) for v in ("singular", "supersingular")]
+    valid += [D(surface_class="enriques", p=p, variant="classical") for p in (2, 5)]
+    valid += [D(surface_class="quasi_hyperelliptic", p=p) for p in (2, 3)]
+    for d in valid:
+        assert classify_surface(d).outcome == "NotLiftable", d
 
 
 @pytest.mark.parametrize("p", [2.0, 5.0, True, "5", None])

@@ -127,13 +127,14 @@ def test_usage_errors_exit_2(capsys):
         ["witt-check", "--trials", "5"],
         ["witt-check", "--seed", "1"],
         ["verify-lemma", "--p", "2", "--trials", "0"],
-        ["sweep-all", "--trials-scale", "0"],
         ["witt-check", "--p-list", "a"],
         ["phi-det", "--p", "2", "--n", "0"],
         ["phi-det", "--p", "2", "--n", "5"],
         ["verify-lemma", "--p", "2", "--n", "4"],
         ["classify", "--json", "[1]"],
         ["classify", "--json", '{"class":"rational_Fn","p":5,"n":"x"}'],
+        ["classify", "--json", '{"class":"enriques","p":5,"variant":"bogus"}'],
+        ["classify", "--json", '{"class":"quasi_hyperelliptic","p":5}'],
         ["ruled-lift", "--base", "A1", "--n", "2", "--p", "2"],
         ["ruled-lift", "--base", "A1", "--a-const", "0", "--p", "3"],
         ["ruled-lift", "--base", "A1", "--b", "x^-1", "--p", "3"],

@@ -31,6 +31,7 @@ from w2frob import (
     WittRing,
     canonical_lift,
     divide_by_p,
+    embed_times_p,
     frobenius_substitute,
     invert_unit,
     poly_from_str,
@@ -151,6 +152,9 @@ def test_ring_mismatch():
         P(GF(2), 1, "x") * P(GF(3), 1, "x")
     with pytest.raises(RingMismatch):
         P(GF(2), 1, "x") * P(GF(2), 2, "x1")
+    for lift in (embed_times_p, canonical_lift):  # a field is no lift ring
+        with pytest.raises(RingMismatch):
+            lift(P(GF(3), 1, "x"), GF(3))
 
 
 @pytest.mark.parametrize("q", [(5, 1), (2, 2)], ids=["q=5", "q=4"])
@@ -1094,6 +1098,15 @@ def test_flip_variable_is_the_monomial_substitution(rng):
                 images = [Poly.variable(ring, 2, j, -1 if j == i else 1) for j in range(2)]
                 assert flip_variable(f, i) == substitute(f, images)
                 assert flip_variable(flip_variable(f, i), i) == f
+
+
+def test_flip_variable_checks_its_index():
+    # unchecked, m[:i] + (-m[i],) + m[i + 1:] at i = -1 has nvars + 1 exponents
+    for ring in (GF(5), W2(5)):
+        x = Poly.variable(ring, 2, 0)
+        for i in (-1, 2, 5, True):
+            with pytest.raises(ShapeError, match="out of range for 2 variables"):
+                flip_variable(x, i)
 
 
 def _outcome(compute):

@@ -158,10 +158,6 @@ def test_only_polyalg_reads_coefficient_ints():
     assert not found, found
 
 
-# parsers of formats the library writes: a reader needs them though no command does
-_UNUSED_EXPORTS_ALLOWED = {"lift_from_json", "witt_from_str"}
-
-
 def _used_names(node, enclosing=frozenset()) -> set:
     """Names and attribute names under ``node``, except inside a definition of the same name."""
     used = set()
@@ -199,16 +195,7 @@ def test_every_export_is_used_outside_the_tests():
         for alias in node.names
     }
     used = _names_used_outside_the_tests()
-    assert sorted(exported - used - _UNUSED_EXPORTS_ALLOWED) == []
-    assert _UNUSED_EXPORTS_ALLOWED <= exported - used  # the allowlist stays minimal
-
-
-# top-level definitions no code calls, each kept for a reason
-_UNUSED_DEFINITIONS_ALLOWED = {
-    "lift_from_json": "parses what lift_to_json writes, for a reader of saved lifts",
-    "witt_from_str": "parses what witt_to_str writes, for a reader of saved Witt vectors",
-    "run_command": "frobctl in process: prints the report and returns the exit code main exits with",
-}
+    assert sorted(exported - used) == []
 
 
 def test_every_module_function_is_used_outside_the_tests():
@@ -221,8 +208,40 @@ def test_every_module_function_is_used_outside_the_tests():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     }
     used = _names_used_outside_the_tests()
-    assert sorted(defined - used - _UNUSED_DEFINITIONS_ALLOWED.keys()) == []
-    assert _UNUSED_DEFINITIONS_ALLOWED.keys() <= defined - used  # the allowlist stays minimal
+    assert sorted(defined - used) == []
+
+
+def _json_reads(tree) -> list:
+    """Line numbers of ``json.loads``/``json.load`` calls and of imports of either name."""
+    readers = {"loads", "load"}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in readers
+            and getattr(node.value, "id", None) == "json"
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "json"
+            and any(alias.name in readers for alias in node.names)
+        )
+    ]
+
+
+def test_only_the_cli_parses_json():
+    # frobctl reads JSON from its arguments alone; the library writes JSON and
+    # reads none back, so json.loads has one caller, cli._json_loads
+    package = Path(w2frob.__file__).parent
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "cli.py"
+        for line in _json_reads(ast.parse(path.read_text()))
+    ]
+    assert not found, found
+    assert _json_reads(ast.parse((package / "cli.py").read_text()))  # the guard sees the one reader
 
 
 def test_no_module_imports_dataclasses():
