@@ -37,31 +37,28 @@ from .witt2 import GF, FqElem, check_prime_char
 
 HYPERELLIPTIC_TYPES = ("a", "b", "c", "d")
 
-SURFACE_CLASSES = (
-    "rational_P2",
-    "rational_Fn",
-    "ruled",
-    "abelian",
-    "K3",
-    "enriques",
-    "hyperelliptic",
-    "quasi_hyperelliptic",
-    "properly_elliptic",
-    "general_type",
-)
+# surface class -> {descriptor key: the values it allows, or None for any value
+# of the key's type}; a class needs each of its keys (base_is_ordinary only over
+# an elliptic base) and takes no key of another class
+CLASS_FLAGS = {
+    "rational_P2": {},
+    "rational_Fn": {"n": None},
+    "ruled": {"base_genus": None, "base_is_ordinary": None},
+    "abelian": {"is_ordinary": None},
+    "K3": {},
+    "enriques": {"variant": ("classical", "singular", "supersingular")},
+    "hyperelliptic": {"type": HYPERELLIPTIC_TYPES, "E0_ordinary": None, "E1_ordinary": None,
+                      "omega_pow_p_minus_1_trivial": None},
+    "quasi_hyperelliptic": {},
+    "properly_elliptic": {},
+    "general_type": {},
+}
+
+SURFACE_CLASSES = tuple(CLASS_FLAGS)
 
 LIFTABLE = "Liftable"
 NOT_LIFTABLE = "NotLiftable"
 OUT_OF_SCOPE = "OutOfScope"
-
-
-def _check_type(key: str, kind: type, value):
-    """Raise DescriptorError unless value is None or of the descriptor key's type."""
-    # bool is a subclass of int, so true must not pass as an integer
-    if value is not None and (
-        not isinstance(value, kind) or (kind is int and isinstance(value, bool))
-    ):
-        raise DescriptorError(f"descriptor key {key!r} must be of type {kind.__name__}")
 
 
 class SurfaceDescriptor(NamedTuple):
@@ -96,65 +93,58 @@ class SurfaceDescriptor(NamedTuple):
 
     @classmethod
     def from_json_dict(cls, d) -> "SurfaceDescriptor":
+        """The descriptor of a JSON object; ``validate`` checks its values."""
         if not isinstance(d, dict):
             raise DescriptorError(f"descriptor must be a JSON object, got {type(d).__name__}")
         kwargs = {}
         for key, value in d.items():
             if key not in cls._JSON_KEYS:
                 raise DescriptorError(f"unknown descriptor key {key!r}")
-            attr, kind = cls._JSON_KEYS[key]
-            _check_type(key, kind, value)
-            kwargs[attr] = value
+            kwargs[cls._JSON_KEYS[key][0]] = value
         if "surface_class" not in kwargs or "p" not in kwargs:
             raise DescriptorError("descriptor needs the 'class' and 'p' keys")
         return cls(**kwargs)
 
     def to_json_dict(self) -> dict:
-        inv = {attr: k for k, (attr, _) in self._JSON_KEYS.items()}
-        out = {}
-        for attr, key in inv.items():
-            value = getattr(self, attr)
-            if value is not None:
-                out[key] = value
-        return out
+        return {
+            key: value
+            for key, (attr, _) in self._JSON_KEYS.items()
+            if (value := getattr(self, attr)) is not None
+        }
 
     def validate(self):
-        if self.surface_class not in SURFACE_CLASSES:
-            raise DescriptorError(f"unknown surface class {self.surface_class!r}")
+        # types first, so that no unhashable value reaches a table lookup;
+        # exact types, as bool is a subclass of int
+        for key, (attr, kind) in self._JSON_KEYS.items():
+            value = getattr(self, attr)
+            if value is not None and type(value) is not kind:
+                raise DescriptorError(f"descriptor key {key!r} must be of type {kind.__name__}")
+        c = self.surface_class
+        if c not in CLASS_FLAGS:
+            raise DescriptorError(f"unknown surface class {c!r}")
         try:
             check_prime_char(self.p)
         except UnsupportedField as exc:
             raise DescriptorError(str(exc)) from exc
-        for key, (attr, kind) in self._JSON_KEYS.items():
-            _check_type(key, kind, getattr(self, attr))
-        c = self.surface_class
-        if c == "rational_Fn":
-            if self.n is None or self.n < 0:
-                raise DescriptorError("rational_Fn needs a twist n >= 0")
-        if c == "ruled":
-            if self.base_genus is None or self.base_genus < 0:
-                raise DescriptorError("ruled needs the base genus")
-            if self.base_genus == 1 and self.base_is_ordinary is None:
-                raise DescriptorError("ruled over an elliptic base needs base_is_ordinary")
+        flags = CLASS_FLAGS[c]
+        for key, (attr, _) in self._JSON_KEYS.items():
+            value, allowed = getattr(self, attr), flags.get(key)
+            if key not in flags and value is not None and key not in ("class", "p"):
+                raise DescriptorError(f"{c} takes no {key!r} flag")
+            if key in flags and value is None and key != "base_is_ordinary":
+                raise DescriptorError(f"{c} needs the {key!r} flag")
+            if allowed and value not in allowed:
+                raise DescriptorError(f"{c} {key!r} must be one of {', '.join(allowed)}")
+        if (self.n or 0) < 0 or (self.base_genus or 0) < 0:
+            raise DescriptorError("the twist n and the base genus must be >= 0")
+        if self.base_genus == 1 and self.base_is_ordinary is None:
+            raise DescriptorError("ruled over an elliptic base needs base_is_ordinary")
         # Bombieri-Mumford: singular and supersingular Enriques surfaces, and
         # quasi-hyperelliptic ones, exist only in small characteristic
-        if c == "enriques":
-            if self.variant not in ("classical", "singular", "supersingular"):
-                raise DescriptorError(
-                    "enriques variant must be classical, singular or supersingular"
-                )
-            if self.variant != "classical" and self.p != 2:
-                raise DescriptorError(f"{self.variant} Enriques surfaces occur only at p = 2")
+        if self.variant in ("singular", "supersingular") and self.p != 2:
+            raise DescriptorError(f"{self.variant} Enriques surfaces occur only at p = 2")
         if c == "quasi_hyperelliptic" and self.p not in (2, 3):
             raise DescriptorError("quasi-hyperelliptic surfaces occur only at p in {2, 3}")
-        if c == "abelian" and self.is_ordinary is None:
-            raise DescriptorError("abelian needs is_ordinary")
-        if c == "hyperelliptic":
-            if self.hyperelliptic_type not in HYPERELLIPTIC_TYPES:
-                raise DescriptorError("hyperelliptic type must be one of a, b, c, d")
-            for flag in ("E0_ordinary", "E1_ordinary", "omega_pow_p_minus_1_trivial"):
-                if getattr(self, flag) is None:
-                    raise DescriptorError(f"hyperelliptic needs the {flag} flag")
 
 
 class Verdict(NamedTuple):

@@ -24,6 +24,7 @@ from .errors import (
     InvariantViolation,
     NotDivisible,
     RangeError,
+    RingMismatch,
     ShapeError,
     UnsupportedShape,
 )
@@ -66,6 +67,8 @@ class AffineChartLift:
     __slots__ = ("field", "nvars", "laurent_mask", "corrections", "_images", "_powers")
 
     def __init__(self, field: FiniteField, nvars: int, laurent_mask, corrections):
+        if not isinstance(field, FiniteField):
+            raise RingMismatch(f"a chart lift lives over a finite field, not over {field!r}")
         laurent_mask = tuple(map(bool, laurent_mask))
         corrections = tuple(corrections)
         if len(laurent_mask) != nvars:
@@ -308,7 +311,11 @@ def monomial_lemma_check(K: Sequence[Sequence[int]], p: int) -> CheckResult:
     t_1^(p-1)...t_m^(p-1), and (b) equal det(K block) * prod_j t_j^(s_j)
     with s_j the j-th column sum minus 1 on the first m variables.
     """
-    K = [list(row) for row in K]
+    field = GF(p)
+    try:
+        K = [list(row) for row in K]
+    except TypeError:
+        raise ShapeError("the exponent matrix must be a sequence of rows") from None
     m = len(K)
     if m == 0:
         raise ShapeError("empty exponent matrix")
@@ -319,10 +326,11 @@ def monomial_lemma_check(K: Sequence[Sequence[int]], p: int) -> CheckResult:
         raise ShapeError(f"need m <= n <= 3, got {m}x{n}")
     for row in K:
         for k in row:
+            if type(k) is not int:  # bool too: True would pass as exponent 1
+                raise ShapeError(f"exponent {k!r} is not an int")
             if not 0 <= k <= p - 1:
                 raise RangeError(f"exponent {k} outside [0, {p - 1}]")
 
-    field = GF(p)
     fs = [Poly.monomial(field, n, tuple(row)) for row in K]
     M = PolyMatrix([partial_derivatives(f, range(m)) for f in fs])
     expanded = M.determinant()

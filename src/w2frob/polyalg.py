@@ -643,10 +643,10 @@ def reindex(f: Poly, slots: Sequence, nvars: int) -> Poly:
     """
     if len(slots) != f.nvars:
         raise ShapeError(f"need {f.nvars} slots, got {len(slots)}")
-    live = [(i, s) for i, s in enumerate(slots) if s is not None]
+    if type(nvars) is not int or nvars < 0:
+        raise ShapeError(f"variable count {nvars!r} is not an int >= 0")
+    live = [(i, _check_index(s, nvars)) for i, s in enumerate(slots) if s is not None]
     dead = [i for i, s in enumerate(slots) if s is None]
-    if not all(0 <= s < nvars for _, s in live):
-        raise ShapeError(f"slots {tuple(slots)} out of range for {nvars} variables")
     acc: dict = {}
     get = acc.get
     origin = [0] * nvars

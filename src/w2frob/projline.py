@@ -18,6 +18,7 @@ from __future__ import annotations
 from .errors import DegreeTooHigh, ShapeError, UnsupportedShape
 from .froblift import AffineChartLift, CheckResult
 from .polyalg import Poly, flip_variable, poly_to_str
+from .witt2 import FiniteField
 
 
 def extend_chart(f: Poly) -> Poly:
@@ -27,8 +28,8 @@ def extend_chart(f: Poly) -> Poly:
     g = -y^(2p) * f(1/y).  The map is an involution: applying it to g
     returns f exactly.
     """
-    if f.nvars == 0:
-        raise ShapeError("correction needs a fiber variable")
+    if f.nvars == 0 or not isinstance(f.ring, FiniteField):
+        raise ShapeError("a correction is an F_q polynomial with a fiber variable")
     p = f.ring.p
     fiber = f.nvars - 1
     for m in f.terms:

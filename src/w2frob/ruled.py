@@ -79,8 +79,8 @@ class TransitionData:
     __slots__ = ("base", "field", "a", "b")
 
     def __init__(self, name: str, a: Poly, b: Poly):
-        base = _toric_base(name)
-        if a.nvars != 1 or b.nvars != 1 or a.ring is not b.ring:
+        base, field = _toric_base(name), a.ring
+        if a.nvars != 1 or b.nvars != 1 or b.ring is not field or not isinstance(field, FiniteField):
             raise ShapeError("a and b must be one-variable polynomials over one field")
         st = a.single_term()
         if st is None or st[1].is_zero():
@@ -91,7 +91,7 @@ class TransitionData:
         if not b.respects_mask((base.overlap_mask,)):
             raise UnsupportedShape(f"b = {poly_to_str(b)} is not regular on the {name} overlap")
         self.base = base
-        self.field = a.ring
+        self.field = field
         self.a = a
         self.b = b
 
@@ -103,9 +103,7 @@ def hirzebruch_transition(field: FiniteField, n: int) -> TransitionData:
     """The transition a = u^n, b = 0 of the n-th projective-bundle surface over P1."""
     if n < 0:
         raise UnsupportedShape("twist n must be >= 0")
-    return TransitionData(
-        "P1", Poly.monomial(field, 1, (n,)), Poly.zero(field, 1)
-    )
+    return TransitionData("P1", Poly.monomial(field, 1, (n,)), Poly.zero(field, 1))
 
 
 class BaseLift:

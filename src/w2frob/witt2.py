@@ -637,5 +637,7 @@ def witt_to_residue_ring(u: WittPair) -> WittPair:
 
 
 def witt_to_str(u: WittPair) -> str:
+    if u.__class__ is not WittPair:
+        raise RingMismatch(f"{u!r} is not an element of a Witt ring")
     f = u.ring.residue_field
     return f"{u.ring.coeff_to_str(u)}@{f.p}^{f.m}"

@@ -146,6 +146,63 @@ def test_a_non_int_characteristic_is_a_descriptor_error(p):
             classify_surface(d)
 
 
+# the JSON keys each class takes besides class and p, with a valid value each
+_CLASS_KEYS = {
+    "rational_P2": {},
+    "rational_Fn": {"n": 2},
+    "ruled": {"base_genus": 1, "base_is_ordinary": True},
+    "abelian": {"is_ordinary": True},
+    "K3": {},
+    "enriques": {"variant": "classical"},
+    "hyperelliptic": {
+        "type": "a", "E0_ordinary": True, "E1_ordinary": True,
+        "omega_pow_p_minus_1_trivial": True,
+    },
+    "quasi_hyperelliptic": {},
+    "properly_elliptic": {},
+    "general_type": {},
+}
+
+
+@pytest.mark.parametrize("surface_class", list(_CLASS_KEYS))
+def test_a_flag_of_another_class_is_a_descriptor_error(surface_class):
+    # a K3 descriptor with an Enriques variant and a Hirzebruch twist was
+    # classified as K3 without a word; every flag another class takes is refused
+    assert set(classify.SURFACE_CLASSES) == set(_CLASS_KEYS)
+    own = {"class": surface_class, "p": 3, **_CLASS_KEYS[surface_class]}
+    classify_surface(SurfaceDescriptor.from_json_dict(own))
+    stray = {k: v for keys in _CLASS_KEYS.values() for k, v in keys.items() if k not in own}
+    assert stray
+    for key, value in stray.items():
+        with pytest.raises(DescriptorError, match=f"{surface_class} takes no '{key}' flag"):
+            classify_surface(SurfaceDescriptor.from_json_dict({**own, key: value}))
+
+
+def test_ruled_surfaces_take_base_is_ordinary_at_any_genus():
+    for genus, flag in itertools.product((0, 1, 2, 5), (True, False)):
+        d = D(surface_class="ruled", p=5, base_genus=genus, base_is_ordinary=flag)
+        liftable = genus == 0 or (genus == 1 and flag)
+        assert classify_surface(d).outcome == ("Liftable" if liftable else "NotLiftable")
+    with pytest.raises(DescriptorError, match=">= 0"):
+        classify_surface(D(surface_class="ruled", p=5, base_genus=-1, base_is_ordinary=True))
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"class": [1], "p": 5},
+        {"class": {"K3": 1}, "p": 5},
+        {"class": "K3", "p": [5]},
+        {"class": "enriques", "p": 2, "variant": ["classical"]},
+        {"class": "hyperelliptic", "p": 5, "type": {"a": 1}},
+    ],
+    ids=repr,
+)
+def test_an_unhashable_value_is_a_type_error_before_any_table_lookup(d):
+    with pytest.raises(DescriptorError, match="must be of type"):
+        classify_surface(SurfaceDescriptor.from_json_dict(d))
+
+
 def test_descriptor_json_roundtrip():
     d = SurfaceDescriptor.from_json_dict(
         {"class": "hyperelliptic", "p": 5, "type": "b", "E0_ordinary": True,

@@ -135,6 +135,7 @@ def test_usage_errors_exit_2(capsys):
         ["classify", "--json", '{"class":"rational_Fn","p":5,"n":"x"}'],
         ["classify", "--json", '{"class":"enriques","p":5,"variant":"bogus"}'],
         ["classify", "--json", '{"class":"quasi_hyperelliptic","p":5}'],
+        ["classify", "--json", '{"class":"K3","p":5,"variant":"bogus","n":3}'],
         ["ruled-lift", "--base", "A1", "--n", "2", "--p", "2"],
         ["ruled-lift", "--base", "A1", "--a-const", "0", "--p", "3"],
         ["ruled-lift", "--base", "A1", "--b", "x^-1", "--p", "3"],

@@ -16,6 +16,7 @@ from w2frob import (
     RangeError,
     RingMismatch,
     ShapeError,
+    UnsupportedField,
     UnsupportedShape,
     apply_lift,
     canonical_lift,
@@ -171,6 +172,23 @@ def test_from_images_rejects_an_image_that_is_not_the_frobenius_mod_p():
         AffineChartLift.from_images(F3, (False, False), images)
     images[1] = Poly.variable(ring, 2, 1, 3) + Poly.constant(ring, 2, ring.p_elem)
     assert AffineChartLift.from_images(F3, (False, False), images).corrections[1] == P(F3, 2, "1")
+
+
+@pytest.mark.parametrize("ring", [W2(5), W2(2, 2)], ids=repr)
+def test_chart_lifts_are_built_over_a_field_not_a_lift_ring(ring, rng):
+    # corrections live over F_q: over W2(F_5) the zero lift's phi determinant
+    # read (1,0)*x1^4*x2^4, so a lift ring is refused before any correction is read
+    zero = Poly.zero(ring, 2)
+    for build in (
+        lambda: AffineChartLift(ring, 2, (False, False), (zero, zero)),
+        lambda: AffineChartLift(ring, 0, (), ()),
+        lambda: standard_lift(ring, 2),
+        lambda: random_chart_lift(rng, ring, 2),
+    ):
+        with pytest.raises(RingMismatch, match="over a finite field"):
+            build()
+    L = standard_lift(ring.residue_field, 2)
+    assert phi_det(L) == Poly.monomial(L.field, 2, top_monomial(L))
 
 
 # -- apply_lift ---------------------------------------------------------------
@@ -530,6 +548,18 @@ def test_monomial_lemma_range_and_shape_errors():
         monomial_lemma_check([[3, 0], [0, 1]], 3)
     with pytest.raises(ShapeError):
         monomial_lemma_check([[0, 1], [1, 0], [1, 1]], 3)  # m > n
+
+
+def test_monomial_lemma_checks_p_and_the_entry_types_before_the_range():
+    # True was read as p = 1 ("exponent 1 outside [0, 0]"), and a string entry
+    # or a matrix that is no sequence of rows raised a bare TypeError
+    with pytest.raises(UnsupportedField):
+        monomial_lemma_check([[1]], True)
+    with pytest.raises(UnsupportedField):
+        monomial_lemma_check([[7]], 4)
+    for K in ([["1"]], [[True]], [[1, 0], [0, 1.0]], 5, [5], [[0, 1], 2]):
+        with pytest.raises(ShapeError):
+            monomial_lemma_check(K, 5)
 
 
 def test_monomial_lemma_names_both_witnesses(monkeypatch):

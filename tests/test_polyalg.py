@@ -1161,6 +1161,19 @@ def test_reindex_raises_for_any_negative_exponent_sent_to_0():
         reindex(P(GF(3), 2, "x1"), (0, 2), 2)
 
 
+def test_reindex_checks_each_slot_and_the_variable_count():
+    # True was read as slot 1, 0.0 raised a bare TypeError, and -1 variables
+    # gave a polynomial with nvars == -1
+    f = P(GF(3), 2, "x1+x2^2")
+    for slots, nvars in (
+        ((True, 0), 2), ((0.0, 1), 2), ((0, "1"), 2), ((None, None), -1), ((0, None), 1.0),
+        ((None, None), True), ((0, 1), None),
+    ):
+        with pytest.raises(ShapeError):
+            reindex(f, slots, nvars)
+    assert reindex(f, (None, None), 0) == Poly.zero(GF(3), 0)
+
+
 def test_collect_by_var_buckets_sum_back_to_f(rng):
     for ring in (GF(3), GF(2, 2), W2(2), W2(3, 2)):
         for _ in range(30):

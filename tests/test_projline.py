@@ -3,6 +3,7 @@ import pytest
 from oracles import naive_laurent_mul_zp2
 from w2frob import (
     GF,
+    W2,
     AffineChartLift,
     DegreeTooHigh,
     Poly,
@@ -26,6 +27,15 @@ def P(ring, nvars, s):
 def test_extend_zero_correction():
     g = extend_chart(Poly.zero(GF(3), 1))
     assert g.is_zero()
+
+
+@pytest.mark.parametrize("ring", [W2(5), W2(2, 2)], ids=repr)
+def test_extension_takes_a_correction_over_f_q(ring):
+    # over a lift ring extend_chart returned a W2 "correction"
+    f = Poly.variable(ring, 1, 0, 3)
+    for check in (extend_chart, verify_p1_lift):
+        with pytest.raises(ShapeError, match="F_q polynomial"):
+            check(f)
 
 
 def test_extend_x4_at_p2():

@@ -6,10 +6,13 @@ import pytest
 
 from w2frob import (
     GF,
+    W2,
     AffineChartLift,
     BaseLift,
     InvariantViolation,
     Poly,
+    RingMismatch,
+    ShapeError,
     TransitionData,
     UnitError,
     UnsupportedShape,
@@ -67,6 +70,19 @@ def test_transition_requires_unit_a():
     with pytest.raises(UnsupportedShape):
         TransitionData("A1", Poly.constant(F2, 1, 1), Poly.monomial(F2, 1, (-1,)))
     TransitionData("Gm", Poly.monomial(F2, 1, (-2,)), Poly.monomial(F2, 1, (-1,)))
+
+
+@pytest.mark.parametrize("ring", [W2(5), W2(2, 2)], ids=repr)
+def test_transitions_and_base_lifts_are_built_over_a_field(ring):
+    # over a lift ring build_standard_lift failed only later, with "polynomial
+    # is not over the residue field of the target"
+    u = Poly.variable(ring, 1, 0)
+    with pytest.raises(ShapeError, match="over one field"):
+        hirzebruch_transition(ring, 1)
+    with pytest.raises(ShapeError, match="over one field"):
+        TransitionData("A1", Poly.constant(ring, 1, 1), u)
+    with pytest.raises(RingMismatch):
+        standard_base_lift(ring, "P1")
 
 
 def test_unknown_base_name_is_rejected_alike():

@@ -432,3 +432,23 @@ def test_rings_compare_by_identity_alone():
         if name in vars(cls)
     ]
     assert not found, found
+
+
+def test_only_validate_checks_descriptor_value_types():
+    # SurfaceDescriptor.validate checks each value's type once; from_json_dict
+    # only maps keys, so no other function raises "must be of type"
+    tree = ast.parse((Path(w2frob.__file__).parent / "classify.py").read_text())
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Constant) and "must be of type" in str(child.value):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(tree, "")
+    assert found == ["SurfaceDescriptor.validate"]
+    assert "validate" not in _called_names(_function(tree, "from_json_dict"))

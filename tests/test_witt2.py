@@ -635,3 +635,10 @@ def test_witt_text_roundtrip():
         body, tag = witt_to_str(v).rsplit("@", 1)
         assert v.ring.coeff_from_str(body) == v
         assert tag == f"{v.ring.residue_field.p}^{v.ring.residue_field.m}"
+
+
+def test_witt_text_takes_only_witt_elements():
+    # an element of F_q has no residue field to tag, which was a bare AttributeError
+    for u in (GF(5).one, GF(2, 2).one, 5, None):
+        with pytest.raises(RingMismatch):
+            witt_to_str(u)
