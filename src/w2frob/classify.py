@@ -54,8 +54,6 @@ CLASS_FLAGS = {
     "general_type": {},
 }
 
-SURFACE_CLASSES = tuple(CLASS_FLAGS)
-
 LIFTABLE = "Liftable"
 NOT_LIFTABLE = "NotLiftable"
 OUT_OF_SCOPE = "OutOfScope"
@@ -161,6 +159,8 @@ class Verdict(NamedTuple):
 
 def classify_surface(d: SurfaceDescriptor) -> Verdict:
     """Deterministic verdict for a valid descriptor."""
+    if not isinstance(d, SurfaceDescriptor):
+        raise DescriptorError(f"expected a SurfaceDescriptor, got {type(d).__name__}")
     d.validate()
     c = d.surface_class
 
@@ -379,202 +379,71 @@ def is_ordinary_curve(E: WeierstrassCurve) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _D(**kw) -> SurfaceDescriptor:
-    return SurfaceDescriptor(**kw)
-
-
 def golden_table():
     """Frozen descriptor/verdict pairs covering every clause and table cell.
 
-    The expected citations are literal strings on purpose, so that any
-    drift in the rule table is caught.
+    Each descriptor is written as the JSON object ``frobctl classify --json``
+    reads and goes through ``SurfaceDescriptor.from_json_dict``.  The expected
+    citations are literal strings on purpose, so that any drift in the rule
+    table is caught.
     """
-    rows = []
-    hyp = dict(E0_ordinary=True, E1_ordinary=True, omega_pow_p_minus_1_trivial=True)
-
-    # twelve hyperelliptic table cells
-    for t in HYPERELLIPTIC_TYPES:
-        rows.append(
-            (
-                _D(surface_class="hyperelliptic", p=5, hyperelliptic_type=t, **hyp),
-                Verdict(
-                    LIFTABLE,
-                    f"main theorem (1)(b), liftability table row {t}, char not in (2, 3) "
-                    "(omega condition read as binding for every type)",
-                ),
-            )
-        )
+    hyp = {"E0_ordinary": True, "E1_ordinary": True, "omega_pow_p_minus_1_trivial": True}
+    # (descriptor, outcome, citation[, note]); first the twelve hyperelliptic table cells
+    rows = [
+        ({"class": "hyperelliptic", "p": 5, "type": t, **hyp}, LIFTABLE,
+         f"main theorem (1)(b), liftability table row {t}, char not in (2, 3) "
+         "(omega condition read as binding for every type)")
+        for t in HYPERELLIPTIC_TYPES
+    ]
     for p in (3, 2):
-        rows.append(
-            (
-                _D(surface_class="hyperelliptic", p=p, hyperelliptic_type="a", **hyp),
-                Verdict(LIFTABLE, f"main theorem (1)(b), liftability table row a, char {p}"),
-            )
-        )
-        for t in ("b", "c", "d"):
-            rows.append(
-                (
-                    _D(surface_class="hyperelliptic", p=p, hyperelliptic_type=t, **hyp),
-                    Verdict(
-                        NOT_LIFTABLE,
-                        f"liftability table row {t}, char {p}: one of the associated "
-                        "elliptic curves is supersingular, so no lift exists",
-                    ),
-                )
-            )
-
-    # hyperelliptic side conditions
-    rows.append(
-        (
-            _D(
-                surface_class="hyperelliptic", p=5, hyperelliptic_type="b",
-                E0_ordinary=True, E1_ordinary=False, omega_pow_p_minus_1_trivial=True,
-            ),
-            Verdict(
-                NOT_LIFTABLE,
-                "etale-cover necessity: both associated elliptic curves must be ordinary",
-            ),
-        )
-    )
-    rows.append(
-        (
-            _D(
-                surface_class="hyperelliptic", p=7, hyperelliptic_type="c",
-                E0_ordinary=True, E1_ordinary=True, omega_pow_p_minus_1_trivial=False,
-            ),
-            Verdict(
-                NOT_LIFTABLE,
-                "main theorem (1)(b), liftability table row c: omega^(p-1) must be trivial",
-            ),
-        )
-    )
-
-    # abelian
-    rows.append(
-        (
-            _D(surface_class="abelian", p=5, is_ordinary=True),
-            Verdict(LIFTABLE, "main theorem (1)(a): ordinary abelian surfaces"),
-        )
-    )
-    rows.append(
-        (
-            _D(surface_class="abelian", p=3, is_ordinary=False),
-            Verdict(
-                NOT_LIFTABLE,
-                "main theorem (1)(a): a liftable Frobenius forces ordinarity, "
-                "so non-ordinary abelian surfaces are excluded",
-            ),
-        )
-    )
-
-    # kappa = 0 classes without lifts
-    rows.append(
-        (
-            _D(surface_class="K3", p=5),
-            Verdict(
-                NOT_LIFTABLE,
-                "torsion-canonical corollary (K3): a liftable surface contains no "
-                "rational curves and has etale-trivializable cotangent bundle",
-            ),
-        )
-    )
-    rows.append(
-        (
-            _D(surface_class="enriques", p=2, variant="classical"),
-            Verdict(
-                NOT_LIFTABLE,
-                "torsion-canonical corollary (Enriques): every variant carries "
-                "rational curves, so no lift exists",
-            ),
-        )
-    )
-    rows.append(
-        (
-            _D(surface_class="quasi_hyperelliptic", p=3),
-            Verdict(
-                NOT_LIFTABLE,
-                "torsion-canonical corollary (quasi-hyperelliptic): the cuspidal "
-                "rational fibration rules out a lift",
-            ),
-        )
-    )
-
-    # kappa >= 1
-    for c in ("properly_elliptic", "general_type"):
-        rows.append(
-            (
-                _D(surface_class=c, p=5),
-                Verdict(
-                    NOT_LIFTABLE,
-                    "main theorem, kappa >= 1: a lift would give a nonzero section of "
-                    "omega^(1-p^n) for all n, impossible for positive Kodaira dimension",
-                ),
-            )
-        )
-
-    # rational and ruled
-    rows.append(
-        (
-            _D(surface_class="rational_P2", p=7),
-            Verdict(LIFTABLE, "main theorem (2)(a): the projective plane is toric"),
-        )
-    )
-    for n in (0, 2, 3):
-        rows.append(
-            (
-                _D(surface_class="rational_Fn", p=2, n=n),
-                Verdict(
-                    LIFTABLE,
-                    f"main theorem (2)(a): Hirzebruch surface F_{n} is toric (n >= 0, n != 1)",
-                ),
-            )
-        )
-    rows.append(
-        (
-            _D(surface_class="rational_Fn", p=2, n=1),
-            Verdict(
-                OUT_OF_SCOPE,
-                "main theorem (2)(a): n = 1 excluded",
-                note="non-minimal, excluded by n != 1",
-            ),
-        )
-    )
-    rows.append(
-        (
-            _D(surface_class="ruled", p=5, base_genus=0),
-            Verdict(
-                LIFTABLE,
-                "main theorem (2)(a): ruled over the projective line (toric)",
-            ),
-        )
-    )
-    rows.append(
-        (
-            _D(surface_class="ruled", p=5, base_genus=1, base_is_ordinary=True),
-            Verdict(
-                LIFTABLE,
-                "main theorem (2)(b): ruled surfaces over an ordinary elliptic curve",
-            ),
-        )
-    )
-    rows.append(
-        (
-            _D(surface_class="ruled", p=5, base_genus=1, base_is_ordinary=False),
-            Verdict(
-                NOT_LIFTABLE,
-                "base-lift proposition: the base must be the projective line or "
-                "an ordinary elliptic curve; a non-ordinary elliptic base fails",
-            ),
-        )
-    )
-    rows.append(
-        (
-            _D(surface_class="ruled", p=3, base_genus=2),
-            Verdict(
-                NOT_LIFTABLE,
-                "base-lift proposition: the base must be the projective line or "
-                "an ordinary elliptic curve; genus >= 2 is excluded",
-            ),
-        )
-    )
-    return tuple(rows)
+        rows.append(({"class": "hyperelliptic", "p": p, "type": "a", **hyp}, LIFTABLE,
+                     f"main theorem (1)(b), liftability table row a, char {p}"))
+        rows += [
+            ({"class": "hyperelliptic", "p": p, "type": t, **hyp}, NOT_LIFTABLE,
+             f"liftability table row {t}, char {p}: one of the associated "
+             "elliptic curves is supersingular, so no lift exists")
+            for t in ("b", "c", "d")
+        ]
+    rows += [
+        ({"class": "hyperelliptic", "p": 5, "type": "b", **hyp, "E1_ordinary": False},
+         NOT_LIFTABLE, "etale-cover necessity: both associated elliptic curves must be ordinary"),
+        ({"class": "hyperelliptic", "p": 7, "type": "c", **hyp,
+          "omega_pow_p_minus_1_trivial": False}, NOT_LIFTABLE,
+         "main theorem (1)(b), liftability table row c: omega^(p-1) must be trivial"),
+        ({"class": "abelian", "p": 5, "is_ordinary": True}, LIFTABLE,
+         "main theorem (1)(a): ordinary abelian surfaces"),
+        ({"class": "abelian", "p": 3, "is_ordinary": False}, NOT_LIFTABLE,
+         "main theorem (1)(a): a liftable Frobenius forces ordinarity, "
+         "so non-ordinary abelian surfaces are excluded"),
+        ({"class": "K3", "p": 5}, NOT_LIFTABLE,
+         "torsion-canonical corollary (K3): a liftable surface contains no "
+         "rational curves and has etale-trivializable cotangent bundle"),
+        ({"class": "enriques", "p": 2, "variant": "classical"}, NOT_LIFTABLE,
+         "torsion-canonical corollary (Enriques): every variant carries "
+         "rational curves, so no lift exists"),
+        ({"class": "quasi_hyperelliptic", "p": 3}, NOT_LIFTABLE,
+         "torsion-canonical corollary (quasi-hyperelliptic): the cuspidal "
+         "rational fibration rules out a lift"),
+        *(({"class": c, "p": 5}, NOT_LIFTABLE,
+           "main theorem, kappa >= 1: a lift would give a nonzero section of "
+           "omega^(1-p^n) for all n, impossible for positive Kodaira dimension")
+          for c in ("properly_elliptic", "general_type")),
+        ({"class": "rational_P2", "p": 7}, LIFTABLE,
+         "main theorem (2)(a): the projective plane is toric"),
+        *(({"class": "rational_Fn", "p": 2, "n": n}, LIFTABLE,
+           f"main theorem (2)(a): Hirzebruch surface F_{n} is toric (n >= 0, n != 1)")
+          for n in (0, 2, 3)),
+        ({"class": "rational_Fn", "p": 2, "n": 1}, OUT_OF_SCOPE,
+         "main theorem (2)(a): n = 1 excluded", "non-minimal, excluded by n != 1"),
+        ({"class": "ruled", "p": 5, "base_genus": 0}, LIFTABLE,
+         "main theorem (2)(a): ruled over the projective line (toric)"),
+        ({"class": "ruled", "p": 5, "base_genus": 1, "base_is_ordinary": True}, LIFTABLE,
+         "main theorem (2)(b): ruled surfaces over an ordinary elliptic curve"),
+        ({"class": "ruled", "p": 5, "base_genus": 1, "base_is_ordinary": False}, NOT_LIFTABLE,
+         "base-lift proposition: the base must be the projective line or "
+         "an ordinary elliptic curve; a non-ordinary elliptic base fails"),
+        ({"class": "ruled", "p": 3, "base_genus": 2}, NOT_LIFTABLE,
+         "base-lift proposition: the base must be the projective line or "
+         "an ordinary elliptic curve; genus >= 2 is excluded"),
+    ]
+    return tuple((SurfaceDescriptor.from_json_dict(d), Verdict(*v)) for d, *v in rows)

@@ -67,7 +67,7 @@ BASES = {
 
 
 def _toric_base(name: str) -> ToricBase:
-    base = BASES.get(name)
+    base = BASES.get(name) if isinstance(name, str) else None
     if base is None:
         raise UnsupportedShape(f"unsupported base {name!r}; expected one of {tuple(BASES)}")
     return base

@@ -452,6 +452,8 @@ class GaloisRing:
         return self._elements[self.fold(u.n * v.n)]
 
     def from_int(self, n: int):
+        if not isinstance(n, int):
+            raise CharMismatch(f"{n!r} is no coefficient over {self!r}")
         return self._elements[n % self.pk]
 
     def random_int(self, rng) -> int:
@@ -479,9 +481,9 @@ class FiniteField(GaloisRing):
         return f"F{self.q}" if self.m > 1 else f"F{self.p}"
 
     def elem(self, coeffs) -> FqElem:
-        if isinstance(coeffs, int):
+        if not isinstance(coeffs, (list, tuple)):
             return self.from_int(coeffs)
-        coeffs = [c % self.p for c in coeffs]
+        coeffs = [self.from_int(c).n for c in coeffs]
         if len(coeffs) != self.m:
             raise UnsupportedField(f"need {self.m} coefficients for an element of {self}")
         return self.wrap(_pack(coeffs))

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import count_affine_points, naive_poly_mul, weierstrass_discriminant
 from w2frob import (
+    CharMismatch,
     DescriptorError,
     InvariantViolation,
     SingularCurve,
@@ -146,6 +147,12 @@ def test_a_non_int_characteristic_is_a_descriptor_error(p):
             classify_surface(d)
 
 
+def test_classify_surface_takes_only_a_descriptor():
+    # a JSON object must go through SurfaceDescriptor.from_json_dict first
+    with pytest.raises(DescriptorError, match="expected a SurfaceDescriptor, got dict"):
+        classify_surface({"class": "K3", "p": 5})
+
+
 # the JSON keys each class takes besides class and p, with a valid value each
 _CLASS_KEYS = {
     "rational_P2": {},
@@ -168,7 +175,7 @@ _CLASS_KEYS = {
 def test_a_flag_of_another_class_is_a_descriptor_error(surface_class):
     # a K3 descriptor with an Enriques variant and a Hirzebruch twist was
     # classified as K3 without a word; every flag another class takes is refused
-    assert set(classify.SURFACE_CLASSES) == set(_CLASS_KEYS)
+    assert set(classify.CLASS_FLAGS) == set(_CLASS_KEYS)
     own = {"class": surface_class, "p": 3, **_CLASS_KEYS[surface_class]}
     classify_surface(SurfaceDescriptor.from_json_dict(own))
     stray = {k: v for keys in _CLASS_KEYS.values() for k, v in keys.items() if k not in own}
@@ -219,6 +226,7 @@ def test_golden_table_roundtrip():
     assert len(rows) >= 16
     for desc, expected in rows:
         assert classify_surface(desc) == expected
+        assert SurfaceDescriptor.from_json_dict(desc.to_json_dict()) == desc
 
 
 def test_golden_table_covers_all_cells_and_clauses():
@@ -307,6 +315,13 @@ def test_singular_curves_rejected():
         WeierstrassCurve.short_form(2, 1, 1)  # char 2 short form
     with pytest.raises(SingularCurve):
         WeierstrassCurve(3, a4=0, a6=0)
+
+
+def test_a_curve_coefficient_that_is_not_an_int_is_a_char_mismatch():
+    # "x" used to raise a bare TypeError, and a4 = 1.0 built the curve
+    for kw in ({"a1": "x"}, {"a4": 1.0, "a6": 1}):
+        with pytest.raises(CharMismatch, match="is no coefficient over F5"):
+            WeierstrassCurve(5, **kw)
 
 
 def test_hasse_requires_p5_short():

@@ -24,7 +24,7 @@ from w2frob import (
     top_monomial,
     witt2,
 )
-from w2frob.classify import SURFACE_CLASSES
+from w2frob.classify import CLASS_FLAGS
 from w2frob.cli import run_command
 
 
@@ -273,11 +273,16 @@ def test_output_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# sha256 of the `frobctl sweep-all --seed 42` report; tests/test_source.py
+# pins it under python -O as well
+SWEEP_ALL_SHA256 = "b1cb7b3d3a60d292c6dea317a948604e5f6eba044c732ce3c8c97067d976a9b2"
+
+
 def test_sweep_all_report_is_pinned(capsys):
     # the report bytes are part of the contract; a change to them must be deliberate
     assert run_command(["sweep-all", "--seed", "42"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "b1cb7b3d3a60d292c6dea317a948604e5f6eba044c732ce3c8c97067d976a9b2"
+    assert digest == SWEEP_ALL_SHA256
 
 
 def _verdicts_follow_counts(report) -> bool:
@@ -531,7 +536,7 @@ _JSON = st.one_of(
             st.integers(-3, 20),
             st.booleans(),
             st.none(),
-            st.sampled_from(SURFACE_CLASSES + ("a", "")),
+            st.sampled_from(tuple(CLASS_FLAGS) + ("a", "")),
         ),
         max_size=4,
     ).map(json.dumps),

@@ -99,6 +99,19 @@ def test_unknown_base_name_is_rejected_alike():
         assert str(info.value) == message
 
 
+def test_a_base_name_that_is_not_a_string_is_rejected_alike():
+    # an unhashable name used to reach the base table and raise a bare TypeError
+    F2 = GF(2)
+    one = Poly.constant(F2, 1, 1)
+    for build in (
+        lambda: TransitionData(["P1"], one, Poly.zero(F2, 1)),
+        lambda: BaseLift(["P1"], standard_lift(F2, 1)),
+        lambda: standard_base_lift(F2, ["P1"]),
+    ):
+        with pytest.raises(UnsupportedShape, match=r"^unsupported base \['P1'\]; expected one of"):
+            build()
+
+
 def test_base_lift_chart_mask_must_match_the_base():
     # u is a unit on the Gm chart only, so its base lift is the one Laurent in u
     F3 = GF(3)

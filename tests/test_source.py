@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import w2frob
+from test_cli import SWEEP_ALL_SHA256
 
 
 def test_library_has_no_assert_statements():
@@ -33,10 +34,7 @@ def test_sweep_all_bytes_hold_under_python_O():
         timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    # the digest pinned by test_cli.py::test_sweep_all_report_is_pinned
-    assert hashlib.sha256(out.stdout).hexdigest() == (
-        "b1cb7b3d3a60d292c6dea317a948604e5f6eba044c732ce3c8c97067d976a9b2"
-    )
+    assert hashlib.sha256(out.stdout).hexdigest() == SWEEP_ALL_SHA256
 
 
 def _tracer_targets() -> tuple:
@@ -159,18 +157,18 @@ def test_only_polyalg_reads_coefficient_ints():
 
 
 def _used_names(node, enclosing=frozenset()) -> set:
-    """Names and attribute names under ``node``, except inside a definition of the same name."""
+    """Names and attribute names read under ``node``, except inside a definition of the same name.
+
+    Only loads count, so an assignment is not its own use.
+    """
     used = set()
     for child in ast.iter_child_nodes(node):
         inner = enclosing
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = enclosing | {child.name}
-        if isinstance(child, ast.Name):
-            name = child.id
-        elif isinstance(child, ast.Attribute):
-            name = child.attr
-        else:
-            name = None
+        name = None
+        if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load):
+            name = child.id if isinstance(child, ast.Name) else child.attr
         if name is not None and name not in enclosing:
             used.add(name)
         used |= _used_names(child, inner)
@@ -209,6 +207,23 @@ def test_every_module_function_is_used_outside_the_tests():
     }
     used = _names_used_outside_the_tests()
     assert sorted(defined - used) == []
+
+
+def test_every_module_constant_is_read():
+    # a module-level name that no package module, demo or perfbench file reads is
+    # a retired route's leftover
+    read = _names_used_outside_the_tests()
+    read |= {"__version__", *(name for target in _tracer_targets() for name in target[2:])}
+    unread = [
+        f"{path.name}:{name.id}"
+        for path in sorted(Path(w2frob.__file__).parent.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and name.id not in read
+    ]
+    assert unread == []
 
 
 def _json_reads(tree) -> list:

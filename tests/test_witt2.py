@@ -365,6 +365,26 @@ def test_wrap_of_a_non_canonical_int_raises():
     assert GF(2, 2).from_int(7).coeffs == (1, 0)
 
 
+def test_a_coefficient_that_is_not_an_int_is_a_char_mismatch():
+    # from_int reduced whatever it was given: 2.0 read as 2, "x" %-formatted into a
+    # bare TypeError, and elem and pair iterated a float
+    F5 = GF(5)
+    for build in (
+        lambda: F5.from_int("x"),
+        lambda: F5.from_int(None),
+        lambda: F5.from_int(2.0),
+        lambda: F5.from_int(2.5),
+        lambda: F5.elem(1.0),
+        lambda: GF(2, 2).elem([1.0, 0]),
+        lambda: W2(5).pair(1.0, 2),
+        lambda: W2(5).pair(1, "2"),
+    ):
+        with pytest.raises(CharMismatch, match="is no coefficient over F"):
+            build()
+    # a bool is an int, as Poly reads it
+    assert F5.from_int(True) is F5.one and F5.elem(False) is F5.zero
+
+
 @pytest.mark.parametrize(
     "p, m", [(p, 1) for p in _PRIMES] + list(_EXTENSIONS), ids=lambda v: str(v)
 )
