@@ -1,11 +1,12 @@
 """Liftability of the Frobenius over length-2 Witt vectors, by surface class.
 
 ``classify_surface`` is the classification theorem for minimal algebraic
-surfaces as a total decision procedure.  Verdicts are computed from
-descriptor flags only, never from geometry; each verdict carries a
-citation string naming the clause or table cell it encodes.
+surfaces as a total decision procedure: the verdict is the first clause
+of ``CLAUSES`` for the descriptor's class whose condition holds.  It is
+computed from descriptor flags only, never from geometry, and cites the
+clause or table cell it encodes.
 
-Rules encoded:
+Rules encoded, each a run of clauses of ``CLAUSES``:
 
 * Kodaira dimension >= 1 (properly elliptic, general type): never
   liftable (the divided differential would give a nonzero section of a
@@ -31,7 +32,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DescriptorError, InvariantViolation, SingularCurve, UnsupportedField
+from .errors import (
+    DescriptorError, InvariantViolation, SingularCurve, UnsupportedField, UnsupportedShape
+)
 from .polyalg import Poly, power_coefficient
 from .witt2 import GF, FqElem, check_prime_char
 
@@ -157,118 +160,71 @@ class Verdict(NamedTuple):
         return out
 
 
+# the citations two clauses share
+_KAPPA = ("main theorem, kappa >= 1: a lift would give a nonzero section of "
+          "omega^(1-p^n) for all n, impossible for positive Kodaira dimension")
+_BASE_LIFT = ("base-lift proposition: the base must be the projective line or "
+              "an ordinary elliptic curve; ")
+
+# surface class -> its clauses (condition, outcome, citation, note) in the order
+# they apply; a condition is a predicate on the descriptor, or None for always,
+# and a citation is a str.format template over p, t (the hyperelliptic type) and n
+CLAUSES = {
+    "rational_P2": ((None, LIFTABLE, "main theorem (2)(a): the projective plane is toric", ""),),
+    "rational_Fn": (
+        (lambda d: d.n == 1, OUT_OF_SCOPE, "main theorem (2)(a): n = 1 excluded",
+         "non-minimal, excluded by n != 1"),
+        (None, LIFTABLE,
+         "main theorem (2)(a): Hirzebruch surface F_{n} is toric (n >= 0, n != 1)", ""),
+    ),
+    "ruled": (
+        (lambda d: d.base_genus == 0, LIFTABLE,
+         "main theorem (2)(a): ruled over the projective line (toric)", ""),
+        (lambda d: d.base_genus == 1 and d.base_is_ordinary, LIFTABLE,
+         "main theorem (2)(b): ruled surfaces over an ordinary elliptic curve", ""),
+        (lambda d: d.base_genus == 1, NOT_LIFTABLE,
+         _BASE_LIFT + "a non-ordinary elliptic base fails", ""),
+        (None, NOT_LIFTABLE, _BASE_LIFT + "genus >= 2 is excluded", ""),
+    ),
+    "abelian": (
+        (lambda d: d.is_ordinary, LIFTABLE, "main theorem (1)(a): ordinary abelian surfaces", ""),
+        (None, NOT_LIFTABLE, "main theorem (1)(a): a liftable Frobenius forces ordinarity, "
+         "so non-ordinary abelian surfaces are excluded", ""),
+    ),
+    "K3": ((None, NOT_LIFTABLE, "torsion-canonical corollary (K3): a liftable surface contains "
+            "no rational curves and has etale-trivializable cotangent bundle", ""),),
+    "enriques": ((None, NOT_LIFTABLE, "torsion-canonical corollary (Enriques): every variant "
+                  "carries rational curves, so no lift exists", ""),),
+    "hyperelliptic": (
+        (lambda d: not (d.E0_ordinary and d.E1_ordinary), NOT_LIFTABLE,
+         "etale-cover necessity: both associated elliptic curves must be ordinary", ""),
+        (lambda d: d.p in (2, 3) and d.hyperelliptic_type == "a" and d.omega_pow_p_minus_1_trivial,
+         LIFTABLE, "main theorem (1)(b), liftability table row a, char {p}", ""),
+        (lambda d: d.p in (2, 3) and d.hyperelliptic_type == "a", NOT_LIFTABLE,
+         "main theorem (1)(b): omega^(p-1) triviality required, char {p}", ""),
+        (lambda d: d.p in (2, 3), NOT_LIFTABLE, "liftability table row {t}, char {p}: one of the "
+         "associated elliptic curves is supersingular, so no lift exists", ""),
+        (lambda d: d.omega_pow_p_minus_1_trivial, LIFTABLE,
+         "main theorem (1)(b), liftability table row {t}, char not in (2, 3) "
+         "(omega condition read as binding for every type)", ""),
+        (None, NOT_LIFTABLE,
+         "main theorem (1)(b), liftability table row {t}: omega^(p-1) must be trivial", ""),
+    ),
+    "quasi_hyperelliptic": ((None, NOT_LIFTABLE, "torsion-canonical corollary "
+                             "(quasi-hyperelliptic): the cuspidal rational fibration "
+                             "rules out a lift", ""),),
+    "properly_elliptic": ((None, NOT_LIFTABLE, _KAPPA, ""),),
+    "general_type": ((None, NOT_LIFTABLE, _KAPPA, ""),),
+}
+
 def classify_surface(d: SurfaceDescriptor) -> Verdict:
     """Deterministic verdict for a valid descriptor."""
     if not isinstance(d, SurfaceDescriptor):
         raise DescriptorError(f"expected a SurfaceDescriptor, got {type(d).__name__}")
     d.validate()
-    c = d.surface_class
-
-    if c in ("properly_elliptic", "general_type"):
-        return Verdict(
-            NOT_LIFTABLE,
-            "main theorem, kappa >= 1: a lift would give a nonzero section of "
-            "omega^(1-p^n) for all n, impossible for positive Kodaira dimension",
-        )
-    if c == "K3":
-        return Verdict(
-            NOT_LIFTABLE,
-            "torsion-canonical corollary (K3): a liftable surface contains no "
-            "rational curves and has etale-trivializable cotangent bundle",
-        )
-    if c == "enriques":
-        return Verdict(
-            NOT_LIFTABLE,
-            "torsion-canonical corollary (Enriques): every variant carries "
-            "rational curves, so no lift exists",
-        )
-    if c == "quasi_hyperelliptic":
-        return Verdict(
-            NOT_LIFTABLE,
-            "torsion-canonical corollary (quasi-hyperelliptic): the cuspidal "
-            "rational fibration rules out a lift",
-        )
-    if c == "abelian":
-        if d.is_ordinary:
-            return Verdict(LIFTABLE, "main theorem (1)(a): ordinary abelian surfaces")
-        return Verdict(
-            NOT_LIFTABLE,
-            "main theorem (1)(a): a liftable Frobenius forces ordinarity, "
-            "so non-ordinary abelian surfaces are excluded",
-        )
-    if c == "hyperelliptic":
-        return _classify_hyperelliptic(d)
-    if c == "rational_P2":
-        return Verdict(LIFTABLE, "main theorem (2)(a): the projective plane is toric")
-    if c == "rational_Fn":
-        if d.n == 1:
-            return Verdict(
-                OUT_OF_SCOPE,
-                "main theorem (2)(a): n = 1 excluded",
-                note="non-minimal, excluded by n != 1",
-            )
-        return Verdict(
-            LIFTABLE,
-            f"main theorem (2)(a): Hirzebruch surface F_{d.n} is toric (n >= 0, n != 1)",
-        )
-    if c == "ruled":
-        if d.base_genus == 0:
-            return Verdict(
-                LIFTABLE,
-                "main theorem (2)(a): ruled over the projective line (toric)",
-            )
-        if d.base_genus == 1:
-            if d.base_is_ordinary:
-                return Verdict(
-                    LIFTABLE,
-                    "main theorem (2)(b): ruled surfaces over an ordinary elliptic curve",
-                )
-            return Verdict(
-                NOT_LIFTABLE,
-                "base-lift proposition: the base must be the projective line or "
-                "an ordinary elliptic curve; a non-ordinary elliptic base fails",
-            )
-        return Verdict(
-            NOT_LIFTABLE,
-            "base-lift proposition: the base must be the projective line or "
-            "an ordinary elliptic curve; genus >= 2 is excluded",
-        )
-    raise DescriptorError(f"unhandled class {c!r}")
-
-
-def _classify_hyperelliptic(d: SurfaceDescriptor) -> Verdict:
-    t = d.hyperelliptic_type
-    if not (d.E0_ordinary and d.E1_ordinary):
-        return Verdict(
-            NOT_LIFTABLE,
-            "etale-cover necessity: both associated elliptic curves must be ordinary",
-        )
-    if d.p in (2, 3):
-        if t == "a":
-            if d.omega_pow_p_minus_1_trivial:
-                return Verdict(
-                    LIFTABLE,
-                    f"main theorem (1)(b), liftability table row a, char {d.p}",
-                )
-            return Verdict(
-                NOT_LIFTABLE,
-                f"main theorem (1)(b): omega^(p-1) triviality required, char {d.p}",
-            )
-        return Verdict(
-            NOT_LIFTABLE,
-            f"liftability table row {t}, char {d.p}: one of the associated "
-            "elliptic curves is supersingular, so no lift exists",
-        )
-    if d.omega_pow_p_minus_1_trivial:
-        return Verdict(
-            LIFTABLE,
-            f"main theorem (1)(b), liftability table row {t}, char not in (2, 3) "
-            "(omega condition read as binding for every type)",
-        )
-    return Verdict(
-        NOT_LIFTABLE,
-        f"main theorem (1)(b), liftability table row {t}: omega^(p-1) must be trivial",
-    )
+    for condition, outcome, citation, note in CLAUSES[d.surface_class]:
+        if condition is None or condition(d):
+            return Verdict(outcome, citation.format(p=d.p, t=d.hyperelliptic_type, n=d.n), note)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +309,8 @@ def hasse_invariant(E: WeierstrassCurve) -> FqElem:
     coefficient comes from ``polyalg.power_coefficient``; the power itself
     is never built.
     """
+    if not isinstance(E, WeierstrassCurve):
+        raise UnsupportedShape(f"expected a WeierstrassCurve, got {type(E).__name__}")
     if E.p < 5:
         raise UnsupportedField("the Hasse-invariant formula needs p >= 5")
     if not E.short:
@@ -368,6 +326,8 @@ def is_ordinary_curve(E: WeierstrassCurve) -> bool:
     For p >= 5 short-form curves the verdict must agree with the Hasse
     invariant; this is checked on every call.
     """
+    if not isinstance(E, WeierstrassCurve):
+        raise UnsupportedShape(f"expected a WeierstrassCurve, got {type(E).__name__}")
     ordinary = E.trace() % E.p != 0
     if E.p >= 5 and E.short and (not hasse_invariant(E).is_zero()) != ordinary:
         raise InvariantViolation(f"Hasse invariant and point count disagree on {E!r}")
@@ -380,12 +340,12 @@ def is_ordinary_curve(E: WeierstrassCurve) -> bool:
 
 
 def golden_table():
-    """Frozen descriptor/verdict pairs covering every clause and table cell.
+    """Frozen descriptor/verdict pairs covering every table cell and all clauses but one.
 
     Each descriptor is written as the JSON object ``frobctl classify --json``
     reads and goes through ``SurfaceDescriptor.from_json_dict``.  The expected
-    citations are literal strings on purpose, so that any drift in the rule
-    table is caught.
+    citations are literal strings on purpose, so that any drift in ``CLAUSES``
+    is caught; no row reaches type a's omega clause at p in {2, 3}.
     """
     hyp = {"E0_ordinary": True, "E1_ordinary": True, "omega_pow_p_minus_1_trivial": True}
     # (descriptor, outcome, citation[, note]); first the twelve hyperelliptic table cells

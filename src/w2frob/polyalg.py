@@ -10,12 +10,12 @@ The coefficient rings are the Galois rings of ``witt2``, whose ``fold``
 maps any sum of products of canonical ints to the canonical int.
 Products, sums, derivatives and substitutions therefore accumulate plain
 ints per monomial and fold once per term.  Element objects appear only
-at the boundary: the constructors read elements (or ints), and
-``coefficient_of``, ``single_term`` and the text format return or print
-them.  The lift ring W2(F_q) carries the int-form mod-p maps
-(``residue_field``, ``split_p``, ``times_p_int``, ``from_residue_int``)
-for reduction, division by p, multiplication by p and the canonical lift
-between it and its residue field F_q.
+at the boundary: the constructors read ints and elements as the ring's
+``from_int`` does, and ``coefficient_of``, ``single_term`` and the text
+format return or print them.  The lift ring W2(F_q) carries the
+int-form mod-p maps (``residue_field``, ``split_p``, ``times_p_int``,
+``from_residue_int``) for reduction, division by p, multiplication by p
+and the canonical lift between it and its residue field F_q.
 
 Chart changes of toric and ruled surfaces are monomial, so most products
 and substitutions meet monomials, and three fast paths serve them.  A
@@ -91,7 +91,6 @@ from operator import add
 from typing import Callable, Sequence
 
 from .errors import (
-    CharMismatch,
     NotDivisible,
     ParseError,
     RingMismatch,
@@ -241,13 +240,9 @@ def power_coefficient(f: "Poly", e: int, mono) -> object:
 
 def _coeff_int(ring, c):
     """The canonical int of a coefficient given as an int or an element; None otherwise."""
-    if isinstance(c, int):
+    if isinstance(c, int) or hasattr(c, "n"):
         return ring.from_int(c).n
-    if not hasattr(c, "n"):
-        return None
-    if c.ring is not ring:
-        raise CharMismatch(f"coefficient from {c.ring!r} used over {ring!r}")
-    return c.n
+    return None
 
 
 def _check_index(i, nvars: int) -> int:
@@ -255,13 +250,6 @@ def _check_index(i, nvars: int) -> int:
     if type(i) is not int or not 0 <= i < nvars:
         raise ShapeError(f"variable index {i!r} out of range for {nvars} variables")
     return i
-
-
-def _require_coeff_int(ring, c) -> int:
-    n = _coeff_int(ring, c)
-    if n is None:
-        raise CharMismatch(f"{c!r} is no coefficient over {ring!r}")
-    return n
 
 
 # interned results of Poly.variable; bounded, as rings and exponents are open-ended
@@ -288,11 +276,11 @@ class Poly:
                 for e in mono:
                     if type(e) is not int:  # bool and float too: the kernels add ints
                         raise ShapeError(f"exponent {e!r} of {mono} is not an int")
-                # ints and elements of this very ring first, as _coeff_int reads them
+                # ints and elements of this very ring inline; ring.from_int reads the rest
                 if type(c) is int:
                     n = ring.from_int(c).n
                 else:
-                    n = c.n if getattr(c, "ring", None) is ring else _require_coeff_int(ring, c)
+                    n = c.n if getattr(c, "ring", None) is ring else ring.from_int(c).n
                 if n:
                     clean[mono] = n
         self.terms = clean
@@ -313,7 +301,7 @@ class Poly:
     @classmethod
     def constant(cls, ring, nvars: int, c) -> "Poly":
         zero = cls(ring, nvars)  # a bad nvars raises ShapeError here, before (0,) * nvars
-        n = _require_coeff_int(ring, c)
+        n = ring.from_int(c).n
         return cls._make(ring, nvars, {(0,) * nvars: n}) if n else zero
 
     @classmethod

@@ -50,10 +50,12 @@ The element classes, ``FqElem`` and ``WittPair``, share one set of
 operators, ``_Elem``'s, which ``_own_operations`` copies into each class.
 ``+``, ``-`` and ``*`` first test whether the other operand is an element
 of the same class and the same ring object; then they go straight to the
-ring's ``add``, ``neg`` or ``mul``.  Anything else, an int or a foreign
-type, goes through the coercion of ``_other``, which raises
-``CharMismatch`` for an element of any other ring object: a ring built by
-its class is a ring of its own; only ``GF``/``W2`` rings combine.
+ring's ``add``, ``neg`` or ``mul``.  Anything else goes through
+``_other``, which reads an int or an element by ``from_int``, the one
+rule of what a coefficient may be: an int, read mod p^k, or an element
+of this very ring.  It raises ``CharMismatch`` for an element of any
+other ring object: a ring built by its class is a ring of its own; only
+``GF``/``W2`` rings combine.
 ``witt_to_residue_ring`` checks that its argument is an element of a
 W2(F_p) and returns it: its int ``n`` is already the residue
 a0^p + p*a1 mod p^2.
@@ -228,11 +230,7 @@ class _Elem:
 
     def _other(self, other):
         """other as an element of this ring; None for an operand of another type."""
-        if isinstance(other, _Elem):
-            if other.ring is not self.ring:
-                raise CharMismatch(f"elements of {self.ring!r} and {other.ring!r} combined")
-            return other
-        if isinstance(other, int):
+        if isinstance(other, (int, _Elem)):
             return self.ring.from_int(other)
         return None
 
@@ -451,10 +449,13 @@ class GaloisRing:
     def mul(self, u, v):
         return self._elements[self.fold(u.n * v.n)]
 
-    def from_int(self, n: int):
-        if not isinstance(n, int):
-            raise CharMismatch(f"{n!r} is no coefficient over {self!r}")
-        return self._elements[n % self.pk]
+    def from_int(self, n):
+        """n as an element: an int read mod p^k, or an element of this very ring unchanged."""
+        if isinstance(n, int):
+            return self._elements[n % self.pk]
+        if isinstance(n, _Elem) and n.ring is self:
+            return n
+        raise CharMismatch(f"{n!r} is no coefficient over {self!r}")
 
     def random_int(self, rng) -> int:
         """The canonical int of a uniform element, drawn slot by slot from c_0."""

@@ -10,6 +10,7 @@ from w2frob import (
     SingularCurve,
     SurfaceDescriptor,
     UnsupportedField,
+    UnsupportedShape,
     Verdict,
     WeierstrassCurve,
     classify_surface,
@@ -229,6 +230,37 @@ def test_golden_table_roundtrip():
         assert SurfaceDescriptor.from_json_dict(desc.to_json_dict()) == desc
 
 
+def _first_clause(d) -> int:
+    """The index in CLAUSES[d.surface_class] of the clause that gives d its verdict."""
+    return next(
+        i
+        for i, (condition, *_) in enumerate(classify.CLAUSES[d.surface_class])
+        if condition is None or condition(d)
+    )
+
+
+def test_clauses_follow_the_class_table_and_end_in_a_default():
+    assert list(classify.CLAUSES) == list(classify.CLASS_FLAGS)
+    for c, clauses in classify.CLAUSES.items():
+        assert [condition is None for condition, *_ in clauses] == [
+            i == len(clauses) - 1 for i in range(len(clauses))
+        ], c
+
+
+def test_every_clause_is_the_first_match_for_some_descriptor():
+    # the golden rows reach every clause but type a's omega clause at p in
+    # {2, 3}, which test_hyperelliptic_type_a_small_char_needs_trivial_omega reaches
+    omega = [
+        D(surface_class="hyperelliptic", p=p, hyperelliptic_type="a",
+          E0_ordinary=True, E1_ordinary=True, omega_pow_p_minus_1_trivial=False)
+        for p in (2, 3)
+    ]
+    descriptors = [d for d, _ in golden_table()] + omega
+    reached = {(d.surface_class, _first_clause(d)) for d in descriptors}
+    clauses = {(c, i) for c, cs in classify.CLAUSES.items() for i in range(len(cs))}
+    assert clauses - reached == set()
+
+
 def test_golden_table_covers_all_cells_and_clauses():
     rows = golden_table()
     cells = set()
@@ -329,6 +361,14 @@ def test_hasse_requires_p5_short():
         hasse_invariant(WeierstrassCurve(3, a4=1))
     with pytest.raises(UnsupportedField):
         hasse_invariant(WeierstrassCurve(5, a1=1, a4=1, a6=1))
+
+
+@pytest.mark.parametrize("E", ["x", None, 5])
+def test_the_curve_checks_take_only_a_weierstrass_curve(E):
+    # both raised a bare AttributeError, on .p and on .trace
+    for check in (hasse_invariant, is_ordinary_curve):
+        with pytest.raises(UnsupportedShape, match="expected a WeierstrassCurve"):
+            check(E)
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -467,3 +467,54 @@ def test_only_validate_checks_descriptor_value_types():
     visit(tree, "")
     assert found == ["SurfaceDescriptor.validate"]
     assert "validate" not in _called_names(_function(tree, "from_json_dict"))
+
+
+def _classify_tree():
+    return ast.parse((Path(w2frob.__file__).parent / "classify.py").read_text())
+
+
+def test_classify_surface_takes_its_verdicts_from_the_clause_table():
+    # the verdict policy lives in CLAUSES alone: classify_surface compares no
+    # value with a string constant and builds a Verdict at one site
+    fn = _function(_classify_tree(), "classify_surface")
+    compares = [
+        node.lineno
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Compare)
+        and any(_is_string_constant(operand) for operand in [node.left, *node.comparators])
+    ]
+    verdicts = [
+        node.lineno
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Verdict"
+    ]
+    assert not compares, compares
+    assert len(verdicts) == 1, verdicts
+
+
+# the module-level names of classify.py that golden_table may read
+_GOLDEN_READS = {
+    "LIFTABLE", "NOT_LIFTABLE", "OUT_OF_SCOPE", "HYPERELLIPTIC_TYPES", "SurfaceDescriptor", "Verdict",
+}
+
+
+def test_golden_table_writes_its_citations_out():
+    # golden_table is the oracle of CLAUSES, so it reads no shared citation
+    # (nor CLAUSES itself) and its expected texts stay literal
+    tree = _classify_tree()
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    loaded = {
+        node.id
+        for node in ast.walk(_function(tree, "golden_table"))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert "SurfaceDescriptor" in loaded  # the guard sees the module's names
+    assert sorted(loaded & defined - _GOLDEN_READS) == []

@@ -24,6 +24,7 @@ from w2frob import (
     ShapeError,
     UnitError,
     UnsupportedField,
+    WeierstrassCurve,
     WittRing,
     divide_by_p,
     reduce_mod_p,
@@ -383,6 +384,26 @@ def test_a_coefficient_that_is_not_an_int_is_a_char_mismatch():
             build()
     # a bool is an int, as Poly reads it
     assert F5.from_int(True) is F5.one and F5.elem(False) is F5.zero
+
+
+def test_from_int_is_the_one_coefficient_rule():
+    # an element of the ring itself is a coefficient wherever an int is, as
+    # Poly.constant always took it; an element of another ring is none
+    F5 = GF(5)
+    assert F5.from_int(F5.one) is F5.one and F5.elem(F5.one) is F5.one
+    assert W2(5).pair(F5.one, 0) == W2(5).pair(1, 0)
+    assert Poly.constant(F5, 1, F5.one) == Poly.constant(F5, 1, 1)
+    assert WeierstrassCurve(5, a4=F5.one, a6=1).a4 is F5.one
+    for build in (
+        lambda: F5.from_int(GF(7).one),
+        lambda: W2(5).from_int(F5.one),
+        lambda: F5.one + GF(7).one,
+        lambda: Poly.constant(F5, 1, W2(5).one),
+        lambda: Poly(F5, 1, {(0,): GF(7).one}),
+        lambda: Poly.constant(F5, 1, 1) * GF(7).one,
+    ):
+        with pytest.raises(CharMismatch, match="is no coefficient over"):
+            build()
 
 
 @pytest.mark.parametrize(
