@@ -29,9 +29,8 @@ monomial add up before the fold.  Re-indexing coordinates, x_i -> x_j or
 x_i -> 0, is ``reindex``: an exponent map that builds no image at all.
 ``invert_unit`` of a bare monomial x^M is x^-M; over a lift ring it is
 otherwise one Newton step from the inverse of the leading monomial, on
-the coefficient alone for a one-term unit.  ``Poly.variable`` hands out
-one interned polynomial per (ring, nvars, i, exp), up to a bound, which
-is safe because no operation writes into the terms of its operands.
+the coefficient alone for a one-term unit.  No operation writes into the
+terms of its operands, so a result may share them with an operand.
 
 The images x_i^p + p*f_i of a chart lift, and their inverses, have one
 unit term c*x^M and a rest r divisible by p, so r*r = 0 and a power of
@@ -252,11 +251,6 @@ def _check_index(i, nvars: int) -> int:
     return i
 
 
-# interned results of Poly.variable; bounded, as rings and exponents are open-ended
-_VARIABLES: dict = {}
-_VARIABLES_BOUND = 4096
-
-
 class Poly:
     """Immutable sparse polynomial; do not mutate ``terms`` after creation."""
 
@@ -276,11 +270,7 @@ class Poly:
                 for e in mono:
                     if type(e) is not int:  # bool and float too: the kernels add ints
                         raise ShapeError(f"exponent {e!r} of {mono} is not an int")
-                # ints and elements of this very ring inline; ring.from_int reads the rest
-                if type(c) is int:
-                    n = ring.from_int(c).n
-                else:
-                    n = c.n if getattr(c, "ring", None) is ring else ring.from_int(c).n
+                n = ring.from_int(c).n
                 if n:
                     clean[mono] = n
         self.terms = clean
@@ -306,26 +296,25 @@ class Poly:
 
     @classmethod
     def variable(cls, ring, nvars: int, i: int, exp: int = 1) -> "Poly":
-        """x_i^exp, one interned object per (ring, nvars, i, exp) while the cache has room."""
-        # before the lookup: True and 1.0 hash as 1 does
+        """x_i^exp."""
         if type(nvars) is not int or type(i) is not int or type(exp) is not int:
             raise ShapeError(f"one of count {nvars!r}, index {i!r}, exp {exp!r} is not an int")
-        key = (ring, nvars, i, exp)
-        out = _VARIABLES.get(key)
-        if out is None:
-            if not 0 <= i < nvars:
-                raise ShapeError(f"variable index {i} out of range for {nvars} variables")
-            mono = (0,) * i + (exp,) + (0,) * (nvars - i - 1)
-            out = cls._make(ring, nvars, {mono: 1})
-            if len(_VARIABLES) < _VARIABLES_BOUND:
-                _VARIABLES[key] = out
-        return out
+        if not 0 <= i < nvars:
+            raise ShapeError(f"variable index {i} out of range for {nvars} variables")
+        return cls._make(ring, nvars, {(0,) * i + (exp,) + (0,) * (nvars - i - 1): 1})
 
     @classmethod
     def monomial(cls, ring, nvars: int, exps, coeff=None) -> "Poly":
         return cls(ring, nvars, {tuple(exps): 1 if coeff is None else coeff})
 
     # -- ring structure -------------------------------------------------
+
+    def _constant(self, c):
+        """The constant polynomial c, read by ``_coeff_int``; None for no coefficient."""
+        n = _coeff_int(self.ring, c)
+        if n is None:
+            return None
+        return Poly._make(self.ring, self.nvars, {(0,) * self.nvars: n} if n else {})
 
     def _compat(self, other: "Poly"):
         if self.nvars != other.nvars or self.ring is not other.ring:
@@ -335,10 +324,10 @@ class Poly:
             )
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Poly.constant(self.ring, self.nvars, other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            other = self._constant(other)
+            if other is None:
+                return NotImplemented
         self._compat(other)
         if not other.terms:
             return self
@@ -363,10 +352,10 @@ class Poly:
         return Poly._make(self.ring, self.nvars, {m: neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Poly.constant(self.ring, self.nvars, other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            other = self._constant(other)
+            if other is None:
+                return NotImplemented
         self._compat(other)
         if not other.terms:
             return self
@@ -382,6 +371,9 @@ class Poly:
         return Poly._make(self.ring, self.nvars, terms)
 
     def __rsub__(self, other):
+        other = self._constant(other)
+        if other is None:
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):

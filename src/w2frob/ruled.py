@@ -163,12 +163,16 @@ class RuledLift(NamedTuple):
 
     transition: TransitionData
     charts: dict
-    h: Poly  # fiber correction of the VY chart, over F_q
     overlap: OverlapMap  # x = a~*y + b~, which depends on the transition alone
 
     @property
     def field(self):
         return self.transition.field
+
+    @property
+    def h(self) -> Poly:
+        """The fiber correction of the VY chart, over F_q."""
+        return self.charts["VY"].corrections[1]
 
     def chart_images(self) -> dict:
         out = {}
@@ -234,7 +238,6 @@ def build_standard_lift(T: TransitionData, baseF: BaseLift = None) -> RuledLift:
     return RuledLift(
         transition=T,
         charts={"UX": chart_ux, "UT": chart_ux, "VY": chart_vy, "VS": chart_vs},
-        h=h_chart,
         overlap=overlap,
     )
 

@@ -35,8 +35,9 @@ attribute load of the kernel (``self._elements``, ``self.fold``).
 ``GF(p, m)`` and ``W2(p, m)`` hand out one ring object per (p, m),
 however m is passed, so ``W2(p).residue_field is GF(p)``; any p or m
 that is not an int raises ``UnsupportedField``.  Frobenius, its inverse
-and the p-adic split are dict lookups built once per ring, with q
-entries for F_q and q^2 (16, 64 or 81) for W2(F_q).
+and the p-adic split are dict lookups that every ring builds once, m = 1
+too, with q entries for F_q and q^2 for W2(F_q): at most 289, for
+W2(F_17).
 
 Each ring builds its p^(k*m) elements once, with the ring, in one table
 keyed by ``n``: at most 289, for W2(F_17) = Z/17^2.  ``wrap``,
@@ -389,13 +390,11 @@ class GaloisRing:
             ints = range(pk)
             self.fold = pk.__rmod__  # n -> n % p^k
             self.pow_int = lambda n, e: pow(n, e, pk)
-            self.frob_int = self.inv_frob_int = lambda n: n
-            self.split_p = p.__rdivmod__  # n -> (n // p, n % p)
         else:
             ints = [_pack(c) for c in product(range(pk), repeat=m)]
             self.fold = _slot_fold(m, pk, _MODULI[(p, m)], ints)
             self.pow_int = self._pow_folded
-            self._build_tables(ints)
+        self._build_tables(ints)
         # every element, in the order of the coefficient tuples (c_0, ..., c_(m-1))
         self._elements = table = _Elements((n, self.element(self, n)) for n in ints)
         table.ring = self
@@ -403,17 +402,23 @@ class GaloisRing:
         self.zero = self.wrap(0)
         self.one = self.wrap(1)
 
-    def _build_tables(self, ints: list):
-        """Frobenius, its inverse and the p-adic split, one entry per canonical int."""
-        p, m, fold = self.p, self.m, self.fold
+    def _build_tables(self, ints):
+        """Frobenius, its inverse and the p-adic split, one entry per canonical int, for every m."""
+        p, pk, m = self.p, self.pk, self.m
+
+        def values(rows):  # sum of rows[i][c_i] for each (c_0, ..., c_(m-1)), as ints runs
+            out = [0]
+            for row in rows:
+                out = [a + b for a in out for b in row]
+            return out
         xi_p = [self.pow_int(1 << (SHIFT * i), p) for i in range(m)]
-        frob = {n: fold(sum(c * img for c, img in zip(_slots(n, m), xi_p))) for n in ints}
+        frob = dict(zip(ints, map(self.fold, values([[c * x for c in range(pk)] for x in xi_p]))))
         self.frob_int = frob.__getitem__
-        self.inv_frob_int = {v: n for n, v in frob.items()}.__getitem__
-        self.split_p = {
-            n: (_pack(c // p for c in _slots(n, m)), _pack(c % p for c in _slots(n, m)))
-            for n in ints
-        }.__getitem__
+        self.inv_frob_int = dict(zip(frob.values(), frob)).__getitem__
+        shifts = range(0, SHIFT * m, SHIFT)  # Frobenius is Z/p^k-linear, the split slotwise
+        high = values([[c // p << s for c in range(pk)] for s in shifts])
+        low = values([[c % p << s for c in range(pk)] for s in shifts])
+        self.split_p = dict(zip(ints, zip(high, low))).__getitem__
 
     # -- integer kernel ----------------------------------------------------
 
@@ -479,7 +484,7 @@ class FiniteField(GaloisRing):
         super().__init__(p, 1, m)
 
     def __repr__(self):
-        return f"F{self.q}" if self.m > 1 else f"F{self.p}"
+        return f"F{self.q}"
 
     def elem(self, coeffs) -> FqElem:
         if not isinstance(coeffs, (list, tuple)):
@@ -551,11 +556,7 @@ class WittRing(GaloisRing):
         # every slot of a residue is below p, so p times it stays below p^2
         return self.p * c
 
-    def from_witt(self, a0: FqElem, a1: FqElem) -> WittPair:
-        """The element with Witt coordinates (a0, a1): [a0] + p*lift(a1^(1/p))."""
-        return self.wrap(self._from_witt_int(a0.n, a1.n))
-
-    def _from_witt_int(self, a0: int, a1: int) -> int:
+    def _pair_int(self, a0: int, a1: int) -> int:
         return self.fold(self.from_residue_int(a0) + self.p * self.residue_field.inv_frob_int(a1))
 
     def _coord_table(self) -> dict:
@@ -568,7 +569,7 @@ class WittRing(GaloisRing):
         except AttributeError:
             pass
         elems = self.residue_field.elements
-        table = {self._from_witt_int(a0.n, a1.n): (a0, a1) for a0 in elems() for a1 in elems()}
+        table = {self._pair_int(a0.n, a1.n): (a0, a1) for a0 in elems() for a1 in elems()}
         if len(table) < self.q ** 2:
             raise InvariantViolation(f"Witt coordinates of {self!r} name {len(table)} elements")
         self._coords = table
@@ -579,12 +580,14 @@ class WittRing(GaloisRing):
         return self._coord_table()[u.n]
 
     def pair(self, a0, a1) -> WittPair:
-        return self.from_witt(self.residue_field.elem(a0), self.residue_field.elem(a1))
+        """[a0] + p*lift(a1^(1/p)), each Witt coordinate read by ``residue_field.elem``."""
+        elem = self.residue_field.elem
+        return self.wrap(self._pair_int(elem(a0).n, elem(a1).n))
 
     def random_int(self, rng) -> int:
         """A uniform element drawn as its Witt coordinates, a0 and then a1."""
         a0 = self.residue_field.random_int(rng)
-        return self._from_witt_int(a0, self.residue_field.random_int(rng))
+        return self._pair_int(a0, self.residue_field.random_int(rng))
 
     def elements(self) -> Iterator[WittPair]:
         """Every element, in the order of its Witt coordinates (a0, a1)."""
@@ -600,7 +603,7 @@ class WittRing(GaloisRing):
     def coeff_from_str(self, s: str) -> WittPair:
         pair = re.compile(_PAIR_PATTERN, re.S).fullmatch(s.strip())
         if pair:
-            return self.from_witt(*map(self.residue_field.coeff_from_str, pair.groups()))
+            return self.pair(*map(self.residue_field.coeff_from_str, pair.groups()))
         try:
             return self.from_int(int(s))
         except ValueError as exc:

@@ -196,13 +196,45 @@ def test_constructor_reads_elements_of_its_ring_and_ints():
     assert f.coefficient_of((0, 3)) == W2(2, 2).one
 
 
+def test_a_polynomial_is_no_coefficient_of_the_constructor():
+    # Poly read c.n off any coefficient whose ring was its own: a bare AttributeError here
+    F5 = GF(5)
+    c = Poly.constant(F5, 1, 1)
+    for build in (lambda: Poly(F5, 1, {(0,): c}), lambda: Poly.constant(F5, 1, c)):
+        with pytest.raises(CharMismatch, match="is no coefficient over F5"):
+            build()
+
+
+@pytest.mark.parametrize("ring", [GF(5), GF(2, 2), W2(3)], ids=repr)
+def test_an_element_operand_reads_as_its_int(ring):
+    # x + c and c - x raised TypeError for an element c, while x * c took it
+    x = Poly.variable(ring, 2, 0, 2) + Poly.variable(ring, 2, 1)
+    for n in range(ring.pk + 1):
+        c = ring.from_int(n)
+        assert x + c == x + n and c + x == n + x
+        assert x - c == x - n and c - x == n - x
+        assert x * c == x * n and c * x == n * x
+
+
+@pytest.mark.parametrize("ring", [GF(5), GF(2, 2), W2(3)], ids=repr)
+def test_a_foreign_element_is_a_char_mismatch_under_every_operator(ring):
+    x = Poly.variable(ring, 2, 0)
+    # another characteristic, and the other ring of the same p and m
+    foreign = [GF(7).one, W2(ring.p, ring.m).one if ring.k == 1 else ring.residue_field.one]
+    for c in foreign:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(CharMismatch, match="is no coefficient"):
+                op(x, c)
+            with pytest.raises(CharMismatch, match="is no coefficient"):
+                op(c, x)
+
+
 @pytest.mark.parametrize("exp", [1.5, 1.0, "2", True, None], ids=repr)
 def test_constructors_reject_exponents_that_are_not_ints(exp):
     # the exponent kernels add ints: 1.5 would print as x1^1.5 and "2" would
-    # concatenate in a product; 1.0 and True hash as 1, so Poly.variable must
-    # check before it looks up its interned x1
+    # concatenate in a product; 1.0 and True equal 1, so each is refused by
+    # its type, not by its value
     F3 = GF(3)
-    Poly.variable(F3, 2, 0, 1)  # interned
     with pytest.raises(ShapeError, match="is not an int"):
         Poly(F3, 1, {(exp,): 1})
     with pytest.raises(ShapeError, match="is not an int"):
@@ -231,7 +263,6 @@ def test_constructors_reject_variable_counts_that_are_not_counts(nvars):
     ]:
         with pytest.raises(ShapeError, match="variable count"):
             build()
-    Poly.variable(F3, 1, 0)  # interned: True hashes as 1 does
     with pytest.raises(ShapeError):
         Poly.variable(F3, nvars, 0)
     assert Poly.constant(F3, 0, 2) == Poly(F3, 0, {(): 2})
@@ -242,7 +273,6 @@ def test_constructors_raise_shape_errors_for_bad_monomials_and_indices():
     for key in [5, "ab", frozenset({1}), None]:
         with pytest.raises(ShapeError, match="does not have"):
             Poly(F3, 2 if key == "ab" else 1, {key: 1})
-    Poly.variable(F3, 2, 1, 2)  # interned: True hashes as 1 does
     for i in [True, False, 1.0, "1", None]:
         with pytest.raises(ShapeError, match="is not an int"):
             Poly.variable(F3, 2, i, 2)

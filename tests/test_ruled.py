@@ -238,6 +238,15 @@ def test_replacing_a_chart_leaves_the_original_lift_untouched():
     assert verify_gluing(lift).ok and not verify_gluing(bumped).ok
 
 
+def test_h_is_the_fiber_correction_of_the_vy_chart_it_holds():
+    # h was a stored field that _replace(charts=...) left at the old chart's value
+    lift = build_standard_lift(hirzebruch_transition(GF(3), 2))
+    assert lift.h is lift.charts["VY"].corrections[1] and lift.h.is_zero()
+    bumped = _bumped(lift, "VY", 1, "x2")
+    assert bumped.h == P(GF(3), 2, "x2") and bumped.h is bumped.charts["VY"].corrections[1]
+    assert lift.h.is_zero()
+
+
 def test_corrupted_chart_fails_on_overlap():
     # bump one correction of one chart by 1, x1 or x2, i.e. its image by p times that;
     # a base image that depends on the fiber (slot 0, bump x2) gets a verdict like any other

@@ -449,6 +449,36 @@ def test_rings_compare_by_identity_alone():
     assert not found, found
 
 
+# the ring maps every GaloisRing builds as tables, m = 1 included
+_RING_TABLES = {"frob_int", "inv_frob_int", "split_p"}
+
+
+def test_only_build_tables_binds_the_ring_map_tables():
+    # one route per map: a second binding (say an identity lambda for m = 1)
+    # would compute Frobenius or the p-adic split beside the tables
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = getattr(child, "targets", None) or [child.target]
+                found.extend(
+                    f"{owner}.{target.attr}"
+                    for top in targets
+                    for target in ast.walk(top)
+                    if isinstance(target, ast.Attribute) and target.attr in _RING_TABLES
+                )
+            visit(child, owner)
+
+    for path in sorted(Path(w2frob.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    expected = [f"witt2.GaloisRing._build_tables.{name}" for name in sorted(_RING_TABLES)]
+    assert sorted(found) == expected
+
+
 def test_only_validate_checks_descriptor_value_types():
     # SurfaceDescriptor.validate checks each value's type once; from_json_dict
     # only maps keys, so no other function raises "must be of type"

@@ -426,7 +426,7 @@ def test_witt_coordinates_come_from_one_table_built_on_first_use():
     assert ring.witt_coords(u) is vars(ring)["_coords"][u.n]
     # coordinates that name fewer than q^2 elements raise
     broken = WittRing(GF(3))
-    broken._from_witt_int = lambda a0, a1: a0
+    broken._pair_int = lambda a0, a1: a0
     with pytest.raises(InvariantViolation):
         broken.witt_coords(broken.one)
 
