@@ -1,9 +1,9 @@
 """frobctl: every verification and construction as a subcommand with JSON output.
 
 Exit codes: 0 all checks pass, 1 a property was violated (the report
-names it), 2 usage or parse errors.  Reports are deterministic for a
-fixed (argv, seed): same bytes, every run.  The default seed comes from
-FROBCTL_SEED when set.
+names it), 2 usage or parse errors.  A report is a function of argv
+alone: the same bytes every run, in any environment.  A seeded command
+run without ``--seed`` uses ``DEFAULT_SEED``.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def _p_list(s: str) -> list:
 
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument tree, built once per process; ``--seed`` parses to None when absent."""
+    """The argument tree, built once per process; ``--seed`` defaults to ``DEFAULT_SEED``."""
     parser = argparse.ArgumentParser(
         prog="frobctl",
         description="exact verification of Frobenius lifts over length-2 Witt vectors",
@@ -241,14 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=_prime, required=True)
     sp.add_argument("--n", type=_bounded_int(1, 3), default=3)
     sp.add_argument("--trials", type=_bounded_int(1), default=1000)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.set_defaults(func=_cmd_verify_lemma)
 
     sp = sub.add_parser("phi-det", help="determinant core on random chart lifts")
     sp.add_argument("--p", type=_prime, required=True)
     sp.add_argument("--n", type=_bounded_int(1, 4), default=2)
     sp.add_argument("--trials", type=_bounded_int(1), default=500)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.set_defaults(func=_cmd_phi_det)
 
     sp = sub.add_parser("p1-lift", help="extend a correction across the two charts")
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_hasse)
 
     sp = sub.add_parser("sweep-all", help="run every property sweep")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.set_defaults(func=_cmd_sweep_all)
 
     return parser
@@ -292,17 +292,10 @@ def _execute(argv) -> tuple:
     The text is None when argparse has answered itself (``--help``, or a
     usage error on stderr).
     """
-    env = os.environ.get("FROBCTL_SEED")
-    try:
-        default_seed = int(env) if env else DEFAULT_SEED
-    except ValueError:
-        return _error(f"FROBCTL_SEED must be an integer, got {env!r}", 2)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return None, 2 if exc.code not in (0, None) else 0
-    if getattr(args, "seed", 0) is None:  # a seeded command run without --seed
-        args.seed = default_seed
     try:
         report = args.func(args)
     except (

@@ -31,6 +31,8 @@ from .errors import (
 from .polyalg import (
     Poly,
     PolyMatrix,
+    _check_count,
+    _check_index,
     canonical_lift,
     divide_by_p,
     divided_difference,
@@ -64,11 +66,12 @@ class AffineChartLift:
     corrections[i] is the F_q polynomial f_i with F(x_i) = x_i^p + p*f_i.
     """
 
-    __slots__ = ("field", "nvars", "laurent_mask", "corrections", "_images", "_powers")
+    __slots__ = ("field", "lift_ring", "nvars", "laurent_mask", "corrections", "_images", "_powers")
 
     def __init__(self, field: FiniteField, nvars: int, laurent_mask, corrections):
         if not isinstance(field, FiniteField):
             raise RingMismatch(f"a chart lift lives over a finite field, not over {field!r}")
+        _check_count(nvars)
         laurent_mask = tuple(map(bool, laurent_mask))
         corrections = tuple(corrections)
         if len(laurent_mask) != nvars:
@@ -81,6 +84,7 @@ class AffineChartLift:
             if not f.respects_mask(laurent_mask):
                 raise UnsupportedShape("correction inverts a variable outside the chart")
         self.field = field
+        self.lift_ring = W2(field.p, field.m)
         self.nvars = nvars
         self.laurent_mask = laurent_mask
         self.corrections = corrections
@@ -102,19 +106,13 @@ class AffineChartLift:
         return lift
 
     @property
-    def lift_ring(self):
-        return W2(self.field.p, self.field.m)
-
-    @property
     def p(self) -> int:
         return self.field.p
 
     def __eq__(self, other):
         return (
             isinstance(other, AffineChartLift)
-            and self.field is other.field
-            and self.nvars == other.nvars
-            and self.laurent_mask == other.laurent_mask
+            and self.same_chart(other)
             and self.corrections == other.corrections
         )
 
@@ -138,15 +136,16 @@ class AffineChartLift:
 
     def image_of_var(self, i: int) -> Poly:
         """F(x_i) = x_i^p + p*f_i as a polynomial over W2(F_q)."""
-        return self.images[i]
+        return self.images[_check_index(i, self.nvars)]
 
     def image_of_var_power(self, i: int, e: int) -> Poly:
         """F(x_i)^e, computed once per lift; e < 0 only for inverted variables."""
+        _check_index(i, self.nvars)  # before the cache, where True would find 1
         if e < 0 and not self.laurent_mask[i]:
             raise UnsupportedShape(f"variable x{i + 1} is not inverted on this chart")
         power = self._powers.get((i, e))
         if power is None:
-            power = self._powers[i, e] = self.image_of_var(i) ** e
+            power = self._powers[i, e] = self.images[i] ** e
         return power
 
     def __repr__(self):

@@ -10,7 +10,8 @@ The coefficient rings are the Galois rings of ``witt2``, whose ``fold``
 maps any sum of products of canonical ints to the canonical int.
 Products, sums, derivatives and substitutions therefore accumulate plain
 ints per monomial and fold once per term.  Element objects appear only
-at the boundary: the constructors read ints and elements as the ring's
+at the boundary: the constructors, and ``_constant`` for every non-Poly
+operand of ``+ - * ==``, read ints and elements as the ring's
 ``from_int`` does, and ``coefficient_of``, ``single_term`` and the text
 format return or print them.  The lift ring W2(F_q) carries the
 int-form mod-p maps (``residue_field``, ``split_p``, ``times_p_int``,
@@ -90,6 +91,7 @@ from operator import add
 from typing import Callable, Sequence
 
 from .errors import (
+    CharMismatch,
     NotDivisible,
     ParseError,
     RingMismatch,
@@ -237,11 +239,11 @@ def power_coefficient(f: "Poly", e: int, mono) -> object:
     return ring.wrap(fold(total))
 
 
-def _coeff_int(ring, c):
-    """The canonical int of a coefficient given as an int or an element; None otherwise."""
-    if isinstance(c, int) or hasattr(c, "n"):
-        return ring.from_int(c).n
-    return None
+def _check_count(nvars) -> int:
+    """nvars, once checked to be an int variable count >= 0 (a bool is not)."""
+    if type(nvars) is not int or nvars < 0:
+        raise ShapeError(f"variable count {nvars!r} is not an int >= 0")
+    return nvars
 
 
 def _check_index(i, nvars: int) -> int:
@@ -257,10 +259,8 @@ class Poly:
     __slots__ = ("ring", "nvars", "terms")
 
     def __init__(self, ring, nvars: int, terms=None):
-        if type(nvars) is not int or nvars < 0:
-            raise ShapeError(f"variable count {nvars!r} is not an int >= 0")
         self.ring = ring
-        self.nvars = nvars
+        self.nvars = _check_count(nvars)
         clean = {}
         if terms:
             for mono, c in terms.items():
@@ -310,10 +310,10 @@ class Poly:
     # -- ring structure -------------------------------------------------
 
     def _constant(self, c):
-        """The constant polynomial c, read by ``_coeff_int``; None for no coefficient."""
-        n = _coeff_int(self.ring, c)
-        if n is None:
+        """The constant c, an int or an element read by ``ring.from_int``; None for any other c."""
+        if not (isinstance(c, int) or hasattr(c, "n")):
             return None
+        n = self.ring.from_int(c).n
         return Poly._make(self.ring, self.nvars, {(0,) * self.nvars: n} if n else {})
 
     def _compat(self, other: "Poly"):
@@ -378,10 +378,9 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            n = _coeff_int(self.ring, other)
-            if n is None:
+            other = self._constant(other)
+            if other is None:
                 return NotImplemented
-            return _folded(self.ring, self.nvars, {m: c * n for m, c in self.terms.items()})
         self._compat(other)
         add = _kernels(self.nvars)[0]
         big, small = (other, self) if len(self.terms) == 1 else (self, other)
@@ -425,10 +424,13 @@ class Poly:
         return Poly.constant(self.ring, self.nvars, 1) if result is None else result
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = Poly.constant(self.ring, self.nvars, other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            try:
+                other = self._constant(other)
+            except CharMismatch:  # an element of another ring, unequal as a Poly over one is
+                return False
+            if other is None:
+                return NotImplemented
         return self.ring is other.ring and self.nvars == other.nvars and self.terms == other.terms
 
     def is_zero(self) -> bool:
@@ -455,6 +457,8 @@ class Poly:
 
     def respects_mask(self, laurent_mask: Sequence[bool]) -> bool:
         """Negative exponents only occur in variables flagged as inverted."""
+        if len(laurent_mask) != self.nvars:
+            raise ShapeError(f"mask {laurent_mask!r} does not have {self.nvars} entries")
         for m in self.terms:
             for i, e in enumerate(m):
                 if e < 0 and not laurent_mask[i]:
@@ -590,7 +594,8 @@ def divided_difference(f: Poly, first: tuple, second: tuple) -> Poly:
     """divide_by_p(g2 - g1) for g_k = ``substitute(f, images, powers=powers)``, the k-th side.
 
     Each side is (images, powers), the images on f's chart; both accumulate
-    unfolded, then each monomial folds, subtracts via ``pk_slots``, splits by p.
+    unfolded, then each monomial folds and subtracts via ``pk_slots``, and
+    the difference splits by p as in ``divide_by_p``.
     """
     ring, nvars = f.ring, f.nvars
     if not _is_lift_ring(ring):
@@ -600,11 +605,17 @@ def divided_difference(f: Poly, first: tuple, second: tuple) -> Poly:
     for img in (*first[0], *second[0]):
         f._compat(img)
     minuend = _substituted(f, *second, ring, nvars)
-    fold, split, pk_slots = ring.fold, ring.split_p, ring.pk_slots
+    fold, pk_slots = ring.fold, ring.pk_slots
     for m, n in _substituted(f, *first, ring, nvars).items():
         minuend[m] = fold(minuend.get(m, 0)) + pk_slots - fold(n)
+    return _split_by_p(ring, nvars, minuend)
+
+
+def _split_by_p(ring, nvars: int, acc: dict) -> Poly:
+    """The residue-field g with p*g = sum of fold(acc[m])*x^m; NotDivisible unless p | each."""
+    fold, split = ring.fold, ring.split_p
     terms = {}
-    for m, n in minuend.items():
+    for m, n in acc.items():
         high, low = split(fold(n))
         if low:
             raise NotDivisible(f"coefficient at {m} is not divisible by p")
@@ -623,8 +634,7 @@ def reindex(f: Poly, slots: Sequence, nvars: int) -> Poly:
     """
     if len(slots) != f.nvars:
         raise ShapeError(f"need {f.nvars} slots, got {len(slots)}")
-    if type(nvars) is not int or nvars < 0:
-        raise ShapeError(f"variable count {nvars!r} is not an int >= 0")
+    _check_count(nvars)
     live = [(i, _check_index(s, nvars)) for i, s in enumerate(slots) if s is not None]
     dead = [i for i, s in enumerate(slots) if s is None]
     acc: dict = {}
@@ -727,17 +737,9 @@ def divide_by_p(f: Poly) -> Poly:
     Every coefficient must lie in the ideal (p); the result does not
     depend on any choice of representatives.
     """
-    ring = f.ring
-    if not _is_lift_ring(ring):
-        raise RingMismatch(f"{ring!r} has no division by p")
-    split = ring.split_p
-    terms = {}
-    for m, c in f.terms.items():
-        high, low = split(c)
-        if low:
-            raise NotDivisible(f"coefficient at {m} is not divisible by p")
-        terms[m] = high  # nonzero, as c is
-    return Poly._make(ring.residue_field, f.nvars, terms)
+    if not _is_lift_ring(f.ring):
+        raise RingMismatch(f"{f.ring!r} has no division by p")
+    return _split_by_p(f.ring, f.nvars, f.terms)
 
 
 def embed_times_p(f: Poly, lift_ring) -> Poly:

@@ -101,6 +101,8 @@ class TransitionData:
 
 def hirzebruch_transition(field: FiniteField, n: int) -> TransitionData:
     """The transition a = u^n, b = 0 of the n-th projective-bundle surface over P1."""
+    if type(n) is not int:  # bool too, as an exponent
+        raise ShapeError(f"twist {n!r} is not an int")
     if n < 0:
         raise UnsupportedShape("twist n must be >= 0")
     return TransitionData("P1", Poly.monomial(field, 1, (n,)), Poly.zero(field, 1))

@@ -72,6 +72,25 @@ def test_chart_lift_examples():
         AffineChartLift(F2, 2, (False, False), (Poly.zero(F2, 2),))
 
 
+def test_chart_lift_counts_and_indices_follow_the_index_rule():
+    # nvars True was a lift, image_of_var(-1) the last image and image_of_var(True)
+    # x2's, and image_of_var_power(5, 1) a bare IndexError
+    F3 = GF(3)
+    x = Poly.variable(F3, 1, 0)
+    for nvars in (True, -1, 1.0):
+        with pytest.raises(ShapeError):
+            AffineChartLift(F3, nvars, (False,), (x,))
+    with pytest.raises(ShapeError):
+        standard_lift(F3, True)
+    one, two = standard_lift(F3, 1), standard_lift(F3, 2)
+    two.image_of_var_power(1, 1)  # cached under (1, 1), which (True, 1) would find
+    for L, i in ((one, -1), (one, 1), (two, True), (two, False), (two, 2), (two, 5), (two, 1.0)):
+        with pytest.raises(ShapeError, match="out of range"):
+            L.image_of_var(i)
+        with pytest.raises(ShapeError, match="out of range"):
+            L.image_of_var_power(i, 1)
+
+
 def test_laurent_image_is_unit():
     F2 = GF(2)
     L = AffineChartLift(F2, 1, (True,), (P(F2, 1, "x^-1"),))

@@ -214,6 +214,20 @@ def test_an_element_operand_reads_as_its_int(ring):
         assert x + c == x + n and c + x == n + x
         assert x - c == x - n and c - x == n - x
         assert x * c == x * n and c * x == n * x
+    assert (x * 0).is_zero() and x * ring.one == x * 1 == x
+
+
+@pytest.mark.parametrize("ring", [GF(5), GF(2, 2), W2(3)], ids=repr)
+def test_eq_reads_an_operand_as_add_does(ring):
+    # == read ints alone: Poly.constant(ring, 1, 1) == ring.one was False, and != True
+    for n in range(ring.pk + 1):
+        f, c = Poly.constant(ring, 1, n), ring.from_int(n)
+        assert f == c and c == f and not f != c and not c != f
+        assert f == f + 0 and not f == c + 1 and f != c + 1
+    x = Poly.variable(ring, 2, 0)
+    # an element of another ring is unequal, as a Poly over another ring is
+    for c in (GF(7).one, W2(ring.p, ring.m).one if ring.k == 1 else ring.residue_field.one):
+        assert not x == c and x != c and not c == x and c != x
 
 
 @pytest.mark.parametrize("ring", [GF(5), GF(2, 2), W2(3)], ids=repr)
@@ -291,6 +305,9 @@ def test_index_queries_raise_shape_errors():
             f.partial_derivative(i)
     with pytest.raises(ShapeError, match="out of range"):
         Poly.zero(F3, 2).degree_in(2)  # the zero polynomial too, before its None
+    for mask in [(), (True,), (True, True, True)]:  # a short mask was a bare IndexError
+        with pytest.raises(ShapeError, match="does not have 2 entries"):
+            P(F3, 2, "x1^-1+x2^-1").respects_mask(mask)
     for mono in [(1,), (1, 0, 0), (), (2.0, True), (2, True), (2, 1.0)]:
         with pytest.raises(ShapeError, match="does not have 2 exponents"):
             f.coefficient_of(mono)

@@ -85,6 +85,13 @@ def test_transitions_and_base_lifts_are_built_over_a_field(ring):
         standard_base_lift(ring, "P1")
 
 
+def test_a_hirzebruch_twist_is_an_int():
+    # "2" and None were bare TypeErrors from n < 0
+    for n in ("2", None, 2.0, True):
+        with pytest.raises(ShapeError, match="is not an int"):
+            hirzebruch_transition(GF(3), n)
+
+
 def test_unknown_base_name_is_rejected_alike():
     F2 = GF(2)
     one = Poly.constant(F2, 1, 1)

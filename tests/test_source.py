@@ -37,6 +37,19 @@ def test_sweep_all_bytes_hold_under_python_O():
     assert hashlib.sha256(out.stdout).hexdigest() == SWEEP_ALL_SHA256
 
 
+def test_no_module_reads_the_environment():
+    # a report is a function of argv alone, so no setting reaches it from outside
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(w2frob.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names)
+    ]
+    assert not found, found
+
+
 def _tracer_targets() -> tuple:
     """TARGETS of perfbench/tracer.py, read from its source without importing it."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
