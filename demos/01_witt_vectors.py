@@ -12,7 +12,6 @@ from w2frob import (
     poly_from_str,
     poly_to_str,
     reduce_mod_p,
-    witt_to_residue_ring,
     witt_to_str,
 )
 
@@ -21,10 +20,10 @@ ring = W2(5)
 u = ring.pair(2, 3)
 v = ring.pair(4, 1)
 for label, w in [("u", u), ("v", v), ("u+v", u + v), ("u*v", u * v)]:
-    print(f"  {label:4} = {witt_to_str(w):14} <-> {witt_to_residue_ring(w).n:2} in Z/25")
+    print(f"  {label:4} = {witt_to_str(w):14} <-> {w.n:2} in Z/25")
 
-n = witt_to_residue_ring(u).n
-m = witt_to_residue_ring(v).n
+n = u.n
+m = v.n
 print(f"  check: {n}+{m} = {(n + m) % 25}, {n}*{m} = {(n * m) % 25} in Z/25")
 
 print()

@@ -140,7 +140,9 @@ class AffineChartLift:
 
     def image_of_var_power(self, i: int, e: int) -> Poly:
         """F(x_i)^e, computed once per lift; e < 0 only for inverted variables."""
-        _check_index(i, self.nvars)  # before the cache, where True would find 1
+        _check_index(i, self.nvars)  # i and e before the cache, where True would find 1
+        if type(e) is not int:
+            raise ShapeError(f"power {e!r} of a polynomial is not an int")
         if e < 0 and not self.laurent_mask[i]:
             raise UnsupportedShape(f"variable x{i + 1} is not inverted on this chart")
         power = self._powers.get((i, e))

@@ -520,10 +520,11 @@ def substitute(f: Poly, images: Sequence[Poly], *, powers: Callable | None = Non
     the target's; with no variables f is its own value.  Negative source
     exponents invert the corresponding image, so images standing in for
     inverted variables must be units.  ``powers(i, e)``, when given, must
-    return ``images[i] ** e``: a caller that keeps those powers (a chart
-    lift does, so does ``ruled.OverlapMap``) passes its cache; otherwise
-    each power is computed once per call.  A monomial or zero image needs
-    no powers: it shifts exponents and scales coefficients.
+    return ``images[i] ** e``: the owner of the images keeps their powers
+    (a chart lift does, so does ``ruled.OverlapMap``) and passes its
+    cache.  Without it a term computes ``images[i] ** e`` where it needs
+    one.  A monomial or zero image needs no powers: it shifts exponents
+    and scales coefficients.
     """
     if len(images) != f.nvars:
         raise ShapeError(f"need {f.nvars} images, got {len(images)}")
@@ -541,13 +542,6 @@ def _substituted(f: Poly, images, powers, ring, nvars: int) -> dict:
     """``substitute``'s value on validated images, as unfolded ints per monomial."""
     fold, pow_int = ring.fold, ring.pow_int
     add, scale = _kernels(nvars)
-    if powers is None:
-        cache: dict = {}
-
-        def powers(i, e):
-            if (i, e) not in cache:
-                cache[i, e] = images[i] ** e
-            return cache[i, e]
 
     def shift(i, e):
         """(monomial, coefficient) of a one-term images[i] ** e; coefficient 0 if that is 0."""
@@ -570,7 +564,7 @@ def _substituted(f: Poly, images, powers, ring, nvars: int) -> dict:
             if not e:
                 continue
             if not one_term[i]:
-                power = powers(i, e)
+                power = powers(i, e) if powers else images[i] ** e
                 term = power if term is None else term * power
                 continue
             pm, pc = shifts.get((i, e)) or shifts.setdefault((i, e), shift(i, e))
@@ -819,11 +813,6 @@ class PolyMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.entries == other.entries
 
     def determinant(self) -> Poly:
         """Exact determinant (square, size <= 4), each minor built at most once."""

@@ -141,7 +141,8 @@ class OverlapMap:
     a~ and b~ are the canonical lifts of the transition, embedded in two
     variables.  The map keeps its powers as a chart lift keeps F(x_i)^e,
     so the (a~*y + b~)^p of ``build_standard_lift``, squared up once, is
-    the one that ``verify_gluing`` substitutes through: one power per lift.
+    the one that ``verify_gluing`` and ``base_glue_consistency`` substitute
+    through: one power per lift.
     """
 
     __slots__ = ("a", "b", "images", "_powers")
@@ -366,19 +367,18 @@ def _fiber_degree_0(f: Poly) -> Poly:
 def base_glue_consistency(L: RuledLift) -> CheckResult:
     """The U- and V-side base lifts agree; eta is the one between them.
 
-    The U-side image of u at x = b~ (through x = a*y + b, at y = 0) must
-    equal the V-side image of u on the overlap.  Their fiber-degree-0
-    parts are base lifts f0 and g0, and ``eta = eta_between(f0, g0)`` is 0
-    exactly when the two agree.
+    The U-side image of u at x = b~ (read through ``L.overlap``,
+    x = a~*y + b~, at y = 0) must equal the V-side image of u on the
+    overlap.  Their fiber-degree-0 parts are base lifts f0 and g0, and
+    ``eta = eta_between(f0, g0)`` is 0 exactly when the two agree.
     """
     T = L.transition
     field = L.field
-    wring = L.charts["UX"].lift_ring
     mask = (T.base.overlap_mask,)
 
     img_u = L.charts["UX"].image_of_var(0)
     f0_poly = _fiber_degree_0(img_u)
-    lhs0 = _fiber_degree_0(substitute(img_u, [Poly.variable(wring, 2, 0), L.overlap.b]))
+    lhs0 = _fiber_degree_0(substitute(img_u, L.overlap.images, powers=L.overlap.power))
 
     g0_poly = _fiber_degree_0(L.charts["VY"].image_of_var(0))
     if T.base.v_inverse:

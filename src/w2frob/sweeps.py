@@ -35,7 +35,7 @@ from .ruled import (
     hirzebruch_transition,
     verify_gluing,
 )
-from .witt2 import GF, W2, draw_below, witt_to_residue_ring
+from .witt2 import GF, W2, draw_below
 
 
 def _check(name: str, citation: str, trials: list, extra=()) -> dict:
@@ -72,11 +72,12 @@ def _witt_product(p: int, a: tuple, b: tuple) -> tuple:
 
 
 def sweep_witt(p_list) -> list:
-    """W2(F_p) and its map to Z/p^2 against the component formulas.
+    """W2(F_p) = Z/p^2 and its Witt coordinates against the component formulas.
 
-    Every pair is checked for add and mul, and every element against
-    (a0, a1) -> a0^p + p*a1.  The pairs call the ring's ``add`` and ``mul``,
-    the kernel entries every element operator reaches.
+    Every pair is checked for add and mul, and every element's int, its
+    residue mod p^2, against (a0, a1) -> a0^p + p*a1.  The pairs call the
+    ring's ``add`` and ``mul``, the kernel entries every element operator
+    reaches.
     """
     checks = []
     for p in p_list:
@@ -100,7 +101,7 @@ def sweep_witt(p_list) -> list:
             {"op": "residue", "u": repr(u)}
             for u in elems
             for a0, a1 in [coords[u.n]]
-            if witt_to_residue_ring(u).n != (a0 ** p + p * a1) % (p * p)
+            if u.n != (a0 ** p + p * a1) % (p * p)
         ]
         checks.append(
             _check(

@@ -57,18 +57,19 @@ rule of what a coefficient may be: an int, read mod p^k, or an element
 of this very ring.  It raises ``CharMismatch`` for an element of any
 other ring object: a ring built by its class is a ring of its own; only
 ``GF``/``W2`` rings combine.
-``witt_to_residue_ring`` checks that its argument is an element of a
-W2(F_p) and returns it: its int ``n`` is already the residue
-a0^p + p*a1 mod p^2.
+An element of W2(F_p) is its residue mod p^2: its int ``n`` is
+a0^p + p*a1 mod p^2, and the package reads it as ``u.n``.
+``witt_to_residue_ring``, which checks that its argument is an element
+of a W2(F_p) and returns it, is kept for perfbench and the tests.
 
 W2(F_q) is read and written in Witt coordinates (a0, a1), which stand for
 u = [a0] + p*lift(a1^(1/p)) with the Teichmüller lift [a] = lift(a)^q.
-For q = p that is u = a0^p + p*a1 mod p^2.  Only the text, JSON and
-``.a0``/``.a1`` boundary reads coordinates, from the table ``_coords``,
-n -> (a0, a1), built on first use.  The length-2 component
-formulas are kept out of this module on purpose: they are the independent
-models that check the kernel, for q = p in ``sweeps.sweep_witt`` and for
-every q in ``tests/oracles.py``.
+For q = p that is u = a0^p + p*a1 mod p^2.  Coordinates are read through
+``witt_coords`` alone (the text format and ``sweeps.sweep_witt`` do),
+from the table ``_coords``, n -> (a0, a1), built on first use.  The
+length-2 component formulas are kept out of this module on purpose:
+they are the independent models that check the kernel, for q = p in
+``sweeps.sweep_witt`` and for every q in ``tests/oracles.py``.
 
 Ring protocol used by the polynomial layer, whose coefficients are
 canonical ints: ``fold``, ``neg_int``, ``inv_int``, ``frob_int``, ``pk``
@@ -334,17 +335,9 @@ class FqElem(_Elem):
 
 @_own_operations
 class WittPair(_Elem):
-    """Element of W2(F_q), shown in its Witt coordinates ``a0``, ``a1``."""
+    """Element of W2(F_q), shown in its Witt coordinates (``ring.witt_coords``)."""
 
     __slots__ = ()
-
-    @property
-    def a0(self) -> FqElem:
-        return self.ring.witt_coords(self)[0]
-
-    @property
-    def a1(self) -> FqElem:
-        return self.ring.witt_coords(self)[1]
 
     def __repr__(self):
         return witt_to_str(self)

@@ -456,16 +456,21 @@ def test_passes_count_trials_without_failure(monkeypatch):
     assert not sweeps.sweep_phi_det([2], [1], 0, 1)[0]["ok"]  # zero trials
 
 
-def test_witt_sweep_checks_the_residue_map_itself(monkeypatch):
-    # n -> n + p is a bijection W2(F_p) -> Z/p^2, but not (a0, a1) -> a0^p + p*a1
-    real = sweeps.witt_to_residue_ring
-    monkeypatch.setattr(
-        sweeps, "witt_to_residue_ring", lambda u: real(u) + real(u.ring.pair(0, 1))
-    )
-    for check in sweeps.sweep_witt([2, 3]):
-        assert check["passes"] == check["trials"]
-        assert not check["ok"]
-        assert check["failures"][0]["op"] == "residue"
+def test_witt_sweep_sees_one_wrong_coordinate_entry(monkeypatch):
+    # Z/p^2 has one ring isomorphism onto W2(F_p), so one wrong entry of the
+    # coordinate table fails the pair checks of its prime, not only the residue check
+    primes = (2, 3, 5)
+    for p in primes:
+        ring = witt2.W2(p)
+        table = dict(ring._coord_table())
+        a0, a1 = table[1]
+        table[1] = (a0, a1 + 1)  # 1 named (1, 1), which is 1 + p
+        with monkeypatch.context() as patch:
+            patch.setattr(ring, "_coords", table)
+            checks = sweeps.sweep_witt(primes)
+        for q, check in zip(primes, checks):
+            assert check["ok"] is (q != p), check["name"]
+            assert (check["passes"] < check["trials"]) is (q == p), check["name"]
 
 
 def test_witt_sweep_sees_one_wrong_kernel_entry(monkeypatch):

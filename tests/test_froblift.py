@@ -91,6 +91,18 @@ def test_chart_lift_counts_and_indices_follow_the_index_rule():
             L.image_of_var_power(i, 1)
 
 
+def test_a_power_that_is_not_an_int_is_a_shape_error_before_and_after_the_cache():
+    # True and 1.0 hash and compare equal to 1, so a cache lookup before the type
+    # test would find x1's image once (0, 1) is cached
+    L = standard_lift(GF(3), 2)
+    for cached in (False, True):
+        if cached:
+            assert L.image_of_var_power(0, 1) == L.image_of_var(0)
+        for e in (True, 1.0, "a"):
+            with pytest.raises(ShapeError, match="not an int"):
+                L.image_of_var_power(0, e)
+
+
 def test_laurent_image_is_unit():
     F2 = GF(2)
     L = AffineChartLift(F2, 1, (True,), (P(F2, 1, "x^-1"),))

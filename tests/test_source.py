@@ -73,6 +73,21 @@ def test_traced_names_resolve_in_the_package():
     assert not missing, missing
 
 
+def test_no_module_or_demo_reads_a_residue_through_the_residue_map():
+    # an element of W2(F_p) is its residue mod p^2, so the package and the demos
+    # read u.n; witt_to_residue_ring stays exported for perfbench and the tests
+    root = Path(w2frob.__file__).parent
+    paths = [*root.glob("*.py"), *(root.parent.parent / "demos").glob("*.py")]
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(paths)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "witt_to_residue_ring" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert not found, found
+
+
 def _is_string_constant(node) -> bool:
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
         return any(_is_string_constant(elt) for elt in node.elts)
