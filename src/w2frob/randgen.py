@@ -7,9 +7,9 @@ Every draw goes through ``witt2.draw_below``, which gives the value of
 
 from __future__ import annotations
 
-from .errors import RangeError
+from .errors import RangeError, ShapeError
 from .froblift import AffineChartLift
-from .polyalg import Poly
+from .polyalg import Poly, _check_count
 from .witt2 import FiniteField, draw_below
 
 
@@ -20,7 +20,14 @@ def random_poly(rng, ring, nvars: int, max_deg: int, max_terms: int) -> Poly:
     tuple (each entry in [0, max_deg], the whole tuple redrawn until its
     sum is <= max_deg) and a coefficient; a later term at the same
     monomial replaces an earlier one, and a zero coefficient adds nothing.
+    Its arguments are checked before the first draw: ``ShapeError`` for a
+    variable count or bound that is not an int (a bool is not), and
+    ``RangeError`` for a negative bound.
     """
+    _check_count(nvars)
+    if type(max_deg) is not int or type(max_terms) is not int:
+        raise ShapeError(f"random_poly needs int bounds, got max_deg={max_deg!r} "
+                         f"and max_terms={max_terms!r}")
     if max_deg < 0 or max_terms < 0:
         raise RangeError(f"random_poly needs max_deg >= 0 and max_terms >= 0, "
                          f"got {max_deg} and {max_terms}")

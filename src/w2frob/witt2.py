@@ -77,7 +77,10 @@ and ``pk_slots`` (p^k in every slot, so that ``pk_slots - n`` folds to
 -n and borrows between no slots) for arithmetic; ``from_int`` and
 ``wrap`` to read and build elements at the boundary; ``random_int`` (a
 uniform element's int; ``random`` wraps it) for seeded inputs, drawn
-through ``draw_below`` as ``random.Random.randrange`` draws;
+through ``draw_below`` as ``random.Random.randrange`` draws: c_0 first,
+then each higher slot in turn, one ``draw_below(rng, pk)`` per slot, the
+order that keeps every seed's inputs (``WittRing`` draws its Witt
+coordinates a0 and then a1 that way, over its residue field);
 ``coeff_to_str`` / ``coeff_from_str`` for text.  The lift ring
 ``WittRing`` adds the mod-p maps, each in its int form only, between
 itself and its ``residue_field``: ``split_p`` (n -> (n div
@@ -456,10 +459,19 @@ class GaloisRing:
         raise CharMismatch(f"{n!r} is no coefficient over {self!r}")
 
     def random_int(self, rng) -> int:
-        """The canonical int of a uniform element, drawn slot by slot from c_0."""
+        """The canonical int of a uniform element: one ``draw_below(rng, pk)`` per slot.
+
+        c_0 is drawn first, then c_1, ..., c_(m-1), each ORed into its slot
+        as it is drawn: the order of ``randrange(pk)`` per coefficient, which
+        keeps every seeded input.  For m = 1 that is the one draw of c_0.
+        """
+        pk = self.pk
         if self.m == 1:
-            return draw_below(rng, self.pk)
-        return _pack([draw_below(rng, self.pk) for _ in range(self.m)])
+            return draw_below(rng, pk)
+        n = draw_below(rng, pk)
+        for shift in range(SHIFT, SHIFT * self.m, SHIFT):
+            n |= draw_below(rng, pk) << shift
+        return n
 
     def random(self, rng):
         return self.wrap(self.random_int(rng))

@@ -11,8 +11,8 @@ from oracles import (
     randrange_witt_draw,
 )
 
-from w2frob import GF, W2, RangeError
-from w2frob.randgen import random_exponent_matrix, random_poly
+from w2frob import GF, W2, RangeError, ShapeError
+from w2frob.randgen import random_chart_lift, random_exponent_matrix, random_poly
 from w2frob.witt2 import draw_below
 
 QS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (17, 1)]  # q in {2,3,4,5,7,8,9,17}
@@ -129,9 +129,44 @@ def test_random_poly_rejects_negative_bounds_before_drawing(nvars, max_deg, max_
     assert rng.draws == 0
 
 
+@pytest.mark.parametrize(
+    "nvars, max_deg, max_terms",
+    [
+        (1.5, 2, 3), ("2", 2, 3), (True, 2, 3), (None, 2, 3), (-1, 2, 3),
+        (1, 2.0, 3), (1, 2, 2.0), (1, True, 3), (1, 2, False), (1, "2", 3), (2, 2, None),
+        (1, -1.0, 3), (1.5, -1, -1),
+    ],
+)
+def test_random_poly_rejects_non_int_arguments_before_drawing(nvars, max_deg, max_terms):
+    # the type is checked before the term count is drawn, so the error is the
+    # same at every seed, and a bool is not read as 0 or 1
+    for seed in range(4):
+        rng = _BoundedRandom(seed)
+        with pytest.raises(ShapeError):
+            random_poly(rng, GF(3), nvars, max_deg, max_terms)
+        assert rng.draws == 0, seed
+
+
 def test_random_poly_keeps_zero_bounds():
     rng = _BoundedRandom(5)
     for _ in range(20):
         f = random_poly(rng, GF(3), 0, 0, 2)
         assert set(f.terms) <= {()}
         assert not random_poly(rng, GF(3), 2, 4, 0).terms
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])  # q in {2,3,4,5,9}
+def test_random_chart_lift_is_the_randint_generator(p, m):
+    # one randint polynomial per correction, x_1's first, up to 4 terms of degree <= p
+    F, draw = GF(p, m), randrange_field_draw(p, m)
+    for seed in range(30):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for nvars in (1, 2, 3):
+            lift = random_chart_lift(ours, F, nvars)
+            assert lift.field is F and lift.nvars == nvars
+            assert lift.laurent_mask == (False,) * nvars
+            for f in lift.corrections:
+                old = randint_random_poly(theirs, draw, nvars, max_deg=p, max_terms=4)
+                assert f.ring is F and f.nvars == nvars
+                assert f.terms == {e: F.elem(list(c)).n for e, c in old.items()}, (seed, old)
+        assert ours.random() == theirs.random(), seed

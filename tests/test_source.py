@@ -441,6 +441,19 @@ def test_determinants_and_jacobians_take_their_one_pass_routes():
     assert "partial_derivatives" in _called_names(single)
 
 
+def test_extension_ring_draws_take_their_one_slot_loop():
+    # GaloisRing.random_int ORs each slot's draw into the int as it is drawn;
+    # a list of the draws packed by _pack afterwards would build two sequences
+    # for every coefficient of a seeded input over F_q or W2(F_q), q = p^m > 1
+    witt2 = ast.parse((Path(w2frob.__file__).parent / "witt2.py").read_text())
+    ring = next(n for n in witt2.body if isinstance(n, ast.ClassDef) and n.name == "GaloisRing")
+    method = _function(ring, "random_int")
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not any(isinstance(node, comprehensions) for node in ast.walk(method))
+    assert not any(isinstance(node, ast.Name) and node.id == "_pack" for node in ast.walk(method))
+    assert "draw_below" in _called_names(method)
+
+
 # each identity test and the equality test it must not be paired with
 _PAIRED = {ast.Is: ast.Eq, ast.IsNot: ast.NotEq}
 
